@@ -31,6 +31,8 @@ import sys
 import time
 from typing import Dict, List
 
+import calibrate
+
 OUT_DIR = ".perfbench"
 #: Untraced/traced saturated pass pairs of a traced run.
 TRACED_PAIRS = 3
@@ -135,11 +137,6 @@ def check_pass(wl, checks: Checks, run, reference, journal: str,
     return facts
 
 
-def fits(last, budget: float) -> bool:
-    """Whether another pass as long as ``last`` ends before ``budget``."""
-    return time.perf_counter() + last.wall <= budget
-
-
 def references(wl, graph, events):
     """Oracles of the saturated and the open-loop passes, then freeze
     the long-lived heap so the collector stops rescanning it."""
@@ -155,77 +152,111 @@ def references(wl, graph, events):
     return saturated, opened
 
 
-def run_untraced(wl, seed: int, seconds: float, journal: str,
+def run_untraced(wl, seed: int, deadline: float, journal: str,
                  record: Dict[str, object], checks: Checks) -> Dict:
     import workloads as W
 
-    # one set-up is timed before every pass, so that the median spans the
-    # whole run rather than one moment of it
-    setup: List[float] = []
-    graph, events = wl.inputs(seed)
-    saturated_ref, open_ref = references(wl, graph, events)
-
-    budget = time.perf_counter() + 0.3 * seconds
+    # the run's traces take turns, so that a run measures several draws
+    # of the arrival process rather than the luck of one
+    traces = []
+    for trace_seed in W.trace_seeds(seed, wl.traces):
+        graph, events = wl.inputs(trace_seed)
+        traces.append((graph, events) + references(wl, graph, events))
+    graph, events, saturated_ref, open_ref = traces[0]
     check_pass(wl, checks, W.saturated_pass(wl, graph, events, journal),
                saturated_ref, journal)                        # warm-up
-    saturated = []
+    check_pass(wl, checks, W.open_loop_pass(wl, graph, events, journal),
+               open_ref, journal)
+
+    # set-up, a saturated pass and an open-loop pass take turns until
+    # another round would end after the deadline, so every metric samples
+    # the whole run.  Every set-up and every chunk of a pass is scaled to
+    # the reference core by the speed measured around it; those that ran
+    # while the core changed speed are left out when any others exist.
+    speed = calibrate.Speed()
+    round_s = 0.0
+    setup: List[tuple] = []
+    saturated: List[tuple] = []
+    latency: List[float] = []
+    open_chunks: List[tuple] = []
+    raw: Dict[str, List[float]] = {"setup_s": [], "saturated_ops_per_s": [],
+                                   "open_loop_p50_ms": [],
+                                   "open_loop_p99_ms": [],
+                                   "loadgen_late_p99_ms": []}
     recover_times: List[float] = []
-    while len(saturated) < 2 or fits(saturated[-1], budget):
-        setup.append(W.setup_time(wl, seed, journal))
-        run = W.saturated_pass(wl, graph, events, journal)
+    rounds = ops = failed = sent = 0
+    while (rounds < max(W.MIN_ROUNDS, len(traces))
+           or time.perf_counter() + round_s <= deadline):
+        round_start = time.perf_counter()
+        graph, events, saturated_ref, open_ref = traces[rounds % len(traces)]
+        seconds, factor, held = speed.timed(
+            lambda: W.setup_time(wl, seed, journal))
+        setup.append((seconds * factor, held))
+        raw["setup_s"].append(seconds)
+
+        run = W.saturated_pass(wl, graph, events, journal, speed=speed)
+        saturated += run.chunks
+        raw["saturated_ops_per_s"].append(run.ops / run.wall)
+        ops += run.ops
+        failed += run.failed
         facts = check_pass(wl, checks, run, saturated_ref, journal,
                            recover_times)
-        saturated.append(run)
 
-    budget = time.perf_counter() + 0.6 * seconds
-    open_runs = []
-    while not open_runs or fits(open_runs[-1], budget):
-        setup.append(W.setup_time(wl, seed, journal))
-        run = W.open_loop_pass(wl, graph, events, journal)
+        run = W.open_loop_pass(wl, graph, events, journal, speed=speed)
+        stats = run.open_loop
+        latency += stats.scaled
+        open_chunks += stats.chunks
+        sent += len(stats.decide)
+        raw["open_loop_p50_ms"].append(statistics.median(stats.decide) * 1e3)
+        raw["open_loop_p99_ms"].append(
+            W.percentile(stats.decide, 0.99) * 1e3)
+        raw["loadgen_late_p99_ms"].append(
+            W.percentile(stats.late, 0.99) * 1e3)
+        ops += run.ops
+        failed += run.failed
         check_pass(wl, checks, run, open_ref, journal)
-        open_runs.append(run)
-    while len(setup) < W.SETUP_REPEATS:
-        setup.append(W.setup_time(wl, seed, journal))
-    # the best pass of each kind is reported: on a machine whose cores
-    # are shared, a pass slowed by a neighbour says nothing about the
-    # program, and the fastest of several short passes repeats closely
-    per_pass = [(statistics.median(run.open_loop.decide),
-                 W.percentile(run.open_loop.decide, 0.99),
-                 W.percentile(run.open_loop.late, 0.99))
-                for run in open_runs]
-    held = [p for p in per_pass if p[2] * 1e3 <= W.LATE_LIMIT_MS]
-    sent = len(open_runs[0].open_loop.decide)
-    checks.expect(sent >= W.MIN_LATENCY_SAMPLES,
-                  f"open-loop: {sent} arrivals per pass are too few for "
-                  f"p99")
-    runs = saturated + open_runs
+        rounds += 1
+        round_s = time.perf_counter() - round_start
+
+    kept = [c for c in saturated if c[3]] or saturated
     record.update({
-        "setup_s_samples": setup,
-        "saturated_ops_per_s": [r.ops / r.wall for r in saturated],
+        "traces": len(traces),
+        "rounds": rounds,
+        "reference_kernel_s": calibrate.REFERENCE_S,
+        "kernel_s": speed.kernel_s,
+        **{f"{name}_raw": values for name, values in raw.items()},
+        "setup_kept": sum(held for _, held in setup),
+        "saturated_chunks": len(saturated),
+        "saturated_chunks_kept": sum(c[3] for c in saturated),
+        "open_loop_chunks": len(open_chunks),
+        "open_loop_chunks_kept": sum(c[2] and c[3] for c in open_chunks),
+        "open_loop_chunks_late": sum(not c[3] for c in open_chunks),
         "offered_ops_per_s": wl.offered_ops_per_s,
-        "latency_samples_per_pass": sent,
-        "open_loop_p50_ms": [p[0] * 1e3 for p in per_pass],
-        "open_loop_p99_ms": [p[1] * 1e3 for p in per_pass],
-        "loadgen_late_p99_ms": [p[2] * 1e3 for p in per_pass],
+        "latency_samples": len(latency),
+        "latency_samples_sent": sent,
         "late_limit_ms": W.LATE_LIMIT_MS,
         "recover_s": (statistics.median(recover_times)
                       if recover_times else None),
         "peak_fibre_load": saturated_ref.pi,
-        "failed_ratio": (sum(r.failed for r in runs)
-                         / sum(r.ops for r in runs)),
+        "failed_ratio": failed / ops,
         **facts,
     })
-    if not held:
+    checks.expect(sent >= W.MIN_LATENCY_SAMPLES,
+                  f"open-loop: {sent} arrivals are too few for p99")
+    if len(latency) < W.MIN_LATENCY_SAMPLES:
+        # too few chunks held one speed and their schedule
         record["unresolved"] = ["decide_p50_ms", "decide_p99_ms"]
-        held = per_pass
+        latency = [0.0]
     return {
-        "attempted": sum(r.ops for r in runs),
-        "failed": sum(r.failed for r in runs),
+        "attempted": ops,
+        "failed": failed,
         "metrics": {
-            "setup_s": statistics.median(setup),
-            "ops_per_s": max(r.ops / r.wall for r in saturated),
-            "decide_p50_ms": min(p[0] for p in held) * 1e3,
-            "decide_p99_ms": min(p[1] for p in held) * 1e3,
+            "setup_s": statistics.median(
+                [s for s, held in setup if held] or [s for s, _ in setup]),
+            "ops_per_s": sum(c[0] for c in kept)
+            / sum(c[1] * c[2] for c in kept),
+            "decide_p50_ms": statistics.median(latency) * 1e3,
+            "decide_p99_ms": W.percentile(latency, 0.99) * 1e3,
             "peak_rss_mb": peak_rss_mb(),
         },
     }
@@ -318,6 +349,7 @@ def run_traced(wl, seed: int, journal: str, out_prefix: str,
 
 def main(argv: List[str]) -> int:
     args = parse_args(argv)
+    deadline = time.perf_counter() + args.seconds
     root = os.getcwd()
     src = os.path.join(root, "src")
     if not os.path.isfile(os.path.join(src, "repro", "__init__.py")):
@@ -350,8 +382,8 @@ def main(argv: List[str]) -> int:
             result = run_traced(wl, args.seed, journal, prefix, record,
                                 checks)
         else:
-            result = run_untraced(wl, args.seed, args.seconds, journal,
-                                  record, checks)
+            result = run_untraced(wl, args.seed, deadline, journal, record,
+                                  checks)
     finally:
         if os.path.exists(journal):
             os.remove(journal)

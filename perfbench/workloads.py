@@ -20,6 +20,7 @@ each workload's offered rate for the open-loop passes.
 from __future__ import annotations
 
 import asyncio
+import contextlib
 import gc
 import math
 import random
@@ -36,11 +37,16 @@ from repro.online.events import maintenance_events
 from repro.online.faults import fault_surface
 from repro.service import RwaService
 
-#: Fewest arrivals an open-loop pass needs: its p99 must have at least
-#: ten samples beyond it.
+#: Fewest decision latencies a run's p99 is taken from: at least ten
+#: must lie beyond it.
 MIN_LATENCY_SAMPLES = 1000
-#: Fewest set-ups timed per run; ``setup_s`` is their median.
-SETUP_REPEATS = 5
+#: Fewest rounds (set-up, saturated pass, open-loop pass) per run.
+MIN_ROUNDS = 6
+#: Ops per timed chunk of a saturated service pass (about a tenth of a
+#: second); the core's speed is measured between chunks.
+SATURATED_CHUNK_OPS = 3000
+#: Seconds of offered load per timed chunk of an open-loop pass.
+OPEN_LOOP_CHUNK_S = 0.1
 #: Seed of the fault workload's fixed maintenance plan.
 MAINTENANCE_SEED = 20260404
 #: A pass whose generator lateness p99 exceeds this did not hold its
@@ -71,14 +77,18 @@ class Workload:
     #: ``simulate_online`` call.
     saturated: str = "service"
     durable: bool = False
-    #: Offered rate of the open-loop passes, in trace ops per second.
-    #: Frozen when the benchmark was defined, at 10-40 % of the
-    #: workload's saturated rate so that queueing does not amplify the
-    #: machine's own noise; never recomputed at run time.
+    #: Offered rate of the open-loop passes, in trace ops per second of
+    #: the reference core (see ``calibrate.py``).  Frozen when the
+    #: benchmark was defined, at 20-40 % of the workload's saturated rate
+    #: so that queueing does not amplify the machine's own noise; never
+    #: recomputed at run time.
     offered_ops_per_s: float = 1000.0
     #: Rate of the reader coroutine polling the service's read API
     #: during open-loop passes (0 = no reader).
     reader_hz: float = 0.0
+    #: Traces per run, each drawn from the run's seed; rounds take turns
+    #: on them.  More where the cost per op differs more between draws.
+    traces: int = 3
 
     @staticmethod
     def open_loop_events(events: List[Event]) -> List[Event]:
@@ -93,6 +103,12 @@ class Workload:
         graph = multi_region_topology(**self.topology)
         pool = multi_region_traffic(graph, **self.pool)
         return graph, self.traffic(graph, pool, random.Random(seed))
+
+
+def trace_seeds(seed: int, count: int) -> List[int]:
+    """Seeds of a run's ``count`` traces; distinct runs' seeds give
+    disjoint sets."""
+    return [seed * count + i for i in range(count)]
 
 
 def _until_last_arrival(events: List[Event]) -> List[Event]:
@@ -112,7 +128,7 @@ def _steady_traffic(graph, pool, rng: random.Random) -> List[Event]:
     return _until_last_arrival(trace)
 
 
-def _flash_traffic(graph, pool, rng: random.Random, bursts: int = 600,
+def _flash_traffic(graph, pool, rng: random.Random, bursts: int = 150,
                    burst_size: int = 40) -> List[Event]:
     """Equal-timestamp waves of ``burst_size`` arrivals drawn from the
     pool, each holding 2.5 time units (the E19 flash-crowd shape)."""
@@ -138,7 +154,7 @@ def _faulty_traffic(graph, pool, rng: random.Random) -> List[Event]:
     seeds.
     """
     trace = _until_last_arrival(poisson_trace(
-        pool, 3000, arrival_rate=1.0, mean_holding=30.0,
+        pool, 800, arrival_rate=1.0, mean_holding=30.0,
         seed=rng.randrange(2 ** 30)))
     arcs = sorted(graph.arcs(), key=repr)
     plan = random.Random(MAINTENANCE_SEED)
@@ -177,7 +193,7 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
         service=dict(batch_policy="best_prefix", snapshot_every=500),
         simulator=dict(batch_policy="best_prefix"),
         durable=True,
-        offered_ops_per_s=16000.0,
+        offered_ops_per_s=12000.0,
     ),
     Workload(
         name="speculative-faults-sim",
@@ -190,7 +206,8 @@ WORKLOADS: Dict[str, Workload] = {w.name: w for w in (
                     speculative=True, k_candidates=4),
         simulator=dict(defrag_on_block=True),
         saturated="simulator",
-        offered_ops_per_s=4000.0,
+        offered_ops_per_s=2500.0,
+        traces=12,
     ),
 )}
 
@@ -287,34 +304,70 @@ class PassResult:
     result: object
     service: Optional[RwaService] = None
     open_loop: Optional["OpenLoopStats"] = None
+    #: ``(ops, wall, factor, held)`` per timed chunk of a saturated pass
+    #: (see :class:`calibrate.Speed`).
+    chunks: List[tuple] = field(default_factory=list)
 
 
 # --------------------------------------------------------------------- #
 # saturated passes
 # --------------------------------------------------------------------- #
+def chunks(events: List[Event], size: int) -> List[List[Event]]:
+    """Consecutive runs of at least ``size`` events (the last may be
+    shorter), cut only where the event time changes, so that an
+    equal-timestamp burst is never split."""
+    parts: List[List[Event]] = [[]]
+    for event in events:
+        part = parts[-1]
+        if len(part) >= size and event.time != part[-1].time:
+            parts.append([])
+        parts[-1].append(event)
+    return parts
+
+
+def _no_speed() -> tuple:
+    return 1.0, True
+
+
 async def _saturated_service(workload: Workload, graph, events,
-                             journal: Optional[str], tracer) -> PassResult:
+                             journal: Optional[str], tracer,
+                             speed) -> PassResult:
     service = new_service(workload, graph, events, journal)
     await service.start()
     if tracer is not None:
         tracer.wrap_service(service)
-    start = time.perf_counter()
-    futures = [submit(service, event) for event in events]
+    # each chunk is enqueued whole before it drains; the next is enqueued
+    # once the service is idle and the core's speed has been measured
+    parts = ([events] if speed is None
+             else chunks(events, SATURATED_CHUNK_OPS))
+    segment = _no_speed if speed is None else speed.segment
     failed = 0
-    for future in futures:
-        try:
-            await future
-        except Exception:       # noqa: BLE001 - a failed op is counted
-            failed += 1
-    wall = time.perf_counter() - start
+    timed = []
+    for part in parts:
+        start = time.perf_counter()
+        futures = [submit(service, event) for event in part]
+        for future in futures:
+            try:
+                await future
+            except Exception:   # noqa: BLE001 - a failed op is counted
+                failed += 1
+        wall = time.perf_counter() - start
+        timed.append((len(part), wall) + segment())
     result = service.result()
     await service.stop()
-    return PassResult(wall, len(events), failed, result, service)
+    return PassResult(sum(c[1] for c in timed), len(events), failed, result,
+                      service, chunks=timed)
 
 
 def saturated_pass(workload: Workload, graph, events,
-                   journal: Optional[str], tracer=None) -> PassResult:
-    """Decide the whole trace as fast as possible."""
+                   journal: Optional[str], tracer=None,
+                   speed=None) -> PassResult:
+    """Decide the whole trace as fast as possible.
+
+    With a :class:`calibrate.Speed`, a service pass is timed in chunks
+    with the core's speed measured between them; a simulator pass is
+    one chunk.
+    """
     gc.collect()
     if workload.saturated == "simulator":
         knobs = dict(workload.engine)
@@ -322,10 +375,12 @@ def saturated_pass(workload: Workload, graph, events,
         start = time.perf_counter()
         result = simulate_online(graph, events, workload.wavelengths,
                                  record_timeline=False, **knobs)
-        return PassResult(time.perf_counter() - start, len(events), 0,
-                          result)
+        wall = time.perf_counter() - start
+        segment = _no_speed if speed is None else speed.segment
+        return PassResult(wall, len(events), 0, result,
+                          chunks=[(len(events), wall) + segment()])
     return asyncio.run(_saturated_service(workload, graph, events, journal,
-                                          tracer))
+                                          tracer, speed))
 
 
 # --------------------------------------------------------------------- #
@@ -343,6 +398,12 @@ class OpenLoopStats:
     # traced passes only, per tick that submitted something:
     ticks: List[tuple]          # (submit end, first op, end op)
     pending: List[int]          # service.pending() after the submits
+    # passes timed with a speed only: the decision latencies of the
+    # arrivals of the chunks that held one speed and their schedule,
+    # scaled to the reference core, and (ops, factor, held, on time) per
+    # chunk
+    scaled: List[float] = field(default_factory=list)
+    chunks: List[tuple] = field(default_factory=list)
 
 
 def schedule(events: List[Event], rate: float) -> List[float]:
@@ -357,9 +418,8 @@ def schedule(events: List[Event], rate: float) -> List[float]:
     return [(event.time - first) * scale for event in events]
 
 
-async def _reader(service: RwaService, period: float,
-                  stop: asyncio.Event) -> None:
-    while not stop.is_set():
+async def _reader(service: RwaService, period: float) -> None:
+    while True:
         await asyncio.sleep(period)
         service.utilisation()
         service.blocking_stats()
@@ -367,7 +427,7 @@ async def _reader(service: RwaService, period: float,
 
 
 async def _open_loop(workload: Workload, graph, events,
-                     journal: Optional[str], tracer) -> PassResult:
+                     journal: Optional[str], tracer, speed) -> PassResult:
     events = workload.open_loop_events(events)
     service = new_service(workload, graph, events, journal)
     await service.start()
@@ -381,6 +441,8 @@ async def _open_loop(workload: Workload, graph, events,
     due = [0.0] * n
     ticks: List[tuple] = []
     pending: List[int] = []
+    scaled: List[float] = []
+    timed: List[tuple] = []
     failed = 0
     clock = time.perf_counter
 
@@ -392,56 +454,88 @@ async def _open_loop(workload: Workload, graph, events,
         if future.cancelled() or future.exception() is not None:
             failed += 1
 
-    stop = asyncio.Event()
-    reader = None
-    if workload.reader_hz:
-        reader = asyncio.get_running_loop().create_task(
-            _reader(service, 1.0 / workload.reader_hz, stop))
-    futures = []
-    origin = clock() + 0.005
-    index = 0
-    while index < n:
-        now = clock()
-        first = index
-        while index < n and origin + offsets[index] <= now:
-            due[index] = origin + offsets[index]
-            late[index] = now - due[index]
-            future = submit(service, events[index])
-            future.add_done_callback(lambda f, i=index: on_done(i, f))
-            futures.append(future)
-            index += 1
-        if index > first and tracer is not None:
-            ticks.append((clock(), first, index))
-            pending.append(service.pending())
-        if index < n:
-            # one tick = one turn of the event loop: a timer tick would
-            # be at least the selector's 1 ms granularity, which would
-            # dominate the latency being measured
-            await asyncio.sleep(0)
-    for future in futures:
-        try:
-            await future
-        except Exception:       # noqa: BLE001 - counted in on_done
-            pass
-    # the done-callbacks of the last batch run one loop turn later
-    await asyncio.sleep(0)
-    stop.set()
-    if reader is not None:
-        await reader
+    # the schedule is sent in chunks; between two, once every op sent is
+    # decided, the core's speed is measured and the next chunk is offered
+    # at the workload's rate times that speed
+    if speed is None:
+        bounds = [(0, n)]
+    else:
+        size = max(1, int(workload.offered_ops_per_s * OPEN_LOOP_CHUNK_S))
+        bounds, first = [], 0
+        for part in chunks(events, size):
+            bounds.append((first, first + len(part)))
+            first += len(part)
+    begin = clock()
+    for first, end in bounds:
+        relative = 1.0 if speed is None else speed.now()
+        # the reader starts with each chunk, so that no read it missed
+        # while the kernel ran lands on the chunk's first ops
+        reader = None
+        if workload.reader_hz:
+            reader = asyncio.get_running_loop().create_task(
+                _reader(service, 1.0 / (workload.reader_hz * relative)))
+        origin = clock() + 0.002 - offsets[first] / relative
+        futures = []
+        index = first
+        while index < end:
+            now = clock()
+            tick = index
+            while index < end and origin + offsets[index] / relative <= now:
+                due[index] = origin + offsets[index] / relative
+                late[index] = now - due[index]
+                future = submit(service, events[index])
+                future.add_done_callback(lambda f, i=index: on_done(i, f))
+                futures.append(future)
+                index += 1
+            if index > tick and tracer is not None:
+                ticks.append((clock(), tick, index))
+                pending.append(service.pending())
+            if index < end:
+                # one tick = one turn of the event loop: a timer tick
+                # would be at least the selector's 1 ms granularity, which
+                # would dominate the latency being measured
+                await asyncio.sleep(0)
+        for future in futures:
+            try:
+                await future
+            except Exception:   # noqa: BLE001 - counted in on_done
+                pass
+        # the done-callbacks of the last batch run one loop turn later
+        await asyncio.sleep(0)
+        if reader is not None:
+            reader.cancel()
+            with contextlib.suppress(asyncio.CancelledError):
+                await reader
+        if speed is not None:
+            factor, held = speed.segment()
+            on_time = percentile(late[first:end], 0.99) * 1e3 <= LATE_LIMIT_MS
+            if held and on_time:
+                scaled.extend(latency[i] * factor for i in range(first, end)
+                              if events[i].kind == ARRIVAL)
+            timed.append((end - first, factor, held, on_time))
     result = service.result()
     await service.stop()
     decide = [latency[i] for i, event in enumerate(events)
               if event.kind == ARRIVAL]
     stats = OpenLoopStats(latency, decide, late, due, resolved, ticks,
-                          pending)
-    return PassResult(clock() - origin, n, failed, result, service, stats)
+                          pending, scaled, timed)
+    return PassResult(clock() - begin, n, failed, result, service, stats)
 
 
 def open_loop_pass(workload: Workload, graph, events,
-                   journal: Optional[str], tracer=None) -> PassResult:
-    """Send the trace at the workload's offered rate, open loop."""
+                   journal: Optional[str], tracer=None,
+                   speed=None) -> PassResult:
+    """Send the trace open loop at the workload's offered rate.
+
+    With a :class:`calibrate.Speed`, the trace is sent in chunks of
+    :data:`OPEN_LOOP_CHUNK_S` seconds, and each chunk's rate (and the
+    reader's) is multiplied by the core's speed relative to the
+    reference core: a slow core is offered proportionally less, so the
+    service is as loaded as it would be on the reference core.
+    """
     gc.collect()
-    return asyncio.run(_open_loop(workload, graph, events, journal, tracer))
+    return asyncio.run(_open_loop(workload, graph, events, journal, tracer,
+                                  speed))
 
 
 def percentile(values: List[float], q: float) -> float:
