@@ -4,7 +4,13 @@
 with a **write-behind append-only JSONL journal**: every state transition
 (admission, batched admission, departure, defragmentation pass, fibre cut,
 fibre repair) executes first and is then appended as one JSON line
-recording both the *inputs* and the *decision* the engine took.
+recording both the *inputs* and the *decision* the engine took.  Each op
+syncs its record (one write and flush, plus ``fsync`` on request) before
+it returns, unless it runs inside :meth:`DurableEngine.group`: a group
+buffers its records and syncs them together when it exits — the group
+commit :class:`~repro.service.RwaService` runs every drained batch
+under.  The bytes written are the same either way; only the number of
+writes differs.
 :func:`recover` rebuilds a crashed engine by re-executing the journal
 through the very same engine code paths and **verifying** each replayed
 decision against the recorded one — recovered state is something to
@@ -51,8 +57,8 @@ from __future__ import annotations
 
 import json
 import os
-from contextlib import nullcontext
-from typing import Any, Dict, List, Optional
+from contextlib import contextmanager, nullcontext
+from typing import Any, Dict, Iterator, List, Optional
 
 from .._typing import Arc
 from ..conflict.dynamic import DynamicConflictGraph, ShardedConflictGraph
@@ -81,15 +87,15 @@ JOURNAL_VERSION = 1
 # ---------------------------------------------------------------------- #
 # vertex / arc JSON codec
 # ---------------------------------------------------------------------- #
-def _encode_vertex(v: Any) -> Any:
-    """JSON-encode one vertex label (tuples become nested lists)."""
-    if isinstance(v, tuple):
-        return [_encode_vertex(x) for x in v]
-    return v
+#: The one journal encoder: compact separators and sorted keys fix the
+#: byte format :func:`recover` reads back.  ``json`` writes tuples as
+#: arrays, so vertex labels, arcs and paths need no write-side codec.
+_encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
 
 
 def _decode_vertex(v: Any) -> Any:
-    """Invert :func:`_encode_vertex` (lists become nested tuples).
+    """Turn a journalled vertex label back into its hashable form (JSON
+    arrays become nested tuples).
 
     Safe because vertex labels must be hashable: a JSON array in a vertex
     position can only have been a tuple.
@@ -99,30 +105,16 @@ def _decode_vertex(v: Any) -> Any:
     return v
 
 
-def _encode_arc(arc: Arc) -> list:
-    return [_encode_vertex(arc[0]), _encode_vertex(arc[1])]
-
-
 def _decode_arc(obj: list) -> Arc:
     return (_decode_vertex(obj[0]), _decode_vertex(obj[1]))
-
-
-def _encode_path(vertices) -> list:
-    return [_encode_vertex(v) for v in vertices]
 
 
 def _decode_path(obj: list) -> Dipath:
     return Dipath([_decode_vertex(v) for v in obj])
 
 
-def _encode_rng(state) -> Optional[list]:
-    """``random.Random.getstate()`` -> JSON (``None`` passes through)."""
-    if state is None:
-        return None
-    return [state[0], list(state[1]), state[2]]
-
-
 def _decode_rng(obj):
+    """A journalled ``random.Random.getstate()`` back to its tuple form."""
     return (obj[0], tuple(int(x) for x in obj[1]), obj[2])
 
 
@@ -196,6 +188,7 @@ def _engine_from_genesis(genesis: Dict[str, Any],
 class DurableEngine(Instrumented):
     """An :class:`~repro.online.simulator.OnlineEngine` with a durable
     journal: every op is executed, then appended; :func:`recover` replays.
+    Ops sync their own record unless they run inside :meth:`group`.
 
     Publishes diagnostic ``journal.*`` counters (records, bytes,
     snapshots) into the wrapped engine's metrics registry.  Journal
@@ -218,8 +211,9 @@ class DurableEngine(Instrumented):
         :class:`~repro.online.faults.FaultInjector`), journalled in the
         genesis record so recovery rebuilds the same injector.
     fsync:
-        ``os.fsync`` after every append (durability against OS crashes,
-        not just process crashes; slow).
+        ``os.fsync`` on every :meth:`sync` — after every op, or once per
+        :meth:`group` (durability against OS crashes, not just process
+        crashes; slow).
     metrics, tracer:
         Shared :class:`~repro.obs.registry.MetricsRegistry` /
         :class:`~repro.obs.trace.Tracer` handed to the wrapped engine.
@@ -252,8 +246,8 @@ class DurableEngine(Instrumented):
             "restore_move_budget": restore_move_budget,
             "revert_on_repair": revert_on_repair,
             "restore_order": restore_order,
-            "vertices": [_encode_vertex(v) for v in graph.vertices()],
-            "arcs": [_encode_arc(a) for a in graph.arcs()],
+            "vertices": list(graph.vertices()),
+            "arcs": list(graph.arcs()),
         }
         self._bootstrap(genesis, path, mode="w", fsync=fsync,
                         metrics=metrics, tracer=tracer)
@@ -277,6 +271,9 @@ class DurableEngine(Instrumented):
         self._graph_ops: List[list] = []
         self._records = 0
         self._since_snapshot = 0
+        # encoded records not yet written, and the group() nesting depth
+        self._pending: List[str] = []
+        self._grouped = 0
         self._file = open(path, mode, encoding="utf-8")
 
     @classmethod
@@ -350,9 +347,13 @@ class DurableEngine(Instrumented):
         return engine_fingerprint(self._engine)
 
     def close(self) -> None:
-        """Close the journal file (the engine stays usable in memory)."""
+        """Sync any buffered records, then close the journal file (the
+        engine stays usable in memory)."""
         if not self._file.closed:
-            self._file.close()
+            try:
+                self.sync()
+            finally:
+                self._file.close()
 
     def __enter__(self) -> "DurableEngine":
         return self
@@ -373,10 +374,8 @@ class DurableEngine(Instrumented):
         self._append({
             "type": "admit", "rid": request_id,
             "request": None if request is None
-            else [_encode_vertex(request.source),
-                  _encode_vertex(request.target)],
-            "dipath": None if dipath is None else _encode_path(
-                dipath.vertices),
+            else [request.source, request.target],
+            "dipath": None if dipath is None else dipath.vertices,
             "outcome": reason, "index": idx, "color": color})
         self._maybe_snapshot()
         return reason
@@ -398,10 +397,8 @@ class DurableEngine(Instrumented):
             "arrivals": [
                 [e.request_id,
                  None if e.request is None
-                 else [_encode_vertex(e.request.source),
-                       _encode_vertex(e.request.target)],
-                 None if e.dipath is None
-                 else _encode_path(e.dipath.vertices)]
+                 else [e.request.source, e.request.target],
+                 None if e.dipath is None else e.dipath.vertices]
                 for e in arrivals],
             "outcome": {str(rid): r for rid, r in reasons.items()},
             "placements": placements})
@@ -438,8 +435,8 @@ class DurableEngine(Instrumented):
     def cut(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.cut`."""
         report = self._injector.cut(arc)
-        self._graph_ops.append(["cut", _encode_arc(report.arc)])
-        self._append({"type": "cut", "arc": _encode_arc(report.arc),
+        self._graph_ops.append(["cut", report.arc])
+        self._append({"type": "cut", "arc": report.arc,
                       "stranded": report.stranded,
                       "restored": report.restored,
                       "retries": report.retries,
@@ -450,8 +447,8 @@ class DurableEngine(Instrumented):
     def repair(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.repair`."""
         report = self._injector.repair(arc)
-        self._graph_ops.append(["repair", _encode_arc(report.arc)])
-        self._append({"type": "repair", "arc": _encode_arc(report.arc),
+        self._graph_ops.append(["repair", report.arc])
+        self._append({"type": "repair", "arc": report.arc,
                       "restored": report.restored,
                       "reverted": report.reverted,
                       "defrag_moves": report.defrag_moves})
@@ -461,10 +458,36 @@ class DurableEngine(Instrumented):
     # ------------------------------------------------------------------ #
     # journalling internals
     # ------------------------------------------------------------------ #
-    def _append(self, record: Dict[str, Any]) -> None:
-        line = json.dumps(record, separators=(",", ":"),
-                          sort_keys=True) + "\n"
-        self._file.write(line)
+    @contextmanager
+    def group(self) -> Iterator["DurableEngine"]:
+        """Group-commit every record appended inside the block.
+
+        Records are buffered and written by one :meth:`sync` when the
+        outermost group exits, normally or by an exception (the ops
+        already ran, so their records belong in the journal).  Groups
+        nest; outside any group every record syncs as it is appended.
+        """
+        self._grouped += 1
+        try:
+            yield self
+        finally:
+            self._grouped -= 1
+            if not self._grouped:
+                self.sync()
+
+    def sync(self) -> None:
+        """Write every buffered record with one ``write`` and one
+        ``flush``, plus one ``os.fsync`` when built with ``fsync=True``.
+
+        The buffer is emptied before the write, so a failed sync is not
+        retried by a later one: what reached the file is whatever
+        :func:`recover` reads back (a torn tail is discarded).
+        """
+        if not self._pending:
+            return
+        data = "".join(self._pending)
+        self._pending.clear()
+        self._file.write(data)
         self._file.flush()
         if self._fsync:
             # fsync needs a real file descriptor; in-memory buffers have
@@ -477,10 +500,16 @@ class DurableEngine(Instrumented):
             except (AttributeError, OSError, ValueError):
                 self._fsync = False
                 self._m_fsync_unsupported.inc()
+
+    def _append(self, record: Dict[str, Any]) -> None:
+        line = _encode(record) + "\n"
+        self._pending.append(line)
         self._records += 1
         self._since_snapshot += 1
         self._m_records.inc()
         self._m_bytes.inc(len(line))
+        if not self._grouped:
+            self.sync()
 
     def _maybe_snapshot(self) -> None:
         every = self._genesis["snapshot_every"]
@@ -507,9 +536,9 @@ class DurableEngine(Instrumented):
         token = assigner.checkpoint()
         assigner.commit(token)
         return {
-            "paths": [None if p is None else _encode_path(p.vertices)
+            "paths": [None if p is None else p.vertices
                       for p in family._paths],
-            "arcs": [_encode_arc(a) for a in family._arcs],
+            "arcs": list(family._arcs),
             "free_slots": list(family._free_slots),
             "load_warm": family._load_hist is not None,
             "masks_warm": family._conflict_masks is not None,
@@ -518,16 +547,16 @@ class DurableEngine(Instrumented):
                          sorted(assigner.coloring.items())},
             "ever_used": token.ever_used,
             "repairs": token.repairs,
-            "rng_state": _encode_rng(token.rng_state),
+            "rng_state": token.rng_state,
             "vertex_of": {str(r): i for r, i in
                           sorted(engine.vertex_of.items())},
             "defrag": [engine.defrag_passes, engine.defrag_moves,
                        engine.wavelengths_reclaimed],
-            "graph_ops": [list(op) for op in self._graph_ops],
-            "cut_arcs": [_encode_arc(a) for a in self._injector.cut_arcs()],
-            "stranded": {str(r): _encode_path(d.vertices) for r, d in
+            "graph_ops": self._graph_ops,
+            "cut_arcs": self._injector.cut_arcs(),
+            "stranded": {str(r): d.vertices for r, d in
                          sorted(self._injector._stranded.items())},
-            "rerouted": {str(r): _encode_path(d.vertices) for r, d in
+            "rerouted": {str(r): d.vertices for r, d in
                          sorted(self._injector._rerouted.items())},
         }
 
@@ -715,7 +744,7 @@ class DurableEngine(Instrumented):
             elif rtype == "snapshot":
                 # integrity gate: a from-genesis replay must pass through
                 # the exact state the live engine snapshotted here
-                if self._capture() != record["state"]:
+                if _encode(self._capture()) != _encode(record["state"]):
                     raise RecoveryError(
                         "replayed state does not match the snapshot",
                         record=index)
@@ -793,27 +822,35 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None,
     durable = DurableEngine._resume(genesis, path, metrics=metrics,
                                     tracer=tracer)
     tr = durable._engine.tracer
-    snapshots = [i for i, r in enumerate(records) if r["type"] == "snapshot"]
-    with (tr.span("recover", records=len(records),
-                  snapshots=len(snapshots))
-          if tr is not None else nullcontext()):
-        start = 1
-        if snapshots:
-            last = snapshots[-1]
-            with (tr.span("snapshot_restore", record=last)
-                  if tr is not None else nullcontext()):
-                try:
-                    durable._apply_snapshot(records[last]["state"])
-                except RecoveryError:
-                    raise
-                except Exception as exc:
-                    raise RecoveryError(f"snapshot restore raised {exc!r}",
-                                        record=last) from exc
-            start = last + 1
-        with (tr.span("replay", count=len(records) - start)
+    # .get: a typeless record is _replay's "unknown record type", not a
+    # KeyError escaping recovery
+    snapshots = [i for i, r in enumerate(records)
+                 if r.get("type") == "snapshot"]
+    try:
+        with (tr.span("recover", records=len(records),
+                      snapshots=len(snapshots))
               if tr is not None else nullcontext()):
-            for i in range(start, len(records)):
-                durable._replay(records[i], i)
+            start = 1
+            if snapshots:
+                last = snapshots[-1]
+                with (tr.span("snapshot_restore", record=last)
+                      if tr is not None else nullcontext()):
+                    try:
+                        durable._apply_snapshot(records[last]["state"])
+                    except RecoveryError:
+                        raise
+                    except Exception as exc:
+                        raise RecoveryError(f"snapshot restore raised {exc!r}",
+                                            record=last) from exc
+                start = last + 1
+            with (tr.span("replay", count=len(records) - start)
+                  if tr is not None else nullcontext()):
+                for i in range(start, len(records)):
+                    durable._replay(records[i], i)
+    except BaseException:
+        # a refused recovery must not leak the re-opened journal handle
+        durable.close()
+        raise
     durable._records = len(records)
     durable._since_snapshot = (len(records) - 1 - snapshots[-1]
                                if snapshots else len(records))

@@ -198,7 +198,9 @@ class RwaService:
         :class:`~repro.online.persistence.DurableEngine` journalling to
         this path (``snapshot_every`` / ``fsync`` pass through), so a
         crashed service recovers to the exact pre-crash engine via
-        :func:`repro.online.persistence.recover`.  Shed arrivals never
+        :func:`repro.online.persistence.recover`.  Each drained batch is
+        group-committed: its records are synced together, and its
+        futures resolve only after that sync.  Shed arrivals never
         reach the engine and are deliberately *not* journalled — quota
         refusal is a front-door policy, not engine state.
     max_pending:
@@ -334,6 +336,9 @@ class RwaService:
         # (time, rank) and released into the stream by _process
         self._scheduled: List[_Op] = []
         self._current_batch: Optional[List[_Op]] = None
+        # outcomes of the durable batch being decided, settled once its
+        # journal records are synced (None outside a durable batch)
+        self._held: Optional[List[tuple]] = None
         self._crash_after = crash_after_n_ops
         self._ops_done = 0
         self._faults = FaultWiring(
@@ -721,7 +726,10 @@ class RwaService:
                 # chaos crash hook), take_unfinished() finds the batch's
                 # undecided remainder here
                 self._current_batch = work
-                self._process(work)
+                if self._durable is None:
+                    self._process(work)
+                else:
+                    self._commit(work)
                 self._current_batch = None
             if stop_at is not None:
                 # the stream is over: release any maintenance ops still
@@ -784,8 +792,57 @@ class RwaService:
         try:
             self._process_one(op)
         except Exception as exc:           # noqa: BLE001 - failure is per-op
-            if not op.future.done():
-                op.future.set_exception(exc)
+            self._fail(op.future, exc)
+
+    def _resolve(self, future: "asyncio.Future", result: Any) -> None:
+        """Resolve a future now, or when the durable batch has synced."""
+        if self._held is None:
+            future.set_result(result)
+        else:
+            self._held.append((future, result, None))
+
+    def _fail(self, future: "asyncio.Future", exc: BaseException) -> None:
+        """Fail a future now, or when the durable batch has synced."""
+        if self._held is None:
+            if not future.done():
+                future.set_exception(exc)
+        else:
+            self._held.append((future, None, exc))
+
+    def _commit(self, ops: List[_Op]) -> None:
+        """Decide a drained batch on the durable engine and acknowledge it
+        only once its journal records are synced.
+
+        The batch runs inside one :meth:`DurableEngine.group`, so its
+        records leave in one write/flush/fsync, and every outcome is held
+        until then: no client ever holds a decision the flushed journal
+        lacks.  When the chaos hook stops the batch between two ops, the
+        applied prefix is still synced and acknowledged before the crash
+        propagates.  A failed sync acknowledges nothing and kills the
+        drain task with a :class:`ServiceError`; the batch's records may
+        be torn or missing, which :func:`~repro.online.persistence.
+        recover` handles, so a supervisor restarts from the durable
+        prefix.
+        """
+        durable = self._durable
+        held = self._held = []
+        with durable.group():
+            try:
+                self._process(ops)
+            finally:
+                self._held = None
+                try:
+                    durable.sync()
+                except Exception as exc:   # noqa: BLE001 - any I/O failure
+                    raise ServiceError("journal sync failed; the batch "
+                                       "is not acknowledged") from exc
+                for future, result, error in held:
+                    if future.done():
+                        continue
+                    if error is None:
+                        future.set_result(result)
+                    else:
+                        future.set_exception(error)
 
     def _process(self, ops: List[_Op]) -> None:
         """Decide a drained batch.  Synchronous on purpose: no await
@@ -820,7 +877,7 @@ class RwaService:
                 for member in group:
                     if self._answer_retry(member):
                         continue
-                    member.future.set_exception(SimulationError(
+                    self._fail(member.future, SimulationError(
                         f"submissions are not time-ordered at request "
                         f"{member.request_id}"))
                 continue
@@ -835,8 +892,7 @@ class RwaService:
                     self._process_one(op)
             except Exception as exc:       # noqa: BLE001 - failure is per-op
                 for member in group:
-                    if not member.future.done():
-                        member.future.set_exception(exc)
+                    self._fail(member.future, exc)
             self._ops_done += len(group)
 
     def _reason_counter(self, reason: str):
@@ -862,7 +918,7 @@ class RwaService:
             self._m_blocked.inc()
             self._reason_counter(reason).inc()
         self._latencies.append(_time.perf_counter() - op.submitted)
-        op.future.set_result(reason)
+        self._resolve(op.future, reason)
 
     def _answer_retry(self, op: _Op) -> bool:
         """Answer a ``retry=True`` resubmission from the decision log.
@@ -876,10 +932,10 @@ class RwaService:
             return False
         reason = self._decision[op.request_id]
         if reason == EXPIRED:
-            op.future.set_exception(
-                Expired(op.request_id, op.deadline, time=op.time))
+            self._fail(op.future,
+                       Expired(op.request_id, op.deadline, time=op.time))
         else:
-            op.future.set_result(reason)
+            self._resolve(op.future, reason)
         return True
 
     def _expire(self, op: _Op) -> bool:
@@ -900,8 +956,8 @@ class RwaService:
         self._m_blocked.inc()
         self._reason_counter(EXPIRED).inc()
         self._latencies.append(_time.perf_counter() - op.submitted)
-        op.future.set_exception(
-            Expired(op.request_id, op.deadline, time=op.time))
+        self._fail(op.future,
+                   Expired(op.request_id, op.deadline, time=op.time))
         return True
 
     def _shed(self, op: _Op) -> bool:
@@ -933,18 +989,18 @@ class RwaService:
             t0 = self._admitted_at.pop(op.request_id, None)
             if held and t0 is not None:
                 self._holding.observe(op.time - t0)
-            op.future.set_result(held)
+            self._resolve(op.future, held)
         elif op.kind == _CUT or op.kind == _REPAIR:
             if op.arc is None:
                 raise SimulationError(
                     f"fault op at time {op.time} carries no arc")
             report = (self._faults.cut(op.arc) if op.kind == _CUT
                       else self._faults.repair(op.arc))
-            op.future.set_result(report)
+            self._resolve(op.future, report)
         elif op.kind == _DEFRAG:
             backend = self._durable or self._engine
-            op.future.set_result(backend.defrag(order=op.order,
-                                                max_moves=op.max_moves))
+            self._resolve(op.future, backend.defrag(order=op.order,
+                                                    max_moves=op.max_moves))
         else:                              # pragma: no cover - internal
             raise ServiceError(f"unknown op kind {op.kind!r}")
 

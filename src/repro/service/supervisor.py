@@ -7,16 +7,18 @@ needs it; the value is in the failure path:
 1. **Detection.**  The supervisor awaits the drain task.  A clean return
    (:meth:`RwaService.stop`) ends supervision; an exception — in tests
    injected deterministically via the ``crash_after_n_ops`` hook, which
-   dies *between* ops, i.e. at a journal record boundary — triggers the
-   restart protocol.
+   dies *between* ops, i.e. at a journal record boundary, or a failed
+   journal sync — triggers the restart protocol.
 2. **Restart.**  The crashed incarnation's unresolved ops are collected
    (:meth:`RwaService.take_unfinished`: the batch the consumer held,
    everything still queued, un-released maintenance ops), its journal
    file handle is closed, and a fresh incarnation is built by
    :func:`~repro.online.persistence.recover` +
    :meth:`RwaService.from_durable` — the recovered engine is
-   bit-identical to the pre-crash engine, because every applied op was
-   journalled before its successor ran.
+   bit-identical to the pre-crash engine at its last synced batch,
+   because an op's future resolves only once its batch's records are
+   synced; the ops of a batch whose sync failed stay unresolved and
+   are resubmitted.
 3. **Re-resolution.**  The unresolved ops are resubmitted to the new
    incarnation in original order with ``retry=True``, and each original
    future is chained to its replacement — a caller that was awaiting
@@ -262,12 +264,13 @@ class ServiceSupervisor:
             service = RwaService.from_durable(durable, **self._kwargs)
             await service.start()
             self._service = service
-            # Resubmit in original order.  The crash falls between ops,
-            # so nothing here was applied (applied ops resolve their
-            # futures synchronously after journalling and are filtered
-            # out); retry=True still matters when the same request_id
-            # appears twice among the unresolved ops (an original plus
-            # a client retry) — the new incarnation decides it once.
+            # Resubmit in original order.  An op's future resolves once
+            # its batch is synced, so synced ops are filtered out; the
+            # ops of a batch whose sync failed are all still here.
+            # retry=True answers any of them the recovered engine already
+            # admitted, and matters when the same request_id appears
+            # twice among the unresolved ops (an original plus a client
+            # retry) — the new incarnation decides it once.
             for op in pending:
                 self._resubmit(service, op)
         except Exception as exc:        # noqa: BLE001 - a failed restart

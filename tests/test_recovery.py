@@ -157,6 +157,20 @@ def test_torn_tail_with_trailing_garbage_is_discarded(tmp_path):
         recover(str(bad))
 
 
+def test_clean_record_without_type_raises_recovery_error(tmp_path):
+    """A clean, parsable record with no ``type`` key is not a torn tail:
+    it fails replay as an unknown record type, with its index."""
+    durable = small_workload(tmp_path)
+    durable.close()
+    data = Path(durable.path).read_bytes()
+    typeless = tmp_path / "typeless.jsonl"
+    typeless.write_bytes(data + b'{"rid":1}\n')
+    with pytest.raises(RecoveryError, match="unknown record type None") \
+            as excinfo:
+        recover(str(typeless))
+    assert excinfo.value.record == data.count(b"\n")
+
+
 @pytest.mark.parametrize("final", ["cut", "repair"])
 def test_torn_fault_record_tail_is_discarded(tmp_path, final):
     """A journal whose final, torn record is a CUT/REPAIR recovers cleanly.
@@ -264,6 +278,38 @@ def test_fsync_target_without_fileno_degrades_to_flush(tmp_path):
     recovered = recover(durable.path)
     recovered.close()
     assert recovered.fingerprint() == durable.fingerprint()
+
+
+def test_group_defers_sync_to_outermost_exit(tmp_path):
+    """Inside a group records are buffered; the outermost exit writes
+    them (also on an exception), and the bytes match autocommit's."""
+    auto = small_workload(tmp_path, name="auto.jsonl")
+    auto.close()
+    path = tmp_path / "grouped.jsonl"
+    durable = DurableEngine(diamond(), str(path), wavelengths=4,
+                            routing="k_shortest", speculative=True)
+    genesis = path.read_bytes()
+    with durable.group():
+        durable.admit(0, request=Request(0, 3))
+        with durable.group():
+            durable.admit(1, request=Request(0, 3))
+        assert path.read_bytes() == genesis         # inner exit: no sync
+    grouped = path.read_bytes()
+    assert grouped.count(b"\n") == 3
+    with pytest.raises(RuntimeError):
+        with durable.group():
+            durable.admit_batch(
+                [Event(0.0, ARRIVAL, 2, request=Request(2, 3)),
+                 Event(0.0, ARRIVAL, 3, request=Request(0, 1))],
+                policy="greedy")
+            raise RuntimeError("stop mid-group")
+    assert path.read_bytes().count(b"\n") == 4     # the applied op synced
+    durable.cut((0, 1))
+    durable.depart(1)
+    durable.defrag(order="highest_wavelength", max_moves=4)
+    durable.repair((0, 1))
+    durable.close()
+    assert path.read_bytes() == Path(auto.path).read_bytes()
 
 
 def test_empty_or_torn_genesis_raises(tmp_path):

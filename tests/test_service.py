@@ -9,7 +9,10 @@ The headline contracts (marker ``service``):
 * per-tenant quotas are starvation-free — a flooding tenant exhausts
   only its own weighted-fair share and the per-tenant shed counters
   partition the ``guard.shed`` total exactly;
-* a durable service's journal recovers to the exact live engine;
+* a durable service's journal recovers to the exact live engine, and
+  it group-commits: one sync per drained batch, every acknowledged
+  decision already in the flushed journal, the same bytes an op-by-op
+  :class:`~repro.online.persistence.DurableEngine` writes;
 * reads issued against a backlogged service observe coherent
   between-batch snapshots and never stall admission.
 """
@@ -17,24 +20,26 @@ The headline contracts (marker ``service``):
 from __future__ import annotations
 
 import asyncio
+import itertools
 import json
 
 import pytest
 
+from repro.analysis.bench_service import flash_crowd_trace
 from repro.dipaths.requests import Request
-from repro.exceptions import ServiceError, SimulationError
+from repro.exceptions import RecoveryError, ServiceError, SimulationError
 from repro.generators.regions import multi_region_topology, multi_region_traffic
 from repro.graphs.digraph import DiGraph
-from repro.online.events import (ARRIVAL, CUT, Event, cut_event,
+from repro.online.events import (ARRIVAL, CUT, DEPARTURE, Event, cut_event,
                                  poisson_trace, repair_event, sort_events)
-from repro.online.persistence import engine_fingerprint, recover
+from repro.online.persistence import DurableEngine, engine_fingerprint, recover
 from repro.online.simulator import (
     DEFAULT_TENANT,
     SHED,
     AdmissionGuard,
     simulate_online,
 )
-from repro.service import RwaService, serve_trace
+from repro.service import RwaService, ServiceSupervisor, serve_trace
 
 pytestmark = pytest.mark.service
 
@@ -256,6 +261,261 @@ class TestDurableService:
         recovered = recover(str(path))
         assert recovered.fingerprint() == engine_fingerprint(served.engine)
         recovered.close()
+
+
+# --------------------------------------------------------------------------- #
+# group commit: acknowledged implies flushed
+# --------------------------------------------------------------------------- #
+def _flash_crowd(bursts=10, burst_size=8):
+    graph = multi_region_topology(regions=2, region_size=12,
+                                  arc_probability=0.2, coupling=2, seed=5)
+    pool = multi_region_traffic(graph, bursts * burst_size,
+                                inter_fraction=0.25, seed=6)
+    return graph, flash_crowd_trace(pool.pairs(), bursts, burst_size,
+                                    spacing=1.0, holding=2.5)
+
+
+def _waves(events):
+    """The trace split into runs of equal timestamp."""
+    return [list(w) for _, w in itertools.groupby(events,
+                                                   key=lambda e: e.time)]
+
+
+def _enqueue(target, wave):
+    return [target.submit_nowait(e.request_id, request=e.request,
+                                 time=e.time)
+            if e.kind == ARRIVAL
+            else target.depart_nowait(e.request_id, time=e.time)
+            for e in wave]
+
+
+async def _serve_in_waves(target, events):
+    """Enqueue one wave per loop turn, so each drains as its own batch."""
+    futures = []
+    for wave in _waves(events):
+        futures += _enqueue(target, wave)
+        await asyncio.sleep(0)
+    await asyncio.gather(*futures)
+    return futures
+
+
+def _journal_outcomes(data: bytes):
+    """request id -> journalled outcome, for every admit and depart."""
+    admits, departs = {}, {}
+    for line in data.decode("utf-8").splitlines():
+        record = json.loads(line)
+        if record["type"] == "admit":
+            admits[record["rid"]] = record["outcome"]
+        elif record["type"] == "admit_batch":
+            admits.update((int(r), o) for r, o in record["outcome"].items())
+        elif record["type"] == "depart":
+            departs[record["rid"]] = record["outcome"]
+    return admits, departs
+
+
+class FailingStream:
+    """A journal stream whose writes fail like a full disk."""
+
+    def __init__(self, fh):
+        self._fh = fh
+
+    def write(self, s):
+        raise OSError(28, "No space left on device")
+
+    def flush(self):
+        self._fh.flush()
+
+    def close(self):
+        self._fh.close()
+
+    @property
+    def closed(self):
+        return self._fh.closed
+
+
+class TestGroupCommit:
+    def test_acknowledged_decisions_are_in_the_flushed_journal(self,
+                                                               tmp_path):
+        """Every acknowledged write is readable from the bytes on disk.
+
+        A done-callback on each future copies the journal file the
+        moment the client sees the decision; recovering that copy must
+        hold every decision acknowledged so far.
+        """
+        graph, events = _flash_crowd()
+        path = tmp_path / "service.jsonl"
+        copies = []
+
+        async def scenario():
+            service = RwaService(graph, 8, journal_path=str(path),
+                                 batch_policy="best_prefix",
+                                 snapshot_every=16)
+            acked = {}
+
+            def on_done(event, future):
+                acked[event.request_id, event.kind] = future.result()
+                copies.append((path.read_bytes(), dict(acked)))
+
+            async with service:
+                futures = []
+                for wave in _waves(events):
+                    for event, future in zip(wave, _enqueue(service, wave)):
+                        future.add_done_callback(
+                            lambda f, e=event: on_done(e, f))
+                        futures.append(future)
+                    await asyncio.sleep(0)
+                await asyncio.gather(*futures)
+                await asyncio.sleep(0)
+
+        asyncio.run(scenario())
+        assert len(copies) == len(events)
+        copy = tmp_path / "copy.jsonl"
+        for data, acked in copies[::7] + copies[-1:]:
+            admits, departs = _journal_outcomes(data)
+            for (rid, kind), outcome in acked.items():
+                journalled = admits if kind == ARRIVAL else departs
+                assert journalled[rid] == outcome
+            copy.write_bytes(data)
+            recover(str(copy)).close()
+
+    def test_fsync_once_per_drained_batch(self, tmp_path, monkeypatch):
+        import repro.online.persistence as persistence
+
+        calls = []
+        monkeypatch.setattr(persistence.os, "fsync", calls.append)
+        graph, events = _flash_crowd()
+
+        async def scenario():
+            service = RwaService(graph, 8, journal_path=str(tmp_path / "s"),
+                                 batch_policy="best_prefix", fsync=True)
+            batches = []
+            process = service._process
+            service._process = lambda ops: (batches.append(len(ops)),
+                                            process(ops))
+            async with service:
+                await _serve_in_waves(service, events)
+            return batches, service.durable.records
+
+        batches, records = asyncio.run(scenario())
+        assert batches and all(batches)
+        # the genesis record is synced by the constructor, outside a batch
+        assert len(calls) == 1 + len(batches)
+        assert len(batches) < records - 1
+
+        calls.clear()
+        durable = DurableEngine(graph, str(tmp_path / "bare.jsonl"), 8,
+                                fsync=True)
+        for wave in _waves(events)[:6]:
+            for event in wave:
+                if event.kind == ARRIVAL:
+                    durable.admit(event.request_id, request=event.request)
+                else:
+                    durable.depart(event.request_id)
+        durable.close()
+        assert len(calls) == durable.records      # autocommit: one per op
+
+    def test_framing_identical_to_op_by_op_engine(self, tmp_path):
+        """The grouped journal is byte-for-byte the autocommit journal."""
+        graph, events = _flash_crowd()
+        served = tmp_path / "served.jsonl"
+        serve_trace(graph, events, 8, journal_path=str(served),
+                    batch_policy="best_prefix", snapshot_every=16)
+        bare = DurableEngine(graph, str(tmp_path / "bare.jsonl"), 8,
+                             snapshot_every=16)
+        for _, group in itertools.groupby(events,
+                                          key=lambda e: (e.time, e.kind)):
+            group = list(group)
+            if group[0].kind == DEPARTURE:
+                for event in group:
+                    bare.depart(event.request_id)
+            elif len(group) > 1:
+                bare.admit_batch(group, policy="best_prefix")
+            else:
+                bare.admit(group[0].request_id, request=group[0].request)
+        bare.close()
+        data = served.read_bytes()
+        assert data.count(b'"type":"snapshot"') >= 2
+        assert data == (tmp_path / "bare.jsonl").read_bytes()
+
+        # every snapshot is an integrity gate on a from-genesis replay,
+        # comparing encoded states; a tampered one must fail it
+        def replay_from_genesis(lines):
+            records = [json.loads(line) for line in lines]
+            replica = DurableEngine._resume(records[0],
+                                            str(tmp_path / "replica.jsonl"))
+            try:
+                for index, record in enumerate(records[1:], 1):
+                    replica._replay(record, index)
+            finally:
+                replica.close()
+
+        lines = data.decode("utf-8").splitlines()
+        replay_from_genesis(lines)
+        index = next(i for i, line in enumerate(lines)
+                     if '"type":"snapshot"' in line)
+        record = json.loads(lines[index])
+        record["state"]["free_slots"].append(10 ** 6)
+        lines[index] = json.dumps(record)
+        with pytest.raises(RecoveryError, match="snapshot") as excinfo:
+            replay_from_genesis(lines)
+        assert excinfo.value.record == index
+
+    def test_failed_sync_acknowledges_nothing(self, tmp_path):
+        graph, events = _flash_crowd()
+        waves = _waves(events)
+        path = tmp_path / "service.jsonl"
+
+        async def scenario():
+            service = RwaService(graph, 8, journal_path=str(path),
+                                 batch_policy="best_prefix")
+            await service.start()
+            for wave in waves[:3]:
+                await asyncio.gather(*_enqueue(service, wave))
+            durable = service.durable
+            synced = durable.records
+            durable._file = FailingStream(durable._file)
+            futures = _enqueue(service, waves[3])
+            with pytest.raises(ServiceError, match="sync") as excinfo:
+                await asyncio.wait_for(service._drain_task, timeout=30.0)
+            assert isinstance(excinfo.value.__cause__, OSError)
+            assert not any(future.done() for future in futures)
+            assert [op.future for op in service.take_unfinished()] == futures
+            durable.close()
+            return synced
+
+        synced = asyncio.run(scenario())
+        recovered = recover(str(path))
+        recovered.close()
+        assert recovered.records == synced
+
+    def test_supervisor_restarts_after_failed_sync(self, tmp_path):
+        """A sync failure is a crash the supervisor recovers from: the
+        unacknowledged batch is resubmitted onto the durable prefix and
+        the run converges to the uncrashed one."""
+        graph, events = _flash_crowd()
+
+        async def scenario(path, fail_at):
+            supervisor = ServiceSupervisor(graph.copy(), 8,
+                                           journal_path=str(path),
+                                           batch_policy="best_prefix")
+            async with supervisor:
+                futures = []
+                for number, wave in enumerate(_waves(events)):
+                    if number == fail_at:
+                        durable = supervisor.service.durable
+                        durable._file = FailingStream(durable._file)
+                    futures += _enqueue(supervisor, wave)
+                    await asyncio.sleep(0)
+                outcomes = await asyncio.wait_for(asyncio.gather(*futures),
+                                                  timeout=60.0)
+                return (outcomes, supervisor.restarts,
+                        engine_fingerprint(supervisor.service.engine))
+
+        reference = asyncio.run(scenario(tmp_path / "ref.jsonl", None))
+        crashed = asyncio.run(scenario(tmp_path / "crash.jsonl", 4))
+        assert reference[1] == 0 and crashed[1] == 1
+        assert crashed[0] == reference[0]
+        assert crashed[2] == reference[2]
 
 
 # --------------------------------------------------------------------------- #
