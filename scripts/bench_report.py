@@ -48,8 +48,7 @@ restore, ...) on the suites that drive the online engine: it installs a
 suite constructs picks it up, and the report prints each category's
 call counts, wall time and top functions by cumulative time.  Suites
 that never build an :class:`~repro.online.simulator.OnlineEngine`
-(``conflict``, ``online``) fall back to the old whole-suite cProfile
-dump.
+(``conflict``, ``online``) emit no spans, so ``--profile`` refuses them.
 
 ``--trace PATH`` (service suite only) attaches a JSONL-backed
 :class:`~repro.obs.trace.Tracer` to every service replay and writes the
@@ -129,7 +128,7 @@ REPO_ROOT = Path(__file__).resolve().parents[1]
 
 #: Suites whose runners construct :class:`OnlineEngine` instances —
 #: ``--profile`` attributes their cost per span category; the rest only
-#: exercise the conflict-graph layer and get the whole-suite fallback.
+#: exercise the conflict-graph layer and cannot be profiled.
 ENGINE_SUITES = frozenset({"routing", "defrag", "sharding", "recovery",
                            "obs", "service", "chaos"})
 
@@ -367,7 +366,7 @@ def _run_suite(name: str, args) -> int:
         print_records(records)
         print(f"-- span stream written to {args.trace} "
               f"({tracer.sink.emitted} records)")
-    elif args.profile and name in ENGINE_SUITES:
+    elif args.profile:
         profiler = SpanProfiler(engine="cprofile")
         set_default_profile(profiler)
         try:
@@ -377,18 +376,6 @@ def _run_suite(name: str, args) -> int:
         print_records(records)
         print(f"-- per-span profile for suite {name} --")
         print(profiler.report(top=10))
-    elif args.profile:
-        import cProfile
-        import pstats
-
-        profiler = cProfile.Profile()
-        profiler.enable()
-        records = run(repeats=repeats)
-        profiler.disable()
-        print_records(records)
-        print(f"-- suite {name} never builds an online engine; "
-              f"whole-suite cProfile top 20 (cumulative) --")
-        pstats.Stats(profiler).sort_stats("cumulative").print_stats(20)
     else:
         records = run(repeats=repeats)
         print_records(records)
@@ -449,12 +436,12 @@ def main(argv=None) -> int:
                              "recommended together with --check)")
     parser.add_argument("--profile", action="store_true",
                         help="profile each selected suite per span category "
-                             "(admit/defrag/restore/... via SpanProfiler) "
-                             "where the suite drives the online engine, "
-                             "falling back to whole-suite cProfile "
-                             "elsewhere (timings are inflated; do not "
-                             "combine with --check or record baselines "
-                             "from a profiled run)")
+                             "(admit/defrag/restore/... via SpanProfiler); "
+                             "only the suites that drive the online engine "
+                             f"({', '.join(sorted(ENGINE_SUITES))}) emit "
+                             "spans (timings are inflated; do not combine "
+                             "with --check or record baselines from a "
+                             "profiled run)")
     parser.add_argument("--trace", type=Path, default=None,
                         help="(service suite only) write the replays' span "
                              "stream to this JSONL file via a "
@@ -464,6 +451,10 @@ def main(argv=None) -> int:
     suites = list(SUITES) if args.suite == "all" else [args.suite]
     if args.output is not None and len(suites) > 1:
         parser.error("--output needs a single --suite")
+    if args.profile and not ENGINE_SUITES.issuperset(suites):
+        parser.error("--profile attributes cost per span category, and "
+                     "only the online-engine suites emit spans: pick one "
+                     f"of {', '.join(sorted(ENGINE_SUITES))} with --suite")
     if args.profile and args.check:
         parser.error("--profile inflates timings 2-5x; checking them "
                      "against a recorded baseline would flag phantom "

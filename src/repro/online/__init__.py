@@ -22,10 +22,14 @@ shows up as avoidable blocking.  The moving parts:
 * :mod:`repro.online.defrag`     — defragmentation passes speculatively
   re-admitting provisioned lightpaths and committing only strict
   improvements (wavelengths reclaimed, never a service interruption);
-* :mod:`repro.online.simulator`  — the event loop tying them together
-  (:class:`OnlineEngine` is the reusable per-event core, with periodic /
-  on-block / utilisation-triggered defrag, timestamp batching and
-  :class:`AdmissionGuard` load shedding);
+* :mod:`repro.online.simulator`  — :class:`OnlineEngine`, the reusable
+  per-event core, its knobs (:class:`EngineConfig`), and
+  :func:`simulate_online`, the trace front-end;
+* :mod:`repro.online.dispatch`   — the :class:`~repro.online.dispatch.
+  Dispatcher` both the trace loop and :class:`repro.service.RwaService`
+  run every op through: timestamp batching, :class:`AdmissionGuard`
+  load shedding, periodic / on-block / utilisation-triggered defrag,
+  fault reconciliation and the result bookkeeping;
 * :mod:`repro.online.faults`     — fibre-cut / repair injection with
   bounded mass re-route restoration and optional reversion;
 * :mod:`repro.online.persistence` — :class:`DurableEngine`'s append-only
@@ -72,6 +76,7 @@ from .simulator import (
     NO_WAVELENGTH,
     SHED,
     AdmissionGuard,
+    EngineConfig,
     OnlineEngine,
     OnlineResult,
     simulate_online,
@@ -104,6 +109,7 @@ __all__ = [
     "DefragReport",
     "DurableEngine",
     "DynamicConflictGraph",
+    "EngineConfig",
     "Event",
     "FIBRE_CUT",
     "FaultInjector",

@@ -36,8 +36,8 @@ OnlineEngine`:
 Stranding is tracked by ``request_id``; a stranded request that departs
 (its holding time expires while it is down) must be :meth:`forgotten
 <FaultInjector.forget>` so a later repair does not resurrect it —
-:func:`~repro.online.simulator.simulate_online` does this on every
-departure event.
+:class:`~repro.online.dispatch.Dispatcher` does this on every
+departure.
 
 Everything here is a deterministic function of the engine state and the
 fault sequence (stranded sets are walked in sorted request order, batch
@@ -49,7 +49,7 @@ and replay them bit-identically during crash recovery.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import TYPE_CHECKING, Dict, List, Optional
+from typing import Dict, List, Optional
 
 from .._typing import Arc
 from ..dipaths.dipath import Dipath
@@ -59,17 +59,9 @@ from ..graphs.digraph import DiGraph
 from ..obs.registry import Instrumented
 from .defrag import DefragPass
 from .events import ARRIVAL, CUT, REPAIR, Event
+from .simulator import EngineConfig, OnlineEngine
 
-if TYPE_CHECKING:                                   # pragma: no cover
-    from .persistence import DurableEngine
-    from .simulator import OnlineEngine
-
-__all__ = ["FaultInjector", "FaultReport", "FaultWiring", "fault_surface"]
-
-# The rejection reason stranded-and-unrestored lightpaths carry — the
-# same string as ``repro.online.simulator.FIBRE_CUT``, kept literal here
-# because the simulator imports this module, not the other way round.
-_FIBRE_CUT = "fibre_cut"
+__all__ = ["FaultInjector", "FaultReport", "fault_surface"]
 
 
 def fault_surface(graph: DiGraph, events: List[Event]) -> DiGraph:
@@ -154,12 +146,17 @@ class FaultInjector(Instrumented):
         time (strict-improvement moves only).
     order:
         Walk order for the restoration defrag passes.
+
+    The defaults are :class:`~repro.online.simulator.EngineConfig`'s
+    ``restoration`` / ``restore_*`` / ``revert_on_repair`` knobs.
     """
 
-    def __init__(self, engine: "OnlineEngine", restoration: bool = True,
-                 retries: int = 2, move_budget: Optional[int] = None,
-                 revert_on_repair: bool = False,
-                 order: str = "highest_wavelength") -> None:
+    def __init__(self, engine: OnlineEngine,
+                 restoration: bool = EngineConfig.restoration,
+                 retries: int = EngineConfig.restore_retries,
+                 move_budget: Optional[int] = EngineConfig.restore_move_budget,
+                 revert_on_repair: bool = EngineConfig.revert_on_repair,
+                 order: str = EngineConfig.restore_order) -> None:
         if retries < 0:
             raise FaultError("retries must be >= 0")
         self._obs_init("faults", engine.metrics)
@@ -178,6 +175,16 @@ class FaultInjector(Instrumented):
         self._cut: Dict[Arc, bool] = {}             # insertion-ordered set
         self._stranded: Dict[int, Dipath] = {}      # rid -> pre-cut route
         self._rerouted: Dict[int, Dipath] = {}      # rid -> pre-cut route
+
+    @classmethod
+    def configured(cls, engine: OnlineEngine,
+                   config: EngineConfig) -> "FaultInjector":
+        """The injector ``config``'s restoration knobs describe."""
+        return cls(engine, restoration=config.restoration,
+                   retries=config.restore_retries,
+                   move_budget=config.restore_move_budget,
+                   revert_on_repair=config.revert_on_repair,
+                   order=config.restore_order)
 
     # ------------------------------------------------------------------ #
     # inspection
@@ -350,134 +357,3 @@ class FaultInjector(Instrumented):
                 report.reverted.append(rid)
                 self._m_reverted.inc()
                 self._rerouted.pop(rid)
-
-
-class FaultWiring:
-    """The one fault path shared by the trace loop and the service.
-
-    Both :func:`~repro.online.simulator.simulate_online` and
-    :class:`~repro.service.RwaService` drive fault events through an
-    instance of this class, which owns two things that used to be
-    copy-pasted and must never drift apart:
-
-    * **The injector's lifecycle.**  The :class:`FaultInjector` is built
-      lazily on the first fault event, because its construction registers
-      ``faults.*`` counters — a fault-free run must produce a metrics
-      snapshot byte-identical to one from a harness that never mentions
-      faults.  A :class:`~repro.online.persistence.DurableEngine` already
-      owns an (eagerly built) injector; pass it as ``durable`` and cuts
-      and repairs go through its journalled ``cut``/``repair`` instead.
-    * **Final-decision accounting.**  Every :class:`FaultReport` is folded
-      into the caller's ``accepted``/``blocked``/``rejections`` containers
-      *in place*: requests restored by this event leave ``blocked`` (their
-      :data:`~repro.online.simulator.FIBRE_CUT` rejection is erased),
-      newly-stranded-and-unrestored ones move from ``accepted`` to
-      ``blocked``.  The lists end up in final-decision order on both
-      sides, which is half of the E21 identity contract.
-
-    Totals (``cuts``, ``repairs``, ``stranded``, ``restored``) accumulate
-    across events for the result's ``fibre_cuts`` / ``fibre_repairs`` /
-    ``lightpaths_stranded`` / ``lightpaths_restored`` fields.
-    """
-
-    def __init__(self, engine: "OnlineEngine", accepted: List[int],
-                 blocked: List[int], rejections: Dict[int, str], *,
-                 restoration: bool = True, retries: int = 2,
-                 move_budget: Optional[int] = None,
-                 revert_on_repair: bool = False,
-                 order: str = "highest_wavelength",
-                 durable: Optional["DurableEngine"] = None) -> None:
-        self._engine = engine
-        self._accepted = accepted
-        self._blocked = blocked
-        self._rejections = rejections
-        self._restoration = restoration
-        self._retries = retries
-        self._move_budget = move_budget
-        self._revert_on_repair = revert_on_repair
-        self._order = order
-        self._durable = durable
-        self._injector: Optional[FaultInjector] = None
-        self.cuts = 0
-        self.repairs = 0
-        self.stranded = 0
-        self.restored = 0
-
-    @property
-    def engaged(self) -> bool:
-        """Whether any fault event has run (and built the injector)."""
-        return self._injector is not None
-
-    def injector(self) -> FaultInjector:
-        """The injector, built on first use (see class docstring)."""
-        if self._injector is None:
-            if self._durable is not None:
-                self._injector = self._durable.injector
-            else:
-                self._injector = FaultInjector(
-                    self._engine, restoration=self._restoration,
-                    retries=self._retries, move_budget=self._move_budget,
-                    revert_on_repair=self._revert_on_repair,
-                    order=self._order)
-        return self._injector
-
-    def cut(self, arc: Arc) -> FaultReport:
-        """Cut one fibre and reconcile the decision containers."""
-        self.cuts += 1
-        if self._durable is not None:
-            self._injector = self._durable.injector
-            report = self._durable.cut(arc)
-        else:
-            report = self.injector().cut(arc)
-        self._reconcile(report)
-        return report
-
-    def repair(self, arc: Arc) -> FaultReport:
-        """Repair one fibre and reconcile the decision containers."""
-        self.repairs += 1
-        if self._durable is not None:
-            self._injector = self._durable.injector
-            report = self._durable.repair(arc)
-        else:
-            report = self.injector().repair(arc)
-        self._reconcile(report)
-        return report
-
-    def forget(self, request_id: int) -> None:
-        """Propagate a departure to the injector, if one exists yet.
-
-        A departed request must not be resurrected by a later repair,
-        even if it was stranded when it departed.  (A durable engine's
-        ``depart`` already forgets; :meth:`FaultInjector.forget` is
-        idempotent, so calling through here as well is harmless.)
-        """
-        if self._injector is not None:
-            self._injector.forget(request_id)
-
-    def _reconcile(self, report: FaultReport) -> None:
-        """Fold a fault report into the accepted/blocked bookkeeping.
-
-        Tolerant of a restarted bookkeeping epoch: after a crash-restart
-        the containers belong to a fresh service incarnation (seeded with
-        the recovered engine's *active* lightpaths), while the injector's
-        stranded-set — rebuilt from the journal — still spans the crash.
-        A rid stranded or restored across the boundary may therefore be
-        missing from the containers; the moves below skip what is absent
-        instead of corrupting what is present.
-        """
-        self.stranded += len(report.stranded)
-        self.restored += len(report.restored)
-        for rid in report.restored:
-            if self._rejections.get(rid) == _FIBRE_CUT:
-                del self._rejections[rid]
-                self._blocked.remove(rid)
-                self._accepted.append(rid)
-            elif rid not in self._accepted:
-                # stranded by a pre-crash incarnation, restored here
-                self._accepted.append(rid)
-        for rid in report.still_stranded:
-            if rid not in self._rejections:
-                if rid in self._accepted:
-                    self._accepted.remove(rid)
-                self._blocked.append(rid)
-                self._rejections[rid] = _FIBRE_CUT

@@ -58,6 +58,7 @@ from __future__ import annotations
 import json
 import os
 from contextlib import contextmanager, nullcontext
+from dataclasses import asdict
 from typing import Any, Dict, Iterator, List, Optional
 
 from .._typing import Arc
@@ -75,7 +76,7 @@ from .events import ARRIVAL, Event
 from .faults import FaultInjector, FaultReport
 from .routing import make_online_router
 from .sharding import ArcColorIndex
-from .simulator import OnlineEngine
+from .simulator import EngineConfig, OnlineEngine
 
 __all__ = ["JOURNAL_VERSION", "DurableEngine", "engine_fingerprint",
            "recover"]
@@ -164,25 +165,17 @@ def engine_fingerprint(engine: OnlineEngine) -> Dict[str, Any]:
 def _engine_from_genesis(genesis: Dict[str, Any],
                          metrics: Optional[MetricsRegistry] = None,
                          tracer: Optional[Tracer] = None):
-    """Build the canonical engine + injector a genesis record describes."""
+    """The config, canonical engine and injector a genesis record
+    describes."""
     graph = DiGraph()
     for v in genesis["vertices"]:
         graph.add_vertex(_decode_vertex(v))
     for a in genesis["arcs"]:
         graph.add_arc(*_decode_arc(a))
-    engine = OnlineEngine(
-        graph, genesis["wavelengths"], routing=genesis["routing"],
-        policy=genesis["policy"], kempe_repair=genesis["kempe_repair"],
-        seed=genesis["seed"], k_candidates=genesis["k_candidates"],
-        speculative=genesis["speculative"], sharded=genesis["sharded"],
-        metrics=metrics, tracer=tracer)
-    injector = FaultInjector(
-        engine, restoration=genesis["restoration"],
-        retries=genesis["restore_retries"],
-        move_budget=genesis["restore_move_budget"],
-        revert_on_repair=genesis["revert_on_repair"],
-        order=genesis["restore_order"])
-    return engine, injector
+    config = EngineConfig.from_record(genesis)
+    engine = config.build(graph, genesis["wavelengths"], metrics=metrics,
+                          tracer=tracer)
+    return config, engine, FaultInjector.configured(engine, config)
 
 
 class DurableEngine(Instrumented):
@@ -196,7 +189,7 @@ class DurableEngine(Instrumented):
     after the last snapshot, so its journal traffic legitimately differs
     from the pre-crash original even though every decision is identical.
 
-    Parameters mirror the engine's, plus:
+    Parameters:
 
     path:
         Journal file.  The constructor starts a **fresh** journal
@@ -205,11 +198,6 @@ class DurableEngine(Instrumented):
     snapshot_every:
         Append a full state snapshot every this many journal records
         (``None`` = never; recovery then replays from genesis).
-    restoration, restore_retries, restore_move_budget, revert_on_repair,
-    restore_order:
-        Fault-injector configuration (see
-        :class:`~repro.online.faults.FaultInjector`), journalled in the
-        genesis record so recovery rebuilds the same injector.
     fsync:
         ``os.fsync`` on every :meth:`sync` — after every op, or once per
         :meth:`group` (durability against OS crashes, not just process
@@ -219,33 +207,23 @@ class DurableEngine(Instrumented):
         :class:`~repro.obs.trace.Tracer` handed to the wrapped engine.
         Purely observational — neither is journalled, and recovery with
         or without them is bit-identical.
+    **knobs:
+        Every :class:`~repro.online.simulator.EngineConfig` knob,
+        journalled in the genesis record so recovery rebuilds the same
+        engine and fault injector.
     """
 
-    def __init__(self, graph: DiGraph, path: str, wavelengths: int,
-                 routing: str = "shortest", policy: str = "first_fit",
-                 kempe_repair: bool = False, seed: Optional[int] = None,
-                 k_candidates: int = 4, speculative: bool = False,
-                 sharded: bool = False,
+    def __init__(self, graph: DiGraph, path: str, wavelengths: int, *,
                  snapshot_every: Optional[int] = None,
-                 restoration: bool = True, restore_retries: int = 2,
-                 restore_move_budget: Optional[int] = None,
-                 revert_on_repair: bool = False,
-                 restore_order: str = "highest_wavelength",
                  fsync: bool = False,
                  metrics: Optional[MetricsRegistry] = None,
-                 tracer: Optional[Tracer] = None) -> None:
+                 tracer: Optional[Tracer] = None, **knobs) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
         genesis = {
             "type": "genesis", "version": JOURNAL_VERSION,
-            "wavelengths": wavelengths, "routing": routing, "policy": policy,
-            "kempe_repair": kempe_repair, "seed": seed,
-            "k_candidates": k_candidates, "speculative": speculative,
-            "sharded": sharded, "snapshot_every": snapshot_every,
-            "restoration": restoration, "restore_retries": restore_retries,
-            "restore_move_budget": restore_move_budget,
-            "revert_on_repair": revert_on_repair,
-            "restore_order": restore_order,
+            "wavelengths": wavelengths, "snapshot_every": snapshot_every,
+            **asdict(EngineConfig(**knobs)),
             "vertices": list(graph.vertices()),
             "arcs": list(graph.arcs()),
         }
@@ -260,7 +238,7 @@ class DurableEngine(Instrumented):
         self._genesis = genesis
         self._path = path
         self._fsync = fsync
-        self._engine, self._injector = _engine_from_genesis(
+        self._config, self._engine, self._injector = _engine_from_genesis(
             genesis, metrics=metrics, tracer=tracer)
         self._obs_init("journal", self._engine.metrics)
         self._m_records = self._obs_counter("records", diagnostic=True)
@@ -310,12 +288,16 @@ class DurableEngine(Instrumented):
         """The genesis record: engine configuration + initial topology.
 
         Read-only by contract — it is the journal's first record and the
-        root of every replay.  :meth:`repro.service.RwaService.
-        from_durable` reads the engine-level knobs back out of it so a
-        recovered engine is wrapped with exactly the configuration it was
-        journalled under.
+        root of every replay.
         """
         return self._genesis
+
+    @property
+    def config(self) -> EngineConfig:
+        """The engine knobs the genesis record stores.
+        :meth:`repro.service.RwaService.from_durable` wraps a recovered
+        engine with exactly this configuration."""
+        return self._config
 
     @property
     def records(self) -> int:
@@ -565,7 +547,8 @@ class DurableEngine(Instrumented):
     # ------------------------------------------------------------------ #
     def _apply_snapshot(self, state: Dict[str, Any]) -> None:
         """Field-level restore of a snapshot onto the genesis skeleton."""
-        engine, genesis = self._engine, self._genesis
+        engine, config = self._engine, self._config
+        wavelengths = self._genesis["wavelengths"]
         # 1. topology: genesis build already happened; replay the cut /
         #    repair history so the adjacency sets relive the exact same
         #    mutation sequence as the pre-crash graph
@@ -596,7 +579,7 @@ class DurableEngine(Instrumented):
         family._arc_members = members
         family._free_slots = list(state["free_slots"])
         # 3. conflict graph, rebuilt over the restored family
-        if genesis["sharded"]:
+        if config.sharded:
             conflict = ShardedConflictGraph(family,
                                             metrics=engine.metrics)
         else:
@@ -617,9 +600,9 @@ class DurableEngine(Instrumented):
         # 4. assigner: fresh instance, colour index attached while still
         #    virgin, colours re-adopted, monotone counters + RNG restored
         assigner = OnlineWavelengthAssigner(
-            genesis["wavelengths"], policy=genesis["policy"],
-            kempe_repair=genesis["kempe_repair"], seed=genesis["seed"])
-        if genesis["sharded"]:
+            wavelengths, policy=config.policy,
+            kempe_repair=config.kempe_repair, seed=config.seed)
+        if config.sharded:
             assigner.attach_color_index(
                 ArcColorIndex(family, metrics=engine.metrics))
         for key in sorted(state["coloring"], key=int):
@@ -634,8 +617,8 @@ class DurableEngine(Instrumented):
         engine.conflict = conflict
         engine.assigner = assigner
         engine.router = make_online_router(
-            engine.graph, genesis["routing"], family=family,
-            wavelengths=genesis["wavelengths"], k=genesis["k_candidates"])
+            engine.graph, config.routing, family=family,
+            wavelengths=wavelengths, k=config.k_candidates)
         engine.vertex_of = {int(r): i
                             for r, i in state["vertex_of"].items()}
         (engine.defrag_passes, engine.defrag_moves,

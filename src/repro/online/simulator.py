@@ -45,11 +45,10 @@ directly instead of round-tripping through event lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Dict, List, Optional
 
 from ..exceptions import (
-    AuditError,
     EngineStateError,
     RoutingError,
     ShardNotFoundError,
@@ -67,7 +66,7 @@ from ..obs.trace import NullSink, Tracer
 from ..parallel.executor import parallel_map
 from .assigner import OnlineWavelengthAssigner
 from .defrag import DefragMove, DefragPass, DefragReport, max_color_in_use
-from .events import ARRIVAL, CUT, DEPARTURE, REPAIR, Event
+from .events import Event
 from .routing import make_online_router
 from .sharding import (
     PARALLEL_SAFE_POLICY,
@@ -82,8 +81,8 @@ from .transaction import admit_batch as _admit_dipath_batch
 from .transaction import admit_best
 
 __all__ = ["DEFAULT_TENANT", "FIBRE_CUT", "NO_ROUTE", "NO_WAVELENGTH",
-           "SHED", "AdmissionGuard", "OnlineEngine", "OnlineResult",
-           "simulate_online"]
+           "SHED", "AdmissionGuard", "EngineConfig", "OnlineEngine",
+           "OnlineResult", "simulate_online"]
 
 #: Rejection reason: the topology has no dipath for the request at all.
 NO_ROUTE = "no_route"
@@ -99,6 +98,114 @@ FIBRE_CUT = "fibre_cut"
 #: Tenant name used for arrivals that carry none (and for arrivals of
 #: tenants the guard was not configured with).
 DEFAULT_TENANT = "default"
+
+#: Field metadata of the restoration-plane knobs, which configure the
+#: engine's :class:`~repro.online.faults.FaultInjector` rather than the
+#: engine itself.
+_RESTORATION = {"restoration": True}
+
+
+@dataclass(frozen=True)
+class EngineConfig:
+    """The engine knobs, declared once.
+
+    :class:`OnlineEngine` takes the first seven as keywords;
+    :func:`simulate_online`, :class:`~repro.service.RwaService` and
+    :class:`~repro.online.persistence.DurableEngine` take all of them
+    (``simulate_online`` derives ``restore_order`` from its
+    ``defrag_order``) and collect them here.  A durable journal's genesis
+    record stores every field, and recovery reads them back from it.
+
+    Attributes
+    ----------
+    routing:
+        Routing policy, one of
+        :data:`~repro.online.routing.ONLINE_ROUTINGS` — static
+        (``"shortest"`` / ``"unique"``) or adaptive (``"least_loaded"`` /
+        ``"k_shortest"`` / ``"widest"``).  Ignored for arrivals carrying a
+        pre-routed dipath.
+    policy:
+        Wavelength policy, one of :data:`~repro.online.assigner.POLICIES`.
+    kempe_repair:
+        Attempt one Kempe chain swap before blocking an arrival.
+    seed:
+        RNG seed for the ``random`` policy.
+    k_candidates:
+        Candidate budget per endpoint pair for ``k_shortest`` routing.
+    speculative:
+        Admit arrivals by speculating each candidate route inside a
+        what-if transaction and committing the best
+        (:func:`~repro.online.transaction.admit_best`); only routers with
+        a real candidate set (``k_shortest``) offer more than one.
+    sharded:
+        Run on the component-sharded engine: O(arcs) structural events
+        and per-fibre forbidden masks instead of neighbourhood walks.
+        Decision-identical to the unsharded engine on every trace.
+    restoration:
+        Re-route lightpaths stranded by a fibre cut through batched
+        re-admission + defrag retries (see
+        :class:`~repro.online.faults.FaultInjector`).  With ``False``
+        cuts still tear stranded lightpaths down (the spectrum is
+        released), but no re-route is attempted until the fibre is
+        repaired.
+    restore_retries:
+        Bounded retries of the restoration loop per fault event: after
+        the first batched re-admission, up to this many further rounds,
+        each preceded by a defrag pass (backoff stops early when a pass
+        commits no move).
+    restore_move_budget:
+        ``max_moves`` for each restoration defrag pass (``None`` =
+        unbounded).
+    revert_on_repair:
+        After a repair, offer every restoration-rerouted lightpath its
+        original route back, keeping only strict-improvement moves (the
+        defrag acceptance objective).
+    restore_order:
+        Walk order of the restoration defrag passes.
+    """
+
+    routing: str = "shortest"
+    policy: str = "first_fit"
+    kempe_repair: bool = False
+    seed: Optional[int] = None
+    k_candidates: int = 4
+    speculative: bool = False
+    sharded: bool = False
+    restoration: bool = field(default=True, metadata=_RESTORATION)
+    restore_retries: int = field(default=2, metadata=_RESTORATION)
+    restore_move_budget: Optional[int] = field(default=None,
+                                               metadata=_RESTORATION)
+    revert_on_repair: bool = field(default=False, metadata=_RESTORATION)
+    restore_order: str = field(default="highest_wavelength",
+                               metadata=_RESTORATION)
+
+    def __post_init__(self) -> None:
+        if self.restore_retries < 0:
+            raise ValueError("restore_retries must be >= 0")
+
+    @classmethod
+    def for_engine(cls, knobs: Dict[str, object]) -> "EngineConfig":
+        """The config of a bare :class:`OnlineEngine`, which refuses the
+        restoration knobs as unexpected keywords."""
+        for f in fields(cls):
+            if f.metadata and f.name in knobs:
+                raise TypeError(f"unexpected keyword argument {f.name!r}")
+        return cls(**knobs)
+
+    @classmethod
+    def from_record(cls, record: Dict[str, object]) -> "EngineConfig":
+        """The config stored in a journal genesis record."""
+        return cls(**{f.name: record[f.name] for f in fields(cls)})
+
+    def build(self, graph: DiGraph, wavelengths: int,
+              metrics: Optional[MetricsRegistry] = None,
+              tracer: Optional[Tracer] = None,
+              profile=None) -> "OnlineEngine":
+        """An :class:`OnlineEngine` with this config's engine knobs."""
+        return OnlineEngine(graph, wavelengths, metrics=metrics,
+                            tracer=tracer, profile=profile,
+                            **{f.name: getattr(self, f.name)
+                               for f in fields(self) if not f.metadata})
 
 
 class _TenantBucket:
@@ -322,15 +429,15 @@ class OnlineResult:
     rejections: Dict[int, str] = field(default_factory=dict)
     wavelengths_available: int = 0
     wavelengths_used: int = 0
-    routing: str = "shortest"
-    policy: str = "first_fit"
-    speculative: bool = False
+    routing: str = EngineConfig.routing
+    policy: str = EngineConfig.policy
+    speculative: bool = EngineConfig.speculative
     kempe_repairs: int = 0
     batch_policy: Optional[str] = None
     defrag_passes: int = 0
     defrag_moves: int = 0
     wavelengths_reclaimed: int = 0
-    sharded: bool = False
+    sharded: bool = EngineConfig.sharded
     fibre_cuts: int = 0
     fibre_repairs: int = 0
     lightpaths_stranded: int = 0
@@ -434,18 +541,20 @@ class OnlineEngine(Instrumented):
     sees the span stream).  None of it feeds back into decisions: with
     or without instrumentation, decisions and ``engine_fingerprint`` are
     bit-identical — the differential suites assert it.
+
+    The engine knobs (``routing``, ``policy``, ``kempe_repair``, ``seed``,
+    ``k_candidates``, ``speculative``, ``sharded``) are keywords,
+    documented and defaulted by :class:`EngineConfig`.
     """
 
-    def __init__(self, graph: DiGraph, wavelengths: int,
-                 routing: str = "shortest", policy: str = "first_fit",
-                 kempe_repair: bool = False, seed: Optional[int] = None,
-                 k_candidates: int = 4, speculative: bool = False,
-                 sharded: bool = False,
+    def __init__(self, graph: DiGraph, wavelengths: int, *,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
-                 profile=None) -> None:
+                 profile=None, **knobs) -> None:
         if wavelengths < 1:
             raise ValueError("wavelengths must be >= 1")
+        config = EngineConfig.for_engine(knobs)
+        sharded = config.sharded
         self._obs_init("engine", metrics)
         registry = self._obs_registry
         if profile is None:
@@ -469,15 +578,17 @@ class OnlineEngine(Instrumented):
         else:
             self.conflict = DynamicConflictGraph(self.family,
                                                  metrics=registry)
-        self.router = make_online_router(graph, routing, family=self.family,
+        self.router = make_online_router(graph, config.routing,
+                                         family=self.family,
                                          wavelengths=wavelengths,
-                                         k=k_candidates)
+                                         k=config.k_candidates)
         self.assigner = OnlineWavelengthAssigner(
-            wavelengths, policy=policy, kempe_repair=kempe_repair, seed=seed)
+            wavelengths, policy=config.policy,
+            kempe_repair=config.kempe_repair, seed=config.seed)
         if sharded:
             self.assigner.attach_color_index(
                 ArcColorIndex(self.family, metrics=registry))
-        self.speculative = speculative
+        self.speculative = config.speculative
         self.vertex_of: Dict[int, int] = {}     # request_id -> member index
         self._m_admitted = self._obs_counter("admitted")
         self._m_rejected_route = self._obs_counter("rejected.no_route")
@@ -1087,30 +1198,26 @@ class OnlineEngine(Instrumented):
 
 
 def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
-                    routing: str = "shortest", policy: str = "first_fit",
-                    kempe_repair: bool = False, seed: Optional[int] = None,
-                    record_timeline: bool = True, k_candidates: int = 4,
-                    speculative: bool = False,
+                    *, record_timeline: bool = True,
                     batch_policy: Optional[str] = None,
                     defrag_every: Optional[int] = None,
                     defrag_on_block: bool = False,
                     defrag_utilization: Optional[float] = None,
                     defrag_order: str = "highest_wavelength",
                     defrag_max_moves: Optional[int] = None,
-                    sharded: bool = False,
                     shard_workers: Optional[int] = None,
                     shed_work_budget: Optional[float] = None,
                     shed_burst: Optional[float] = None,
                     shed_queue_depth: Optional[int] = None,
-                    restoration: bool = True,
-                    restore_retries: int = 2,
-                    restore_move_budget: Optional[int] = None,
-                    revert_on_repair: bool = False,
                     audit_every: Optional[int] = None,
                     metrics: Optional[MetricsRegistry] = None,
                     tracer: Optional[Tracer] = None,
-                    profile=None) -> OnlineResult:
+                    profile=None, **knobs) -> OnlineResult:
     """Run an event trace through the incremental online RWA engine.
+
+    Validates the options, builds the engine, feeds the sorted trace to
+    a :class:`~repro.online.dispatch.Dispatcher` and samples the
+    timeline; the dispatcher makes every decision.
 
     Parameters
     ----------
@@ -1120,28 +1227,8 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         Time-ordered trace (see :mod:`repro.online.events`).
     wavelengths:
         Per-fibre wavelength budget ``W`` (>= 1).
-    routing:
-        Routing policy, one of
-        :data:`~repro.online.routing.ONLINE_ROUTINGS` — static
-        (``"shortest"`` / ``"unique"``) or adaptive (``"least_loaded"`` /
-        ``"k_shortest"`` / ``"widest"``).  Ignored for arrivals carrying a
-        pre-routed dipath.
-    policy:
-        Wavelength policy, one of
-        :data:`~repro.online.assigner.POLICIES`.
-    kempe_repair:
-        Attempt one Kempe chain swap before blocking an arrival.
-    seed:
-        RNG seed for the ``random`` policy.
     record_timeline:
         Record one sample per event (turn off for benchmarking hot loops).
-    k_candidates:
-        Candidate budget per endpoint pair for ``k_shortest`` routing.
-    speculative:
-        Admit arrivals by speculating each candidate route inside a
-        what-if transaction and committing the best
-        (:func:`~repro.online.transaction.admit_best`); only routers with
-        a real candidate set (``k_shortest``) offer more than one.
     batch_policy:
         When set (one of :data:`~repro.online.transaction.BATCH_POLICIES`),
         consecutive arrivals sharing a timestamp are admitted as one
@@ -1157,11 +1244,8 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         this threshold from below (re-armed once utilisation drops back).
     defrag_order, defrag_max_moves:
         Walk order and per-pass move budget for every triggered pass
-        (see :class:`~repro.online.defrag.DefragPass`).
-    sharded:
-        Run on the component-sharded engine: O(arcs) structural events
-        and per-fibre forbidden masks instead of neighbourhood walks.
-        Decision-identical to the unsharded engine on every trace.
+        (see :class:`~repro.online.defrag.DefragPass`); the walk order
+        is also the restoration passes' ``restore_order``.
     shard_workers:
         When set (requires ``sharded=True`` and ``policy="first_fit"``),
         triggered defrag passes run shard-scoped
@@ -1180,25 +1264,6 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         ``shed_queue_depth`` same-timestamp arrivals are rejected with
         :data:`SHED` before any routing work.  Shed arrivals never
         trigger ``defrag_on_block``.
-    restoration:
-        Re-route lightpaths stranded by :data:`~repro.online.events.CUT`
-        events through batched re-admission + defrag retries (see
-        :class:`~repro.online.faults.FaultInjector`).  With ``False``
-        cuts still tear stranded lightpaths down (the spectrum is
-        released), but no re-route is attempted until a
-        :data:`~repro.online.events.REPAIR` of the same fibre.
-    restore_retries:
-        Bounded retries of the restoration loop per fault event: after
-        the first batched re-admission, up to this many further rounds,
-        each preceded by a defrag pass (backoff stops early when a pass
-        commits no move).
-    restore_move_budget:
-        ``max_moves`` for each restoration defrag pass (``None`` =
-        unbounded).
-    revert_on_repair:
-        After a :data:`~repro.online.events.REPAIR`, offer every
-        restoration-rerouted lightpath its original route back, keeping
-        only strict-improvement moves (the defrag acceptance objective).
     audit_every:
         Opt-in runtime auditing: every ``audit_every`` processed events
         (and once more after the trace drains) run
@@ -1215,219 +1280,45 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         faults in structured spans with the event-time clock advanced
         per trace event, and ``profile`` attaches a
         :class:`~repro.obs.profiling.SpanProfiler` per span category.
+    **knobs:
+        The engine knobs of :class:`EngineConfig` except
+        ``restore_order``, which follows ``defrag_order``.
     """
-    from .faults import FaultWiring, fault_surface   # deferred: heavy layer
+    from .dispatch import Dispatcher            # deferred: heavy layers
+    from .faults import fault_surface
 
-    graph = fault_surface(graph, events)
-    engine = OnlineEngine(graph, wavelengths, routing=routing, policy=policy,
-                          kempe_repair=kempe_repair, seed=seed,
-                          k_candidates=k_candidates, speculative=speculative,
-                          sharded=sharded, metrics=metrics, tracer=tracer,
-                          profile=profile)
-    registry = engine.metrics
+    config = EngineConfig(restore_order=defrag_order, **knobs)
+    engine = config.build(fault_surface(graph, events), wavelengths,
+                          metrics=metrics, tracer=tracer, profile=profile)
+    dispatcher = Dispatcher(
+        engine, config, batch_policy=batch_policy,
+        work_budget=shed_work_budget, burst=shed_burst,
+        queue_depth=shed_queue_depth, defrag_every=defrag_every,
+        defrag_on_block=defrag_on_block,
+        defrag_utilization=defrag_utilization,
+        defrag_max_moves=defrag_max_moves, shard_workers=shard_workers,
+        audit_every=audit_every)
     tracer = engine.tracer      # may have been created for a profiler
-    holding = registry.histogram(
-        "result.holding_time", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0))
-    result = OnlineResult(wavelengths_available=wavelengths, routing=routing,
-                          policy=policy, speculative=speculative,
-                          batch_policy=batch_policy, sharded=sharded)
-    if shard_workers is not None and \
-            (not sharded or policy != "first_fit"):
-        raise ValueError("shard_workers needs sharded=True and the "
-                         "'first_fit' policy")
-    if batch_policy is not None and batch_policy not in BATCH_POLICIES:
-        raise ValueError(f"unknown batch policy {batch_policy!r}; "
-                         f"expected one of {BATCH_POLICIES}")
-    if defrag_every is not None and defrag_every < 1:
-        raise ValueError("defrag_every must be >= 1")
-    if defrag_utilization is not None and \
-            not 0.0 < defrag_utilization <= 1.0:
-        raise ValueError("defrag_utilization must be in (0, 1]")
-    if restore_retries < 0:
-        raise ValueError("restore_retries must be >= 0")
-    if audit_every is not None and audit_every < 1:
-        raise ValueError("audit_every must be >= 1")
-    guard = None
-    if shed_work_budget is not None or shed_queue_depth is not None:
-        guard = AdmissionGuard(work_budget=shed_work_budget,
-                               burst=shed_burst,
-                               queue_depth=shed_queue_depth,
-                               metrics=registry)
-    elif shed_burst is not None:
-        raise ValueError("shed_burst needs shed_work_budget")
-    # routing + speculation dominates per-arrival work, so the guard
-    # charges the candidate budget per arrival
-    arrival_cost = float(k_candidates) if speculative else 1.0
-    wiring = FaultWiring(engine, result.accepted, result.blocked,
-                         result.rejections, restoration=restoration,
-                         retries=restore_retries,
-                         move_budget=restore_move_budget,
-                         revert_on_repair=revert_on_repair,
-                         order=defrag_order)
-
-    def run_defrag() -> DefragReport:
-        if shard_workers is not None:
-            return engine.defrag_sharded(order=defrag_order,
-                                         max_moves=defrag_max_moves,
-                                         workers=shard_workers)
-        return engine.defrag(order=defrag_order, max_moves=defrag_max_moves)
-
-    admitted_at: Dict[int, float] = {}
+    timeline: List[Dict[str, float]] = []
     last_time = float("-inf")
-    processed = 0
-    above_threshold = False
-    index = 0
-    while index < len(events):
-        event = events[index]
-        if event.time < last_time:
+    for group in dispatcher.groups(events):
+        now = group[0].time
+        if now < last_time:
             raise SimulationError(
-                f"trace is not time-ordered at request {event.request_id}")
-        last_time = event.time
+                f"trace is not time-ordered at request {group[0].request_id}")
+        last_time = now
         if tracer is not None:
-            tracer.advance(event.time)
-        group = [event]
-        if batch_policy is not None and event.kind == ARRIVAL:
-            j = index + 1
-            while j < len(events) and events[j].kind == ARRIVAL and \
-                    events[j].time == event.time:
-                group.append(events[j])
-                j += 1
-        if len(group) > 1:
-            kept = group
-            if guard is not None:
-                kept = []
-                for arrival in group:
-                    if guard.admits(event.time, arrival_cost):
-                        kept.append(arrival)
-                    else:
-                        result.blocked.append(arrival.request_id)
-                        result.rejections[arrival.request_id] = SHED
-                        if tracer is not None:
-                            tracer.event("shed", rid=arrival.request_id)
-            reasons = engine.admit_batch(kept, policy=batch_policy,
-                                         workers=shard_workers) \
-                if kept else {}
-            if defrag_on_block and NO_WAVELENGTH in reasons.values():
-                # Same contract as the singleton path: defragment, and if
-                # the pass moved anything give the spectrum-blocked part
-                # of the burst one more shot (under the same policy).
-                if run_defrag().moves:
-                    retry = [e for e in kept
-                             if reasons[e.request_id] == NO_WAVELENGTH]
-                    reasons.update(
-                        engine.admit_batch(retry, policy=batch_policy,
-                                           workers=shard_workers))
-            for arrival in kept:
-                reason = reasons[arrival.request_id]
-                if reason is None:
-                    result.accepted.append(arrival.request_id)
-                    admitted_at[arrival.request_id] = event.time
-                else:
-                    result.blocked.append(arrival.request_id)
-                    result.rejections[arrival.request_id] = reason
-        elif event.kind == ARRIVAL:
-            if guard is not None and \
-                    not guard.admits(event.time, arrival_cost):
-                result.blocked.append(event.request_id)
-                result.rejections[event.request_id] = SHED
-                if tracer is not None:
-                    tracer.event("shed", rid=event.request_id)
-            else:
-                reason = engine.admit(event.request_id,
-                                      request=event.request,
-                                      dipath=event.dipath)
-                if reason == NO_WAVELENGTH and defrag_on_block:
-                    # Defragment and give the blocked arrival one more
-                    # chance — a fruitless pass (no move committed) cannot
-                    # change the admission decision, so only a fruitful
-                    # one re-tries.
-                    if run_defrag().moves:
-                        reason = engine.admit(event.request_id,
-                                              request=event.request,
-                                              dipath=event.dipath)
-                if reason is None:
-                    result.accepted.append(event.request_id)
-                    admitted_at[event.request_id] = event.time
-                else:
-                    result.blocked.append(event.request_id)
-                    result.rejections[event.request_id] = reason
-        elif event.kind == DEPARTURE:
-            held = engine.depart(event.request_id)
-            t0 = admitted_at.pop(event.request_id, None)
-            if held and t0 is not None:
-                holding.observe(event.time - t0)
-            wiring.forget(event.request_id)
-        elif event.kind in (CUT, REPAIR):
-            if event.arc is None:
-                raise SimulationError(
-                    f"fault event at time {event.time} carries no arc")
-            if event.kind == CUT:
-                wiring.cut(event.arc)
-            else:
-                wiring.repair(event.arc)
-        else:
-            raise SimulationError(f"unknown event kind {event.kind!r}")
-        index += len(group)
-        processed += len(group)
-        if defrag_every is not None and processed % defrag_every < len(group):
-            run_defrag()
-        if audit_every is not None and processed % audit_every < len(group):
-            violations = engine.audit()
-            if violations:
-                raise AuditError(
-                    f"engine audit failed after {processed} events",
-                    violations)
-        if defrag_utilization is not None:
-            above = engine.assigner.colors_in_use() >= \
-                defrag_utilization * wavelengths
-            if above and not above_threshold:
-                run_defrag()
-            above_threshold = above
+            tracer.advance(now)
+        dispatcher.dispatch(group)
         if record_timeline:
             sample = {
-                "time": event.time,
+                "time": now,
                 "active": float(engine.active),
                 "wavelengths_active": float(engine.assigner.colors_in_use()),
                 "max_fibre_load": float(engine.family.load()),
-                "blocked_total": float(len(result.blocked)),
+                "blocked_total": float(len(dispatcher.blocked)),
             }
-            result.timeline.extend(dict(sample) for _ in group)
-    if audit_every is not None:
-        violations = engine.audit()
-        if violations:
-            raise AuditError("engine audit failed at the end of the trace",
-                             violations)
-    result.fibre_cuts = wiring.cuts
-    result.fibre_repairs = wiring.repairs
-    result.lightpaths_stranded = wiring.stranded
-    result.lightpaths_restored = wiring.restored
-    result.wavelengths_used = engine.assigner.colors_ever_used()
-    result.kempe_repairs = engine.assigner.kempe_repairs
-    result.defrag_passes = engine.defrag_passes
-    result.defrag_moves = engine.defrag_moves
-    result.wavelengths_reclaimed = engine.wavelengths_reclaimed
-    # settle the pending lazy split-checks so the component counters
-    # describe the final decomposition, not the conservative supersets
-    engine.conflict.refresh_shards()
-    result.component_merges = engine.conflict.component_merges
-    result.component_splits = engine.conflict.component_splits
-    result.shard_rebuilds = engine.conflict.shard_rebuilds
-    # final-outcome counters: every blocked request carries exactly one
-    # rejection reason, so the per-reason counts partition the total —
-    # these are what blocking_rate/blocked_count read back
-    registry.counter("result.accepted").set(len(result.accepted))
-    registry.counter("result.blocked").set(len(result.blocked))
-    for reason in (NO_ROUTE, NO_WAVELENGTH, SHED, FIBRE_CUT):
-        registry.counter(f"result.blocked.{reason}").set(
-            sum(1 for r in result.rejections.values() if r == reason))
-    registry.counter("result.kempe_repairs").set(result.kempe_repairs)
-    registry.gauge("result.wavelengths_used").set(result.wavelengths_used)
-    registry.gauge("result.active_at_end").set(engine.active)
-    result.metrics = registry.snapshot()
-    # The live engine rides along as a plain attribute — deliberately NOT
-    # a dataclass field, so dataclasses.asdict() serialization and result
-    # equality comparisons (used by the differential suites) ignore it.
-    # Identity harnesses (repro.service, the E19 gate) fingerprint it via
-    # repro.online.persistence.engine_fingerprint.
-    result.engine = engine
+            timeline.extend(dict(sample) for _ in group)
+    result = dispatcher.result()
+    result.timeline = timeline
     return result

@@ -24,9 +24,8 @@ dynamics (Poisson traffic, holding times, churn) use
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass, field
-from typing import List, Optional
+from typing import List
 
 from ..dipaths.requests import RequestFamily
 from ..dipaths.routing import RoutingPolicy, route_all
@@ -66,8 +65,7 @@ class AdmissionResult:
 def simulate_admission(graph: DiGraph, requests: RequestFamily,
                        wavelengths: int,
                        routing: RoutingPolicy = "shortest",
-                       policy: Optional[str] = None,
-                       first_fit: Optional[bool] = None) -> AdmissionResult:
+                       policy: str = "first_fit") -> AdmissionResult:
     """Provision requests online with ``wavelengths`` channels per fibre.
 
     Each unit request is routed with the given policy, then assigned a
@@ -80,29 +78,9 @@ def simulate_admission(graph: DiGraph, requests: RequestFamily,
     :data:`repro.online.assigner.POLICIES` (``first_fit``, ``least_used``,
     ``most_used``, ``random``); the default is ``"first_fit"``, the
     classical lowest-free-wavelength heuristic.
-
-    .. deprecated:: PR 4
-        The boolean ``first_fit`` parameter is deprecated.  It never
-        toggled first-fit off/on cleanly: ``first_fit=False`` silently
-        routed to the **least-used** policy (a PR 2 artefact).  The shim
-        keeps that exact behaviour — ``True`` maps to
-        ``policy="first_fit"``, ``False`` to ``policy="least_used"`` —
-        and raises :class:`DeprecationWarning`; pass ``policy=`` instead.
     """
     if wavelengths < 1:
         raise ValueError("wavelengths must be >= 1")
-    if first_fit is not None:
-        if policy is not None:
-            raise TypeError(
-                "pass either policy= or the deprecated first_fit=, not both")
-        warnings.warn(
-            "simulate_admission(first_fit=...) is deprecated; use "
-            "policy='first_fit' or policy='least_used' (first_fit=False "
-            "always meant the least-used policy)",
-            DeprecationWarning, stacklevel=2)
-        policy = "first_fit" if first_fit else "least_used"
-    elif policy is None:
-        policy = "first_fit"
     family = route_all(graph, requests, policy=routing)
     online = simulate_online(
         graph, replay_trace(family), wavelengths, policy=policy,

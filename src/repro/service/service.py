@@ -38,16 +38,19 @@ Wall-clock submit→decision latency is sampled per arrival into a plain
 list (never into the metrics registry — the registry stays deterministic)
 and summarised by :meth:`RwaService.latency_stats`.
 
-Fibre faults are first-class queued operations: :meth:`RwaService.cut`
-and :meth:`RwaService.repair` enqueue ``cut``/``repair`` ops that run
-through the same :class:`~repro.online.faults.FaultWiring` helper the
-trace loop uses, so `FaultInjector` restoration, ``FIBRE_CUT``
-accounting and metrics output stay decision- and fingerprint-identical
-between :func:`serve_trace` and :func:`simulate_online` on fault-bearing
-traces (the E21 gate).  Within a drained batch, ops sharing a timestamp
-are stably reordered by the events.py tie-break (departure < repair <
-cut < arrival) — a no-op for ``sort_events``-ordered traces, and the
-deterministic convention for live submissions racing a coalesced burst.
+Every op is decided by the same :class:`~repro.online.dispatch.Dispatcher`
+the trace loop feeds: grouping, shedding, admission, departures, fibre
+cuts and repairs (:meth:`RwaService.cut` / :meth:`RwaService.repair`
+enqueue them as first-class ops), ``FIBRE_CUT`` accounting and the
+``result.*`` metrics are one implementation, so :func:`serve_trace` and
+:func:`simulate_online` agree by construction (the E19/E21 gates check
+it end to end).  What stays here is the front door: the queue, its
+ordering, scheduled maintenance, time-regression / retry / deadline
+checks, the chaos hook and the futures.  Within a drained batch, ops
+sharing a timestamp are stably reordered by the events.py tie-break
+(departure < repair < cut < arrival) — a no-op for
+``sort_events``-ordered traces, and the deterministic convention for
+live submissions racing a coalesced burst.
 :meth:`RwaService.schedule_maintenance` plans a cut+repair pair per arc:
 the cut pre-emptively drains the fibre (tear-down + mass re-route by the
 restoration plane empties it at window start) and the repair closes the
@@ -76,13 +79,12 @@ from ..dipaths import Dipath, Request
 from ..exceptions import Expired, ServiceError, SimulationError, TimedOut
 from ..graphs import DiGraph
 from ..obs import MetricsRegistry, Tracer
-from ..online.events import ARRIVAL, CUT, DEPARTURE, REPAIR, Event
-from ..online.faults import FaultReport, FaultWiring, fault_surface
-from ..online.simulator import (AdmissionGuard, FIBRE_CUT, NO_ROUTE,
-                                NO_WAVELENGTH, OnlineResult, SHED)
+from ..online.dispatch import DEFRAG, Dispatcher
+from ..online.events import (_KIND_RANK, ARRIVAL, CUT, DEPARTURE, REPAIR,
+                             Event)
+from ..online.faults import FaultReport, fault_surface
 from ..online.persistence import DurableEngine, engine_fingerprint
-from ..online.simulator import OnlineEngine
-from ..online.transaction import BATCH_POLICIES
+from ..online.simulator import EngineConfig, OnlineEngine, OnlineResult
 
 __all__ = ["EXPIRED", "RwaService", "serve_trace", "aserve_trace"]
 
@@ -91,24 +93,17 @@ __all__ = ["EXPIRED", "RwaService", "serve_trace", "aserve_trace"]
 #: reasons under ``result.blocked.expired``.
 EXPIRED = "expired"
 
-# queue-op kinds (internal)
-_ARRIVAL = "arrival"
-_DEPART = "depart"
-_DEFRAG = "defrag"
-_CUT = "cut"
-_REPAIR = "repair"
-_STOP = "stop"
-
-#: Processing rank of ops sharing a timestamp — the service-side mirror
-#: of ``repro.online.events._KIND_RANK``: capacity-freeing ops first
-#: (departures, then repairs), cuts next, arrivals and defrag last, so
-#: capacity freed or restored at ``t`` serves arrivals at ``t`` and an
-#: arrival never routes over a fibre cut at the same instant.
-_OP_RANK = {_DEPART: 0, _REPAIR: 1, _CUT: 2}
+#: Queue-op kind of the stop sentinel (the others are the trace kinds
+#: plus :data:`~repro.online.dispatch.DEFRAG`); not a string, so no
+#: replayed trace event can pose as it.
+_STOP = object()
 
 
 def _op_rank(op: "_Op") -> int:
-    return _OP_RANK.get(op.kind, 3)
+    """Processing rank among ops sharing a timestamp: the trace order
+    (departure < repair < cut < arrival), with defrag ranked as an
+    arrival."""
+    return _KIND_RANK.get(op.kind, _KIND_RANK[ARRIVAL])
 
 
 def _retrieve_quietly(future: "asyncio.Future") -> None:
@@ -179,8 +174,7 @@ def _percentile(sorted_values: Sequence[float], q: float) -> float:
 class RwaService:
     """Async admission service around one online RWA engine.
 
-    Parameters mirror :func:`~repro.online.simulator.simulate_online`'s
-    engine/guard knobs, plus the service-specific ones:
+    Parameters:
 
     batch_policy:
         When set (one of
@@ -189,7 +183,7 @@ class RwaService:
         atomic burst through ``admit_batch``.  ``None`` admits one by one.
     work_budget, burst, queue_depth, tenants:
         :class:`~repro.online.simulator.AdmissionGuard` configuration
-        (any of the first three set turns the guard on); ``tenants``
+        (any of them set turns the guard on); ``tenants``
         (``name -> weight``) gives every declared tenant its own
         weighted-fair-share token bucket, and the ``tenant=`` argument of
         :meth:`submit` selects the bucket per request.
@@ -207,14 +201,6 @@ class RwaService:
         Bound on the admission queue; when full, :meth:`submit` applies
         backpressure (awaits a slot) and :meth:`submit_nowait` raises
         ``asyncio.QueueFull``.  ``None`` = unbounded.
-    restoration, restore_retries, restore_move_budget, revert_on_repair,
-    restore_order:
-        Fault-restoration knobs, exactly
-        :func:`~repro.online.simulator.simulate_online`'s: they
-        configure the lazily-built
-        :class:`~repro.online.faults.FaultInjector` behind
-        :meth:`cut`/:meth:`repair` (or pass through to the
-        :class:`DurableEngine` when journalling).
     crash_after_n_ops:
         Test-only chaos hook: the consumer task raises a
         :class:`ServiceError` *between* ops once this many have been
@@ -225,13 +211,11 @@ class RwaService:
     metrics, tracer, profile:
         Shared observability hooks, handed to the engine (see
         :mod:`repro.obs`).  Decision-neutral as always.
+    **knobs:
+        The engine knobs of :class:`~repro.online.simulator.EngineConfig`.
     """
 
-    def __init__(self, graph: DiGraph, wavelengths: int,
-                 routing: str = "shortest", policy: str = "first_fit",
-                 kempe_repair: bool = False, seed: Optional[int] = None,
-                 k_candidates: int = 4, speculative: bool = False,
-                 sharded: bool = False,
+    def __init__(self, graph: DiGraph, wavelengths: int, *,
                  batch_policy: Optional[str] = None,
                  work_budget: Optional[float] = None,
                  burst: Optional[float] = None,
@@ -241,97 +225,62 @@ class RwaService:
                  snapshot_every: Optional[int] = None,
                  fsync: bool = False,
                  max_pending: Optional[int] = None,
-                 restoration: bool = True,
-                 restore_retries: int = 2,
-                 restore_move_budget: Optional[int] = None,
-                 revert_on_repair: bool = False,
-                 restore_order: str = "highest_wavelength",
                  crash_after_n_ops: Optional[int] = None,
                  metrics: Optional[MetricsRegistry] = None,
                  tracer: Optional[Tracer] = None,
                  profile=None,
-                 _durable: Optional[DurableEngine] = None) -> None:
-        if batch_policy is not None and batch_policy not in BATCH_POLICIES:
-            raise ValueError(f"unknown batch policy {batch_policy!r}; "
-                             f"expected one of {BATCH_POLICIES}")
+                 _durable: Optional[DurableEngine] = None,
+                 **knobs) -> None:
         if max_pending is not None and max_pending < 1:
             raise ValueError("max_pending must be >= 1")
-        if restore_retries < 0:
-            raise ValueError("restore_retries must be >= 0")
         if crash_after_n_ops is not None and crash_after_n_ops < 0:
             raise ValueError("crash_after_n_ops must be >= 0")
-        self._durable: Optional[DurableEngine] = None
+        config = EngineConfig(**knobs)
         if _durable is not None:
             # adopt an existing (typically recovered) durable engine —
-            # the from_durable() path; engine-level kwargs were read back
-            # from its genesis record by the caller
-            if journal_path is not None:
-                raise ValueError("pass either journal_path or _durable, "
-                                 "not both")
-            self._durable = _durable
-            self._engine = _durable.engine
+            # the from_durable() path: its genesis record owns the engine
+            # knobs and its journal the journal knobs, so ``knobs`` only
+            # had to be valid
+            journal_path = None
         elif journal_path is not None:
             if profile is not None:
                 raise ValueError("profile is not supported on a durable "
                                  "service; attach it via tracer instead")
-            self._durable = DurableEngine(
-                graph, journal_path, wavelengths, routing=routing,
-                policy=policy, kempe_repair=kempe_repair, seed=seed,
-                k_candidates=k_candidates, speculative=speculative,
-                sharded=sharded, snapshot_every=snapshot_every,
-                restoration=restoration, restore_retries=restore_retries,
-                restore_move_budget=restore_move_budget,
-                revert_on_repair=revert_on_repair,
-                restore_order=restore_order,
-                fsync=fsync, metrics=metrics, tracer=tracer)
-            self._engine = self._durable.engine
+            _durable = DurableEngine(
+                graph, journal_path, wavelengths,
+                snapshot_every=snapshot_every, fsync=fsync,
+                metrics=metrics, tracer=tracer, **knobs)
+        self._durable = _durable
+        if _durable is None:
+            self._engine = config.build(graph, wavelengths, metrics=metrics,
+                                        tracer=tracer, profile=profile)
         else:
-            self._engine = OnlineEngine(
-                graph, wavelengths, routing=routing, policy=policy,
-                kempe_repair=kempe_repair, seed=seed,
-                k_candidates=k_candidates, speculative=speculative,
-                sharded=sharded, metrics=metrics, tracer=tracer,
-                profile=profile)
-        registry = self._engine.metrics
-        self._registry = registry
+            config, self._engine = _durable.config, _durable.engine
+        try:
+            self._dispatch = Dispatcher(
+                self._engine, config, durable=_durable,
+                batch_policy=batch_policy, work_budget=work_budget,
+                burst=burst, queue_depth=queue_depth, tenants=tenants,
+                screen=self._screen)
+        except ValueError:
+            if journal_path is not None:
+                _durable.close()        # opened above: don't leak it
+            raise
+        self._registry = self._engine.metrics
         self._tracer = self._engine.tracer
         self._wavelengths = wavelengths
-        self._routing = routing
-        self._policy = policy
-        self._batch_policy = batch_policy
-        self._speculative = speculative
-        self._arrival_cost = float(k_candidates) if speculative else 1.0
-        self._guard: Optional[AdmissionGuard] = None
-        if work_budget is not None or queue_depth is not None or tenants:
-            self._guard = AdmissionGuard(
-                work_budget=work_budget, burst=burst,
-                queue_depth=queue_depth, tenants=tenants, metrics=registry)
-        elif burst is not None:
-            raise ValueError("burst needs a work_budget")
         self._max_pending = max_pending
         self._queue: Optional[asyncio.Queue] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped = False
         self._last_time = float("-inf")
-        self._admitted_at: Dict[int, float] = {}
         self._latencies: List[float] = []
-        # decision bookkeeping, same shape simulate_online keeps
-        self._accepted: List[int] = []
-        self._blocked: List[int] = []
-        self._rejections: Dict[int, str] = {}
-        # every arrival's final outcome (None = admitted), kept forever:
+        # every arrival's first outcome (None = admitted), kept forever:
         # the decision log that answers retry=True resubmissions without
-        # a second engine decision
-        self._decision: Dict[int, Optional[str]] = {}
-        # A recovered engine carries its active lightpaths across a
-        # crash even though the service-level bookkeeping above starts a
-        # fresh epoch.  Seed the containers from the engine's admission
-        # log (vertex_of iterates still-active requests in admission
-        # order; empty for a fresh engine) so retry answers and fault
-        # reconciliation see pre-crash admissions.
-        for rid in self._engine.vertex_of:
-            self._accepted.append(rid)
-            self._decision[rid] = None
+        # a second engine decision.  A recovered engine's active
+        # lightpaths were admitted by an earlier incarnation.
+        self._decision: Dict[int, Optional[str]] = dict.fromkeys(
+            self._engine.vertex_of)
         # planned (future-time) maintenance ops, kept sorted by
         # (time, rank) and released into the stream by _process
         self._scheduled: List[_Op] = []
@@ -341,60 +290,24 @@ class RwaService:
         self._held: Optional[List[tuple]] = None
         self._crash_after = crash_after_n_ops
         self._ops_done = 0
-        self._faults = FaultWiring(
-            self._engine, self._accepted, self._blocked, self._rejections,
-            restoration=restoration, retries=restore_retries,
-            move_budget=restore_move_budget,
-            revert_on_repair=revert_on_repair, order=restore_order,
-            durable=self._durable)
-        self._holding = registry.histogram(
-            "result.holding_time", (1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0))
-        self._m_accepted = registry.counter("result.accepted")
-        self._m_blocked = registry.counter("result.blocked")
-        self._m_reason = {
-            reason: registry.counter(f"result.blocked.{reason}")
-            for reason in (NO_ROUTE, NO_WAVELENGTH, SHED, FIBRE_CUT)}
 
     @classmethod
     def from_durable(cls, durable: DurableEngine,
                      **service_kwargs) -> "RwaService":
         """Wrap an existing (typically freshly recovered) durable engine.
 
-        Every engine-level knob (wavelengths, routing, policy, seed,
-        speculation, sharding, restoration configuration) is read back
-        from the journal's genesis record, so the wrapped service is
-        configured exactly as the engine was journalled —
-        ``service_kwargs`` carries only the service-level knobs
-        (``batch_policy``, guard configuration, ``max_pending``,
-        ``crash_after_n_ops``).  Observability hooks already live on the
-        recovered engine, so ``metrics``/``tracer``/``profile`` (and the
-        journal knobs, owned by ``durable``) are ignored here — as is
-        any engine knob, because the genesis record is authoritative:
-        callers (the supervisor in particular) may hold one kwargs dict
-        that configured the first incarnation and pass it here verbatim.
+        The engine configuration comes from the journal's genesis record
+        (:attr:`DurableEngine.config`) and the observability hooks
+        already live on the recovered engine, so only the service-level
+        keywords (``batch_policy``, guard configuration, ``max_pending``,
+        ``crash_after_n_ops``) take effect.  Engine knobs (which must
+        still be valid names), ``metrics`` / ``tracer`` / ``profile``
+        and the journal knobs are accepted and ignored: callers (the
+        supervisor in particular) may hold one kwargs dict that
+        configured the first incarnation and pass it here verbatim.
         """
-        genesis = durable.genesis
-        for owned in ("metrics", "tracer", "profile", "journal_path",
-                      "snapshot_every", "fsync",
-                      # genesis-owned engine knobs (set explicitly below)
-                      "graph", "wavelengths", "routing", "policy",
-                      "kempe_repair", "seed", "k_candidates",
-                      "speculative", "sharded", "restoration",
-                      "restore_retries", "restore_move_budget",
-                      "revert_on_repair", "restore_order"):
-            service_kwargs.pop(owned, None)
-        return cls(
-            durable.engine.graph, genesis["wavelengths"],
-            routing=genesis["routing"], policy=genesis["policy"],
-            kempe_repair=genesis["kempe_repair"], seed=genesis["seed"],
-            k_candidates=genesis["k_candidates"],
-            speculative=genesis["speculative"], sharded=genesis["sharded"],
-            restoration=genesis["restoration"],
-            restore_retries=genesis["restore_retries"],
-            restore_move_budget=genesis["restore_move_budget"],
-            revert_on_repair=genesis["revert_on_repair"],
-            restore_order=genesis["restore_order"],
-            _durable=durable, **service_kwargs)
+        return cls(durable.engine.graph, durable.genesis["wavelengths"],
+                   _durable=durable, **service_kwargs)
 
     # ------------------------------------------------------------------ #
     # lifecycle
@@ -506,7 +419,7 @@ class RwaService:
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
         return self._enqueue_nowait(_Op(
-            _ARRIVAL, when, loop.create_future(), request_id=request_id,
+            ARRIVAL, when, loop.create_future(), request_id=request_id,
             request=request, dipath=dipath, tenant=tenant,
             deadline=deadline, retry=retry))
 
@@ -543,7 +456,7 @@ class RwaService:
                                "use 'async with RwaService(...)')")
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
-        op = _Op(_ARRIVAL, when, loop.create_future(),
+        op = _Op(ARRIVAL, when, loop.create_future(),
                  request_id=request_id, request=request, dipath=dipath,
                  tenant=tenant, deadline=deadline, retry=retry)
         await self._queue.put(op)
@@ -564,7 +477,7 @@ class RwaService:
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
         return self._enqueue_nowait(_Op(
-            _DEPART, when, loop.create_future(), request_id=request_id))
+            DEPARTURE, when, loop.create_future(), request_id=request_id))
 
     async def depart(self, request_id: int, *,
                      time: Optional[float] = None) -> bool:
@@ -581,7 +494,7 @@ class RwaService:
         """
         loop = asyncio.get_running_loop()
         future = self._enqueue_nowait(_Op(
-            _DEFRAG, self._last_time, loop.create_future(),
+            DEFRAG, self._last_time, loop.create_future(),
             order=order, max_moves=max_moves))
         return await future
 
@@ -600,7 +513,7 @@ class RwaService:
         """
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
-        return self._enqueue_nowait(_Op(_CUT, when, loop.create_future(),
+        return self._enqueue_nowait(_Op(CUT, when, loop.create_future(),
                                         arc=arc))
 
     async def cut(self, arc: Arc, *,
@@ -615,7 +528,7 @@ class RwaService:
         :meth:`cut_nowait`)."""
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
-        return self._enqueue_nowait(_Op(_REPAIR, when, loop.create_future(),
+        return self._enqueue_nowait(_Op(REPAIR, when, loop.create_future(),
                                         arc=arc))
 
     async def repair(self, arc: Arc, *,
@@ -654,11 +567,11 @@ class RwaService:
         cut_futures: List[asyncio.Future] = []
         repair_futures: List[asyncio.Future] = []
         for arc in arcs:
-            op = _Op(_CUT, float(start), loop.create_future(), arc=arc)
+            op = _Op(CUT, float(start), loop.create_future(), arc=arc)
             self._schedule(op)
             cut_futures.append(op.future)
         for arc in arcs:
-            op = _Op(_REPAIR, float(start) + float(duration),
+            op = _Op(REPAIR, float(start) + float(duration),
                      loop.create_future(), arc=arc)
             self._schedule(op)
             repair_futures.append(op.future)
@@ -789,10 +702,7 @@ class RwaService:
         self._last_time = max(self._last_time, op.time)
         if self._tracer is not None:
             self._tracer.advance(self._last_time)
-        try:
-            self._process_one(op)
-        except Exception as exc:           # noqa: BLE001 - failure is per-op
-            self._fail(op.future, exc)
+        self._apply([op])
 
     def _resolve(self, future: "asyncio.Future", result: Any) -> None:
         """Resolve a future now, or when the durable batch has synced."""
@@ -849,18 +759,8 @@ class RwaService:
         happens between the first and last decision, so reads issued
         from other coroutines always observe the engine between
         batches."""
-        ops = self._rank_runs(ops)
-        index = 0
-        while index < len(ops):
-            op = ops[index]
-            group = [op]
-            if self._batch_policy is not None and op.kind == _ARRIVAL:
-                j = index + 1
-                while j < len(ops) and ops[j].kind == _ARRIVAL and \
-                        ops[j].time == op.time:
-                    group.append(ops[j])
-                    j += 1
-            index += len(group)
+        for group in self._dispatch.groups(self._rank_runs(ops)):
+            op = group[0]
             if self._crash_after is not None and \
                     self._ops_done >= self._crash_after:
                 # chaos hook: die between ops, exactly at a journal
@@ -881,44 +781,34 @@ class RwaService:
                         f"submissions are not time-ordered at request "
                         f"{member.request_id}"))
                 continue
-            self._release_scheduled(op)
+            if self._scheduled:
+                self._release_scheduled(op)
             self._last_time = op.time
             if self._tracer is not None:
                 self._tracer.advance(op.time)
-            try:
-                if len(group) > 1:
-                    self._process_burst(group)
-                else:
-                    self._process_one(op)
-            except Exception as exc:       # noqa: BLE001 - failure is per-op
-                for member in group:
-                    self._fail(member.future, exc)
+            self._apply(group)
             self._ops_done += len(group)
 
-    def _reason_counter(self, reason: str):
-        counter = self._m_reason.get(reason)
-        if counter is None:
-            # created lazily (EXPIRED): a deadline-free run's metrics
-            # snapshot must stay byte-identical to simulate_online's,
-            # which knows only the four standard reasons
-            counter = self._registry.counter(f"result.blocked.{reason}")
-            self._m_reason[reason] = counter
-        return counter
+    def _apply(self, group: List[_Op]) -> None:
+        """Dispatch one group and settle its futures; a failure fails
+        only this group's futures."""
+        try:
+            decided = self._dispatch.dispatch(group)
+        except Exception as exc:           # noqa: BLE001 - failure is per-op
+            for member in group:
+                self._fail(member.future, exc)
+            return
+        for op, outcome in decided:
+            if op.kind == ARRIVAL:
+                self._decision[op.request_id] = outcome
+                self._latencies.append(_time.perf_counter() - op.submitted)
+            self._resolve(op.future, outcome)
 
-    def _decide(self, op: _Op, reason: Optional[str]) -> None:
-        """Record one arrival's final decision and resolve its future."""
-        self._decision[op.request_id] = reason
-        if reason is None:
-            self._accepted.append(op.request_id)
-            self._admitted_at[op.request_id] = op.time
-            self._m_accepted.inc()
-        else:
-            self._blocked.append(op.request_id)
-            self._rejections[op.request_id] = reason
-            self._m_blocked.inc()
-            self._reason_counter(reason).inc()
-        self._latencies.append(_time.perf_counter() - op.submitted)
-        self._resolve(op.future, reason)
+    def _screen(self, op: _Op) -> bool:
+        """The dispatcher's front-door check on each arrival: answer a
+        retry from the decision log, or drop an expired one."""
+        return (op.retry and self._answer_retry(op)) or \
+            (op.deadline is not None and self._expire(op))
 
     def _answer_retry(self, op: _Op) -> bool:
         """Answer a ``retry=True`` resubmission from the decision log.
@@ -951,72 +841,11 @@ class RwaService:
         if self._tracer is not None:
             self._tracer.event("expired", rid=op.request_id)
         self._decision[op.request_id] = EXPIRED
-        self._blocked.append(op.request_id)
-        self._rejections[op.request_id] = EXPIRED
-        self._m_blocked.inc()
-        self._reason_counter(EXPIRED).inc()
+        self._dispatch.record(op, EXPIRED)
         self._latencies.append(_time.perf_counter() - op.submitted)
         self._fail(op.future,
                    Expired(op.request_id, op.deadline, time=op.time))
         return True
-
-    def _shed(self, op: _Op) -> bool:
-        guard = self._guard
-        if guard is None or guard.admits(op.time, self._arrival_cost,
-                                         tenant=op.tenant):
-            return False
-        if self._tracer is not None:
-            self._tracer.event("shed", rid=op.request_id)
-        self._decide(op, SHED)
-        return True
-
-    def _process_one(self, op: _Op) -> None:
-        if op.kind == _ARRIVAL:
-            if self._answer_retry(op) or self._expire(op) or \
-                    self._shed(op):
-                return
-            backend = self._durable or self._engine
-            self._decide(op, backend.admit(op.request_id,
-                                           request=op.request,
-                                           dipath=op.dipath))
-        elif op.kind == _DEPART:
-            backend = self._durable or self._engine
-            held = backend.depart(op.request_id)
-            # a departed request must never be resurrected by a later
-            # repair (the durable path already forgets inside depart;
-            # FaultInjector.forget is idempotent)
-            self._faults.forget(op.request_id)
-            t0 = self._admitted_at.pop(op.request_id, None)
-            if held and t0 is not None:
-                self._holding.observe(op.time - t0)
-            self._resolve(op.future, held)
-        elif op.kind == _CUT or op.kind == _REPAIR:
-            if op.arc is None:
-                raise SimulationError(
-                    f"fault op at time {op.time} carries no arc")
-            report = (self._faults.cut(op.arc) if op.kind == _CUT
-                      else self._faults.repair(op.arc))
-            self._resolve(op.future, report)
-        elif op.kind == _DEFRAG:
-            backend = self._durable or self._engine
-            self._resolve(op.future, backend.defrag(order=op.order,
-                                                    max_moves=op.max_moves))
-        else:                              # pragma: no cover - internal
-            raise ServiceError(f"unknown op kind {op.kind!r}")
-
-    def _process_burst(self, group: List[_Op]) -> None:
-        kept = [op for op in group
-                if not (self._answer_retry(op) or self._expire(op)
-                        or self._shed(op))]
-        if not kept:
-            return
-        events = [Event(time=op.time, kind=ARRIVAL,
-                        request_id=op.request_id, request=op.request,
-                        dipath=op.dipath) for op in kept]
-        backend = self._durable or self._engine
-        reasons = backend.admit_batch(events, policy=self._batch_policy)
-        for op in kept:
-            self._decide(op, reasons[op.request_id])
 
     # ------------------------------------------------------------------ #
     # reads (coherent snapshots, never queued)
@@ -1039,18 +868,19 @@ class RwaService:
 
     def blocking_stats(self) -> Dict[str, Any]:
         """Decision totals so far, split by reason and by shed tenant."""
-        accepted, blocked = len(self._accepted), len(self._blocked)
+        dispatch = self._dispatch
+        accepted, blocked = len(dispatch.accepted), len(dispatch.blocked)
         total = accepted + blocked
         by_reason: Dict[str, int] = {}
-        for reason in self._rejections.values():
+        for reason in dispatch.rejections.values():
             by_reason[reason] = by_reason.get(reason, 0) + 1
         return {
             "accepted": accepted,
             "blocked": blocked,
             "blocking_rate": blocked / total if total else 0.0,
             "by_reason": by_reason,
-            "shed_by_tenant": (self._guard.tenant_shed_counts()
-                               if self._guard is not None else {}),
+            "shed_by_tenant": (dispatch.guard.tenant_shed_counts()
+                               if dispatch.guard is not None else {}),
         }
 
     def metrics_snapshot(self) -> Dict[str, Any]:
@@ -1079,50 +909,11 @@ class RwaService:
         }
 
     def result(self) -> OnlineResult:
-        """The run so far as an :class:`OnlineResult`.
-
-        Field-for-field comparable with a ``simulate_online`` run over
-        the same trace (timeline excluded — the service records none).
-        Settles the conflict shards first, exactly as the trace loop
-        does before reading its component counters.
-        """
-        engine = self._engine
-        result = OnlineResult(
-            accepted=list(self._accepted), blocked=list(self._blocked),
-            rejections=dict(self._rejections),
-            wavelengths_available=self._wavelengths,
-            routing=self._routing, policy=self._policy,
-            speculative=self._speculative,
-            batch_policy=self._batch_policy, sharded=engine.sharded)
-        result.fibre_cuts = self._faults.cuts
-        result.fibre_repairs = self._faults.repairs
-        result.lightpaths_stranded = self._faults.stranded
-        result.lightpaths_restored = self._faults.restored
-        result.wavelengths_used = engine.assigner.colors_ever_used()
-        result.kempe_repairs = engine.assigner.kempe_repairs
-        result.defrag_passes = engine.defrag_passes
-        result.defrag_moves = engine.defrag_moves
-        result.wavelengths_reclaimed = engine.wavelengths_reclaimed
-        engine.conflict.refresh_shards()
-        result.component_merges = engine.conflict.component_merges
-        result.component_splits = engine.conflict.component_splits
-        result.shard_rebuilds = engine.conflict.shard_rebuilds
-        registry = self._registry
-        # settle the final-outcome counters exactly as the trace loop
-        # does: fault reconciliation moves requests between the lists
-        # retroactively, so the live increments can overcount
-        registry.counter("result.accepted").set(len(self._accepted))
-        registry.counter("result.blocked").set(len(self._blocked))
-        for reason in self._m_reason:
-            registry.counter(f"result.blocked.{reason}").set(
-                sum(1 for r in self._rejections.values() if r == reason))
-        registry.counter("result.kempe_repairs").set(result.kempe_repairs)
-        registry.gauge("result.wavelengths_used").set(
-            result.wavelengths_used)
-        registry.gauge("result.active_at_end").set(engine.active)
-        result.metrics = registry.snapshot()
-        result.engine = engine
-        return result
+        """The run so far as an :class:`OnlineResult`, from the
+        dispatcher both front-ends share: field-for-field comparable
+        with a ``simulate_online`` run over the same trace (timeline
+        excluded — the service records none)."""
+        return self._dispatch.result()
 
 
 async def aserve_trace(graph: DiGraph, events: List[Event],
@@ -1135,34 +926,24 @@ async def aserve_trace(graph: DiGraph, events: List[Event],
     The whole trace is enqueued before the drain task runs a single op,
     so the service sees exactly the grouping ``simulate_online`` sees —
     this is the decision-identity harness the E19 and E21 gates run.
-    Fault events are enqueued as first-class cut/repair ops (on a
-    private graph copy, exactly as ``simulate_online`` runs them).
+    Every event becomes one queued op — fault events first-class
+    cut/repair ops on a private graph copy, exactly as
+    ``simulate_online`` runs them — and a malformed one fails its own
+    future, raised here.
     ``tenant_of`` maps an event to the tenant name submitted with it
     (``None`` = default).
     """
     graph = fault_surface(graph, events)
     service = RwaService(graph, wavelengths, **service_kwargs)
     async with service:
-        futures = []
-        for event in events:
-            if event.kind == ARRIVAL:
-                tenant = tenant_of(event) if tenant_of is not None else None
-                futures.append(service.submit_nowait(
-                    event.request_id, request=event.request,
-                    dipath=event.dipath, time=event.time, tenant=tenant))
-            elif event.kind == DEPARTURE:
-                futures.append(service.depart_nowait(event.request_id,
-                                                     time=event.time))
-            elif event.kind in (CUT, REPAIR):
-                if event.arc is None:
-                    raise SimulationError(
-                        f"fault event at time {event.time} carries no arc")
-                enqueue = (service.cut_nowait if event.kind == CUT
-                           else service.repair_nowait)
-                futures.append(enqueue(event.arc, time=event.time))
-            else:
-                raise SimulationError(
-                    f"unknown event kind {event.kind!r}")
+        loop = asyncio.get_running_loop()
+        futures = [service._enqueue_nowait(_Op(
+            event.kind, event.time, loop.create_future(),
+            request_id=event.request_id, request=event.request,
+            dipath=event.dipath, arc=event.arc,
+            tenant=(tenant_of(event) if tenant_of is not None
+                    and event.kind == ARRIVAL else None)))
+            for event in events]
         # resolve every decision before tearing the service down; any
         # malformed-traffic exception surfaces here
         for future in futures:

@@ -49,9 +49,9 @@ from typing import Optional
 
 from ..exceptions import ServiceError, TimedOut
 from ..graphs import DiGraph
+from ..online.events import ARRIVAL
 from ..online.persistence import recover
-from .service import (RwaService, _ARRIVAL, _CUT, _DEFRAG, _DEPART,
-                      _REPAIR, _Op, _retrieve_quietly)
+from .service import RwaService, _Op, _retrieve_quietly
 
 __all__ = ["ServiceSupervisor"]
 
@@ -284,36 +284,20 @@ class ServiceSupervisor:
                         f"(request {op.request_id}) was not applied"))
 
     def _resubmit(self, service: RwaService, op: _Op) -> None:
-        if op.scheduled and op.kind in (_CUT, _REPAIR):
+        replacement = _Op(op.kind, op.time,
+                          asyncio.get_running_loop().create_future(),
+                          request_id=op.request_id, request=op.request,
+                          dipath=op.dipath, tenant=op.tenant,
+                          order=op.order, max_moves=op.max_moves,
+                          arc=op.arc, deadline=op.deadline,
+                          retry=op.kind == ARRIVAL)
+        if op.scheduled:
             # an un-released maintenance op: re-plan it on the new
             # incarnation instead of queueing it — queueing would run
             # it immediately, dragging the service clock forward to the
             # window time and failing every earlier queued submission
             # on the time-regression check
-            loop = asyncio.get_running_loop()
-            replacement = _Op(op.kind, op.time, loop.create_future(),
-                              arc=op.arc)
             service._schedule(replacement)
-            _chain(replacement.future, op.future)
-            return
-        if op.kind == _ARRIVAL:
-            fut = service.submit_nowait(
-                op.request_id, request=op.request, dipath=op.dipath,
-                time=op.time, tenant=op.tenant, deadline=op.deadline,
-                retry=True)
-        elif op.kind == _DEPART:
-            fut = service.depart_nowait(op.request_id, time=op.time)
-        elif op.kind == _CUT:
-            fut = service.cut_nowait(op.arc, time=op.time)
-        elif op.kind == _REPAIR:
-            fut = service.repair_nowait(op.arc, time=op.time)
-        elif op.kind == _DEFRAG:
-            loop = asyncio.get_running_loop()
-            replacement = _Op(_DEFRAG, op.time, loop.create_future(),
-                              order=op.order, max_moves=op.max_moves)
-            fut = service._enqueue_nowait(replacement)
-        else:                              # pragma: no cover - internal
-            op.future.set_exception(ServiceError(
-                f"cannot resubmit op kind {op.kind!r}"))
-            return
-        _chain(fut, op.future)
+        else:
+            service._enqueue_nowait(replacement)
+        _chain(replacement.future, op.future)

@@ -33,6 +33,7 @@ The PR-10 contracts pinned here:
 from __future__ import annotations
 
 import asyncio
+from dataclasses import fields
 
 import pytest
 
@@ -45,8 +46,9 @@ from repro.graphs.digraph import DiGraph
 from repro.online.events import (ARRIVAL, CUT, DEPARTURE, REPAIR, Event,
                                  cut_event, maintenance_events, poisson_trace,
                                  repair_event, sort_events)
-from repro.online.persistence import engine_fingerprint
-from repro.online.simulator import NO_WAVELENGTH, simulate_online
+from repro.online.persistence import engine_fingerprint, recover
+from repro.online.simulator import (NO_WAVELENGTH, EngineConfig,
+                                    simulate_online)
 from repro.service import (EXPIRED, RetryingClient, RwaService,
                            ServiceSupervisor)
 from repro.service.service import _percentile
@@ -180,13 +182,22 @@ def test_supervisor_restart_with_engine_knobs(tmp_path):
     restart ``from_durable`` must ignore the engine-knob entries (the
     journal's genesis record is authoritative) instead of raising a
     duplicate-keyword TypeError that would kill the watcher with every
-    in-flight future hanging.
+    in-flight future hanging.  The second input sets every
+    ``EngineConfig`` field to a non-default value: each must survive
+    genesis -> ``recover()`` -> ``from_durable`` -> restart.
     """
     graph, events = _fault_workload(num_requests=30)
-    knobs = dict(routing="shortest", policy="first_fit", seed=11,
-                 restoration=True, restore_retries=3)
+    every_knob = dict(routing="k_shortest", policy="least_used",
+                      kempe_repair=True, seed=7, k_candidates=3,
+                      speculative=True, sharded=True, restoration=False,
+                      restore_retries=1, restore_move_budget=5,
+                      revert_on_repair=True, restore_order="longest_route")
+    defaults = EngineConfig()
+    assert sorted(every_knob) == sorted(f.name for f in fields(EngineConfig))
+    assert all(value != getattr(defaults, name)
+               for name, value in every_knob.items())
 
-    async def go(path, crash_after):
+    async def go(path, crash_after, knobs):
         supervisor = ServiceSupervisor(graph.copy(), 6,
                                        journal_path=str(path),
                                        crash_after_n_ops=crash_after,
@@ -195,13 +206,54 @@ def test_supervisor_restart_with_engine_knobs(tmp_path):
             futures = _enqueue_trace(supervisor, events)
             await asyncio.wait_for(asyncio.gather(*futures), timeout=60.0)
             return (engine_fingerprint(supervisor.service.engine),
-                    supervisor.restarts)
+                    supervisor.restarts, supervisor.service.durable.config)
 
-    reference_fp, restarts = asyncio.run(go(tmp_path / "ref.jsonl", None))
-    assert restarts == 0
-    fingerprint, restarts = asyncio.run(go(tmp_path / "crash.jsonl", 7))
-    assert restarts == 1
-    assert fingerprint == reference_fp
+    for name, knobs in (("some", dict(routing="shortest", policy="first_fit",
+                                      seed=11, restoration=True,
+                                      restore_retries=3)),
+                        ("every", every_knob)):
+        reference_fp, restarts, _ = asyncio.run(
+            go(tmp_path / f"{name}-ref.jsonl", None, knobs))
+        assert restarts == 0
+        journal = tmp_path / f"{name}-crash.jsonl"
+        fingerprint, restarts, config = asyncio.run(go(journal, 7, knobs))
+        assert restarts == 1
+        assert fingerprint == reference_fp
+        assert config == EngineConfig(**knobs)
+        recovered = recover(str(journal))
+        recovered.close()
+        assert recovered.config == config
+        # without any knobs, from_durable still takes the genesis config
+        bare = RwaService.from_durable(recovered).result()
+        assert (bare.routing, bare.policy, bare.speculative,
+                bare.sharded) == (config.routing, config.policy,
+                                  config.speculative, config.sharded)
+
+
+def test_fault_reconcile_moves_live_result_counters():
+    """A cut moves the live ``result.*`` counters along with the
+    decision containers, without waiting for ``result()``."""
+    graph = DiGraph()
+    graph.add_arc(0, 2)
+    graph.add_arc(1, 0)
+    graph.add_arc(2, 3)
+
+    async def scenario():
+        async with RwaService(graph, 4, restoration=False) as service:
+            for rid, source in enumerate((0, 1, 0)):
+                assert await service.submit(
+                    rid, request=Request(source, 3), time=float(rid)) is None
+            report = await service.cut((0, 2), time=5.0)
+            return (report, service.blocking_stats(),
+                    service.metrics_snapshot()["counters"])
+
+    report, stats, counters = asyncio.run(scenario())
+    assert report.stranded == [0, 1, 2]
+    assert stats["accepted"] == 0 and stats["blocked"] == 3
+    assert stats["by_reason"] == {"fibre_cut": 3}
+    assert counters["result.accepted"] == 0
+    assert counters["result.blocked"] == 3
+    assert counters["result.blocked.fibre_cut"] == 3
 
 
 def test_supervisor_restart_failure_fails_futures_typed(tmp_path,

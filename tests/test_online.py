@@ -34,6 +34,7 @@ from repro.online import (
     FIBRE_CUT,
     NO_ROUTE,
     NO_WAVELENGTH,
+    OnlineEngine,
     OnlineResult,
     OnlineWavelengthAssigner,
     POLICIES,
@@ -264,25 +265,6 @@ class TestPolicies:
         assert ff.blocked == [] and lu.blocked == []
         assert ff.wavelengths_used == 1
         assert lu.wavelengths_used == 3
-
-    def test_first_fit_flag_deprecated_but_equivalent(self):
-        """The legacy boolean warns and maps onto the policy names."""
-        graph = out_tree(3, 1)
-        traffic = RequestFamily.multicast(graph, ())
-        with pytest.warns(DeprecationWarning, match="least-used"):
-            legacy_lu = simulate_admission(graph, traffic, 3,
-                                           routing="unique", first_fit=False)
-        with pytest.warns(DeprecationWarning):
-            legacy_ff = simulate_admission(graph, traffic, 3,
-                                           routing="unique", first_fit=True)
-        lu = simulate_admission(graph, traffic, 3, routing="unique",
-                                policy="least_used")
-        ff = simulate_admission(graph, traffic, 3, routing="unique")
-        assert legacy_lu == lu
-        assert legacy_ff == ff
-        with pytest.raises(TypeError):
-            simulate_admission(graph, traffic, 3, routing="unique",
-                               policy="least_used", first_fit=False)
 
     def test_all_policies_produce_proper_colourings(self):
         graph = random_dag(14, 0.25, seed=7)
@@ -571,6 +553,16 @@ class TestResultAccessors:
                                  shed_queue_depth=6)
         assert result.metrics is not None
         assert result.blocked            # the workload actually blocks
+        # every admitted lightpath that departs is observed once, for
+        # exactly its holding time
+        accepted = set(result.accepted)
+        admitted_at = {e.request_id: e.time for e in trace
+                       if e.kind == ARRIVAL and e.request_id in accepted}
+        held = [e.time - admitted_at[e.request_id] for e in trace
+                if e.kind == DEPARTURE and e.request_id in admitted_at]
+        holding = result.metrics["histograms"]["result.holding_time"]
+        assert holding["count"] == len(held) > 0
+        assert holding["sum"] == pytest.approx(sum(held))
         reasons = (NO_ROUTE, NO_WAVELENGTH, SHED, FIBRE_CUT)
         via_registry = (result.blocking_rate, result.blocked_count(),
                         [result.blocked_count(r) for r in reasons])
@@ -584,3 +576,10 @@ class TestResultAccessors:
                                 len(result.blocked_shed),
                                 len(result.blocked_fibre_cut)]
         assert sum(via_lists[2]) == via_lists[1] == len(result.blocked)
+
+
+def test_online_engine_refuses_restoration_knobs():
+    """The restoration knobs configure the fault injector, not the
+    engine: a bare engine refuses them like any unknown keyword."""
+    with pytest.raises(TypeError, match="restoration"):
+        OnlineEngine(out_tree(2, 1), 2, restoration=False)

@@ -312,6 +312,29 @@ def test_group_defers_sync_to_outermost_exit(tmp_path):
     assert path.read_bytes() == Path(auto.path).read_bytes()
 
 
+def test_genesis_record_bytes_are_pinned(tmp_path):
+    """The genesis record of one fixed config, byte for byte: the
+    journal format cannot drift without this literal changing."""
+    graph = DiGraph()
+    for arc in ((0, 1), (1, 2), (0, 2)):
+        graph.add_arc(*arc)
+    path = tmp_path / "genesis.jsonl"
+    DurableEngine(graph, str(path), 5, routing="k_shortest",
+                  policy="least_used", kempe_repair=True, seed=7,
+                  k_candidates=3, speculative=True, sharded=True,
+                  snapshot_every=4, restoration=False, restore_retries=1,
+                  restore_move_budget=5, revert_on_repair=True,
+                  restore_order="longest_route").close()
+    assert path.read_bytes() == (
+        b'{"arcs":[[0,1],[0,2],[1,2]],"k_candidates":3,"kempe_repair":true,'
+        b'"policy":"least_used","restoration":false,"restore_move_budget":5,'
+        b'"restore_order":"longest_route","restore_retries":1,'
+        b'"revert_on_repair":true,"routing":"k_shortest","seed":7,'
+        b'"sharded":true,"snapshot_every":4,"speculative":true,'
+        b'"type":"genesis","version":1,"vertices":[0,1,2],"wavelengths":5}'
+        b'\n')
+
+
 def test_empty_or_torn_genesis_raises(tmp_path):
     empty = tmp_path / "empty.jsonl"
     empty.write_bytes(b"")
