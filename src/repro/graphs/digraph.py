@@ -46,7 +46,7 @@ class DiGraph:
     2
     """
 
-    __slots__ = ("_succ", "_pred", "_num_arcs", "_version")
+    __slots__ = ("_succ", "_pred", "_num_arcs", "_version", "_topo_index")
 
     def __init__(self, arcs: ArcIterable | None = None,
                  vertices: Iterable[Vertex] | None = None) -> None:
@@ -54,6 +54,7 @@ class DiGraph:
         self._pred: Dict[Vertex, Set[Vertex]] = {}
         self._num_arcs: int = 0
         self._version: int = 0
+        self._topo_index: Any = None
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -69,6 +70,7 @@ class DiGraph:
         if v not in self._succ:
             self._succ[v] = set()
             self._pred[v] = set()
+            self._topo_index = None
 
     def add_vertices(self, vertices: Iterable[Vertex]) -> None:
         """Add every vertex of ``vertices``."""
@@ -97,6 +99,7 @@ class DiGraph:
         self._pred[v].add(u)
         self._num_arcs += 1
         self._version += 1
+        self._topo_index = None
 
     def add_arcs(self, arcs: ArcIterable) -> None:
         """Add every arc of ``arcs`` (duplicates are ignored)."""
@@ -117,6 +120,7 @@ class DiGraph:
         self._pred[v].discard(u)
         self._num_arcs -= 1
         self._version += 1
+        self._topo_index = None
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove vertex ``v`` together with all incident arcs."""
@@ -128,6 +132,7 @@ class DiGraph:
             self.remove_arc(u, v)
         del self._succ[v]
         del self._pred[v]
+        self._topo_index = None
 
     # ------------------------------------------------------------------ #
     # queries
@@ -140,6 +145,12 @@ class DiGraph:
         candidate list) computed at version ``k`` is stale iff
         ``graph.version != k``.  Vertex-only additions do not bump it —
         an isolated vertex cannot create or destroy a dipath.
+
+        The topology index of :mod:`repro.graphs.traversal` (the memoised
+        topological order, vertex positions and per-target co-reachable
+        sets) is the second cache that follows graph mutations.  Unlike
+        the version it is also reset by vertex-only changes, because a
+        new or removed vertex changes the order itself.
         """
         return self._version
 
@@ -241,6 +252,7 @@ class DiGraph:
         g._pred = {v: set(p) for v, p in self._pred.items()}
         g._num_arcs = self._num_arcs
         g._version = self._version
+        g._topo_index = None
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "DiGraph":
@@ -298,6 +310,17 @@ class DiGraph:
 
     def __iter__(self) -> Iterator[Vertex]:
         return self.vertices()
+
+    def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
+        # The default slot state minus the topology index: a pickled graph
+        # (e.g. sent to a process-pool worker) arrives with a cold index.
+        return None, {"_succ": self._succ, "_pred": self._pred,
+                      "_num_arcs": self._num_arcs, "_version": self._version}
+
+    def __setstate__(self, state: Tuple[None, Dict[str, Any]]) -> None:
+        for name, value in state[1].items():
+            setattr(self, name, value)
+        self._topo_index = None
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):

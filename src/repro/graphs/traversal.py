@@ -33,15 +33,32 @@ __all__ = [
 ]
 
 
-def topological_order(graph: DiGraph) -> List[Vertex]:
-    """Return a topological ordering of ``graph`` (Kahn's algorithm).
+class _TopoIndex:
+    """Per-graph-state facts the DAG queries reuse between calls.
 
-    Raises
-    ------
-    NotADAGError
-        If the digraph contains a directed cycle; the exception carries a
-        witness cycle.
+    Holds the Kahn order, each vertex's position in it and, filled on
+    demand per target, the :func:`co_reachable_to` sets.  It lives in the
+    graph's ``_topo_index`` slot; every :class:`DiGraph` mutator resets
+    that slot, so an index is only ever read at the graph state it was
+    built from.
     """
+
+    __slots__ = ("order", "pos", "co_reach")
+
+    def __init__(self, order: List[Vertex]) -> None:
+        self.order = order
+        self.pos: Dict[Vertex, int] = {v: i for i, v in enumerate(order)}
+        self.co_reach: Dict[Vertex, Set[Vertex]] = {}
+
+
+def _topo_index(graph: DiGraph) -> _TopoIndex:
+    """The graph's topology index, built by Kahn's algorithm on first use.
+
+    Raises :class:`NotADAGError` (and caches nothing) on a directed cycle.
+    """
+    index = graph._topo_index
+    if index is not None:
+        return index
     indeg: Dict[Vertex, int] = {v: graph.in_degree(v) for v in graph.vertices()}
     queue = deque(v for v, d in indeg.items() if d == 0)
     order: List[Vertex] = []
@@ -55,13 +72,29 @@ def topological_order(graph: DiGraph) -> List[Vertex]:
     if len(order) != graph.num_vertices:
         cycle = find_directed_cycle(graph)
         raise NotADAGError(cycle=cycle)
-    return order
+    index = graph._topo_index = _TopoIndex(order)
+    return index
+
+
+def topological_order(graph: DiGraph) -> List[Vertex]:
+    """Return a topological ordering of ``graph`` (Kahn's algorithm).
+
+    The order is computed once per graph state and memoised on the graph;
+    each call returns a fresh list.
+
+    Raises
+    ------
+    NotADAGError
+        If the digraph contains a directed cycle; the exception carries a
+        witness cycle.
+    """
+    return list(_topo_index(graph).order)
 
 
 def is_acyclic(graph: DiGraph) -> bool:
     """Return whether ``graph`` contains no directed cycle."""
     try:
-        topological_order(graph)
+        _topo_index(graph)
     except NotADAGError:
         return False
     return True
@@ -214,12 +247,12 @@ def count_dipaths(graph: DiGraph, source: Vertex, target: Vertex) -> int:
     _check_vertex(graph, target)
     if source == target:
         return 0
-    order = topological_order(graph)
-    pos = {v: i for i, v in enumerate(order)}
+    index = _topo_index(graph)
+    pos = index.pos
     if pos[source] > pos[target]:
         return 0
     count: Dict[Vertex, int] = {target: 1}
-    for v in reversed(order[pos[source]:pos[target] + 1]):
+    for v in reversed(index.order[pos[source]:pos[target] + 1]):
         if v == target:
             continue
         count[v] = sum(count.get(w, 0) for w in graph.successors(v))
@@ -299,16 +332,23 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
 
     Computed by a dynamic program over a topological order: each vertex
     keeps its (up to) ``k`` shortest partial dipaths from ``source``, and a
-    vertex's bucket is final by the time the order reaches it.  Ties are
-    broken stably by discovery order, so the result is deterministic.
-    Returns fewer than ``k`` paths when the DAG has fewer; the empty list
-    when ``target`` is unreachable.
+    vertex's bucket is final by the time the order reaches it.  Only the
+    slice of the order from ``source`` to ``target`` can hold a partial
+    dipath that ends at ``target``, so only that slice is scanned.  Ties
+    are broken stably by discovery order, which follows the graph's
+    successor-set iteration order: the result is deterministic for a given
+    graph layout, not across layouts (see the ROADMAP item
+    "Hash-order-free determinism").  The order, the positions and the set
+    of vertices that reach ``target`` are memoised on the graph per graph
+    state.  Returns fewer than ``k`` paths when the DAG has fewer; the
+    empty list when ``target`` is unreachable.
 
     Raises
     ------
     NotADAGError
         If the digraph contains a directed cycle (the dynamic program
-        needs a topological order).
+        needs a topological order) and ``target`` is reachable from
+        ``source``.
     """
     _check_vertex(graph, source)
     _check_vertex(graph, target)
@@ -316,12 +356,21 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
         raise ValueError("k must be >= 1")
     if source == target:
         return [[source]]
-    useful = co_reachable_to(graph, target)
+    try:
+        index = _topo_index(graph)
+    except NotADAGError:
+        # an unreachable target answers [] even on a cyclic graph
+        if source not in co_reachable_to(graph, target):
+            return []
+        raise
+    useful = index.co_reach.get(target)
+    if useful is None:
+        useful = index.co_reach[target] = co_reachable_to(graph, target)
     if source not in useful:
         return []
-    order = topological_order(graph)
+    pos = index.pos
     buckets: Dict[Vertex, List[List[Vertex]]] = {source: [[source]]}
-    for v in order:
+    for v in index.order[pos[source]:pos[target] + 1]:
         bucket = buckets.get(v)
         if not bucket:
             continue

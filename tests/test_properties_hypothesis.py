@@ -9,12 +9,17 @@ generated structures:
 * Colouring algorithms always produce proper colourings; the exact solver is
   never beaten by a heuristic.
 * Internal-cycle detection agrees with a brute-force definition check.
+* The topological order and ``k_shortest_dipaths`` memoised on the graph
+  agree with a from-scratch recomputation under any interleaving of
+  mutations, copies and queries.
 """
 
 from __future__ import annotations
 
 import random
+from collections import deque
 
+import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
@@ -32,13 +37,19 @@ from repro.cycles.internal import (
 )
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
+from repro.exceptions import NotADAGError
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import (
     random_dag,
     random_internal_cycle_free_dag,
 )
 from repro.graphs.dag import DAG
-from repro.graphs.traversal import topological_order
+from repro.graphs.traversal import (
+    find_directed_cycle,
+    is_acyclic,
+    k_shortest_dipaths,
+    topological_order,
+)
 
 # Keep the per-example work small: hypothesis runs many examples.
 SETTINGS = dict(max_examples=25, deadline=None,
@@ -205,3 +216,146 @@ def test_family_replication_scales_load(sequences):
     replicated = family.replicate(3)
     assert replicated.load() == 3 * family.load()
     assert len(replicated) == 3 * len(family)
+
+
+# --------------------------------------------------------------------------- #
+# memoised topology index vs the unmemoised implementation
+# --------------------------------------------------------------------------- #
+def _oracle_topological_order(graph):
+    """Kahn's algorithm recomputed from scratch on every call (the
+    implementation before the order was memoised on the graph)."""
+    indeg = {v: graph.in_degree(v) for v in graph.vertices()}
+    queue = deque(v for v, d in indeg.items() if d == 0)
+    order = []
+    while queue:
+        v = queue.popleft()
+        order.append(v)
+        for w in graph.successors(v):
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                queue.append(w)
+    if len(order) != graph.num_vertices:
+        raise NotADAGError(cycle=find_directed_cycle(graph))
+    return order
+
+
+def _oracle_co_reachable(graph, target):
+    seen = {target}
+    queue = deque([target])
+    while queue:
+        v = queue.popleft()
+        for w in graph.predecessors(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
+def _oracle_k_shortest(graph, source, target, k):
+    """The full-order dynamic program, re-sorting the graph per call."""
+    if source == target:
+        return [[source]]
+    useful = _oracle_co_reachable(graph, target)
+    if source not in useful:
+        return []
+    order = _oracle_topological_order(graph)
+    buckets = {source: [[source]]}
+    for v in order:
+        bucket = buckets.get(v)
+        if not bucket:
+            continue
+        bucket.sort(key=len)
+        del bucket[k:]
+        if v == target:
+            continue
+        for w in graph.successors(v):
+            if w in useful:
+                buckets.setdefault(w, []).extend(p + [w] for p in bucket)
+    return buckets.get(target, [])
+
+
+def _outcome(fn, *args):
+    """``fn(*args)``, or the exception type it raised."""
+    try:
+        return fn(*args)
+    except NotADAGError:
+        return NotADAGError
+
+
+def _assert_matches_oracle(graph, source):
+    assert _outcome(topological_order, graph) == \
+        _outcome(_oracle_topological_order, graph)
+    for target in list(graph.vertices()):
+        for k in range(1, 5):
+            assert _outcome(k_shortest_dipaths, graph, source, target, k) == \
+                _outcome(_oracle_k_shortest, graph, source, target, k)
+
+
+_GRAPH_OPS = st.lists(
+    st.tuples(st.sampled_from(["add_arc", "remove_arc", "add_vertex",
+                               "remove_vertex", "copy", "query"]),
+              st.integers(min_value=0, max_value=10 ** 6),
+              st.integers(min_value=0, max_value=10 ** 6)),
+    max_size=20)
+
+
+@settings(**SETTINGS)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.1, max_value=0.5),
+       st.booleans(), _GRAPH_OPS)
+def test_memoised_index_matches_unmemoised_oracle(seed, n, p, icf, ops):
+    # Vertices are integers and every arc goes from a smaller to a larger
+    # one, so the graph stays acyclic under any interleaving.
+    graph = (random_internal_cycle_free_dag(n, int(p * n * 2), seed=seed)
+             if icf else random_dag(n, p, seed=seed))
+    next_label = n
+    _assert_matches_oracle(graph, 0)
+    for op, a, b in ops:
+        vertices = list(graph.vertices())
+        if op == "add_arc" and len(vertices) >= 2:
+            u, v = vertices[a % len(vertices)], vertices[b % len(vertices)]
+            if u != v:
+                graph.add_arc(min(u, v), max(u, v))
+        elif op == "remove_arc" and graph.num_arcs:
+            arcs = sorted(graph.arcs())
+            graph.remove_arc(*arcs[a % len(arcs)])
+        elif op == "add_vertex":
+            graph.add_vertex(next_label)
+            next_label += 1
+        elif op == "remove_vertex" and len(vertices) > 1:
+            graph.remove_vertex(vertices[a % len(vertices)])
+        elif op == "copy":
+            graph = graph.copy()
+        elif op == "query" and vertices:
+            source = vertices[a % len(vertices)]
+            target = vertices[b % len(vertices)]
+            k = 1 + (a + b) % 4
+            assert k_shortest_dipaths(graph, source, target, k) == \
+                _oracle_k_shortest(graph, source, target, k)
+        vertices = list(graph.vertices())
+        _assert_matches_oracle(graph, vertices[b % len(vertices)])
+
+
+@settings(**SETTINGS)
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=3, max_value=12),
+       st.floats(min_value=0.2, max_value=0.6),
+       st.integers(min_value=0, max_value=10 ** 6))
+def test_memoised_index_on_cyclic_graph(seed, n, p, pick):
+    graph = random_dag(n, p, seed=seed)
+    if graph.num_arcs == 0:
+        graph.add_arc(0, 1)
+    arcs = sorted(graph.arcs())
+    u, v = arcs[pick % len(arcs)]
+    graph.add_arc(v, u)                 # closes the cycle u -> v -> u
+    for _ in range(2):                  # a failed sort must not be cached
+        with pytest.raises(NotADAGError):
+            topological_order(graph)
+        assert not is_acyclic(graph)
+        for source in graph.vertices():
+            _assert_matches_oracle(graph, source)
+    graph.remove_arc(v, u)
+    assert is_acyclic(graph)
+    for source in graph.vertices():
+        _assert_matches_oracle(graph, source)
