@@ -16,9 +16,9 @@ shows up as avoidable blocking.  The moving parts:
   random wavelength policies with optional Kempe-chain repair;
 * :mod:`repro.online.transaction` — what-if speculation: nestable
   checkpoint / O(touched) rollback over family + conflict graph +
-  assigner, :func:`admit_best` committing the best of an arrival's
-  candidates and :func:`admit_batch` admitting a burst atomically under
-  a partial-commit policy;
+  assigner, :func:`admit_best` committing the least-loaded admissible
+  candidate of an arrival and :func:`admit_batch` admitting a burst
+  atomically under a partial-commit policy;
 * :mod:`repro.online.defrag`     — defragmentation passes speculatively
   re-admitting provisioned lightpaths and committing only strict
   improvements (wavelengths reclaimed, never a service interruption);
@@ -89,7 +89,6 @@ from .transaction import (
     WhatIfTransaction,
     admit_batch,
     admit_best,
-    default_admission_score,
 )
 
 __all__ = [
@@ -133,7 +132,6 @@ __all__ = [
     "admit_best",
     "churn_trace",
     "cut_event",
-    "default_admission_score",
     "defrag_objective",
     "engine_fingerprint",
     "make_online_router",

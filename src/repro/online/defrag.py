@@ -14,10 +14,10 @@ highest wavelength first, longest route first, most conflicted first) and
 *speculatively re-admits* each one on the live engine: the lightpath is
 released and removed inside an outer :class:`~repro.online.transaction.
 WhatIfTransaction`, :func:`~repro.online.transaction.admit_best` then
-speculates every candidate route (nested what-ifs) and commits the best
-admissible one into the outer transaction, and the outer transaction
-commits only if the move is a **strict improvement** of the lexicographic
-objective
+ranks the candidate routes by post-admission load and commits the first
+one that colours (a nested what-if per attempt) into the outer
+transaction, and the outer transaction commits only if the move is a
+**strict improvement** of the lexicographic objective
 
     ``(distinct wavelengths in use, highest wavelength in use,
        maximum fibre load, the moved lightpath's wavelength)``
@@ -53,7 +53,7 @@ from ..dipaths.dipath import Dipath
 from ..exceptions import TransactionError
 from ..obs.registry import Instrumented, MetricsRegistry
 from .assigner import OnlineWavelengthAssigner
-from .transaction import ScoreFunction, WhatIfTransaction, admit_best
+from .transaction import WhatIfTransaction, admit_best
 
 __all__ = ["DEFRAG_ORDERINGS", "DefragMove", "DefragPass", "DefragReport",
            "defrag_objective", "max_color_in_use"]
@@ -156,9 +156,6 @@ class DefragPass(Instrumented):
         Commit at most this many moves per pass (``None`` = unbounded).
     time_budget:
         Wall-clock budget in seconds for one pass (``None`` = unbounded).
-    score:
-        Candidate score handed to :func:`~repro.online.transaction.
-        admit_best` (default: the shared live-load objective).
     members:
         Restrict the walk to these member indices (e.g. one shard of the
         conflict graph, see :meth:`~repro.conflict.DynamicConflictGraph.
@@ -178,7 +175,6 @@ class DefragPass(Instrumented):
                  order: str = "highest_wavelength",
                  max_moves: Optional[int] = None,
                  time_budget: Optional[float] = None,
-                 score: Optional[ScoreFunction] = None,
                  members: Optional[Sequence[int]] = None,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         if order not in DEFRAG_ORDERINGS:
@@ -197,7 +193,6 @@ class DefragPass(Instrumented):
         self._order = order
         self._max_moves = max_moves
         self._time_budget = time_budget
-        self._score = score
         self._members = None if members is None else list(members)
 
     # ------------------------------------------------------------------ #
@@ -240,8 +235,7 @@ class DefragPass(Instrumented):
         with WhatIfTransaction(conflict, assigner) as move:
             move.release(idx)
             move.remove_dipath(idx)
-            decision = admit_best(conflict, assigner, routes,
-                                  score=self._score)
+            decision = admit_best(conflict, assigner, routes)
             if decision is None:        # no longer admissible: keep as-is
                 return None
             after = defrag_objective(conflict, assigner) + (decision.color,)

@@ -13,9 +13,10 @@ congested its fibres were.  This module closes the gap with pluggable
   online counterpart of :func:`repro.dipaths.routing.route_min_load`;
 * ``k_shortest``        — the ``k`` shortest dipaths per pair are computed
   once (:func:`repro.graphs.traversal.k_shortest_dipaths`) and the arrival
-  picks the candidate with the lowest live load cost; the candidate list
-  also feeds speculative what-if admission
-  (:func:`repro.online.transaction.admit_best`);
+  picks the candidate with the lowest live load cost *before* admission;
+  the candidate list also feeds speculative what-if admission
+  (:func:`repro.online.transaction.admit_best`), which ranks it by the
+  cost *after* admission (see :func:`live_load_cost`);
 * ``widest``            — maximum-bottleneck routing: the dipath maximising
   the minimum residual capacity ``W - load(arc)`` over its arcs (ties to
   fewer hops), which routes *around* wavelength-saturated fibres.
@@ -64,11 +65,22 @@ def live_load_cost(family: DipathFamily, dipath: Dipath
                    ) -> Tuple[int, int, int]:
     """``(max arc load, total load, hops)`` of ``dipath`` on the live family.
 
-    The one lexicographic congestion metric shared by candidate selection
-    (:class:`KShortestRouter`), speculative scoring
-    (:func:`repro.online.transaction.default_admission_score`) and the E14
-    benchmark — keeping them on the same tuple is what makes the
-    transactional and rebuild-per-candidate evaluations decision-equal.
+    The lexicographic congestion metric behind two related but distinct
+    rules:
+
+    * :meth:`KShortestRouter.route` minimises this tuple as it stands —
+      the *pre-admission* ``(m, t, h)``;
+    * :func:`repro.online.transaction.admit_best` minimises the
+      *post-admission* tuple ``(m + 1, t + h, h)`` (admitting the dipath
+      adds one to each of its arcs), derived from this one.
+
+    The two can disagree: ``t + h`` orders candidates differently from
+    ``t`` (loads ``(3, 3)`` beat ``(3, 1, 1, 0)`` after admission but lose
+    before it), so non-speculative ``k_shortest`` and speculative
+    admission may pick different routes for the same state.  The E14
+    benchmark measures this tuple with the candidate admitted in both its
+    transactional and rebuild-per-candidate evaluations, which keeps them
+    decision-equal.
     """
     load_of = family.load_of_arc
     max_load = total = hops = 0
@@ -108,8 +120,8 @@ class OnlineRouter:
         """Candidate dipaths for what-if admission (best-first).
 
         The default is the single routed dipath; routers holding a real
-        candidate set (``k_shortest``) override this so the speculative
-        assigner can score every alternative.
+        candidate set (``k_shortest``) override this so speculative
+        admission can rank and try every alternative.
         """
         dipath = self.route(request)
         return [] if dipath is None else [dipath]

@@ -13,9 +13,10 @@
 3. the :class:`~repro.online.assigner.OnlineWavelengthAssigner` picks a
    wavelength under the budget ``W`` — or blocks the request, in which case
    the dipath leaves the graph again.  With ``speculative=True`` the
-   arrival's candidate routes are instead admitted one by one inside
-   :class:`~repro.online.transaction.WhatIfTransaction` speculations and
-   the best admissible one is committed
+   arrival's candidate routes are instead ranked by their post-admission
+   load and admitted in that order inside
+   :class:`~repro.online.transaction.WhatIfTransaction` speculations; the
+   first one that colours is committed
    (:func:`~repro.online.transaction.admit_best`);
 4. departures release the wavelength and detach the dipath.
 
@@ -133,8 +134,9 @@ class EngineConfig:
     k_candidates:
         Candidate budget per endpoint pair for ``k_shortest`` routing.
     speculative:
-        Admit arrivals by speculating each candidate route inside a
-        what-if transaction and committing the best
+        Admit arrivals by trying the candidate routes, least
+        post-admission load first, each inside a what-if transaction and
+        committing the first that colours
         (:func:`~repro.online.transaction.admit_best`); only routers with
         a real candidate set (``k_shortest``) offer more than one.
     sharded:

@@ -21,12 +21,17 @@ are **bit-identical** to a never-touched twin: every internal mask,
 list, free-slot stack, cache and counter compares equal
 (``tests/test_differential_online.py`` asserts exactly this).
 
-:func:`admit_best` builds the paper-level feature on top: speculatively
-admit each candidate route of an arrival (route × wavelength × Kempe
-repair), score the resulting state, roll every attempt back and commit
-only the winner.  This is what makes ``k_shortest`` routing with
-``speculative=True`` in :func:`repro.online.simulator.simulate_online`
-a genuine what-if search rather than a heuristic pre-scoring.
+:func:`admit_best` builds the paper-level feature on top: admit the
+candidate route of an arrival that leaves the least-loaded fibres behind.
+The ranking needs no speculation and is exact — the objective depends
+only on loads, admitting a dipath adds exactly one to the load of each of
+its arcs, and neither the wavelength choice nor a Kempe repair moves a
+load — so the candidates are ranked up front.  Speculation decides
+*admissibility*: each candidate is admitted in rank order (route ×
+wavelength × Kempe repair, exactly as a real arrival) and the first one
+that colours is committed; the ones that do not are rolled back.  This is
+what ``k_shortest`` routing with ``speculative=True`` in
+:func:`repro.online.simulator.simulate_online` runs per arrival.
 
 Transactions **nest**: opening a transaction while another is active makes
 it a child of the innermost open one.  A child must resolve before its
@@ -42,7 +47,7 @@ under the partial-commit policies (:data:`BATCH_POLICIES`).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 from ..conflict.dynamic import DynamicConflictGraph
 from ..dipaths.dipath import Dipath
@@ -52,7 +57,7 @@ from .routing import live_load_cost
 
 __all__ = ["AdmissionDecision", "BATCH_POLICIES", "BatchResult",
            "BatchTransaction", "WhatIfTransaction", "admit_batch",
-           "admit_best", "default_admission_score"]
+           "admit_best"]
 
 #: Journal entry tags for the structural (family + conflict graph) log.
 _ADD, _REMOVE = "add", "remove"
@@ -258,66 +263,41 @@ class AdmissionDecision:
     dipath: Dipath      #: the admitted dipath
 
 
-#: ``score(conflict, assigner, idx, color, dipath) -> comparable`` —
-#: evaluated *inside* the speculation, i.e. with the candidate admitted.
-ScoreFunction = Callable[
-    [DynamicConflictGraph, OnlineWavelengthAssigner, int, int, Dipath],
-    Tuple]
-
-
-def default_admission_score(conflict: DynamicConflictGraph,
-                            assigner: OnlineWavelengthAssigner,
-                            idx: int, color: int, dipath: Dipath) -> Tuple:
-    """Prefer the candidate leaving the least-congested fibres behind.
-
-    Lexicographic: maximum live load over the candidate's arcs (with the
-    candidate counted), then total load, then hops — the same
-    :func:`~repro.online.routing.live_load_cost` objective the load-aware
-    routers minimise, now measured on the speculated state.
-    """
-    return live_load_cost(conflict.family, dipath)
-
-
 def admit_best(conflict: DynamicConflictGraph,
                assigner: OnlineWavelengthAssigner,
-               candidates: Sequence[Dipath],
-               score: Optional[ScoreFunction] = None
-               ) -> Optional[AdmissionDecision]:
-    """Speculatively admit every candidate, commit the best, or none.
+               candidates: Sequence[Dipath]) -> Optional[AdmissionDecision]:
+    """Commit the least-loaded admissible candidate, or none.
 
-    Each candidate is admitted inside a :class:`WhatIfTransaction` (route ×
-    wavelength × Kempe repair, exactly as a real arrival), scored on the
-    speculated state, and rolled back.  The lowest-scoring admissible
-    candidate is then re-admitted for real; ``None`` means no candidate
-    fits the wavelength budget.  Ties keep the earliest candidate, so with
-    candidates ordered shortest-first the tie-break matches static routing.
+    Candidates are ranked by the :func:`~repro.online.routing.
+    live_load_cost` they would have *after* admission — ``(max arc load +
+    1, total load + hops, hops)``, computed from the current loads since
+    admitting a dipath adds exactly one to each of its arcs.  The sort is
+    stable, so ties keep the earliest candidate (with candidates ordered
+    shortest-first the tie-break matches static routing).  Candidates are
+    then admitted in rank order, each inside its own
+    :class:`WhatIfTransaction` (route × wavelength × Kempe repair, exactly
+    as a real arrival): the first one that gets a colour is committed, the
+    others roll back.  ``None`` means no candidate fits the wavelength
+    budget, and leaves the state bit-identical.  Under an enclosing
+    transaction (defrag moves, batches) the commit hands the journal
+    upwards, so the outer rollback can still undo the admission.
     """
-    if score is None:
-        score = default_admission_score
-    best: Optional[Tuple[Tuple, int]] = None
-    for pos, dipath in enumerate(candidates):
+    family = conflict.family
+
+    def cost_after(pos: int) -> Tuple[int, int, int]:
+        max_load, total, hops = live_load_cost(family, candidates[pos])
+        return (max_load + 1, total + hops, hops)
+
+    for pos in sorted(range(len(candidates)), key=cost_after):
+        dipath = candidates[pos]
         with WhatIfTransaction(conflict, assigner) as tx:
             idx, color = tx.admit(dipath)
             if color is not None:
-                value = score(conflict, assigner, idx, color, dipath)
-                if best is None or value < best[0]:
-                    best = (value, pos)
-            # leaving the block uncommitted rolls the speculation back
-    if best is None:
-        return None
-    dipath = candidates[best[1]]
-    # Re-admit the winner through a transaction of its own: standalone this
-    # is just an admit+commit, but under an enclosing transaction (defrag
-    # moves, batches) the commit hands the journal upwards so the outer
-    # rollback can still undo the admission.
-    with WhatIfTransaction(conflict, assigner) as tx:
-        idx, color = tx.admit(dipath)
-        if color is not None:
-            tx.commit()
-    if color is None:       # pragma: no cover - deterministic replay
-        return None
-    return AdmissionDecision(index=idx, color=color, candidate=best[1],
-                             dipath=dipath)
+                tx.commit()
+                return AdmissionDecision(index=idx, color=color,
+                                         candidate=pos, dipath=dipath)
+            # leaving the block uncommitted rolls the attempt back
+    return None
 
 
 # ---------------------------------------------------------------------- #

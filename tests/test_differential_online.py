@@ -14,7 +14,11 @@ contracts of the rollback design:
     :mod:`repro.coloring.verify` against a conflict graph rebuilt from
     scratch off the raw dipaths;
 (c) ``mask_rebuilds`` never moves on the rollback path — speculation and
-    rollback patch caches, they never drop them.
+    rollback patch caches, they never drop them;
+(d) :func:`~repro.online.admit_best`, which ranks candidates by their
+    post-admission load and admits only until one colours, decides and
+    leaves state exactly like the exhaustive rule that speculates every
+    candidate and scores the speculated state (the oracle below).
 
 The sequences come from two generators: a hypothesis-driven one (60
 examples exploring the op space adversarially, shrinkable on failure) and
@@ -32,16 +36,21 @@ from hypothesis import strategies as st
 
 from repro.coloring.verify import is_proper_coloring
 from repro.conflict import DynamicConflictGraph, build_conflict_graph
+from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_dag
+from repro.graphs.traversal import k_shortest_dipaths
 from repro.online import (
     ARRIVAL,
+    AdmissionDecision,
     OnlineEngine,
     OnlineWavelengthAssigner,
     WhatIfTransaction,
+    admit_best,
     poisson_trace,
 )
+from repro.online.routing import live_load_cost
 from repro.optical.traffic import uniform_random_traffic
 
 SETTINGS = dict(max_examples=60, deadline=None,
@@ -258,3 +267,152 @@ class TestAdaptiveRoutingVerifies:
             (min(remap[u], remap[v]), max(remap[u], remap[v]))
             for u, v in engine.conflict.edges())
         assert relabelled == sorted(rebuilt.edges())
+
+
+# ---------------------------------------------------------------------- #
+# (d) rank-then-admit against the exhaustive oracle
+# ---------------------------------------------------------------------- #
+def exhaustive_admit_best(conflict, assigner, candidates):
+    """Speculate every candidate, score the speculated state, commit the best.
+
+    The reference rule: each candidate is admitted and rolled back, the
+    admissible one with the least ``live_load_cost`` measured *with it
+    admitted* wins (ties to the earliest), and the winner is admitted a
+    second time for real.
+    """
+    best = None
+    for pos, dipath in enumerate(candidates):
+        with WhatIfTransaction(conflict, assigner) as tx:
+            _, color = tx.admit(dipath)
+            if color is not None:
+                value = live_load_cost(conflict.family, dipath)
+                if best is None or value < best[0]:
+                    best = (value, pos)
+    if best is None:
+        return None
+    dipath = candidates[best[1]]
+    with WhatIfTransaction(conflict, assigner) as tx:
+        idx, color = tx.admit(dipath)
+        assert color is not None
+        tx.commit()
+    return AdmissionDecision(index=idx, color=color, candidate=best[1],
+                             dipath=dipath)
+
+
+def full_state(engine):
+    """:func:`engine_state` plus the shard partition and colour index.
+
+    The colour index grows its per-arc tables the first time an arc
+    carries a colour and never shrinks them, so how many empty entries
+    they hold depends on how much was ever speculated; the state is the
+    non-empty entries, and none may lie past the family's interned arcs.
+    """
+    conflict, assigner = engine.conflict, engine.assigner
+    state = engine_state(conflict.family, conflict, assigner)
+    state["shard_map"] = conflict.shard_map()
+    index = assigner.color_index
+    if index is not None:
+        masks = {aid: m for aid, m in enumerate(index._masks) if m}
+        counts = {aid: dict(c) for aid, c in enumerate(index._counts) if c}
+        assert max(masks, default=-1) < conflict.family.num_arc_ids
+        state["index_masks"], state["index_counts"] = masks, counts
+    return state
+
+
+def _warm_twins(seed, sharded, policy, kempe):
+    """Two engines driven through the same warm-up trace."""
+    graph = random_dag(14, 0.35, seed=seed)
+    pool = uniform_random_traffic(graph, 30, seed=seed)
+    trace = poisson_trace(pool, 60, arrival_rate=6.0, mean_holding=10.0,
+                          seed=seed)
+    last = max(i for i, e in enumerate(trace) if e.kind == ARRIVAL)
+    trace = trace[:last + 1]        # keep the lightpaths of the tail up
+    twins = []
+    for _ in range(2):
+        engine = OnlineEngine(graph, WAVELENGTHS, policy=policy,
+                              kempe_repair=kempe, seed=seed, sharded=sharded)
+        for event in trace:
+            if event.kind == ARRIVAL:
+                engine.admit(event.request_id, request=event.request)
+            else:
+                engine.depart(event.request_id)
+        twins.append(engine)
+    paths = [Dipath(p) for r in pool
+             for p in k_shortest_dipaths(graph, r.source, r.target, 3)]
+    paths += list(random_walk_family(graph, 20, seed=seed, min_length=3))
+    return twins, paths
+
+
+def _ranked_first(family, candidates):
+    """Position of the candidate with the least post-admission load."""
+    def key(pos):
+        max_load, total, hops = live_load_cost(family, candidates[pos])
+        return (max_load, total + hops, hops, pos)
+    return min(range(len(candidates)), key=key)
+
+
+def _oracle_sequence(seed, sharded, policy, kempe, steps, seen):
+    """Drive ``admit_best`` and the oracle in lockstep; assert equality."""
+    rng = random.Random(seed)
+    (oracle, engine), paths = _warm_twins(seed, sharded, policy, kempe)
+    assert full_state(oracle) == full_state(engine)
+    admitted = []
+    for _ in range(steps):
+        cands = rng.sample(paths, rng.randint(1, 5))
+        if rng.random() < 0.4:
+            cands.append(rng.choice(cands))                 # a duplicate
+            rng.shuffle(cands)
+        coloured = sorted(engine.assigner.coloring)
+        if coloured and rng.random() < 0.35:
+            # the defrag shape: lift a lightpath out inside an outer
+            # transaction, re-admit from the candidates, roll it all back
+            victim = rng.choice(coloured)
+            cands.append(engine.family[victim])
+            inside, decisions = [], []
+            for twin, fn in ((oracle, exhaustive_admit_best),
+                             (engine, admit_best)):
+                with WhatIfTransaction(twin.conflict, twin.assigner) as move:
+                    move.release(victim)
+                    move.remove_dipath(victim)
+                    decisions.append(fn(twin.conflict, twin.assigner, cands))
+                    inside.append(full_state(twin))
+            assert decisions[0] == decisions[1]
+            assert inside[0] == inside[1]
+            seen["defrag"] += 1
+        else:
+            first = _ranked_first(engine.family, cands)
+            repairs = engine.assigner.kempe_repairs
+            expected = exhaustive_admit_best(oracle.conflict,
+                                             oracle.assigner, cands)
+            decision = admit_best(engine.conflict, engine.assigner, cands)
+            assert decision == expected
+            if decision is None:
+                seen["none"] += 1
+            else:
+                admitted.append(decision.index)
+                if decision.candidate != first:
+                    seen["skipped_first"] += 1
+                if engine.assigner.kempe_repairs > repairs:
+                    seen["kempe"] += 1
+        if admitted and rng.random() < 0.3:                 # churn
+            idx = admitted.pop(rng.randrange(len(admitted)))
+            for twin in (oracle, engine):
+                twin.assigner.release(idx)
+                twin.conflict.remove_dipath(idx)
+        assert full_state(oracle) == full_state(engine)
+
+
+class TestAdmitBestOracle:
+    """(d): rank-then-admit == speculate-every-candidate, state included."""
+
+    @pytest.mark.parametrize("sharded", [True, False])
+    @pytest.mark.parametrize("policy", ["first_fit", "least_used",
+                                        "most_used", "random"])
+    def test_matches_exhaustive_oracle(self, sharded, policy):
+        seen = {"none": 0, "skipped_first": 0, "kempe": 0, "defrag": 0}
+        for seed in range(12):
+            _oracle_sequence(seed, sharded, policy, kempe=seed % 2 == 1,
+                             steps=40, seen=seen)
+        # the sweep must reach every branch the ranking could get wrong
+        assert seen["none"] and seen["skipped_first"] and seen["defrag"]
+        assert seen["kempe"]

@@ -24,9 +24,11 @@ from repro.online import (
     Event,
     NO_ROUTE,
     NO_WAVELENGTH,
+    OnlineEngine,
     OnlineWavelengthAssigner,
     WhatIfTransaction,
     admit_best,
+    engine_fingerprint,
     make_online_router,
     replay_trace,
     simulate_online,
@@ -260,3 +262,108 @@ class TestTransactionSurface:
         assigner.commit(token)
         with pytest.raises(RuntimeError):
             assigner.rollback(token)                # already consumed
+
+
+class TestAdmitBestRanking:
+    """``admit_best`` ranks by post-admission load, then admits once."""
+
+    @staticmethod
+    def _two_objectives_engine(speculative):
+        """s -> t by a 2-hop route with arc loads (3, 3) or a 4-hop route
+        with arc loads (3, 1, 1, 0)."""
+        graph = DiGraph(arcs=[("s", "a"), ("a", "t"), ("s", "b"), ("b", "c"),
+                              ("c", "d"), ("d", "t")])
+        engine = OnlineEngine(graph, 8, routing="k_shortest",
+                              speculative=speculative)
+        fill = [["s", "a", "t"]] * 3 + [["s", "b", "c", "d"]] + \
+            [["s", "b"]] * 2
+        for rid, path in enumerate(fill):
+            assert engine.admit(rid, dipath=Dipath(path)) is None
+        return engine
+
+    def test_route_and_admit_best_minimise_different_tuples(self):
+        """Pre-admission ``(m, t, h)`` picks the 4-hop route (total 5 < 6);
+        post-admission ``(m + 1, t + h, h)`` picks the 2-hop one (8 < 9).
+        Unifying the two rules must show up here as a decision change."""
+        request = Request("s", "t")
+        short = Dipath(["s", "a", "t"])
+        detour = Dipath(["s", "b", "c", "d", "t"])
+        plain = self._two_objectives_engine(speculative=False)
+        assert plain.router.route(request) == detour
+        assert plain.admit(99, request=request) is None
+        assert plain.family[plain.vertex_of[99]] == detour
+        spec = self._two_objectives_engine(speculative=True)
+        assert set(spec.router.candidates(request)) == {short, detour}
+        assert spec.admit(99, request=request) is None
+        assert spec.family[spec.vertex_of[99]] == short
+
+    @staticmethod
+    def _work_engine():
+        """W = 2 with a → b on colour 0 and b → c on colour 1, so
+        ``[a, b, c]`` (post-admission cost (2, 4, 2)) cannot be coloured
+        while ``[b, c, d, e]`` (cost (2, 4, 3), ranked after it) and
+        ``[c, d]`` (cost (1, 1, 1)) can."""
+        graph = DiGraph(arcs=[("a", "b"), ("b", "c"), ("c", "d"),
+                              ("d", "e")])
+        engine = OnlineEngine(graph, 2, sharded=True)
+        for color, path in enumerate((["a", "b"], ["b", "c"])):
+            engine.assigner.adopt(engine.conflict.add_dipath(Dipath(path)),
+                                  color)
+        return engine
+
+    @staticmethod
+    def _spy(monkeypatch):
+        calls = {"add": 0, "rollback": 0}
+        add = WhatIfTransaction.add_dipath
+        rollback = WhatIfTransaction.rollback
+
+        def counting_add(tx, dipath):
+            calls["add"] += 1
+            return add(tx, dipath)
+
+        def counting_rollback(tx):
+            calls["rollback"] += 1
+            return rollback(tx)
+
+        monkeypatch.setattr(WhatIfTransaction, "add_dipath", counting_add)
+        monkeypatch.setattr(WhatIfTransaction, "rollback", counting_rollback)
+        return calls
+
+    @staticmethod
+    def _index_rollbacks(engine):
+        diagnostics = engine.metrics.snapshot()["diagnostics"]
+        return diagnostics["counters"]["colorindex.rollbacks"]
+
+    def test_top_ranked_fit_costs_one_add(self, monkeypatch):
+        engine = self._work_engine()
+        calls = self._spy(monkeypatch)
+        blocked, fits = Dipath(["a", "b", "c"]), Dipath(["c", "d"])
+        decision = admit_best(engine.conflict, engine.assigner,
+                              [blocked, fits])
+        assert decision is not None and decision.candidate == 1
+        assert calls == {"add": 1, "rollback": 0}
+        assert self._index_rollbacks(engine) == 0
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_j_misfits_cost_j_rollbacks(self, monkeypatch, j):
+        engine = self._work_engine()
+        calls = self._spy(monkeypatch)
+        fits, blocked = Dipath(["b", "c", "d", "e"]), Dipath(["a", "b", "c"])
+        decision = admit_best(engine.conflict, engine.assigner,
+                              [fits] + [blocked] * j)
+        assert decision is not None
+        assert decision.candidate == 0 and decision.color == 0
+        assert calls == {"add": j + 1, "rollback": j}
+        assert self._index_rollbacks(engine) == j
+
+    def test_no_fit_returns_none_and_leaves_state(self, monkeypatch):
+        engine = self._work_engine()
+        before = engine_fingerprint(engine)
+        masks = list(engine.assigner.color_index._masks)
+        calls = self._spy(monkeypatch)
+        blocked = Dipath(["a", "b", "c"])
+        assert admit_best(engine.conflict, engine.assigner,
+                          [blocked, blocked]) is None
+        assert calls == {"add": 2, "rollback": 2}
+        assert engine_fingerprint(engine) == before
+        assert engine.assigner.color_index._masks == masks
