@@ -219,12 +219,10 @@ def _print_sharding_records(records) -> None:
                   f"{r['component_splits']}/{r['shard_rebuilds']}  "
                   f"[{verdict}]")
         else:
-            verdict = ("ok" if r["identical"] and r["parallel_identical"]
-                       else "DIVERGED")
+            verdict = "ok" if r["identical"] else "DIVERGED"
             print(f"{r['scenario']:28s} arrivals={r['arrivals']} "
                   f"blocking={r['blocking']:.4f} "
-                  f"identical={r['identical']} "
-                  f"parallel={r['parallel_identical']}  [{verdict}]")
+                  f"identical={r['identical']}  [{verdict}]")
 
 
 def _print_recovery_records(records) -> None:

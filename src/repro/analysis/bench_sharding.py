@@ -17,8 +17,7 @@ Two claims, recorded in ``BENCH_sharding.json`` by
   routing, defrag triggers, timestamp batching) produce identical
   :class:`~repro.online.OnlineResult` records sharded and unsharded, on
   traces whose inter-region lightpaths force component merges and whose
-  departures force splits; and the shard-parallel paths
-  (``shard_workers``) are byte-identical to their serial execution.
+  departures force splits.
 
 The unsharded engine pays O(degree) neighbourhood walks on family-width
 masks per event; the sharded engine pays O(arcs) per event and
@@ -186,7 +185,7 @@ DIFFERENTIAL_SCENARIOS: Dict[str, Tuple] = {
 
 
 def measure_differential_scenario(name: str) -> Dict[str, object]:
-    """Sharded vs unsharded (and parallel vs serial) on one full trace."""
+    """Sharded vs unsharded on one full trace."""
     (regions, size, coupling, inter, wavelengths, arrivals, load,
      extras) = DIFFERENTIAL_SCENARIOS[name]
     graph = multi_region_topology(regions=regions, region_size=size,
@@ -209,15 +208,6 @@ def measure_differential_scenario(name: str) -> Dict[str, object]:
         {k: v for k, v in plain_m.items() if k != "diagnostics"}
         == {k: v for k, v in mirrored_m.items() if k != "diagnostics"})
     identical = metrics_identical and plain == mirrored
-    # the shard-parallel paths must be byte-identical to their serial run
-    parallel_extras = dict(extras)
-    parallel_extras.pop("speculative", None)
-    serial_run = simulate_online(graph, trace, wavelengths,
-                                 record_timeline=False, sharded=True,
-                                 shard_workers=1, **parallel_extras)
-    parallel_run = simulate_online(graph, trace, wavelengths,
-                                   record_timeline=False, sharded=True,
-                                   shard_workers=2, **parallel_extras)
     return {
         "scenario": name,
         "kind": "differential",
@@ -226,7 +216,6 @@ def measure_differential_scenario(name: str) -> Dict[str, object]:
         "arrivals": arrivals,
         "blocking": sharded.blocking_rate,
         "identical": identical,
-        "parallel_identical": asdict(serial_run) == asdict(parallel_run),
         "component_merges": sharded.component_merges,
         "component_splits": sharded.component_splits,
         "shard_rebuilds": sharded.shard_rebuilds,
@@ -270,8 +259,8 @@ def sharding_problems(records: List[Dict[str, object]]) -> List[str]:
 
     Throughput records must hit :data:`SHARDING_SPEEDUP_TARGET` with
     outcome-identical replays at 800+ concurrent lightpaths; differential
-    records must be identical (sharded vs unsharded, parallel vs serial)
-    on traces that exercised both merges and splits.
+    records must be identical (sharded vs unsharded) on traces that
+    exercised both merges and splits.
     """
     problems: List[str] = []
     for record in records:
@@ -293,9 +282,6 @@ def sharding_problems(records: List[Dict[str, object]]) -> List[str]:
         if not record["identical"]:
             problems.append(
                 f"{name}: sharded OnlineResult differs from unsharded")
-        if not record["parallel_identical"]:
-            problems.append(
-                f"{name}: shard-parallel run differs from its serial twin")
         if not record["merges_exercised"]:
             problems.append(f"{name}: trace never merged components")
     if records and not any(int(r.get("component_splits", 0)) > 0

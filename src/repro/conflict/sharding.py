@@ -110,9 +110,8 @@ class ShardTracker(Instrumented):
 
     Merge/split/rebuild counters publish into the shared metrics registry
     under ``shards.*`` as *diagnostic* metrics: they depend on the
-    placement history (speculative add+rollback churn bumps them on the
-    unsharded serial path but not on the parallel fan-out), so they are
-    excluded from the cross-path deterministic snapshot while staying
+    placement history (only the sharded engine tracks components, and
+    speculative add+rollback churn bumps them), so they are excluded from the cross-path deterministic snapshot while staying
     reproducible for a fixed seed and configuration.
     """
 
@@ -253,10 +252,6 @@ class ShardTracker(Instrumented):
     def shard_of(self, idx: int) -> Shard:
         """The shard currently holding member ``idx`` (raises KeyError)."""
         return self._shard_of_member[idx]
-
-    def owner_of_arc(self, aid: int) -> Optional[Shard]:
-        """The shard owning family arc id ``aid`` (``None`` if unowned)."""
-        return self._shard_of_arc.get(aid)
 
     def shards(self) -> List[Shard]:
         """The live shards, ordered by anchor (deterministic)."""

@@ -169,9 +169,8 @@ class EngineStateError(SimulationError, RuntimeError, ValueError):
 
     Raised when the engine's redundant structures disagree — a colour
     count going negative in the :class:`~repro.online.sharding.ArcColorIndex`,
-    a defragmentation journal out of step with its recorded moves, an
-    engine asked to run a shard-scoped pass under a policy whose
-    decisions it could not reproduce.  These are *state* failures, not
+    or a colour index attached to an assigner that already holds
+    colours.  These are *state* failures, not
     argument mistakes: they mean a bug (or corruption) upstream of the
     raise.  Historically surfaced as bare ``RuntimeError``/``ValueError``;
     deriving from both keeps existing ``except`` clauses working (the
@@ -182,9 +181,9 @@ class EngineStateError(SimulationError, RuntimeError, ValueError):
 class ShardNotFoundError(EngineStateError):
     """A shard lookup by anchor member found no such shard.
 
-    Raised by shard-scoped operations (``defrag_sharded``) when the
-    anchor member does not identify a live shard — either the caller
-    raced a departure or the shard tracker lost it.  Subclasses
+    Raised by :meth:`~repro.online.OnlineEngine.defrag` with ``shard=``
+    when the anchor member does not identify a live shard — either the
+    caller raced a departure or the shard tracker lost it.  Subclasses
     :class:`EngineStateError` (hence ``ValueError``, which these
     lookups historically raised).
 

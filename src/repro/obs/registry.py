@@ -17,7 +17,7 @@ bit-identity contract of the online engine:
 
 Metrics split into two sections.  The *deterministic* section must be
 identical for any two runs that made the same decisions, regardless of
-code path (sharded vs unsharded, serial vs parallel batch fan-out).
+code path (sharded vs unsharded, traced vs untraced).
 Metrics registered with ``diagnostic=True`` land in a separate
 ``diagnostics`` section instead: they are still deterministic for a fixed
 code path (same seed + same configuration ⇒ same values) but are allowed

@@ -85,7 +85,6 @@ from .transaction import (
     BATCH_POLICIES,
     AdmissionDecision,
     BatchResult,
-    BatchTransaction,
     WhatIfTransaction,
     admit_batch,
     admit_best,
@@ -99,7 +98,6 @@ __all__ = [
     "AssignerCheckpoint",
     "BATCH_POLICIES",
     "BatchResult",
-    "BatchTransaction",
     "CUT",
     "DEFRAG_ORDERINGS",
     "DEPARTURE",

@@ -181,15 +181,6 @@ class OnlineWavelengthAssigner:
         """Number of successful Kempe repairs performed so far."""
         return self._repairs
 
-    def note_repair(self) -> None:
-        """Count one externally replayed Kempe repair.
-
-        The shard-parallel replay applies a committed repair's recolour
-        entries through :meth:`adopt`; this keeps the repairs statistic
-        in step without reaching into the counter from outside.
-        """
-        self._repairs += 1
-
     def color_of(self, vertex: int) -> int:
         """The colour currently assigned to ``vertex``."""
         return self._color[vertex]
@@ -250,11 +241,11 @@ class OnlineWavelengthAssigner:
     def adopt(self, vertex: int, color: int) -> None:
         """Apply an externally decided colour change (replay/preload).
 
-        Used by the shard-parallel apply step to replay a colour decision
-        computed on a worker snapshot: a fresh assignment when ``vertex``
-        is uncoloured, a recolouring otherwise.  Journalled and mirrored
-        into the colour index exactly like :meth:`assign`, so replayed
-        state is bit-identical to having decided locally.
+        Used by crash recovery to re-apply a snapshot's colouring: a
+        fresh assignment when ``vertex`` is uncoloured, a recolouring
+        otherwise.  Journalled and mirrored into the colour index exactly
+        like :meth:`assign`, so replayed state is bit-identical to having
+        decided locally.
         """
         if not 0 <= color < self._wavelengths:
             raise ValueError(f"colour {color} outside the budget")

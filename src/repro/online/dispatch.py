@@ -92,7 +92,7 @@ class Dispatcher:
         means the caller has already answered the op (the service's
         retry and deadline checks), so it is neither charged nor decided.
     defrag_every, defrag_on_block, defrag_utilization, defrag_max_moves,
-    shard_workers, audit_every:
+    audit_every:
         The triggers above; see :func:`~repro.online.simulator.
         simulate_online`.
     """
@@ -109,15 +109,10 @@ class Dispatcher:
                  defrag_on_block: bool = False,
                  defrag_utilization: Optional[float] = None,
                  defrag_max_moves: Optional[int] = None,
-                 shard_workers: Optional[int] = None,
                  audit_every: Optional[int] = None) -> None:
         if batch_policy is not None and batch_policy not in BATCH_POLICIES:
             raise ValueError(f"unknown batch policy {batch_policy!r}; "
                              f"expected one of {BATCH_POLICIES}")
-        if shard_workers is not None and \
-                (not config.sharded or config.policy != "first_fit"):
-            raise ValueError("shard_workers needs sharded=True and the "
-                             "'first_fit' policy")
         if defrag_every is not None and defrag_every < 1:
             raise ValueError("defrag_every must be >= 1")
         if defrag_utilization is not None and \
@@ -144,7 +139,6 @@ class Dispatcher:
         self._defrag_on_block = defrag_on_block
         self._defrag_utilization = defrag_utilization
         self._defrag_max_moves = defrag_max_moves
-        self._workers = shard_workers
         self._audit_every = audit_every
         self._triggered = defrag_every is not None or \
             audit_every is not None or defrag_utilization is not None
@@ -269,14 +263,17 @@ class Dispatcher:
                 else:
                     kept.append(op)
         if len(group) > 1:
-            reasons = self._admit_batch(kept) if kept else {}
+            admit_batch = self._backend.admit_batch
+            reasons = admit_batch(kept, policy=self.batch_policy) \
+                if kept else {}
             if self._defrag_on_block and NO_WAVELENGTH in reasons.values() \
                     and self._defrag().moves:
                 # the pass moved something: give the spectrum-blocked part
                 # of the burst one more shot under the same policy
-                reasons.update(self._admit_batch(
+                reasons.update(admit_batch(
                     [op for op in kept
-                     if reasons[op.request_id] == NO_WAVELENGTH]))
+                     if reasons[op.request_id] == NO_WAVELENGTH],
+                    policy=self.batch_policy))
             for op in kept:
                 reason = reasons[op.request_id]
                 self.record(op, reason)
@@ -295,12 +292,6 @@ class Dispatcher:
             self.record(op, reason)
             decided.append((op, reason))
         return decided
-
-    def _admit_batch(self, ops: Sequence) -> Dict[int, Optional[str]]:
-        if self._workers is None:
-            return self._backend.admit_batch(ops, policy=self.batch_policy)
-        return self._backend.admit_batch(ops, policy=self.batch_policy,
-                                         workers=self._workers)
 
     def _depart(self, op) -> bool:
         rid = op.request_id
@@ -379,12 +370,8 @@ class Dispatcher:
     # triggers
     # ------------------------------------------------------------------ #
     def _defrag(self) -> DefragReport:
-        order, max_moves = self.config.restore_order, self._defrag_max_moves
-        if self._workers is not None:
-            return self.engine.defrag_sharded(order=order,
-                                              max_moves=max_moves,
-                                              workers=self._workers)
-        return self._backend.defrag(order=order, max_moves=max_moves)
+        return self._backend.defrag(order=self.config.restore_order,
+                                    max_moves=self._defrag_max_moves)
 
     def _triggers(self, size: int) -> None:
         processed = self._processed = self._processed + size

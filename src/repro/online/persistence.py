@@ -42,9 +42,7 @@ stable (ints and tuples of ints are; strings need ``PYTHONHASHSEED``
 pinned).
 
 What is *not* journalled: wall-clock-bounded defrag passes
-(``time_budget`` is refused — a replay cannot reproduce a clock) and
-shard-parallel execution (replay always runs the serial paths; by the
-sharding layer's byte-identity contract the decisions are the same).
+(``time_budget`` is refused — a replay cannot reproduce a clock).
 
 Torn tails are expected: a crash mid-append leaves a final line without
 its newline (or an unparsable fragment).  :func:`recover` discards the
@@ -62,20 +60,17 @@ from dataclasses import asdict
 from typing import Any, Dict, Iterator, List, Optional
 
 from .._typing import Arc
-from ..conflict.dynamic import DynamicConflictGraph, ShardedConflictGraph
 from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..dipaths.requests import Request
 from ..exceptions import RecoveryError, TransactionError
 from ..graphs.digraph import DiGraph
-from .assigner import OnlineWavelengthAssigner
 from .defrag import DefragReport
 from ..obs.registry import Instrumented, MetricsRegistry
 from ..obs.trace import Tracer
 from .events import ARRIVAL, Event
 from .faults import FaultInjector, FaultReport
 from .routing import make_online_router
-from .sharding import ArcColorIndex
 from .simulator import EngineConfig, OnlineEngine
 
 __all__ = ["JOURNAL_VERSION", "DurableEngine", "engine_fingerprint",
@@ -578,13 +573,10 @@ class DurableEngine(Instrumented):
                     members[aid] |= 1 << idx
         family._arc_members = members
         family._free_slots = list(state["free_slots"])
-        # 3. conflict graph, rebuilt over the restored family
-        if config.sharded:
-            conflict = ShardedConflictGraph(family,
-                                            metrics=engine.metrics)
-        else:
-            conflict = DynamicConflictGraph(family,
-                                            metrics=engine.metrics)
+        # 3. conflict graph and assigner, wired over the restored family
+        #    exactly as a fresh engine wires them
+        conflict, assigner = config.components(family, wavelengths,
+                                               engine.metrics)
         # lazy-cache warmness back to the captured flags (construction may
         # have warmed the masks), then the counter the warming bumped
         if state["load_warm"]:
@@ -597,14 +589,7 @@ class DurableEngine(Instrumented):
         else:
             family._conflict_masks = None
         family._mask_rebuilds = state["mask_rebuilds"]
-        # 4. assigner: fresh instance, colour index attached while still
-        #    virgin, colours re-adopted, monotone counters + RNG restored
-        assigner = OnlineWavelengthAssigner(
-            wavelengths, policy=config.policy,
-            kempe_repair=config.kempe_repair, seed=config.seed)
-        if config.sharded:
-            assigner.attach_color_index(
-                ArcColorIndex(family, metrics=engine.metrics))
+        # 4. colours re-adopted, monotone counters + RNG restored
         for key in sorted(state["coloring"], key=int):
             assigner.adopt(int(key), state["coloring"][key])
         assigner._ever_used = state["ever_used"]

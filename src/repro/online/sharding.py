@@ -1,9 +1,6 @@
-"""Shard-local engine state: per-fibre colour occupancy and the
-snapshot/replay machinery behind shard-parallel defrag and batching.
+"""Per-fibre colour occupancy for the component-sharded online engine.
 
-Two building blocks of the component-sharded online engine live here:
-
-:class:`ArcColorIndex` — the per-fibre wavelength occupancy table.  For
+:class:`ArcColorIndex` is the per-fibre wavelength occupancy table.  For
 every interned arc it tracks how many provisioned lightpaths hold each
 colour on that fibre, plus the derived one-word colour bitmask.  The
 forbidden colours of an arriving lightpath are then the union of its
@@ -14,46 +11,17 @@ conflicting lightpath iff it is in use on a shared fibre.  The index
 journals every change under the assigner's checkpoints, so what-if
 rollbacks restore it bit-identically without ever consulting the
 (possibly already rolled back) structure.
-
-Shard snapshot tasks — pure, picklable functions that rebuild one shard
-as a compact mini-engine (members remapped to ``0..size-1``, every mask
-at shard width) and run a defragmentation pass or a burst admission on
-it.  :func:`repro.parallel.parallel_map` fans the per-shard tasks out;
-because the *same* task functions run no matter where (serial fallback,
-nested-pool guard, process pool), the parallel results are byte-identical
-to the serial ones by construction.  The apply helpers replay the
-returned decisions onto the live engine: colour changes go through
-:meth:`~repro.online.assigner.OnlineWavelengthAssigner.adopt` and routes
-through the conflict graph, so the post-replay state equals having
-computed the moves in process.
-
-Shard-parallel modes require the ``first_fit`` policy: its colour choice
-depends only on the component's own state, which is exactly what a shard
-snapshot contains.  (``least_used``/``most_used`` consult the *global*
-usage table and ``random`` a single RNG stream — neither decomposes by
-component.)
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
-from ..conflict.dynamic import ShardedConflictGraph
 from ..exceptions import EngineStateError
-from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..obs.registry import Instrumented, MetricsRegistry
-from .assigner import OnlineWavelengthAssigner
-from .defrag import DefragPass
 
-__all__ = ["ArcColorIndex", "PARALLEL_SAFE_POLICY",
-           "batch_shard_task", "defrag_shard_task",
-           "apply_batch_decisions", "apply_defrag_moves"]
-
-#: The only wavelength policy whose per-arrival choice is a function of
-#: the arrival's component alone — the eligibility condition for the
-#: shard-parallel defrag and batch paths.
-PARALLEL_SAFE_POLICY = "first_fit"
+__all__ = ["ArcColorIndex"]
 
 
 class ArcColorIndex(Instrumented):
@@ -71,10 +39,9 @@ class ArcColorIndex(Instrumented):
     member's arc list may already be gone.
 
     Operation counts publish into the registry under ``colorindex.*`` as
-    *diagnostic* metrics: the number of recorded changes and rollbacks
-    depends on how much speculation a code path ran (serial batch paths
-    speculate rejected arrivals, the parallel fan-out does not), so they
-    stay out of the cross-path deterministic snapshot.
+    *diagnostic* metrics: only the sharded engine keeps an index, so the
+    counts exist on one of two decision-identical code paths and stay
+    out of the cross-path deterministic snapshot.
     """
 
     __slots__ = ("_family", "_counts", "_masks", "_journals",
@@ -222,193 +189,3 @@ class ArcColorIndex(Instrumented):
         self._m_rollbacks.inc()
         for arcs, old, new in reversed(journal):
             self._shift(arcs, new, old)
-
-
-# ---------------------------------------------------------------------- #
-# shard snapshot tasks
-# ---------------------------------------------------------------------- #
-def _seed_shard_engine(routes: Sequence[Tuple], colors: Sequence[int],
-                       wavelengths: int, policy: str, kempe_repair: bool
-                       ) -> Tuple[ShardedConflictGraph,
-                                  OnlineWavelengthAssigner]:
-    """A compact mini-engine holding one shard's lightpaths and colours.
-
-    Members get dense local indices ``0..size-1`` in the order given
-    (ascending global index, so local walk orders match global ones) and
-    every internal mask is shard-width.
-    """
-    family = DipathFamily()
-    conflict = ShardedConflictGraph(family)
-    assigner = OnlineWavelengthAssigner(wavelengths, policy=policy,
-                                        kempe_repair=kempe_repair)
-    assigner.attach_color_index(ArcColorIndex(family))
-    for route, color in zip(routes, colors):
-        idx = conflict.add_dipath(route)
-        assigner.adopt(idx, color)
-    return conflict, assigner
-
-
-def _segment_moves(journal, moves, to_global) -> List[Dict[str, object]]:
-    """Split a committed colour journal into per-move change lists.
-
-    Each committed move contributed, in order: its release entry, the
-    recolour entries of any Kempe chain the re-admission triggered, and
-    finally the fresh assignment of the re-admitted member.  The fresh
-    assignment (``old is None``) closes the segment.
-    """
-    out: List[Dict[str, object]] = []
-    cursor = 0
-    for move in moves:
-        changes: List[Tuple[object, Optional[int], Optional[int]]] = []
-        vertex, old, new = journal[cursor]
-        if vertex != move.index or new is not None:
-            raise EngineStateError(
-                "defrag journal out of step with its moves")
-        changes.append((to_global(vertex), old, None))
-        cursor += 1
-        repaired = False
-        while True:
-            vertex, old, new = journal[cursor]
-            changes.append((to_global(vertex), old, new))
-            cursor += 1
-            if old is None:                 # the re-admission itself
-                break
-            repaired = True                 # a committed Kempe recolouring
-        out.append({
-            "index": to_global(move.index),
-            "route": tuple(move.new_route.vertices),
-            "changes": changes,
-            "repaired": repaired,
-        })
-    if cursor != len(journal):
-        raise EngineStateError(
-            "defrag journal has unconsumed colour changes")
-    return out
-
-
-def defrag_shard_task(members: Sequence[int], routes: Sequence[Tuple],
-                      colors: Sequence[int], wavelengths: int, policy: str,
-                      kempe_repair: bool,
-                      candidates: Sequence[Sequence[Tuple]], order: str,
-                      max_moves: Optional[int]) -> Dict[str, object]:
-    """One shard's defragmentation pass, computed on a compact snapshot.
-
-    Pure function of its arguments (safe to run in a worker process).
-    The pass uses the shard-local objective — the snapshot *is* the
-    shard, so the plain defrag objective evaluated on it counts the
-    shard's own colours and fibre loads.  Returns the committed moves
-    with their full colour-change lists, translated back to global member
-    indices, ready for :func:`apply_defrag_moves`.
-    """
-    conflict, assigner = _seed_shard_engine(routes, colors, wavelengths,
-                                            policy, kempe_repair)
-
-    def shard_candidates(local_idx: int, current: Dipath) -> List[Dipath]:
-        return [Dipath(r) for r in candidates[local_idx]]
-
-    token = assigner.checkpoint()
-    report = DefragPass(conflict, assigner, candidates=shard_candidates,
-                        order=order, max_moves=max_moves).run()
-    assigner.commit(token)
-    return {
-        "moves": _segment_moves(token.journal, report.moves,
-                                lambda local: members[local]),
-        "attempted": report.attempted,
-        "colors_before": report.colors_before,
-        "colors_after": report.colors_after,
-        "budget_exhausted": report.budget_exhausted,
-    }
-
-
-def batch_shard_task(members: Sequence[int], routes: Sequence[Tuple],
-                     colors: Sequence[int], wavelengths: int, policy: str,
-                     kempe_repair: bool,
-                     arrivals: Sequence[Tuple[int, Tuple]]
-                     ) -> List[Dict[str, object]]:
-    """Admit one shard's slice of a burst on a compact snapshot.
-
-    ``arrivals`` is ``(burst position, route vertices)`` in burst order.
-    Each arrival is evaluated in context: earlier same-shard arrivals of
-    the burst are kept provisioned (the partial-commit policies decide
-    later — globally — which prefix survives, and a later cut can only
-    remove arrivals *after* the ones an admission depended on).  Returns
-    one decision per arrival: the colour (or ``None``) plus the colour
-    changes, with existing members named by global index and burst
-    admissions by ``("new", position)``.
-    """
-    conflict, assigner = _seed_shard_engine(routes, colors, wavelengths,
-                                            policy, kempe_repair)
-    label_of: Dict[int, object] = {i: g for i, g in enumerate(members)}
-    decisions: List[Dict[str, object]] = []
-    for pos, route in arrivals:
-        token = assigner.checkpoint()
-        idx = conflict.add_dipath(route)
-        color = assigner.assign(conflict, idx)
-        if color is None:
-            conflict.remove_dipath(idx)
-            assigner.rollback(token)
-            decisions.append({"pos": pos, "route": tuple(route),
-                              "color": None, "changes": []})
-            continue
-        assigner.commit(token)
-        label_of[idx] = ("new", pos)
-        decisions.append({
-            "pos": pos,
-            "route": tuple(route),
-            "color": color,
-            "changes": [(label_of[v], old, new)
-                        for v, old, new in token.journal],
-        })
-    return decisions
-
-
-# ---------------------------------------------------------------------- #
-# replaying worker decisions onto the live engine
-# ---------------------------------------------------------------------- #
-def apply_defrag_moves(conflict, assigner,
-                       moves: Sequence[Dict[str, object]]) -> None:
-    """Replay one shard task's committed moves onto the live engine.
-
-    Each move is the atomic release + remove + re-add + colour changes
-    the snapshot pass committed; slots are recycled in place (the
-    free-list guarantees the re-add lands on the freed index), so the
-    live engine ends bit-identical to having run the pass in process.
-    """
-    for move in moves:
-        idx = move["index"]
-        changes = move["changes"]
-        released, old, new = changes[0]
-        if released != idx or new is not None:
-            raise EngineStateError("malformed defrag move replay")
-        assigner.release(idx)
-        conflict.remove_dipath(idx)
-        readded = conflict.add_dipath(move["route"])
-        if readded != idx:
-            raise EngineStateError(
-                f"defrag replay re-added member at slot {readded}, "
-                f"expected {idx}")
-        for vertex, old, new in changes[1:]:
-            assigner.adopt(vertex, new)
-
-
-def apply_batch_decisions(conflict, assigner,
-                          decisions: Sequence[Dict[str, object]]
-                          ) -> Dict[int, Tuple[int, int]]:
-    """Replay admitted burst decisions; returns ``pos -> (index, colour)``.
-
-    ``decisions`` must contain only the arrivals the batch policy decided
-    to commit, in burst order.  ``("new", pos)`` labels resolve to the
-    member indices allocated here as the replay progresses.
-    """
-    index_of_pos: Dict[int, int] = {}
-    admitted: Dict[int, Tuple[int, int]] = {}
-    for decision in decisions:
-        pos = decision["pos"]
-        idx = conflict.add_dipath(decision["route"])
-        index_of_pos[pos] = idx
-        for label, old, new in decision["changes"]:
-            vertex = (index_of_pos[label[1]]
-                      if isinstance(label, tuple) else label)
-            assigner.adopt(vertex, new)
-        admitted[pos] = (idx, decision["color"])
-    return admitted

@@ -47,10 +47,9 @@ directly instead of round-tripping through event lists.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import (
-    EngineStateError,
     RoutingError,
     ShardNotFoundError,
     SimulationError,
@@ -64,20 +63,11 @@ from ..graphs.digraph import DiGraph
 from ..obs.profiling import get_default_profile
 from ..obs.registry import Instrumented, MetricsRegistry
 from ..obs.trace import NullSink, Tracer
-from ..parallel.executor import parallel_map
 from .assigner import OnlineWavelengthAssigner
-from .defrag import DefragMove, DefragPass, DefragReport, max_color_in_use
+from .defrag import DEFRAG_ORDERINGS, DefragPass, DefragReport
 from .events import Event
 from .routing import make_online_router
-from .sharding import (
-    PARALLEL_SAFE_POLICY,
-    ArcColorIndex,
-    apply_batch_decisions,
-    apply_defrag_moves,
-    batch_shard_task,
-    defrag_shard_task,
-)
-from .transaction import BATCH_POLICIES
+from .sharding import ArcColorIndex
 from .transaction import admit_batch as _admit_dipath_batch
 from .transaction import admit_best
 
@@ -184,6 +174,12 @@ class EngineConfig:
     def __post_init__(self) -> None:
         if self.restore_retries < 0:
             raise ValueError("restore_retries must be >= 0")
+        if self.restore_move_budget is not None and \
+                self.restore_move_budget < 0:
+            raise ValueError("restore_move_budget must be >= 0")
+        if self.restore_order not in DEFRAG_ORDERINGS:
+            raise ValueError(f"unknown restore_order {self.restore_order!r}; "
+                             f"expected one of {DEFRAG_ORDERINGS}")
 
     @classmethod
     def for_engine(cls, knobs: Dict[str, object]) -> "EngineConfig":
@@ -198,6 +194,27 @@ class EngineConfig:
     def from_record(cls, record: Dict[str, object]) -> "EngineConfig":
         """The config stored in a journal genesis record."""
         return cls(**{f.name: record[f.name] for f in fields(cls)})
+
+    def components(self, family: DipathFamily, wavelengths: int,
+                   metrics: MetricsRegistry
+                   ) -> Tuple[DynamicConflictGraph, OnlineWavelengthAssigner]:
+        """The conflict graph and assigner these knobs wire over ``family``.
+
+        ``sharded`` picks the component-sharded conflict graph and gives
+        the assigner a per-fibre :class:`~repro.online.sharding.
+        ArcColorIndex` (O(arcs) forbidden masks); both publish into
+        ``metrics``.  :class:`OnlineEngine` and snapshot recovery wire
+        their components here and nowhere else.
+        """
+        graph_type = ShardedConflictGraph if self.sharded \
+            else DynamicConflictGraph
+        conflict = graph_type(family, metrics=metrics)
+        assigner = OnlineWavelengthAssigner(
+            wavelengths, policy=self.policy,
+            kempe_repair=self.kempe_repair, seed=self.seed)
+        if self.sharded:
+            assigner.attach_color_index(ArcColorIndex(family, metrics=metrics))
+        return conflict, assigner
 
     def build(self, graph: DiGraph, wavelengths: int,
               metrics: Optional[MetricsRegistry] = None,
@@ -556,9 +573,7 @@ class OnlineEngine(Instrumented):
         if wavelengths < 1:
             raise ValueError("wavelengths must be >= 1")
         config = EngineConfig.for_engine(knobs)
-        sharded = config.sharded
         self._obs_init("engine", metrics)
-        registry = self._obs_registry
         if profile is None:
             profile = get_default_profile()
         if profile is not None:
@@ -568,28 +583,13 @@ class OnlineEngine(Instrumented):
         self.tracer = tracer
         self.graph = graph
         self.family = DipathFamily()
-        self.sharded = sharded
-        if sharded:
-            # The component-sharded fast path: O(arcs) structural events
-            # (lazy adjacency, no neighbourhood walks) and O(arcs)
-            # forbidden masks from the per-fibre colour occupancy.
-            # Decision-identical to the unsharded engine on every trace —
-            # the differential suite asserts it.
-            self.conflict = ShardedConflictGraph(self.family,
-                                                 metrics=registry)
-        else:
-            self.conflict = DynamicConflictGraph(self.family,
-                                                 metrics=registry)
+        self.sharded = config.sharded
+        self.conflict, self.assigner = config.components(
+            self.family, wavelengths, self._obs_registry)
         self.router = make_online_router(graph, config.routing,
                                          family=self.family,
                                          wavelengths=wavelengths,
                                          k=config.k_candidates)
-        self.assigner = OnlineWavelengthAssigner(
-            wavelengths, policy=config.policy,
-            kempe_repair=config.kempe_repair, seed=config.seed)
-        if sharded:
-            self.assigner.attach_color_index(
-                ArcColorIndex(self.family, metrics=registry))
         self.speculative = config.speculative
         self.vertex_of: Dict[int, int] = {}     # request_id -> member index
         self._m_admitted = self._obs_counter("admitted")
@@ -845,8 +845,7 @@ class OnlineEngine(Instrumented):
         return None
 
     def admit_batch(self, arrivals: List[Event],
-                    policy: str = "all_or_nothing",
-                    workers: Optional[int] = None
+                    policy: str = "all_or_nothing"
                     ) -> Dict[int, Optional[str]]:
         """Admit a burst of arrival events atomically; reasons per request.
 
@@ -855,17 +854,9 @@ class OnlineEngine(Instrumented):
         touching the batch); the routed burst is then admitted through
         :func:`repro.online.transaction.admit_batch` under the given
         partial-commit policy.  Returns ``request_id -> None`` (admitted)
-        or a rejection reason.
-
-        With ``workers`` set on a sharded first-fit engine, the burst is
-        partitioned by conflict component and the per-component slices
-        are evaluated on compact shard snapshots through
-        :func:`repro.parallel.parallel_map`; decisions are identical to
-        the serial path (first-fit choices are component-local) and
-        byte-identical across ``workers`` values.  Bursts the partition
-        cannot decompose (an arrival bridging two components, or two
-        slices meeting on a not-yet-provisioned fibre) fall back to the
-        serial path transparently.
+        or a rejection reason.  The burst runs as one what-if
+        transaction, so it also nests inside a caller's open
+        :class:`~repro.online.transaction.WhatIfTransaction`.
 
         With a tracer attached the burst is wrapped in an
         ``admit_batch`` span and every admitted member additionally
@@ -875,10 +866,10 @@ class OnlineEngine(Instrumented):
         """
         tracer = self.tracer
         if tracer is None:
-            return self._admit_batch(arrivals, policy, workers)
+            return self._admit_batch(arrivals, policy)
         with tracer.span("admit_batch", size=len(arrivals),
                          policy=policy) as span:
-            reasons = self._admit_batch(arrivals, policy, workers)
+            reasons = self._admit_batch(arrivals, policy)
             admitted_rids = [rid for rid, reason in reasons.items()
                              if reason is None]
             span.tags["admitted"] = len(admitted_rids)
@@ -891,8 +882,8 @@ class OnlineEngine(Instrumented):
                     shard=self.conflict.shard_of_member(idx).anchor())
             return reasons
 
-    def _admit_batch(self, arrivals: List[Event], policy: str,
-                     workers: Optional[int]) -> Dict[int, Optional[str]]:
+    def _admit_batch(self, arrivals: List[Event],
+                     policy: str) -> Dict[int, Optional[str]]:
         self._m_batches.inc()
         self._m_batch_arrivals.inc(len(arrivals))
         self._h_batch_size.observe(len(arrivals))
@@ -913,18 +904,13 @@ class OnlineEngine(Instrumented):
                 reasons[event.request_id] = NO_ROUTE
             else:
                 routed.append((event.request_id, dipath))
-        admitted = None
-        if workers is not None:
-            admitted = self._admit_routed_sharded(routed, policy, workers)
-        if admitted is None:
-            outcome = _admit_dipath_batch(
-                self.conflict, self.assigner, [d for _, d in routed],
-                policy=policy)
-            admitted = {pos: (idx, color)
-                        for pos, idx, color in outcome.admitted}
+        outcome = _admit_dipath_batch(
+            self.conflict, self.assigner, [d for _, d in routed],
+            policy=policy)
+        admitted = {pos: idx for pos, idx, _ in outcome.admitted}
         for pos, (request_id, _) in enumerate(routed):
             if pos in admitted:
-                self.vertex_of[request_id] = admitted[pos][0]
+                self.vertex_of[request_id] = admitted[pos]
                 reasons[request_id] = None
             else:
                 reasons[request_id] = NO_WAVELENGTH
@@ -936,78 +922,6 @@ class OnlineEngine(Instrumented):
             else:
                 self._m_rejected_wavelength.inc()
         return reasons
-
-    def _admit_routed_sharded(self, routed: List[tuple], policy: str,
-                              workers: Optional[int]
-                              ) -> Optional[Dict[int, tuple]]:
-        """Shard-partitioned burst admission; ``None`` = not decomposable.
-
-        Groups the routed burst by the conflict component owning each
-        dipath's fibres, evaluates every group on a snapshot through
-        :func:`repro.parallel.parallel_map` and replays the colours the
-        batch policy commits.  Falls back (returns ``None``) whenever the
-        partition argument does not hold: a non-sharded or non-first-fit
-        engine, an arrival whose fibres span two components, or two
-        groups meeting on a fibre no current lightpath uses.
-        """
-        if not self.sharded or \
-                self.assigner.policy != PARALLEL_SAFE_POLICY or \
-                policy not in BATCH_POLICIES:
-            return None
-        if self.conflict._tx_stack or self.assigner._checkpoints:
-            # inside an open what-if transaction the replay's bare
-            # add_dipath calls would not be journalled (only the colours
-            # would), so a rollback could strand coloured-then-stripped
-            # members; the serial path nests correctly — use it
-            return None
-        if not routed:
-            return {}
-        family, tracker = self.family, self.conflict._shards
-        groups: Dict[object, List[tuple]] = {}
-        shard_of_group: Dict[object, object] = {}
-        fresh_owner: Dict[tuple, object] = {}
-        for pos, (_, dipath) in enumerate(routed):
-            shards: List[object] = []
-            new_arcs: List[tuple] = []
-            for arc in dipath.arcs():
-                aid = family._arc_ids.get(arc)
-                shard = None if aid is None else tracker.owner_of_arc(aid)
-                if shard is None:
-                    new_arcs.append(arc)
-                elif shard not in shards:
-                    shards.append(shard)
-            if len(shards) > 1:
-                return None             # the arrival would merge components
-            key = id(shards[0]) if shards else "fresh"
-            for arc in new_arcs:
-                if fresh_owner.setdefault(arc, key) != key:
-                    return None         # two groups meet on a fresh fibre
-            shard_of_group[key] = shards[0] if shards else None
-            groups.setdefault(key, []).append((pos, dipath))
-        assigner = self.assigner
-        tasks = []
-        for key in sorted(groups, key=lambda k: groups[k][0][0]):
-            shard = shard_of_group[key]
-            members = [] if shard is None else shard.members()
-            tasks.append((
-                members,
-                [tuple(family[i].vertices) for i in members],
-                [assigner.color_of(i) for i in members],
-                assigner.wavelengths, assigner.policy,
-                assigner.kempe_repair,
-                [(pos, tuple(d.vertices)) for pos, d in groups[key]]))
-        outcomes = parallel_map(batch_shard_task, tasks, workers=workers,
-                                sequential_threshold=0, reuse_pool=True)
-        decisions = {d["pos"]: d for result in outcomes for d in result}
-        failed = sorted(pos for pos, d in decisions.items()
-                        if d["color"] is None)
-        if policy == "all_or_nothing" and failed:
-            return {}
-        cut = failed[0] if policy == "best_prefix" and failed \
-            else len(routed)
-        commit = [decisions[pos] for pos in sorted(decisions)
-                  if pos < cut and decisions[pos]["color"] is not None]
-        return apply_batch_decisions(self.conflict, assigner, commit)
 
     def depart(self, request_id: int) -> bool:
         """Tear down a provisioned lightpath; ``False`` if it never held one
@@ -1068,7 +982,7 @@ class OnlineEngine(Instrumented):
         tracer = self.tracer
         if tracer is None:
             return self._defrag(order, max_moves, time_budget, shard)
-        with tracer.span("defrag", order=order, sharded=False) as span:
+        with tracer.span("defrag", order=order) as span:
             report = self._defrag(order, max_moves, time_budget, shard)
             span.tags["moves"] = len(report.moves)
             span.tags["reclaimed"] = report.reclaimed
@@ -1101,103 +1015,6 @@ class OnlineEngine(Instrumented):
         self._m_defrag_reclaimed.inc(max(0, report.reclaimed))
         return report
 
-    def defrag_sharded(self, order: str = "highest_wavelength",
-                       max_moves: Optional[int] = None,
-                       workers: Optional[int] = 1) -> DefragReport:
-        """One shard-scoped defragmentation pass, optionally in parallel.
-
-        Every conflict component is defragmented independently on a
-        compact snapshot (members remapped to shard-local indices, the
-        acceptance objective evaluated *within the shard*), the per-shard
-        tasks are fanned out through :func:`repro.parallel.parallel_map`
-        — serial fallback, nested-pool guard and all — and the committed
-        moves are replayed onto the live engine in deterministic shard
-        order.  Results are byte-identical for every ``workers`` value
-        because the identical task functions run either way; only where
-        they run changes.
-
-        Differs from :meth:`defrag` in objective scope: a shard-scoped
-        move counts colours and fibre loads within its component, so it
-        can commit a move the global objective would reject (the freed
-        colour may still be in use in another component) — and that is
-        precisely what makes the shards independent.  ``max_moves``
-        bounds the whole pass exactly as in :meth:`defrag`: shard tasks
-        each compute up to the budget, and the replay applies at most
-        ``max_moves`` of them in shard order, discarding the surplus.
-        Requires the ``first_fit`` policy (the only one whose choices
-        are functions of the component alone).
-        """
-        tracer = self.tracer
-        if tracer is None:
-            return self._defrag_sharded(order, max_moves, workers)
-        with tracer.span("defrag", order=order, sharded=True) as span:
-            report = self._defrag_sharded(order, max_moves, workers)
-            span.tags["moves"] = len(report.moves)
-            span.tags["reclaimed"] = report.reclaimed
-            return report
-
-    def _defrag_sharded(self, order: str, max_moves: Optional[int],
-                        workers: Optional[int]) -> DefragReport:
-        if self.assigner.policy != PARALLEL_SAFE_POLICY:
-            raise EngineStateError(
-                "shard-scoped defragmentation requires the "
-                f"{PARALLEL_SAFE_POLICY!r} policy; {self.assigner.policy!r} "
-                "consults cross-shard state — use defrag() instead")
-        assigner, family = self.assigner, self.family
-        report = DefragReport(
-            order=order,
-            colors_before=assigner.colors_in_use(),
-            max_color_before=max_color_in_use(assigner),
-            load_before=family.load())
-        tasks = []
-        for shard in self.conflict.shards():
-            members = shard.members()
-            routes = [tuple(family[i].vertices) for i in members]
-            colors = [assigner.color_of(i) for i in members]
-            candidates = [
-                [tuple(d.vertices)
-                 for d in self._defrag_candidates(i, family[i])]
-                for i in members]
-            tasks.append((members, routes, colors, assigner.wavelengths,
-                          assigner.policy, assigner.kempe_repair,
-                          candidates, order, max_moves))
-        # sequential_threshold=0: the caller asked for this worker count
-        # explicitly, and per-shard tasks are whole defrag passes — heavy
-        # enough to ship even when there are only a few shards
-        outcomes = parallel_map(defrag_shard_task, tasks, workers=workers,
-                                sequential_threshold=0, reuse_pool=True)
-        for outcome in outcomes:
-            for move in outcome["moves"]:
-                if max_moves is not None and \
-                        len(report.moves) >= max_moves:
-                    # max_moves bounds the whole pass, like defrag():
-                    # surplus moves the (independent) shard tasks
-                    # computed are discarded — dropping a suffix of a
-                    # shard's move sequence is safe because each move is
-                    # atomic and later moves never enable earlier ones
-                    report.budget_exhausted = True
-                    break
-                idx = move["index"]
-                old_route = family[idx]
-                old_color = assigner.color_of(idx)
-                apply_defrag_moves(self.conflict, assigner, [move])
-                if move["repaired"]:
-                    assigner.note_repair()
-                report.moves.append(DefragMove(
-                    index=idx, new_index=idx, old_color=old_color,
-                    new_color=assigner.color_of(idx),
-                    old_route=old_route, new_route=family[idx]))
-            report.attempted += outcome["attempted"]
-            report.budget_exhausted = (report.budget_exhausted
-                                       or outcome["budget_exhausted"])
-        report.colors_after = assigner.colors_in_use()
-        report.max_color_after = max_color_in_use(assigner)
-        report.load_after = family.load()
-        self._m_defrag_passes.inc()
-        self._m_defrag_moves.inc(len(report.moves))
-        self._m_defrag_reclaimed.inc(max(0, report.reclaimed))
-        return report
-
 
 def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
                     *, record_timeline: bool = True,
@@ -1207,7 +1024,6 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
                     defrag_utilization: Optional[float] = None,
                     defrag_order: str = "highest_wavelength",
                     defrag_max_moves: Optional[int] = None,
-                    shard_workers: Optional[int] = None,
                     shed_work_budget: Optional[float] = None,
                     shed_burst: Optional[float] = None,
                     shed_queue_depth: Optional[int] = None,
@@ -1248,16 +1064,6 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         Walk order and per-pass move budget for every triggered pass
         (see :class:`~repro.online.defrag.DefragPass`); the walk order
         is also the restoration passes' ``restore_order``.
-    shard_workers:
-        When set (requires ``sharded=True`` and ``policy="first_fit"``),
-        triggered defrag passes run shard-scoped
-        (:meth:`OnlineEngine.defrag_sharded`) and equal-timestamp bursts
-        are admitted shard-partitioned, both fanned out through
-        :func:`repro.parallel.parallel_map` with this worker count.
-        Results are byte-identical for every worker count (``1`` = the
-        same tasks, run serially).  Note the defrag semantics change:
-        shard-scoped passes accept moves on the *component-local*
-        objective (that independence is what parallelises them).
     shed_work_budget, shed_burst, shed_queue_depth:
         Configure an :class:`AdmissionGuard` (any of them set turns it
         on): arrivals beyond the work budget — ``k_candidates`` units
@@ -1298,8 +1104,7 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         queue_depth=shed_queue_depth, defrag_every=defrag_every,
         defrag_on_block=defrag_on_block,
         defrag_utilization=defrag_utilization,
-        defrag_max_moves=defrag_max_moves, shard_workers=shard_workers,
-        audit_every=audit_every)
+        defrag_max_moves=defrag_max_moves, audit_every=audit_every)
     tracer = engine.tracer      # may have been created for a profiler
     timeline: List[Dict[str, float]] = []
     last_time = float("-inf")

@@ -56,8 +56,7 @@ from .assigner import AssignerCheckpoint, OnlineWavelengthAssigner
 from .routing import live_load_cost
 
 __all__ = ["AdmissionDecision", "BATCH_POLICIES", "BatchResult",
-           "BatchTransaction", "WhatIfTransaction", "admit_batch",
-           "admit_best"]
+           "WhatIfTransaction", "admit_batch", "admit_best"]
 
 #: Journal entry tags for the structural (family + conflict graph) log.
 _ADD, _REMOVE = "add", "remove"
@@ -385,42 +384,3 @@ def admit_batch(conflict: DynamicConflictGraph,
     finally:
         if outer.is_open:                     # all_or_nothing failure path
             outer.rollback()
-
-
-class BatchTransaction:
-    """Reusable batched-admission front-end bound to one engine.
-
-    Thin object wrapper over :func:`admit_batch` for callers that admit
-    many bursts against the same conflict graph + assigner (the online
-    engine's timestamp batching, tests, examples):
-
-    >>> from repro.conflict import DynamicConflictGraph
-    >>> from repro.dipaths.family import DipathFamily
-    >>> from repro.online.assigner import OnlineWavelengthAssigner
-    >>> dyn = DynamicConflictGraph(DipathFamily())
-    >>> batcher = BatchTransaction(dyn, OnlineWavelengthAssigner(2),
-    ...                            policy="greedy")
-    >>> batcher.admit([["a", "b"], ["b", "c"]]).committed
-    True
-    """
-
-    def __init__(self, conflict: DynamicConflictGraph,
-                 assigner: OnlineWavelengthAssigner,
-                 policy: str = "all_or_nothing") -> None:
-        if policy not in BATCH_POLICIES:
-            raise TransactionError(f"unknown batch policy {policy!r}; "
-                                   f"expected one of {BATCH_POLICIES}")
-        self._conflict = conflict
-        self._assigner = assigner
-        self._policy = policy
-
-    @property
-    def policy(self) -> str:
-        """The partial-commit policy applied to every batch."""
-        return self._policy
-
-    def admit(self, dipaths: Sequence[Dipath],
-              policy: Optional[str] = None) -> BatchResult:
-        """Admit one burst (``policy`` overrides the default for this call)."""
-        return admit_batch(self._conflict, self._assigner, dipaths,
-                           policy=self._policy if policy is None else policy)

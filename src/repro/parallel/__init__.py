@@ -5,9 +5,8 @@ from .executor import (
     default_workers,
     in_worker_process,
     parallel_map,
-    shutdown_shared_pool,
 )
 from .sweep import Sweep, run_sweep
 
 __all__ = ["Sweep", "chunked", "default_workers", "in_worker_process",
-           "parallel_map", "run_sweep", "shutdown_shared_pool"]
+           "parallel_map", "run_sweep"]

@@ -26,7 +26,6 @@ work runs.  Only picklable callables and arguments may be used with
 
 from __future__ import annotations
 
-import atexit
 import multiprocessing
 import os
 from concurrent.futures import ProcessPoolExecutor
@@ -37,57 +36,12 @@ T = TypeVar("T")
 R = TypeVar("R")
 
 __all__ = ["parallel_map", "default_workers", "chunked",
-           "in_worker_process", "shutdown_shared_pool"]
+           "in_worker_process"]
 
 
 def in_worker_process() -> bool:
     """Whether this process is a multiprocessing worker (nested-pool guard)."""
     return multiprocessing.parent_process() is not None
-
-
-# Shared pool for repeated fan-outs (see parallel_map(reuse_pool=True)):
-# the sharded online engine schedules a per-shard task batch every few
-# hundred events, and paying a fresh process spawn per defragmentation
-# pass would eat the parallel win whole.  One pool per worker count is
-# kept; shutdown happens at interpreter exit or explicitly.
-_shared_pool: Optional[ProcessPoolExecutor] = None
-_shared_pool_workers: int = 0
-
-
-def shutdown_shared_pool() -> None:
-    """Shut down the pool kept by ``parallel_map(reuse_pool=True)``.
-
-    Idempotent, and safe on a pool whose workers already died (a broken
-    pool's ``shutdown`` may raise while reaping its processes): the
-    module-level reference is dropped *before* the shutdown call, so the
-    pool is never shut down twice and a failed shutdown still leaves the
-    module ready to start a fresh pool.  Registered with :mod:`atexit`
-    at import time so long-lived callers (services, REPLs) do not leak
-    worker processes past interpreter exit.
-    """
-    global _shared_pool, _shared_pool_workers
-    pool, _shared_pool, _shared_pool_workers = _shared_pool, None, 0
-    if pool is not None:
-        try:
-            pool.shutdown()
-        except Exception:       # pragma: no cover - depends on kill timing
-            pass                # broken pool: workers are already gone
-
-
-# One registration, unconditionally at import: the previous scheme
-# registered inside _get_shared_pool on first creation, which leaked the
-# pool created *after* an explicit shutdown_shared_pool() + re-fan-out
-# cycle re-registered the hook a second time.
-atexit.register(shutdown_shared_pool)
-
-
-def _get_shared_pool(workers: int) -> ProcessPoolExecutor:
-    global _shared_pool, _shared_pool_workers
-    if _shared_pool is None or _shared_pool_workers != workers:
-        shutdown_shared_pool()
-        _shared_pool = ProcessPoolExecutor(max_workers=workers)
-        _shared_pool_workers = workers
-    return _shared_pool
 
 
 def default_workers() -> int:
@@ -110,8 +64,7 @@ def _run_chunk(func: Callable[..., R], chunk: List) -> List[R]:
 def parallel_map(func: Callable[..., R], tasks: Iterable,
                  workers: Optional[int] = None,
                  chunk_size: Optional[int] = None,
-                 sequential_threshold: int = 8,
-                 reuse_pool: bool = False) -> List[R]:
+                 sequential_threshold: int = 8) -> List[R]:
     """Apply ``func`` to every task, optionally across processes.
 
     Parameters
@@ -130,16 +83,6 @@ def parallel_map(func: Callable[..., R], tasks: Iterable,
     chunk_size:
         Number of tasks per inter-process work unit; defaults to an even
         split across workers.
-    reuse_pool:
-        Keep the process pool alive between calls (one shared pool per
-        worker count, shut down at interpreter exit or via
-        :func:`shutdown_shared_pool`).  For callers that fan out
-        repeatedly — the sharded engine runs a per-shard task batch per
-        defragmentation pass — this amortises the pool start-up across
-        calls instead of paying it every time.  Results are identical
-        either way; only picklable *pure* tasks should use it (workers
-        are long-lived, so task functions must not rely on process-local
-        state).
 
     Returns
     -------
@@ -161,25 +104,16 @@ def parallel_map(func: Callable[..., R], tasks: Iterable,
 
     results: List[R] = []
     try:
-        if reuse_pool:
-            pool = _get_shared_pool(workers)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             for piece in pool.map(_run_chunk_star,
                                   [(func, c) for c in chunks]):
                 results.extend(piece)
-        else:
-            with ProcessPoolExecutor(max_workers=workers) as pool:
-                for piece in pool.map(_run_chunk_star,
-                                      [(func, c) for c in chunks]):
-                    results.extend(piece)
     except (OSError, PermissionError, NotImplementedError,
             BrokenProcessPool):         # pragma: no cover - platform-dependent
         # Pool unavailable (sandbox, missing /dev/shm, spawn failure) or it
         # broke mid-run: recompute everything serially.  Exceptions raised
         # by ``func`` itself are NOT caught here — the serial re-run would
-        # re-raise them anyway, and they must surface either way.  A broken
-        # shared pool is discarded so the next reuse starts clean.
-        if reuse_pool:
-            shutdown_shared_pool()
+        # re-raise them anyway, and they must surface either way.
         return _run_chunk(func, task_list)
     return results
 

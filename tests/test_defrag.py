@@ -30,7 +30,6 @@ from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_dag
 from repro.online import (
     ARRIVAL,
-    BatchTransaction,
     DefragPass,
     Event,
     OnlineEngine,
@@ -228,19 +227,6 @@ class TestBatchAdmission:
         conflict, assigner = _engine()
         with pytest.raises(ValueError):
             admit_batch(conflict, assigner, [["a", "b"]], policy="optimal")
-        with pytest.raises(ValueError):
-            BatchTransaction(conflict, assigner, policy="optimal")
-
-    def test_batch_transaction_front_end(self):
-        conflict, assigner = _engine(wavelengths=2)
-        batcher = BatchTransaction(conflict, assigner, policy="greedy")
-        assert batcher.policy == "greedy"
-        result = batcher.admit([["a", "b"], ["a", "b"], ["a", "b"]])
-        assert len(result.admitted) == 2 and result.blocked == [2]
-        # per-call override
-        strict = batcher.admit([["c", "d"], ["c", "d"], ["c", "d"]],
-                               policy="all_or_nothing")
-        assert not strict.committed and strict.admitted == []
 
     def test_simulate_online_timestamp_batching(self):
         # two arrivals at t=0 fight for one arc under W=1: one-by-one

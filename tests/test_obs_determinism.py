@@ -4,7 +4,7 @@ Instrumentation must be *observation-only*: attaching a tracer, a
 profiler or a shared registry to the online engine may not change a
 single decision, and the deterministic section of the metrics snapshot
 must be a pure function of the decisions — identical across equivalent
-code paths (traced vs untraced, serial vs parallel shard fan-out) and
+code paths (traced vs untraced, sharded vs unsharded) and
 byte-identical across repeats of the same seed.  This file pins that
 contract:
 
@@ -135,21 +135,7 @@ class TestSnapshotByteIdentity:
         assert first == json.dumps(traced.metrics, sort_keys=True,
                                    separators=(",", ":"))
 
-    def test_serial_vs_parallel_shard_workers_identical(self):
-        graph, trace = _workload(13)
-        kwargs = dict(wavelengths=12, sharded=True, policy="first_fit")
-        serial = simulate_online(graph, trace, shard_workers=1, **kwargs)
-        parallel = simulate_online(graph, trace, shard_workers=2, **kwargs)
-        assert _decisions(serial) == _decisions(parallel)
-        # same code path (sharded) either way: the *full* snapshot,
-        # diagnostics included, must match across worker counts
-        assert json.dumps(serial.metrics, sort_keys=True) == \
-            json.dumps(parallel.metrics, sort_keys=True)
-
     def test_unsharded_vs_sharded_deterministic_sections_match(self):
-        # no defrag here: serial defrag ranks moves by a global
-        # objective while the sharded pass works component-local, so
-        # decisions (legitimately) diverge once a pass runs
         graph, trace = _workload(17)
         plain = simulate_online(graph, trace, wavelengths=12)
         sharded = simulate_online(graph, trace, wavelengths=12,

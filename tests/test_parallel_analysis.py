@@ -14,13 +14,11 @@ from repro.analysis.experiments import (
 )
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_internal_cycle_free_dag
-from repro.parallel import executor as executor_module
 from repro.parallel.executor import (
     chunked,
     default_workers,
     in_worker_process,
     parallel_map,
-    shutdown_shared_pool,
 )
 from repro.parallel.sweep import Sweep, run_sweep
 
@@ -59,53 +57,6 @@ class TestExecutor:
 
     def test_parallel_map_sequential(self):
         assert parallel_map(square, [1, 2, 3], workers=1) == [1, 4, 9]
-
-    def test_reused_pool_results_and_lifecycle(self):
-        """reuse_pool=True keeps one pool across calls, same results."""
-        shutdown_shared_pool()
-        tasks = list(range(12))
-        try:
-            first = parallel_map(square, tasks, workers=2,
-                                 sequential_threshold=0, reuse_pool=True)
-            pool = executor_module._shared_pool
-            second = parallel_map(square, tasks, workers=2,
-                                  sequential_threshold=0, reuse_pool=True)
-            assert first == second == [x * x for x in tasks]
-            if pool is not None:        # pool path taken (not a fallback)
-                assert executor_module._shared_pool is pool
-            resized = parallel_map(square, tasks, workers=3,
-                                   sequential_threshold=0, reuse_pool=True)
-            assert resized == first
-        finally:
-            shutdown_shared_pool()
-        assert executor_module._shared_pool is None
-
-    def test_shutdown_shared_pool_idempotent(self):
-        """Repeated shutdowns (and shutdown with no pool) are no-ops."""
-        shutdown_shared_pool()
-        shutdown_shared_pool()          # second call: nothing to reap
-        assert executor_module._shared_pool is None
-        assert executor_module._shared_pool_workers == 0
-
-    def test_shutdown_shared_pool_survives_broken_pool(self):
-        """A pool whose shutdown raises still leaves the module clean."""
-        class BrokenPool:
-            def shutdown(self, *a, **k):
-                raise OSError("workers already reaped")
-
-        executor_module._shared_pool = BrokenPool()
-        executor_module._shared_pool_workers = 2
-        shutdown_shared_pool()          # must swallow the OSError
-        assert executor_module._shared_pool is None
-        assert executor_module._shared_pool_workers == 0
-        # and the module is ready to start a fresh pool afterwards
-        tasks = list(range(12))
-        try:
-            assert parallel_map(square, tasks, workers=2,
-                                sequential_threshold=0, reuse_pool=True) \
-                == [x * x for x in tasks]
-        finally:
-            shutdown_shared_pool()
 
     def test_parallel_map_tuple_args(self):
         assert parallel_map(add, [(1, 2), (3, 4)], workers=1) == [3, 7]

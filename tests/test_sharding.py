@@ -3,15 +3,14 @@
 Covers the shard tracker (merge on arrival, lazy split-check on
 departure, rebuild fallback, counters), the compact shard views, the
 lazy-adjacency :class:`~repro.conflict.ShardedConflictGraph`, the
-per-fibre :class:`~repro.online.ArcColorIndex`, the shard-scoped and
-shard-parallel engine paths, the multi-region generators and the
+per-fibre :class:`~repro.online.ArcColorIndex`, the shard-scoped defrag
+and in-transaction batch paths, the multi-region generators and the
 topology-versioned route caches.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import asdict
 
 import pytest
 
@@ -38,7 +37,6 @@ from repro.online import (
     churn_trace,
 )
 from repro.online.routing import KShortestRouter, StaticRouter
-from repro.online.sharding import PARALLEL_SAFE_POLICY
 
 
 def _both_classes():
@@ -147,7 +145,7 @@ def test_stale_join_stamp_cannot_suppress_a_real_split():
         sorted(len(c) for c in g.connected_components())
 
 
-def test_batch_workers_falls_back_inside_open_transaction():
+def test_admit_batch_inside_open_transaction_rolls_back():
     engine = _three_region_engine(events=40)
     from repro.online.events import ARRIVAL, Event
     from repro.online.transaction import WhatIfTransaction
@@ -156,11 +154,10 @@ def test_batch_workers_falls_back_inside_open_transaction():
     events = [Event(0.0, ARRIVAL, 9000, dipath=path),
               Event(0.0, ARRIVAL, 9001, dipath=path)]
     with WhatIfTransaction(engine.conflict, engine.assigner):
-        # the sharded fast path must defer to the (correctly nesting)
-        # serial path while a transaction is open: leaving the block
+        # the burst nests inside the open transaction: leaving the block
         # rolls everything back without stranding coloured members
         before = len(engine.family)
-        engine.admit_batch(events, policy="greedy", workers=2)
+        engine.admit_batch(events, policy="greedy")
     assert len(engine.family) == before
     for idx in engine.family.active_indices():
         engine.assigner.color_of(idx)          # everyone still coloured
@@ -364,72 +361,6 @@ def test_defrag_restricted_to_one_shard_leaves_others_untouched():
         assert engine.family[i] == routes[i]
     with pytest.raises(ValueError):
         engine.defrag(shard=-5)
-
-
-def _engine_state(engine):
-    return (dict(engine.assigner.coloring),
-            {i: tuple(engine.family[i].vertices)
-             for i in engine.family.active_indices()},
-            engine.assigner.usage(),
-            engine.assigner.kempe_repairs,
-            engine.defrag_moves)
-
-
-def test_defrag_sharded_serial_equals_parallel():
-    serial = _three_region_engine()
-    parallel = _three_region_engine()
-    r1 = serial.defrag_sharded(workers=1)
-    r2 = parallel.defrag_sharded(workers=2)
-    assert _engine_state(serial) == _engine_state(parallel)
-    assert len(r1.moves) == len(r2.moves)
-    assert [asdict_move(m) for m in r1.moves] == \
-        [asdict_move(m) for m in r2.moves]
-
-
-def asdict_move(move):
-    return (move.index, move.old_color, move.new_color,
-            tuple(move.old_route.vertices), tuple(move.new_route.vertices))
-
-
-def test_defrag_sharded_max_moves_bounds_the_whole_pass():
-    unbounded = _three_region_engine()
-    total = len(unbounded.defrag_sharded(workers=1).moves)
-    if total < 2:
-        pytest.skip("scenario produced too few moves to bound")
-    budget = total - 1
-    for workers in (1, 2):
-        engine = _three_region_engine()
-        report = engine.defrag_sharded(max_moves=budget, workers=workers)
-        assert len(report.moves) == budget
-        assert report.budget_exhausted
-
-
-def test_defrag_sharded_requires_first_fit():
-    graph = multi_region_topology(regions=2, region_size=10, coupling=1,
-                                  seed=2)
-    engine = OnlineEngine(graph, 4, policy="least_used", sharded=True)
-    with pytest.raises(ValueError):
-        engine.defrag_sharded()
-    assert PARALLEL_SAFE_POLICY == "first_fit"
-
-
-def test_admit_batch_workers_matches_serial_batch():
-    graph = multi_region_topology(regions=3, region_size=14, coupling=1,
-                                  seed=8)
-    pool = random_walk_family(graph, 60, seed=12, min_length=2)
-    dipaths = list(pool)[:12]
-    for policy in ("all_or_nothing", "best_prefix", "greedy"):
-        results = []
-        for workers in (None, 1, 2):
-            engine = OnlineEngine(graph, 3, sharded=True)
-            from repro.online.events import ARRIVAL, Event
-            events = [Event(0.0, ARRIVAL, rid, dipath=d)
-                      for rid, d in enumerate(dipaths)]
-            reasons = engine.admit_batch(events, policy=policy,
-                                         workers=workers)
-            results.append((reasons, dict(engine.assigner.coloring),
-                            sorted(engine.vertex_of.items())))
-        assert results[0] == results[1] == results[2], policy
 
 
 # ---------------------------------------------------------------------- #
