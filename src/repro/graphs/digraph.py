@@ -13,7 +13,9 @@ algorithms never require networkx.
 
 from __future__ import annotations
 
-from typing import Any, Dict, Iterable, Iterator, Set, Tuple
+from collections import deque
+from itertools import islice
+from typing import Any, Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import (
     ArcNotFoundError,
@@ -24,6 +26,9 @@ from ..exceptions import (
 from .._typing import Arc, ArcIterable, Vertex
 
 __all__ = ["DiGraph"]
+
+#: How many arc changes :meth:`DiGraph.arc_changes_since` can look back.
+ARC_LOG_SIZE = 64
 
 
 class DiGraph:
@@ -46,7 +51,8 @@ class DiGraph:
     2
     """
 
-    __slots__ = ("_succ", "_pred", "_num_arcs", "_version", "_topo_index")
+    __slots__ = ("_succ", "_pred", "_num_arcs", "_version", "_topo_index",
+                 "_arc_log")
 
     def __init__(self, arcs: ArcIterable | None = None,
                  vertices: Iterable[Vertex] | None = None) -> None:
@@ -55,6 +61,7 @@ class DiGraph:
         self._num_arcs: int = 0
         self._version: int = 0
         self._topo_index: Any = None
+        self._arc_log: deque = deque(maxlen=ARC_LOG_SIZE)
         if vertices is not None:
             for v in vertices:
                 self.add_vertex(v)
@@ -99,7 +106,7 @@ class DiGraph:
         self._pred[v].add(u)
         self._num_arcs += 1
         self._version += 1
-        self._topo_index = None
+        self._arc_log.append((True, u, v))
 
     def add_arcs(self, arcs: ArcIterable) -> None:
         """Add every arc of ``arcs`` (duplicates are ignored)."""
@@ -120,7 +127,7 @@ class DiGraph:
         self._pred[v].discard(u)
         self._num_arcs -= 1
         self._version += 1
-        self._topo_index = None
+        self._arc_log.append((False, u, v))
 
     def remove_vertex(self, v: Vertex) -> None:
         """Remove vertex ``v`` together with all incident arcs."""
@@ -133,6 +140,9 @@ class DiGraph:
         del self._succ[v]
         del self._pred[v]
         self._topo_index = None
+        # a vertex change is not an arc change: callers that read the log
+        # must start over rather than patch across it
+        self._arc_log.clear()
 
     # ------------------------------------------------------------------ #
     # queries
@@ -142,17 +152,37 @@ class DiGraph:
         """Monotone arc-structure stamp, bumped on every arc add/remove.
 
         Route caches key their validity on this: a cached dipath (or
-        candidate list) computed at version ``k`` is stale iff
-        ``graph.version != k``.  Vertex-only additions do not bump it —
-        an isolated vertex cannot create or destroy a dipath.
+        candidate list) computed at version ``k`` may be stale iff
+        ``graph.version != k``, and :meth:`arc_changes_since` names the
+        arcs that changed in between.  Vertex-only additions do not bump
+        it — an isolated vertex cannot create or destroy a dipath.
 
-        The topology index of :mod:`repro.graphs.traversal` (the memoised
-        topological order, vertex positions and per-target co-reachable
-        sets) is the second cache that follows graph mutations.  Unlike
-        the version it is also reset by vertex-only changes, because a
-        new or removed vertex changes the order itself.
+        The topology index of :mod:`repro.graphs.traversal` (a topological
+        order, vertex ranks, rank-sorted predecessor lists and per-target
+        ancestor maps) is the second cache that follows graph mutations.
+        On its next read it replays the arc changes since its own version,
+        dropping only the entries each arc can affect; an added arc that
+        might close a cycle rebuilds it, and every vertex change resets
+        it at once, because a vertex change moves the ranks.
         """
         return self._version
+
+    def arc_changes_since(self, version: int
+                          ) -> Optional[List[Tuple[bool, Vertex, Vertex]]]:
+        """The arc changes that took the graph from ``version`` to now.
+
+        Returns ``(added, tail, head)`` triples, oldest first (``added`` is
+        false for a removal), the empty list when ``version`` is current,
+        and ``None`` when the log cannot account for the gap: more than
+        :data:`ARC_LOG_SIZE` changes ago, a vertex removed since, a version
+        from another graph or from the future.  A caller holding state
+        derived at ``version`` must then rebuild it from scratch.
+        """
+        gap = self._version - version
+        log = self._arc_log
+        if gap < 0 or gap > len(log):
+            return None
+        return list(islice(log, len(log) - gap, None))
 
     def has_vertex(self, v: Vertex) -> bool:
         """Return whether ``v`` is a vertex of the graph."""
@@ -253,6 +283,7 @@ class DiGraph:
         g._num_arcs = self._num_arcs
         g._version = self._version
         g._topo_index = None
+        g._arc_log = deque(maxlen=ARC_LOG_SIZE)
         return g
 
     def subgraph(self, vertices: Iterable[Vertex]) -> "DiGraph":
@@ -312,8 +343,9 @@ class DiGraph:
         return self.vertices()
 
     def __getstate__(self) -> Tuple[None, Dict[str, Any]]:
-        # The default slot state minus the topology index: a pickled graph
-        # (e.g. sent to a process-pool worker) arrives with a cold index.
+        # The default slot state minus the topology index and the change
+        # log: a pickled graph (e.g. sent to a process-pool worker) arrives
+        # with a cold index and an empty log, like a copy.
         return None, {"_succ": self._succ, "_pred": self._pred,
                       "_num_arcs": self._num_arcs, "_version": self._version}
 
@@ -321,6 +353,7 @@ class DiGraph:
         for name, value in state[1].items():
             setattr(self, name, value)
         self._topo_index = None
+        self._arc_log = deque(maxlen=ARC_LOG_SIZE)
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, DiGraph):

@@ -9,6 +9,7 @@ enumeration/counting.  All functions accept any :class:`~repro.graphs.digraph.Di
 from __future__ import annotations
 
 from collections import deque
+from itertools import islice
 from typing import Dict, Iterable, List, Optional, Set
 
 from ..exceptions import NotADAGError, VertexNotFoundError
@@ -34,31 +35,67 @@ __all__ = [
 
 
 class _TopoIndex:
-    """Per-graph-state facts the DAG queries reuse between calls.
+    """Facts about an acyclic graph that the DAG queries reuse between calls.
 
-    Holds the Kahn order, each vertex's position in it and, filled on
-    demand per target, the :func:`co_reachable_to` sets.  It lives in the
-    graph's ``_topo_index`` slot; every :class:`DiGraph` mutator resets
-    that slot, so an index is only ever read at the graph state it was
-    built from.
+    It lives in the graph's ``_topo_index`` slot and only ever exists for
+    an acyclic graph.  It holds:
+
+    * ``pos`` — each vertex's position in a topological order: Kahn's
+      order when the index was built, which stays *a* topological order
+      across the arc changes the index absorbs;
+    * ``kahn`` — Kahn's order of the current arc set (what
+      :func:`topological_order` returns), ``None`` after an arc change
+      until it is asked for again;
+    * ``rank`` — each vertex's position in ``graph.vertices()``, the
+      insertion order that breaks :func:`k_shortest_dipaths` ties;
+    * ``preds`` — per vertex, filled on demand, its predecessors sorted
+      by rank;
+    * ``ancestors`` — per target, filled on demand, the vertices that
+      reach it, target included, each mapped to its position in a
+      topological order of them; the map iterates in that order (target
+      last).  Every vertex of a cached ancestor map has its ``preds``
+      entry;
+    * ``version`` — the graph version the index describes.
+
+    When the graph's version has moved, :func:`_topo_index` replays the
+    arc changes since ``version`` (:meth:`DiGraph.arc_changes_since`)
+    through :meth:`arc_changed`, which drops only what each arc can
+    affect.  Vertex changes reset the slot.
     """
 
-    __slots__ = ("order", "pos", "co_reach")
+    __slots__ = ("pos", "kahn", "rank", "preds", "ancestors", "version")
 
-    def __init__(self, order: List[Vertex]) -> None:
-        self.order = order
+    def __init__(self, graph: DiGraph, order: List[Vertex]) -> None:
+        self.version = graph.version
         self.pos: Dict[Vertex, int] = {v: i for i, v in enumerate(order)}
-        self.co_reach: Dict[Vertex, Set[Vertex]] = {}
+        self.kahn: Optional[List[Vertex]] = order
+        self.rank: Dict[Vertex, int] = {
+            v: i for i, v in enumerate(graph.vertices())}
+        self.preds: Dict[Vertex, List[Vertex]] = {}
+        self.ancestors: Dict[Vertex, Dict[Vertex, int]] = {}
+
+    def arc_changed(self, added: bool, u: Vertex, v: Vertex) -> bool:
+        """Absorb the arc ``(u, v)`` added or removed since ``version``
+        (arguments as in a :meth:`DiGraph.arc_changes_since` entry).
+
+        Returns ``False`` when the index must be reset instead: an added
+        arc against ``pos`` might close a cycle.  Otherwise ``v``'s
+        predecessor list and the ancestor maps of the targets ``v``
+        reaches (exactly the maps holding ``v``) are dropped; nothing
+        else can change.
+        """
+        if added and self.pos[u] > self.pos[v]:
+            return False
+        self.kahn = None
+        self.preds.pop(v, None)
+        ancestors = self.ancestors
+        for target in [t for t, anc in ancestors.items() if v in anc]:
+            del ancestors[target]
+        return True
 
 
-def _topo_index(graph: DiGraph) -> _TopoIndex:
-    """The graph's topology index, built by Kahn's algorithm on first use.
-
-    Raises :class:`NotADAGError` (and caches nothing) on a directed cycle.
-    """
-    index = graph._topo_index
-    if index is not None:
-        return index
+def _kahn(graph: DiGraph) -> Optional[List[Vertex]]:
+    """Kahn's topological order of ``graph``; ``None`` on a directed cycle."""
     indeg: Dict[Vertex, int] = {v: graph.in_degree(v) for v in graph.vertices()}
     queue = deque(v for v, d in indeg.items() if d == 0)
     order: List[Vertex] = []
@@ -69,17 +106,74 @@ def _topo_index(graph: DiGraph) -> _TopoIndex:
             indeg[w] -= 1
             if indeg[w] == 0:
                 queue.append(w)
-    if len(order) != graph.num_vertices:
-        cycle = find_directed_cycle(graph)
-        raise NotADAGError(cycle=cycle)
-    index = graph._topo_index = _TopoIndex(order)
+    return order if len(order) == graph.num_vertices else None
+
+
+def _topo_index(graph: DiGraph) -> _TopoIndex:
+    """The graph's topology index, brought up to date with the graph's arc
+    changes, or built by Kahn's algorithm when it cannot be.
+
+    Raises :class:`NotADAGError` (and caches nothing) on a directed cycle.
+    """
+    index = graph._topo_index
+    if index is not None:
+        if index.version == graph.version:
+            return index
+        changes = graph.arc_changes_since(index.version)
+        if changes is not None and all(index.arc_changed(*change)
+                                       for change in changes):
+            index.version = graph.version
+            return index
+        graph._topo_index = None
+    order = _kahn(graph)
+    if order is None:
+        raise NotADAGError(cycle=find_directed_cycle(graph))
+    index = graph._topo_index = _TopoIndex(graph, order)
     return index
+
+
+def _preds(graph: DiGraph, index: _TopoIndex, v: Vertex) -> List[Vertex]:
+    """``v``'s predecessors sorted by rank, memoised on the index."""
+    preds = index.preds.get(v)
+    if preds is None:
+        preds = index.preds[v] = sorted(graph.predecessors(v),
+                                        key=index.rank.__getitem__)
+    return preds
+
+
+def _ancestors(graph: DiGraph, index: _TopoIndex, target: Vertex
+               ) -> Dict[Vertex, int]:
+    """The vertices reaching ``target`` (itself included), each mapped to
+    its position in a topological order ending at ``target``; memoised on
+    the index.
+
+    A DFS over predecessors emits each vertex after all of its own
+    ancestors (post-order), which is a topological order of the ancestors.
+    """
+    anc = index.ancestors.get(target)
+    if anc is not None:
+        return anc
+    anc = {}
+    seen = {target}
+    stack = [(target, iter(_preds(graph, index, target)))]
+    while stack:
+        v, preds = stack[-1]
+        for p in preds:
+            if p not in seen:
+                seen.add(p)
+                stack.append((p, iter(_preds(graph, index, p))))
+                break
+        else:
+            stack.pop()
+            anc[v] = len(anc)
+    index.ancestors[target] = anc
+    return anc
 
 
 def topological_order(graph: DiGraph) -> List[Vertex]:
     """Return a topological ordering of ``graph`` (Kahn's algorithm).
 
-    The order is computed once per graph state and memoised on the graph;
+    The order is computed once per arc set and memoised on the graph;
     each call returns a fresh list.
 
     Raises
@@ -88,7 +182,11 @@ def topological_order(graph: DiGraph) -> List[Vertex]:
         If the digraph contains a directed cycle; the exception carries a
         witness cycle.
     """
-    return list(_topo_index(graph).order)
+    index = _topo_index(graph)
+    if index.kahn is None:
+        # the index exists, so the graph is acyclic and Kahn completes
+        index.kahn = _kahn(graph)
+    return list(index.kahn)  # type: ignore[arg-type]
 
 
 def is_acyclic(graph: DiGraph) -> bool:
@@ -248,15 +346,15 @@ def count_dipaths(graph: DiGraph, source: Vertex, target: Vertex) -> int:
     if source == target:
         return 0
     index = _topo_index(graph)
-    pos = index.pos
-    if pos[source] > pos[target]:
+    anc = _ancestors(graph, index, target)
+    start = anc.get(source)
+    if start is None:
         return 0
-    count: Dict[Vertex, int] = {target: 1}
-    for v in reversed(index.order[pos[source]:pos[target] + 1]):
-        if v == target:
-            continue
-        count[v] = sum(count.get(w, 0) for w in graph.successors(v))
-    return count.get(source, 0)
+    preds = index.preds
+    count: Dict[Vertex, int] = {source: 1}
+    for v in islice(anc, start + 1, None):
+        count[v] = sum(count.get(p, 0) for p in preds[v])
+    return count[target]
 
 
 def enumerate_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
@@ -330,18 +428,22 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
                        k: int) -> List[List[Vertex]]:
     """The ``k`` shortest (fewest arcs) dipaths of a DAG, shortest first.
 
-    Computed by a dynamic program over a topological order: each vertex
-    keeps its (up to) ``k`` shortest partial dipaths from ``source``, and a
-    vertex's bucket is final by the time the order reaches it.  Only the
-    slice of the order from ``source`` to ``target`` can hold a partial
-    dipath that ends at ``target``, so only that slice is scanned.  Ties
-    are broken stably by discovery order, which follows the graph's
-    successor-set iteration order: the result is deterministic for a given
-    graph layout, not across layouts (see the ROADMAP item
-    "Hash-order-free determinism").  The order, the positions and the set
-    of vertices that reach ``target`` are memoised on the graph per graph
-    state.  Returns fewer than ``k`` paths when the DAG has fewer; the
-    empty list when ``target`` is unreachable.
+    Dipaths of equal length are ordered by the *rank* of the vertex before
+    ``target`` on them, then of the vertex before that, and so on back to
+    ``source``; a vertex's rank is its position in ``graph.vertices()``
+    (insertion order).  The answer is therefore a function of the arc set
+    and the vertex insertion order alone: it does not depend on the
+    successor-set layout, on ``PYTHONHASHSEED`` or on the mutation
+    history that produced the graph.
+
+    Computed by a pull dynamic program over the ancestors of ``target`` in
+    a topological order: each vertex takes its predecessors in rank order,
+    extends their (up to) ``k`` best partial dipaths from ``source`` by
+    itself and stable-sorts the result by length.  The rank-sorted
+    predecessor lists and the ancestor lists are memoised on the graph and
+    survive the arc changes that cannot affect them.  Returns fewer than
+    ``k`` paths when the DAG has fewer; the empty list when ``target`` is
+    unreachable.
 
     Raises
     ------
@@ -363,24 +465,28 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
         if source not in co_reachable_to(graph, target):
             return []
         raise
-    useful = index.co_reach.get(target)
-    if useful is None:
-        useful = index.co_reach[target] = co_reachable_to(graph, target)
-    if source not in useful:
+    anc = _ancestors(graph, index, target)
+    start = anc.get(source)
+    if start is None:
         return []
-    pos = index.pos
+    preds = index.preds
     buckets: Dict[Vertex, List[List[Vertex]]] = {source: [[source]]}
-    for v in index.order[pos[source]:pos[target] + 1]:
-        bucket = buckets.get(v)
-        if not bucket:
-            continue
-        bucket.sort(key=len)        # stable: discovery order breaks ties
-        del bucket[k:]
-        if v == target:
-            continue
-        for w in graph.successors(v):
-            if w in useful:
-                buckets.setdefault(w, []).extend(p + [w] for p in bucket)
+    for v in islice(anc, start + 1, None):
+        bucket: Optional[List[List[Vertex]]] = None
+        merged = False
+        for p in preds[v]:
+            paths = buckets.get(p)
+            if paths:
+                if bucket is None:
+                    bucket = [path + [v] for path in paths]
+                else:
+                    bucket.extend(path + [v] for path in paths)
+                    merged = True
+        if bucket is not None:
+            if merged:
+                bucket.sort(key=len)    # stable: predecessor rank breaks ties
+                del bucket[k:]
+            buckets[v] = bucket
     return buckets.get(target, [])
 
 

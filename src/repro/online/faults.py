@@ -239,7 +239,7 @@ class FaultInjector(Instrumented):
             engine.depart(rid)
             report.stranded.append(rid)
         self._m_stranded.inc(len(report.stranded))
-        engine.graph.remove_arc(*arc)   # version bump drops router caches
+        engine.graph.remove_arc(*arc)   # routers drop pairs routed over it
         self._cut[arc] = True
         if self.restoration:
             self._restore(report, self.retries)
@@ -263,7 +263,7 @@ class FaultInjector(Instrumented):
     def _do_repair(self, arc: Arc) -> FaultReport:
         self._m_repairs.inc()
         del self._cut[arc]
-        self.engine.graph.add_arc(*arc)  # version bump drops router caches
+        self.engine.graph.add_arc(*arc)  # routers drop pairs it can reroute
         report = FaultReport(kind="repair", arc=arc)
         # repair always retries: in the restoration=False baseline this
         # is the only path that brings a stranded lightpath back (without

@@ -12,9 +12,11 @@ congested its fibres were.  This module closes the gap with pluggable
   ``(max arc load, total load, hops)`` against the live loads, i.e. the
   online counterpart of :func:`repro.dipaths.routing.route_min_load`;
 * ``k_shortest``        — the ``k`` shortest dipaths per pair are computed
-  once (:func:`repro.graphs.traversal.k_shortest_dipaths`) and the arrival
-  picks the candidate with the lowest live load cost *before* admission;
-  the candidate list also feeds speculative what-if admission
+  once (:func:`repro.graphs.traversal.k_shortest_dipaths`, a function of
+  the arc set and the vertex insertion order only) and kept across fibre
+  cuts and repairs that cannot change them; the arrival picks the
+  candidate with the lowest live load cost *before* admission; the
+  candidate list also feeds speculative what-if admission
   (:func:`repro.online.transaction.admit_best`), which ranks it by the
   cost *after* admission (see :func:`live_load_cost`);
 * ``widest``            — maximum-bottleneck routing: the dipath maximising
@@ -29,7 +31,7 @@ the simulator records that arrival as blocked with reason ``no_route``
 from __future__ import annotations
 
 import heapq
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Set, Tuple
 
 from .._typing import Arc, Vertex
 from ..dipaths.dipath import Dipath
@@ -39,8 +41,10 @@ from ..dipaths.routing import min_load_dipath
 from ..exceptions import RoutingError
 from ..graphs.digraph import DiGraph
 from ..graphs.traversal import (
+    co_reachable_to,
     enumerate_dipaths,
     k_shortest_dipaths,
+    reachable_from,
     shortest_dipath,
 )
 
@@ -199,14 +203,20 @@ class LeastLoadedRouter(OnlineRouter):
 class KShortestRouter(OnlineRouter):
     """Pick the least-loaded of the ``k`` shortest dipaths per pair.
 
-    The candidate dipaths are a static property of the topology, so they
+    The candidate dipaths are a function of the topology alone, so they
     are computed once per endpoint pair
     (:func:`~repro.graphs.traversal.k_shortest_dipaths`, shortest first)
-    and cached *against the graph's arc-structure version*: an arc added
-    or removed under a live engine drops the whole candidate cache, so no
-    stale (or newly suboptimal) route survives a topology change.  Only
-    the *choice* among the candidates consults the live load.  The cached
-    list is also what speculative what-if admission iterates over.
+    and cached.  When the graph's arc-structure version moves, the router
+    reads the arcs that changed (:meth:`DiGraph.arc_changes_since`) and
+    drops only the pairs a change can affect: for a removed arc, the pairs
+    whose cached list uses it (looked up in an arc → pairs index built on
+    the first removal, so a fault-free run never pays for it); for an
+    added arc ``(u, v)``, the pairs ``(s, t)`` with ``s`` reaching ``u``
+    and ``v`` reaching ``t``.  When the log cannot cover the gap the whole
+    cache is dropped.  Every answer equals a fresh
+    :func:`k_shortest_dipaths` on the current graph.  Only the *choice*
+    among the candidates consults the live load.  The cached list is
+    also what speculative what-if admission iterates over.
     """
 
     name = "k_shortest"
@@ -220,6 +230,8 @@ class KShortestRouter(OnlineRouter):
         self._k = k
         self._cache: Dict[Tuple[Vertex, Vertex], List[Dipath]] = {}
         self._cache_version = graph.version
+        # arc -> cached pairs whose list uses it; None until first needed
+        self._by_arc: Optional[Dict[Arc, Set[Tuple[Vertex, Vertex]]]] = None
 
     @property
     def k(self) -> int:
@@ -228,15 +240,49 @@ class KShortestRouter(OnlineRouter):
 
     def candidates(self, request: Request) -> List[Dipath]:
         if self._graph.version != self._cache_version:
-            self._cache.clear()
-            self._cache_version = self._graph.version
+            self._sync()
         key = (request.source, request.target)
         cands = self._cache.get(key)
         if cands is None:
             paths = k_shortest_dipaths(self._graph, key[0], key[1], self._k)
             cands = [Dipath(p) for p in paths if len(p) >= 2]
             self._cache[key] = cands
+            if self._by_arc is not None:
+                _index_pair(self._by_arc, key, cands)
         return cands
+
+    def _sync(self) -> None:
+        """Drop the cached pairs the arc changes since the cache's version
+        can affect (everything when the graph's log cannot tell)."""
+        graph, cache = self._graph, self._cache
+        changes = graph.arc_changes_since(self._cache_version)
+        self._cache_version = graph.version
+        if changes is None:
+            cache.clear()
+            self._by_arc = None
+            return
+        # Each change is judged against the current graph, which can only
+        # over-drop: a pair is kept only if no change can alter its list.
+        stale: Set[Tuple[Vertex, Vertex]] = set()
+        for added, u, v in changes:
+            if added:
+                reach_tail = co_reachable_to(graph, u)
+                from_head = reachable_from(graph, v)
+                stale.update(key for key in cache if key[0] in reach_tail
+                             and key[1] in from_head)
+                continue
+            if self._by_arc is None:
+                self._by_arc = {}
+                for key, cands in cache.items():
+                    _index_pair(self._by_arc, key, cands)
+            stale.update(self._by_arc.get((u, v), ()))
+        by_arc = self._by_arc
+        for key in stale:
+            cands = cache.pop(key)
+            if by_arc is not None:
+                for dipath in cands:
+                    for arc in dipath.arc_set:
+                        by_arc[arc].discard(key)
 
     def route(self, request: Request) -> Optional[Dipath]:
         cands = self.candidates(request)
@@ -244,6 +290,18 @@ class KShortestRouter(OnlineRouter):
             return None
         return min(cands,
                    key=lambda dipath: live_load_cost(self._family, dipath))
+
+
+def _index_pair(by_arc: Dict[Arc, Set[Tuple[Vertex, Vertex]]],
+                key: Tuple[Vertex, Vertex], cands: List[Dipath]) -> None:
+    """File the pair ``key`` under every arc its candidates use."""
+    for dipath in cands:
+        for arc in dipath.arc_set:
+            pairs = by_arc.get(arc)
+            if pairs is None:
+                by_arc[arc] = {key}
+            else:
+                pairs.add(key)
 
 
 class WidestRouter(OnlineRouter):

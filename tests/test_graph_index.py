@@ -1,13 +1,16 @@
 """The topology index memoised on a graph (``DiGraph._topo_index``).
 
 :func:`~repro.graphs.traversal.topological_order` and
-:func:`~repro.graphs.traversal.k_shortest_dipaths` reuse one Kahn order,
-its vertex positions and per-target co-reachable sets for as long as the
-graph is not mutated.  These tests pin the index's lifecycle: every
-mutator resets it, a cycle caches nothing, copies and pickles start cold,
-and no module outside ``graphs/digraph.py`` writes adjacency behind the
-mutators' back.  The oracle comparison under random mutation sequences
-lives in ``tests/test_properties_hypothesis.py``.
+:func:`~repro.graphs.traversal.k_shortest_dipaths` reuse one topological
+order, vertex ranks, rank-sorted predecessor lists and per-target
+ancestor maps.  These tests pin the index's lifecycle: its next read
+replays the arc changes since its version (dropping only what each arc
+can affect) unless an added arc might close a cycle, every vertex change
+resets it, a cycle caches nothing,
+copies and pickles start cold, and no module outside
+``graphs/digraph.py`` writes adjacency behind the mutators' back.  The
+oracle comparison under random mutation sequences lives in
+``tests/test_properties_hypothesis.py``.
 """
 
 import ast
@@ -20,10 +23,12 @@ import repro
 from repro.exceptions import NotADAGError
 from repro.generators.random_dags import random_dag
 from repro.graphs.dag import DAG
-from repro.graphs.digraph import DiGraph
+from repro.graphs.digraph import ARC_LOG_SIZE, DiGraph
 from repro.graphs.traversal import (
+    count_dipaths,
     is_acyclic,
     k_shortest_dipaths,
+    reachable_from,
     topological_order,
 )
 
@@ -48,27 +53,74 @@ class TestLifecycle:
         index = warm(g)
         order = topological_order(g)
         order.reverse()                 # callers get a fresh list
-        assert topological_order(g) == index.order
-        assert topological_order(g) is not index.order
+        assert topological_order(g) == index.kahn
+        assert topological_order(g) is not index.kahn
         k_shortest_dipaths(g, 0, 14, 2)
         assert g._topo_index is index
-        assert 14 in index.co_reach
+        assert list(index.ancestors[14])[-1] == 14
+        assert set(index.ancestors[14]) == {
+            v for v in g.vertices() if 14 in reachable_from(g, v)}
 
     @pytest.mark.parametrize("mutate", [
         lambda g: g.add_vertex("fresh"),
-        lambda g: g.add_arc(0, 9),
         lambda g: g.add_arc(0, "fresh"),
-        lambda g: g.remove_arc(*sorted(g.arcs())[0]),
         lambda g: g.remove_vertex(3),
-    ], ids=["add_vertex", "add_arc", "add_arc_new_vertex", "remove_arc",
-            "remove_vertex"])
+    ], ids=["add_vertex", "add_arc_new_vertex", "remove_vertex"])
     def test_every_mutator_resets_the_index(self, mutate):
         g = random_dag(10, 0.3, seed=1)
-        if g.has_arc(0, 9):
-            g.remove_arc(0, 9)
         warm(g)
         mutate(g)
         assert g._topo_index is None
+
+    @pytest.mark.parametrize("change", ["add_arc", "remove_arc"])
+    def test_arc_changes_patch_the_index(self, change):
+        # The next read keeps the index and drops exactly the head's
+        # predecessor list and the ancestor maps of the targets the head
+        # reaches; every answer then equals a cold copy's.
+        g = random_dag(10, 0.3, seed=1)
+        if g.has_arc(0, 9):
+            g.remove_arc(0, 9)
+        arc = (0, 9) if change == "add_arc" else sorted(g.arcs())[0]
+        index = warm(g)
+        all_k_shortest(g)
+        before = dict(index.ancestors)
+        assert arc[1] in index.preds and index.kahn is not None
+        if change == "add_arc":
+            g.add_arc(*arc)
+        else:
+            g.remove_arc(*arc)
+        assert g._topo_index is index and index.version != g.version
+        assert is_acyclic(g)                # a read syncs the index
+        assert g._topo_index is index and index.version == g.version
+        assert arc[1] not in index.preds and index.kahn is None
+        assert {t: anc for t, anc in before.items()
+                if arc[1] not in anc} == index.ancestors
+        cold = g.copy()
+        assert all_k_shortest(g) == all_k_shortest(cold)
+        assert topological_order(g) == topological_order(g.copy())
+        assert all(count_dipaths(g, s, t) == count_dipaths(cold, s, t)
+                   for s in g.vertices() for t in g.vertices())
+
+    def test_an_arc_against_the_order_rebuilds_the_index(self):
+        g = DiGraph(arcs=[("a", "b"), ("b", "c"), ("d", "c")])
+        index = warm(g)
+        assert index.kahn == ["a", "d", "b", "c"]
+        g.add_arc("b", "d")                 # against the order, no cycle
+        assert topological_order(g) == ["a", "b", "d", "c"]
+        assert g._topo_index is not index
+        g.add_arc("c", "a")                 # closes a -> b -> c -> a
+        assert not is_acyclic(g)
+        assert g._topo_index is None
+
+    def test_a_log_gap_rebuilds_the_index(self):
+        g = DiGraph(arcs=[("a", "b"), ("b", "c")])
+        index = warm(g)
+        for _ in range(ARC_LOG_SIZE // 2 + 1):
+            g.remove_arc("a", "b")
+            g.add_arc("a", "b")
+        assert g.arc_changes_since(index.version) is None
+        assert topological_order(g) == ["a", "b", "c"]
+        assert g._topo_index is not index
 
     def test_removing_an_isolated_vertex_resets_without_a_version_bump(self):
         g = DiGraph(arcs=[("a", "b")], vertices=["z"])

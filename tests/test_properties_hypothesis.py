@@ -9,13 +9,16 @@ generated structures:
 * Colouring algorithms always produce proper colourings; the exact solver is
   never beaten by a heuristic.
 * Internal-cycle detection agrees with a brute-force definition check.
-* The topological order and ``k_shortest_dipaths`` memoised on the graph
-  agree with a from-scratch recomputation under any interleaving of
-  mutations, copies and queries.
+* The traversal answers read from the topology index memoised on the
+  graph (and patched across arc changes) equal a cold copy's under any
+  interleaving of mutations, copies, pickles and queries, and
+  ``k_shortest_dipaths`` equals its specification: every dipath, sorted
+  by hops and then by vertex rank read back from the target, first ``k``.
 """
 
 from __future__ import annotations
 
+import pickle
 import random
 from collections import deque
 
@@ -45,6 +48,8 @@ from repro.generators.random_dags import (
 )
 from repro.graphs.dag import DAG
 from repro.graphs.traversal import (
+    count_dipaths,
+    enumerate_dipaths,
     find_directed_cycle,
     is_acyclic,
     k_shortest_dipaths,
@@ -219,7 +224,7 @@ def test_family_replication_scales_load(sequences):
 
 
 # --------------------------------------------------------------------------- #
-# memoised topology index vs the unmemoised implementation
+# memoised topology index vs cold copies and the specification
 # --------------------------------------------------------------------------- #
 def _oracle_topological_order(graph):
     """Kahn's algorithm recomputed from scratch on every call (the
@@ -251,27 +256,19 @@ def _oracle_co_reachable(graph, target):
     return seen
 
 
-def _oracle_k_shortest(graph, source, target, k):
-    """The full-order dynamic program, re-sorting the graph per call."""
+def _spec_k_shortest(graph, source, target, k):
+    """``k_shortest_dipaths`` as documented, by brute force: every dipath,
+    sorted by hops, then by the ranks (positions in ``graph.vertices()``)
+    of the vertices before the target, read back toward the source."""
     if source == target:
         return [[source]]
-    useful = _oracle_co_reachable(graph, target)
-    if source not in useful:
+    if source not in _oracle_co_reachable(graph, target):
         return []
-    order = _oracle_topological_order(graph)
-    buckets = {source: [[source]]}
-    for v in order:
-        bucket = buckets.get(v)
-        if not bucket:
-            continue
-        bucket.sort(key=len)
-        del bucket[k:]
-        if v == target:
-            continue
-        for w in graph.successors(v):
-            if w in useful:
-                buckets.setdefault(w, []).extend(p + [w] for p in bucket)
-    return buckets.get(target, [])
+    _oracle_topological_order(graph)        # NotADAGError on a cycle
+    rank = {v: i for i, v in enumerate(graph.vertices())}
+    paths = enumerate_dipaths(graph, source, target)
+    paths.sort(key=lambda p: (len(p), [rank[v] for v in reversed(p[:-1])]))
+    return paths[:k]
 
 
 def _outcome(fn, *args):
@@ -283,17 +280,28 @@ def _outcome(fn, *args):
 
 
 def _assert_matches_oracle(graph, source):
+    """Every traversal answer of ``graph`` (index possibly warm and
+    patched) equals a cold copy's; ``k_shortest_dipaths`` also equals the
+    specification.  Kahn's order follows successor-set iteration order,
+    which a copy need not reproduce, so ``topological_order`` is compared
+    with Kahn's algorithm rerun from scratch on ``graph`` itself."""
+    cold = graph.copy()
     assert _outcome(topological_order, graph) == \
         _outcome(_oracle_topological_order, graph)
+    assert is_acyclic(graph) == is_acyclic(cold)
     for target in list(graph.vertices()):
+        assert _outcome(count_dipaths, graph, source, target) == \
+            _outcome(count_dipaths, cold, source, target)
         for k in range(1, 5):
-            assert _outcome(k_shortest_dipaths, graph, source, target, k) == \
-                _outcome(_oracle_k_shortest, graph, source, target, k)
+            got = _outcome(k_shortest_dipaths, graph, source, target, k)
+            assert got == _outcome(k_shortest_dipaths, cold, source, target, k)
+            assert got == _outcome(_spec_k_shortest, graph, source, target, k)
 
 
 _GRAPH_OPS = st.lists(
-    st.tuples(st.sampled_from(["add_arc", "remove_arc", "add_vertex",
-                               "remove_vertex", "copy", "query"]),
+    st.tuples(st.sampled_from(["add_arc", "add_arc_any", "remove_arc",
+                               "add_vertex", "remove_vertex", "copy",
+                               "pickle", "query"]),
               st.integers(min_value=0, max_value=10 ** 6),
               st.integers(min_value=0, max_value=10 ** 6)),
     max_size=20)
@@ -305,18 +313,21 @@ _GRAPH_OPS = st.lists(
        st.floats(min_value=0.1, max_value=0.5),
        st.booleans(), _GRAPH_OPS)
 def test_memoised_index_matches_unmemoised_oracle(seed, n, p, icf, ops):
-    # Vertices are integers and every arc goes from a smaller to a larger
-    # one, so the graph stays acyclic under any interleaving.
+    # Vertices are integers.  ``add_arc`` goes from the smaller to the
+    # larger one, which keeps an acyclic graph acyclic; ``add_arc_any``
+    # keeps the drawn direction, so it may go against the index's order
+    # or close a cycle (which a later ``remove_arc`` may open again).
     graph = (random_internal_cycle_free_dag(n, int(p * n * 2), seed=seed)
              if icf else random_dag(n, p, seed=seed))
     next_label = n
     _assert_matches_oracle(graph, 0)
     for op, a, b in ops:
         vertices = list(graph.vertices())
-        if op == "add_arc" and len(vertices) >= 2:
+        if op in ("add_arc", "add_arc_any") and len(vertices) >= 2:
             u, v = vertices[a % len(vertices)], vertices[b % len(vertices)]
             if u != v:
-                graph.add_arc(min(u, v), max(u, v))
+                graph.add_arc(*((min(u, v), max(u, v)) if op == "add_arc"
+                                else (u, v)))
         elif op == "remove_arc" and graph.num_arcs:
             arcs = sorted(graph.arcs())
             graph.remove_arc(*arcs[a % len(arcs)])
@@ -327,12 +338,14 @@ def test_memoised_index_matches_unmemoised_oracle(seed, n, p, icf, ops):
             graph.remove_vertex(vertices[a % len(vertices)])
         elif op == "copy":
             graph = graph.copy()
+        elif op == "pickle":
+            graph = pickle.loads(pickle.dumps(graph))
         elif op == "query" and vertices:
             source = vertices[a % len(vertices)]
             target = vertices[b % len(vertices)]
             k = 1 + (a + b) % 4
-            assert k_shortest_dipaths(graph, source, target, k) == \
-                _oracle_k_shortest(graph, source, target, k)
+            assert _outcome(k_shortest_dipaths, graph, source, target, k) == \
+                _outcome(_spec_k_shortest, graph, source, target, k)
         vertices = list(graph.vertices())
         _assert_matches_oracle(graph, vertices[b % len(vertices)])
 
