@@ -8,12 +8,11 @@ versions or plotted externally.
 Usage:
     python scripts/run_all_experiments.py [output_dir] [--skip-slow]
 
-``--skip-slow`` mirrors the test suite's ``slow`` pytest marker (see
-``pytest.ini``): the long-horizon gates — E14's Erlang blocking sweeps,
-E15's defrag blocking/reclaim replays, E16's sharded-engine replays,
-E17's crash-recovery/restoration/shedding suite, E18's
-observability-overhead suite, E19's RWA-service replay and E21's
-chaos-hardening suite — are skipped so a quick sweep stays quick.
+After E1–E11 it runs the bench gates declared in
+:mod:`repro.analysis.suites` against their recorded ``BENCH_*.json``
+files, then the E20 lint gate.  ``--skip-slow`` mirrors the test suite's
+``slow`` pytest marker (see ``pytest.ini``): the gates declared slow
+(all but E12 and E13) are skipped so a quick sweep stays quick.
 """
 
 from __future__ import annotations
@@ -23,49 +22,6 @@ import json
 import time
 from pathlib import Path
 
-from repro.analysis.bench_online import (
-    online_check_against_baseline,
-    online_speedup_problems,
-    run_online_benchmark,
-)
-from repro.analysis.bench_scaling import (
-    check_against_baseline,
-    run_scaling_benchmark,
-    speedup_problems,
-)
-from repro.analysis.bench_sharding import (
-    run_sharding_benchmark,
-    sharding_check_against_baseline,
-    sharding_problems,
-)
-from repro.analysis.erlang import (
-    defrag_check_against_baseline,
-    defrag_problems,
-    routing_check_against_baseline,
-    routing_speedup_problems,
-    run_defrag_benchmark,
-    run_routing_benchmark,
-)
-from repro.analysis.bench_obs import (
-    obs_check_against_baseline,
-    obs_problems,
-    run_obs_benchmark,
-)
-from repro.analysis.bench_chaos import (
-    chaos_check_against_baseline,
-    chaos_problems,
-    run_chaos_benchmark,
-)
-from repro.analysis.bench_service import (
-    run_service_benchmark,
-    service_check_against_baseline,
-    service_problems,
-)
-from repro.analysis.recovery import (
-    recovery_check_against_baseline,
-    recovery_problems,
-    run_recovery_benchmark,
-)
 from repro.analysis import (
     algorithm_comparison_experiment,
     certificate_experiment,
@@ -82,6 +38,7 @@ from repro.analysis import (
     write_csv,
     write_json,
 )
+from repro.analysis.suites import SUITES, problems
 
 EXPERIMENTS = [
     ("E01_figure1", "Figure 1 — unbounded ratio",
@@ -113,15 +70,9 @@ def main() -> int:
                         default=Path("results"),
                         help="where to write the CSV/JSON reports")
     parser.add_argument("--skip-slow", action="store_true",
-                        help="skip the gates marked slow (the Erlang "
-                             "blocking sweeps of E14, the defrag "
-                             "replays of E15, the sharded-engine "
-                             "replays of E16, the fault-tolerance "
-                             "suite of E17, the observability-"
-                             "overhead suite of E18, the RWA-"
-                             "service replay of E19 and the chaos-"
-                             "hardening suite of E21), mirroring the "
-                             "test suite's 'slow' marker")
+                        help="skip the bench gates declared slow (all "
+                             "but E12 and E13), mirroring the test "
+                             "suite's 'slow' marker")
     args = parser.parse_args()
     output_dir = args.output_dir
     output_dir.mkdir(parents=True, exist_ok=True)
@@ -143,99 +94,26 @@ def main() -> int:
                 if flag in record and not record[flag]:
                     failures += 1
                     print(f"!! {key}: claim flag {flag} is False in {record}")
-    # Final gates: both engines must stay within 20% of their recorded
-    # BENCH_*_engine.json baselines (see PERFORMANCE.md and
-    # scripts/bench_report.py).
+    # The bench gates E12–E19 and E21: each suite's claims, checked
+    # against its recorded BENCH file (see scripts/bench_report.py).
     repo_root = Path(__file__).resolve().parents[1]
-    gates = [
-        ("E12: bitset conflict engine vs recorded baseline ...",
-         repo_root / "BENCH_conflict_engine.json",
-         run_scaling_benchmark, check_against_baseline, speedup_problems,
-         False),
-        ("E13: online conflict engine vs recorded baseline ...",
-         repo_root / "BENCH_online_engine.json",
-         run_online_benchmark, online_check_against_baseline,
-         online_speedup_problems, False),
-        # E14 replays Erlang blocking sweeps + the speculation benchmark —
-        # the long-horizon gate, skippable like the tests' `slow` marker.
-        ("E14: adaptive routing + what-if speculation vs recorded "
-         "baseline ...",
-         repo_root / "BENCH_online_routing.json",
-         run_routing_benchmark, routing_check_against_baseline,
-         routing_speedup_problems, True),
-        # E15 replays the defrag blocking/reclaim scenarios — deterministic
-        # but long-horizon, so it is skippable like E14.
-        ("E15: defragmentation blocking + reclaim vs recorded baseline ...",
-         repo_root / "BENCH_defrag.json",
-         run_defrag_benchmark, defrag_check_against_baseline,
-         defrag_problems, True),
-        # E16 times the component-sharded engine against the unsharded one
-        # at 800+ concurrent lightpaths and replays the differential
-        # identity traces — long-horizon, skippable like E14/E15.
-        ("E16: component-sharded engine vs recorded baseline ...",
-         repo_root / "BENCH_sharding.json",
-         run_sharding_benchmark, sharding_check_against_baseline,
-         sharding_problems, True),
-        # E17 replays the fault-tolerance suite: random kill-point crash
-        # recovery must stay bit-identical, fibre-cut restoration must
-        # keep blocking strictly below the restoration-off baseline at
-        # equal move budget, and the admission guard must bound p99
-        # admission work — long-horizon, skippable like E14–E16.
-        ("E17: crash recovery + restoration + shedding vs recorded "
-         "baseline ...",
-         repo_root / "BENCH_recovery.json",
-         run_recovery_benchmark, recovery_check_against_baseline,
-         recovery_problems, True),
-        # E18 replays the admission workloads fully instrumented: tracing
-        # must stay within the 10% overhead ceiling and must not perturb
-        # a single decision (byte-identical deterministic metrics) —
-        # timing-sensitive, skippable like E14–E17.
-        ("E18: observability overhead + trace bit-identity vs recorded "
-         "baseline ...",
-         repo_root / "BENCH_obs.json",
-         run_obs_benchmark, obs_check_against_baseline,
-         obs_problems, True),
-        # E19 replays a flash crowd through the asyncio RwaService: its
-        # decisions and engine fingerprint must stay bit-identical to
-        # simulate_online on the same trace, per-tenant quotas must keep
-        # a quiet tenant unshed next to a flooding one, and the record
-        # samples sustained admissions/sec + p99 admission latency
-        # (informational) — skippable like E14–E18.
-        ("E19: RWA service identity + tenant isolation vs recorded "
-         "baseline ...",
-         repo_root / "BENCH_service.json",
-         run_service_benchmark, service_check_against_baseline,
-         service_problems, True),
-        # E21 drives faults through the live service loop: fault-bearing
-        # serve_trace must stay decision- and fingerprint-identical to
-        # simulate_online, maintenance windows must match their
-        # cut/repair event oracle, supervised crash-restart must
-        # converge to the uncrashed fingerprint across randomised crash
-        # offsets, and restoration must strictly beat restoration-off at
-        # an equal move budget — skippable like E14–E19.
-        ("E21: chaos hardening — fault identity + crash-restart "
-         "convergence vs recorded baseline ...",
-         repo_root / "BENCH_chaos.json",
-         run_chaos_benchmark, chaos_check_against_baseline,
-         chaos_problems, True),
-    ]
-    for title, bench_path, run_bench, check, speedups, slow in gates:
-        if slow and args.skip_slow:
-            print(f"(--skip-slow: skipping {title.split(':')[0]})")
+    for suite in SUITES.values():
+        if suite.slow and args.skip_slow:
+            print(f"(--skip-slow: skipping {suite.gate})")
             continue
+        bench_path = repo_root / suite.bench
         if not bench_path.exists():
             print(f"(no {bench_path.name}; run scripts/bench_report.py "
                   f"to record one)")
             continue
         print()
-        print(title)
-        records = run_bench(repeats=3)
-        problems = check(records, json.loads(bench_path.read_text()))
-        problems += speedups(records)
-        for problem in problems:
+        print(f"{suite.gate}: {suite.title} vs recorded baseline ...")
+        records = suite.run(repeats=3)
+        found = problems(suite, records, json.loads(bench_path.read_text()))
+        for problem in found:
             failures += 1
             print(f"!! bench regression: {problem}")
-        if not problems:
+        if not found:
             print("   within tolerance "
                   + ", ".join(
                       f"{r['scenario']}={r['speedup_total']:.1f}x"

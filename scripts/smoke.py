@@ -81,43 +81,20 @@ print("certificate: equality?", cert.equality_holds, "pi", cert.witness_load,
 dag, fam = figure3_instance()
 sol = assign_wavelengths(dag, fam, method="auto")
 print("auto fig3:", sol.num_wavelengths, sol.method)
-# RWA service (E19 wiring): identity with the trace loop + tenant isolation
-from repro.analysis.bench_service import run_service_benchmark, service_problems
+# Bench-gate wiring in smoke mode (E19 service identity + tenant
+# isolation, E21 chaos hardening): one cheap replay per scenario, the
+# deterministic claims still gate.
+from repro.analysis.suites import SUITES, print_records, problems
 
-service_records = run_service_benchmark(smoke=True)
-for rec in service_records:
-    if rec["kind"] == "service":
-        print("service:", rec["scenario"], "identical?",
-              rec["decisions_equal"] and rec["fingerprint_identical"],
-              "blocking", round(rec["blocking"], 4))
-    else:
-        print("service:", rec["scenario"], "quiet shed", rec["quiet_shed"],
-              "flood shed", rec["flood_shed"],
-              "partition?", rec["shed_partition_exact"])
-print("SERVICE SMOKE", "OK" if not service_problems(service_records)
-      else "FAILED")
-
-# Chaos hardening (E21 wiring): faults through the live loop stay
-# identical to the simulator, supervised crash-restart converges, and
-# restoration pays at an equal move budget.
-from repro.analysis.bench_chaos import chaos_problems, run_chaos_benchmark
-
-chaos_records = run_chaos_benchmark(smoke=True)
-for rec in chaos_records:
-    if rec["kind"] in ("chaos_identity", "chaos_maintenance"):
-        print("chaos:", rec["scenario"], "identical?",
-              rec["decisions_equal"] and rec["fingerprint_identical"],
-              "stranded", rec["stranded"])
-    elif rec["kind"] == "chaos_crash":
-        print("chaos:", rec["scenario"], "converged",
-              f"{rec['converged']}/{rec['trials']}",
-              "oracle?", rec["decisions_equal_oracle"])
-    else:
-        print("chaos:", rec["scenario"], "pays?", rec["restoration_pays"],
-              "off", round(rec["blocking_baseline"], 4),
-              "on", round(rec["blocking_restoration"], 4))
-print("CHAOS SMOKE", "OK" if not chaos_problems(chaos_records)
-      else "FAILED")
+for suite in SUITES.values():
+    if suite.smoke:
+        smoke_records = suite.run(smoke=True)
+        print_records(suite, smoke_records)
+        missed = problems(suite, smoke_records)
+        for problem in missed:
+            print("!!", problem)
+        print(f"{suite.name.upper()} SMOKE",
+              "FAILED" if missed else "OK")
 
 # Determinism & contract linter (E20 wiring) in smoke mode: the whole
 # package must be clean modulo the committed baseline (CONTRACTS.md).

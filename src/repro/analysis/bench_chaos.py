@@ -1,7 +1,7 @@
 """Chaos benchmark (E21): live faults, crash-restart, restoration economics.
 
-Four claims, recorded in ``BENCH_chaos.json`` by
-``scripts/bench_report.py --suite chaos``:
+Four claims, recorded in ``BENCH_chaos.json`` (suite ``chaos`` of
+:mod:`repro.analysis.suites`):
 
 * **Fault-bearing identity** (``kind == "chaos_identity"``) — a
   flash-crowd trace with injected fibre cuts and a repair replayed
@@ -44,14 +44,12 @@ from __future__ import annotations
 
 import asyncio
 import random
-import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..generators.regions import multi_region_topology, multi_region_traffic
-from ..obs import Tracer
 from ..online.events import (ARRIVAL, CUT, DEPARTURE, REPAIR, cut_event,
                              maintenance_events, poisson_trace, repair_event,
                              sort_events)
@@ -68,9 +66,6 @@ __all__ = [
     "measure_chaos_crash",
     "measure_chaos_restoration",
     "run_chaos_benchmark",
-    "chaos_benchmark_document",
-    "chaos_problems",
-    "chaos_check_against_baseline",
 ]
 
 
@@ -136,7 +131,6 @@ CHAOS_SCENARIOS: Dict[str, Dict] = {
 
 
 def measure_chaos_identity(name: str, repeats: int = 3,
-                           tracer: Optional[Tracer] = None,
                            warmup: bool = True) -> Dict[str, object]:
     """Fault-bearing flash crowd: serve_trace vs simulate_online."""
     spec = CHAOS_SCENARIOS[name]
@@ -148,12 +142,12 @@ def measure_chaos_identity(name: str, repeats: int = 3,
     reference = simulate_online(graph, events, wavelengths,
                                 record_timeline=False)
     if warmup:
-        serve_trace(graph, events, wavelengths, tracer=tracer)
+        serve_trace(graph, events, wavelengths)
     best_wall = float("inf")
     served = None
     for _ in range(repeats):
         start = time.perf_counter()
-        candidate = serve_trace(graph, events, wavelengths, tracer=tracer)
+        candidate = serve_trace(graph, events, wavelengths)
         wall = time.perf_counter() - start
         if wall < best_wall:
             best_wall, served = wall, candidate
@@ -357,24 +351,9 @@ def measure_chaos_restoration(name: str) -> Dict[str, object]:
     }
 
 
-_MEASURE = {
-    "chaos_identity": lambda name, repeats, tracer, smoke:
-        measure_chaos_identity(name, repeats=repeats, tracer=tracer,
-                               warmup=not smoke),
-    "chaos_maintenance": lambda name, repeats, tracer, smoke:
-        measure_chaos_maintenance(name),
-    "chaos_crash": lambda name, repeats, tracer, smoke:
-        measure_chaos_crash(name, smoke=smoke),
-    "chaos_restoration": lambda name, repeats, tracer, smoke:
-        measure_chaos_restoration(name),
-}
-
-
 def run_chaos_benchmark(repeats: int = 3,
-                        scenarios: Optional[Sequence[str]] = None,
-                        tracer: Optional[Tracer] = None,
                         smoke: bool = False) -> List[Dict[str, object]]:
-    """Run every (or the selected) E21 scenario and return the records.
+    """Run every E21 scenario and return the records.
 
     ``smoke=True`` is the cheap wiring check (``scripts/smoke.py`` and
     the tier-1 smoke test): one identity replay without warm-up and the
@@ -384,98 +363,16 @@ def run_chaos_benchmark(repeats: int = 3,
     """
     if smoke:
         repeats = 1
-    names = list(CHAOS_SCENARIOS) if scenarios is None else list(scenarios)
     records: List[Dict[str, object]] = []
-    for name in names:
-        kind = CHAOS_SCENARIOS[name]["kind"]
-        records.append(_MEASURE[kind](name, repeats, tracer, smoke))
-    return records
-
-
-def chaos_benchmark_document(records: List[Dict[str, object]],
-                             repeats: int) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_chaos.json`` schema."""
-    return {
-        "benchmark": "chaos_hardening",
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def chaos_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E21 claims, as messages."""
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        kind = record["kind"]
-        if kind in ("chaos_identity", "chaos_maintenance"):
-            if not record["decisions_equal"]:
-                problems.append(
-                    f"{name}: the service decided differently from "
-                    "simulate_online on the fault-bearing trace")
-            if not record["fingerprint_identical"]:
-                problems.append(
-                    f"{name}: service and trace-loop engine fingerprints "
-                    "diverged")
-            if record["fibre_cuts"] == 0 or record["stranded"] == 0:
-                problems.append(
-                    f"{name}: the cuts stranded nothing — the scenario "
-                    "exercises no fault path")
+    for name, spec in CHAOS_SCENARIOS.items():
+        kind = spec["kind"]
+        if kind == "chaos_identity":
+            records.append(measure_chaos_identity(name, repeats=repeats,
+                                                  warmup=not smoke))
+        elif kind == "chaos_maintenance":
+            records.append(measure_chaos_maintenance(name))
         elif kind == "chaos_crash":
-            if not record["all_converged"]:
-                problems.append(
-                    f"{name}: only {record['converged']}/{record['trials']} "
-                    "crashed runs converged to the uncrashed fingerprint")
-            if not record["single_restart_each"]:
-                problems.append(
-                    f"{name}: some crashed run needed != 1 restart")
-            if record["uncrashed_restarts"] != 0:
-                problems.append(
-                    f"{name}: the uncrashed run restarted "
-                    f"{record['uncrashed_restarts']} times")
-            if not record["decisions_equal_oracle"]:
-                problems.append(
-                    f"{name}: the uncrashed supervised run decided "
-                    "differently from simulate_online")
-        elif kind == "chaos_restoration":
-            if not record["restoration_pays"]:
-                problems.append(
-                    f"{name}: restoration did not strictly beat "
-                    f"restoration-off blocking "
-                    f"({record['blocking_restoration']:.4f} vs "
-                    f"{record['blocking_baseline']:.4f}) at move budget "
-                    f"{record['move_budget']}")
-            if record["stranded_restoration"] == 0:
-                problems.append(
-                    f"{name}: the cuts stranded nothing — the A/B "
-                    "measures no restoration work")
-    return problems
-
-
-def chaos_check_against_baseline(records: List[Dict[str, object]],
-                                 baseline: Dict[str, object],
-                                 tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E21 run against a recorded ``BENCH_chaos.json``.
-
-    Deterministic facts (blocking rates, stranded/restored counts,
-    convergence tallies) must reproduce exactly; wall-clock numbers are
-    never compared across runs.  ``tolerance`` is kept for signature
-    compatibility.
-    """
-    del tolerance
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        for key in ("blocking", "blocking_restoration", "blocking_baseline",
-                    "stranded", "restored", "fibre_cuts", "converged"):
-            if key in record and key in base and record[key] != base[key]:
-                problems.append(
-                    f"{name}: {key} {record[key]} differs from the "
-                    f"recorded {base[key]} — the chaos decisions changed")
-    problems.extend(chaos_problems(records))
-    return problems
+            records.append(measure_chaos_crash(name, smoke=smoke))
+        else:
+            records.append(measure_chaos_restoration(name))
+    return records

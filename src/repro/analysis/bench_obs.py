@@ -1,7 +1,7 @@
 """Observability-overhead benchmark (E18): tracing must be near-free.
 
-Two claims, recorded in ``BENCH_obs.json`` by
-``scripts/bench_report.py --suite obs``:
+Two claims, recorded in ``BENCH_obs.json`` (suite ``obs`` of
+:mod:`repro.analysis.suites`):
 
 * **Overhead** (``kind == "overhead"``) — running the E13-class
   admission workloads through :func:`~repro.online.simulator.
@@ -32,9 +32,8 @@ from __future__ import annotations
 
 import os
 import statistics
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..generators.random_dags import random_internal_cycle_free_dag
 from ..obs.trace import JsonlSink, RingBufferSink, Tracer
@@ -49,9 +48,6 @@ __all__ = [
     "THROUGHPUT_SPANS",
     "measure_overhead_scenario",
     "measure_trace_throughput",
-    "obs_benchmark_document",
-    "obs_check_against_baseline",
-    "obs_problems",
     "run_obs_benchmark",
 ]
 
@@ -185,92 +181,11 @@ def measure_trace_throughput(spans: int = THROUGHPUT_SPANS
     }
 
 
-def run_obs_benchmark(repeats: int = 3,
-                      scenarios: Optional[Sequence[str]] = None
-                      ) -> List[Dict[str, object]]:
-    """Run every (or the selected) E18 scenario and return the records."""
-    names = (list(OVERHEAD_SCENARIOS) + ["trace-throughput"]
-             if scenarios is None else list(scenarios))
+def run_obs_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every E18 scenario and return the records."""
     # The gate reads a median of paired ratios; fewer than five pairs
     # lets a single noisy repeat decide the median, so floor it there.
     repeats = max(repeats, 5)
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in OVERHEAD_SCENARIOS:
-            records.append(measure_overhead_scenario(name, repeats=repeats))
-        else:
-            records.append(measure_trace_throughput())
-    return records
-
-
-def obs_benchmark_document(records: List[Dict[str, object]],
-                           repeats: int) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_obs.json`` schema."""
-    return {
-        "benchmark": "observability_overhead",
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def obs_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E18 claims, as messages.
-
-    Overhead records must stay at or under :data:`OBS_OVERHEAD_TARGET`
-    and must prove decision and metrics bit-identity; throughput records
-    are informational and never fail.
-    """
-    problems: List[str] = []
-    for record in records:
-        if record["kind"] != "overhead":
-            continue
-        name = record["scenario"]
-        if not record["decisions_equal"]:
-            problems.append(
-                f"{name}: the instrumented run changed a decision — "
-                "tracing is not observation-only")
-        if not record["metrics_identical"]:
-            problems.append(
-                f"{name}: deterministic metrics snapshots are not "
-                "byte-identical between the plain and traced runs")
-        if record["overhead_ratio"] > OBS_OVERHEAD_TARGET:
-            problems.append(
-                f"{name}: full instrumentation costs "
-                f"{record['overhead_ratio']:.2f}x the plain run "
-                f"(ceiling {OBS_OVERHEAD_TARGET:.2f}x)")
-    return problems
-
-
-def obs_check_against_baseline(records: List[Dict[str, object]],
-                               baseline: Dict[str, object],
-                               tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E18 run against a recorded ``BENCH_obs.json``.
-
-    The deterministic facts (blocking, span counts, identity flags) must
-    reproduce exactly.  Absolute wall-clock is *not* compared across
-    runs — the gated timing signal is the within-run overhead ratio,
-    checked by :func:`obs_problems` on both the recorded and the fresh
-    run.  ``tolerance`` is kept for signature compatibility.
-    """
-    del tolerance
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["kind"] == "overhead":
-            if record["blocking"] != base["blocking"]:
-                problems.append(
-                    f"{name}: blocking {record['blocking']:.4f} differs "
-                    f"from the recorded {base['blocking']:.4f} — the "
-                    "workload's decisions changed")
-            if record["spans_emitted"] != base["spans_emitted"]:
-                problems.append(
-                    f"{name}: {record['spans_emitted']} spans emitted "
-                    f"(recorded {base['spans_emitted']}) — the span "
-                    "schema changed")
-    problems.extend(obs_problems(records))
-    return problems
+    return ([measure_overhead_scenario(name, repeats=repeats)
+             for name in OVERHEAD_SCENARIOS]
+            + [measure_trace_throughput()])

@@ -17,16 +17,15 @@ that (``edges_equal``) and that DSATUR agrees on the colour count
 the warm-up that fills the system is shared setup.
 
 Record fields deliberately match :mod:`repro.analysis.bench_scaling`
-(``legacy_*`` = rebuild, ``new_*`` = incremental), so the baseline
-comparison and speedup gates are the same functions; results land in
-``BENCH_online_engine.json`` via ``scripts/bench_report.py``.
+(``legacy_*`` = rebuild, ``new_*`` = incremental), so gate E13 applies
+the same timing rule; its claims are declared in
+:mod:`repro.analysis.suites` (suite ``online``, ``BENCH_online_engine.json``).
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Tuple
 
 from ..conflict.conflict_graph import ConflictGraph, build_conflict_graph
 from ..conflict.dynamic import DynamicConflictGraph
@@ -37,7 +36,6 @@ from ..generators.families import random_walk_family
 from ..generators.random_dags import random_dag, random_internal_cycle_free_dag
 from ..online.events import ARRIVAL, Event, churn_trace
 from ..optical.traffic import hotspot_traffic
-from .bench_scaling import check_against_baseline, speedup_problems
 
 __all__ = [
     "ONLINE_SCENARIOS",
@@ -45,14 +43,11 @@ __all__ = [
     "build_online_scenario",
     "measure_online_scenario",
     "run_online_benchmark",
-    "online_benchmark_document",
-    "online_check_against_baseline",
-    "online_speedup_problems",
 ]
 
 #: The tentpole target: incremental maintenance must beat rebuild-per-event
 #: by at least this factor on churn traces of 500+ concurrent dipaths
-#: (asserted by ``benchmarks/bench_online.py`` and the E13 gate).
+#: (gate E13).
 ONLINE_SPEEDUP_TARGET = 5.0
 
 #: Churn rounds in the timed steady-state phase of every scenario.
@@ -169,46 +164,8 @@ def measure_online_scenario(name: str, trace: List[Event], repeats: int = 3
     }
 
 
-def run_online_benchmark(repeats: int = 3,
-                         scenarios: Optional[Sequence[str]] = None
-                         ) -> List[Dict[str, object]]:
-    """Run every (or the selected) churn scenario and return the records."""
-    names = list(ONLINE_SCENARIOS) if scenarios is None else list(scenarios)
-    records = []
-    for name in names:
-        trace = build_online_scenario(name)
-        records.append(measure_online_scenario(name, trace, repeats=repeats))
-    return records
-
-
-def online_benchmark_document(records: List[Dict[str, object]], repeats: int
-                              ) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_online_engine.json`` schema."""
-    return {
-        "benchmark": "online_engine_churn",
-        "speedup_target": ONLINE_SPEEDUP_TARGET,
-        "churn_events": CHURN_EVENTS,
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def online_speedup_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Scenarios falling short of :data:`ONLINE_SPEEDUP_TARGET`."""
-    # bench_scaling's SPEEDUP_TARGET and ONLINE_SPEEDUP_TARGET are both 5x,
-    # and the record schema is shared, so the check is too.
-    return speedup_problems(records)
-
-
-def online_check_against_baseline(records: List[Dict[str, object]],
-                                  baseline: Dict[str, object],
-                                  tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh run against a recorded ``BENCH_online_engine.json``.
-
-    Same two-signal policy as the conflict-engine gate (see
-    :func:`repro.analysis.bench_scaling.check_against_baseline`): a
-    regression must show in both the absolute incremental time and the
-    speedup ratio, and the two strategies must agree on edges/colours.
-    """
-    return check_against_baseline(records, baseline, tolerance=tolerance)
+def run_online_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every churn scenario and return the records."""
+    return [measure_online_scenario(name, build_online_scenario(name),
+                                    repeats=repeats)
+            for name in ONLINE_SCENARIOS]

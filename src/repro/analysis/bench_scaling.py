@@ -7,16 +7,14 @@ against the bitset engine (cached conflict masks →
 families of 500+ dipaths: random-DAG random walks, Theorem 7 Havet-gadget
 blow-ups and ``replicate(h)`` multisets of random families.
 
-Consumed by ``benchmarks/bench_scaling.py`` (pytest harness asserting the
-speedup target) and ``scripts/bench_report.py`` (writes/checks
-``BENCH_conflict_engine.json`` so the perf trajectory is tracked across PRs).
+Gate E12: the claims on these records are declared in
+:mod:`repro.analysis.suites` (suite ``conflict``, ``BENCH_conflict_engine.json``).
 """
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..conflict.baseline import (
     baseline_adjacency,
@@ -36,15 +34,12 @@ __all__ = [
     "build_scenario",
     "measure_scenario",
     "run_scaling_benchmark",
-    "benchmark_document",
-    "check_against_baseline",
-    "speedup_problems",
     "SPEEDUP_TARGET",
 ]
 
 #: The tentpole target: the bitset engine must be at least this many times
 #: faster than the seed engine on build + DSATUR for families of >= 500
-#: dipaths (asserted by ``benchmarks/bench_scaling.py``).
+#: dipaths (gate E12).
 SPEEDUP_TARGET = 5.0
 
 ScenarioBuilder = Callable[[], DipathFamily]
@@ -149,84 +144,7 @@ def measure_scenario(name: str, family: DipathFamily, repeats: int = 3
     }
 
 
-def run_scaling_benchmark(repeats: int = 3,
-                          scenarios: Optional[Sequence[str]] = None
-                          ) -> List[Dict[str, object]]:
-    """Run every (or the selected) scenario and return the records."""
-    names = list(SCENARIOS) if scenarios is None else list(scenarios)
-    records = []
-    for name in names:
-        family = build_scenario(name)
-        records.append(measure_scenario(name, family, repeats=repeats))
-    return records
-
-
-def benchmark_document(records: List[Dict[str, object]], repeats: int
-                       ) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_conflict_engine.json`` schema."""
-    return {
-        "benchmark": "conflict_engine_scaling",
-        "speedup_target": SPEEDUP_TARGET,
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def speedup_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Scenarios falling short of :data:`SPEEDUP_TARGET`, as messages.
-
-    Shared by ``scripts/bench_report.py`` and the E12 gate in
-    ``scripts/run_all_experiments.py`` so both enforce one policy.
-    """
-    return [
-        f"{r['scenario']}: speedup {r['speedup_total']:.1f}x is below the "
-        f"{SPEEDUP_TARGET:.0f}x target"
-        for r in records
-        if float(r["speedup_total"]) < SPEEDUP_TARGET]  # type: ignore[arg-type]
-
-
-def check_against_baseline(records: List[Dict[str, object]],
-                           baseline: Dict[str, object],
-                           tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh run against a recorded baseline document.
-
-    A scenario regresses when the bitset engine is slower than the recorded
-    baseline by more than ``tolerance`` (default 20%) on *both* of two
-    complementary signals, or when the engines stop agreeing on
-    edges/colours.  The two signals:
-
-    * **absolute build+colour time**, with a 2 ms slack — recorded times are
-      a few milliseconds, where scheduler/CPU-frequency noise between
-      processes routinely exceeds 20% on its own;
-    * **speedup ratio** (legacy/new, both timed in the same process) — this
-      normalises away machine speed, so a uniformly slower host does not
-      trip the gate.
-
-    Same-machine timing noise trips at most one signal at a time; a real
-    regression (e.g. losing the O(words) build) trips both, and also the
-    separate :data:`SPEEDUP_TARGET` gate enforced by the benchmark runners.
-    """
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        current = float(record["new_total_s"])       # type: ignore[arg-type]
-        allowed = float(base["new_total_s"]) * (1.0 + tolerance) + 0.002  # type: ignore[arg-type]
-        ratio = float(record["speedup_total"])       # type: ignore[arg-type]
-        ratio_floor = float(base["speedup_total"]) / (1.0 + tolerance)  # type: ignore[arg-type]
-        if current > allowed and ratio < ratio_floor:
-            problems.append(
-                f"{name}: bitset engine took {current * 1000:.2f}ms (recorded "
-                f"{float(base['new_total_s']) * 1000:.2f}ms) and its speedup "  # type: ignore[arg-type]
-                f"fell to {ratio:.1f}x (recorded "
-                f"{base['speedup_total']:.1f}x) — beyond {tolerance:.0%} on both")
-        if not record["edges_equal"] or not record["colors_equal"]:
-            problems.append(
-                f"{name}: engines disagree "
-                f"(edges_equal={record['edges_equal']}, "
-                f"colors_equal={record['colors_equal']})")
-    return problems
+def run_scaling_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every scenario and return the records."""
+    return [measure_scenario(name, build_scenario(name), repeats=repeats)
+            for name in SCENARIOS]

@@ -1,7 +1,7 @@
 """RWA-service benchmark (E19): identity, throughput, tenant isolation.
 
-Two claims, recorded in ``BENCH_service.json`` by
-``scripts/bench_report.py --suite service``:
+Two claims, recorded in ``BENCH_service.json`` (suite ``service`` of
+:mod:`repro.analysis.suites`):
 
 * **Service identity + latency** (``kind == "service"``) — replaying a
   flash-crowd burst trace through :func:`repro.service.serve_trace`
@@ -31,9 +31,8 @@ replayed-workload / wall-clock side of them.
 
 from __future__ import annotations
 
-import sys
 import time
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from ..dipaths.requests import Request
 from ..generators.regions import multi_region_topology, multi_region_traffic
@@ -50,9 +49,6 @@ __all__ = [
     "measure_service_scenario",
     "measure_tenant_scenario",
     "run_service_benchmark",
-    "service_benchmark_document",
-    "service_problems",
-    "service_check_against_baseline",
 ]
 
 
@@ -241,10 +237,9 @@ def measure_tenant_scenario(name: str,
 
 
 def run_service_benchmark(repeats: int = 3,
-                          scenarios: Optional[Sequence[str]] = None,
                           tracer: Optional[Tracer] = None,
                           smoke: bool = False) -> List[Dict[str, object]]:
-    """Run every (or the selected) E19 scenario and return the records.
+    """Run every E19 scenario and return the records.
 
     ``tracer`` is attached to every service replay (``bench_report.py
     --trace`` hands in a JSONL-backed one and closes it afterwards).
@@ -255,100 +250,8 @@ def run_service_benchmark(repeats: int = 3,
     """
     if smoke:
         repeats = 1
-    names = (list(SERVICE_SCENARIOS) + list(TENANT_SCENARIOS)
-             if scenarios is None else list(scenarios))
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in SERVICE_SCENARIOS:
-            records.append(measure_service_scenario(
-                name, repeats=repeats, tracer=tracer, warmup=not smoke))
-        else:
-            records.append(measure_tenant_scenario(name, tracer=tracer))
-    return records
-
-
-def service_benchmark_document(records: List[Dict[str, object]],
-                               repeats: int) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_service.json`` schema."""
-    return {
-        "benchmark": "rwa_service",
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def service_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E19 claims, as messages.
-
-    Identity records must prove decision + fingerprint bit-identity
-    with the trace loop; tenant records must prove starvation-freedom
-    and exact shed partitioning.  Throughput/latency numbers are
-    informational and never fail.
-    """
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        if record["kind"] == "service":
-            if not record["decisions_equal"]:
-                problems.append(
-                    f"{name}: the service decided differently from "
-                    "simulate_online on the same trace")
-            if not record["fingerprint_identical"]:
-                problems.append(
-                    f"{name}: service and trace-loop engine fingerprints "
-                    "diverged")
-        elif record["kind"] == "tenant_isolation":
-            if not record["quiet_never_shed"]:
-                problems.append(
-                    f"{name}: the quiet tenant was shed "
-                    f"{record['quiet_shed']} times — the flooding tenant "
-                    "starved it")
-            if not record["flood_is_shed"]:
-                problems.append(
-                    f"{name}: the flooding tenant was never shed — the "
-                    "scenario exercises nothing")
-            if not record["shed_partition_exact"]:
-                problems.append(
-                    f"{name}: per-tenant shed counters do not partition "
-                    "the guard.shed total")
-    return problems
-
-
-def service_check_against_baseline(records: List[Dict[str, object]],
-                                   baseline: Dict[str, object],
-                                   tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E19 run against a recorded ``BENCH_service.json``.
-
-    Deterministic facts (blocking, shed counts, identity flags) must
-    reproduce exactly; wall-clock admissions/sec and p99 latency are
-    *never* compared across runs (machines differ).  ``tolerance`` is
-    kept for signature compatibility.
-    """
-    del tolerance
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["blocking"] != base["blocking"]:
-            problems.append(
-                f"{name}: blocking {record['blocking']:.4f} differs from "
-                f"the recorded {base['blocking']:.4f} — the service's "
-                "decisions changed")
-        if record["kind"] == "service" and record["shed"] != base["shed"]:
-            problems.append(
-                f"{name}: {record['shed']} arrivals shed (recorded "
-                f"{base['shed']}) — the guard's decisions changed")
-        if record["kind"] == "tenant_isolation" and \
-                (record["quiet_shed"] != base["quiet_shed"]
-                 or record["flood_shed"] != base["flood_shed"]):
-            problems.append(
-                f"{name}: per-tenant shed counts "
-                f"({record['quiet_shed']}/{record['flood_shed']}) differ "
-                f"from the recorded ({base['quiet_shed']}/"
-                f"{base['flood_shed']})")
-    problems.extend(service_problems(records))
-    return problems
+    return ([measure_service_scenario(name, repeats=repeats, tracer=tracer,
+                                      warmup=not smoke)
+             for name in SERVICE_SCENARIOS]
+            + [measure_tenant_scenario(name, tracer=tracer)
+               for name in TENANT_SCENARIOS])

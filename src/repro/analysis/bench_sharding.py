@@ -1,7 +1,7 @@
 """Sharded-vs-unsharded engine benchmark (E16).
 
-Two claims, recorded in ``BENCH_sharding.json`` by
-``scripts/bench_report.py --suite sharding``:
+Two claims, recorded in ``BENCH_sharding.json`` (suite ``sharding`` of
+:mod:`repro.analysis.suites`):
 
 * **Throughput** (``kind == "throughput"``) — on a multi-region topology
   holding 800+ concurrent lightpaths, the component-sharded engine
@@ -22,16 +22,15 @@ Two claims, recorded in ``BENCH_sharding.json`` by
 The unsharded engine pays O(degree) neighbourhood walks on family-width
 masks per event; the sharded engine pays O(arcs) per event and
 shard-width masks inside each component, so the gap widens with
-concurrency — 800+ concurrent lightpaths over 4 regions is where the
-ISSUE pins the gate.
+concurrency — 800+ concurrent lightpaths over 4 regions is where gate
+E16 sits.
 """
 
 from __future__ import annotations
 
-import sys
 import time
 from dataclasses import asdict
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Tuple
 
 from ..generators.families import random_walk_family
 from ..generators.regions import multi_region_topology, multi_region_traffic
@@ -45,19 +44,12 @@ __all__ = [
     "measure_throughput_scenario",
     "measure_differential_scenario",
     "run_sharding_benchmark",
-    "sharding_benchmark_document",
-    "sharding_problems",
-    "sharding_check_against_baseline",
 ]
 
 #: The tentpole target: sharded admission+defrag throughput must beat the
 #: unsharded engine by at least this factor at 800+ concurrent lightpaths
-#: on the 4-region topology (gate E16, ``benchmarks/bench_sharding.py``).
+#: on the 4-region topology (gate E16).
 SHARDING_SPEEDUP_TARGET = 3.0
-
-#: Allowed absolute drift of a recorded blocking probability (the traces
-#: are seeded, so differential records are deterministic).
-_BLOCKING_TOLERANCE = 0.02
 
 
 # ---------------------------------------------------------------------- #
@@ -224,108 +216,9 @@ def measure_differential_scenario(name: str) -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------------- #
-# suite plumbing (bench_report.py --suite sharding, gate E16)
-# ---------------------------------------------------------------------- #
-def run_sharding_benchmark(repeats: int = 3,
-                           scenarios: Optional[Sequence[str]] = None
-                           ) -> List[Dict[str, object]]:
-    """Run every (or the selected) E16 scenario and return the records."""
-    names = (list(THROUGHPUT_SCENARIOS) + list(DIFFERENTIAL_SCENARIOS)
-             if scenarios is None else list(scenarios))
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in THROUGHPUT_SCENARIOS:
-            records.append(measure_throughput_scenario(name, repeats=repeats))
-        else:
-            records.append(measure_differential_scenario(name))
-    return records
-
-
-def sharding_benchmark_document(records: List[Dict[str, object]],
-                                repeats: int) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_sharding.json`` schema."""
-    return {
-        "benchmark": "sharded_online_engine",
-        "speedup_target": SHARDING_SPEEDUP_TARGET,
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def sharding_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E16 claims, as messages.
-
-    Throughput records must hit :data:`SHARDING_SPEEDUP_TARGET` with
-    outcome-identical replays at 800+ concurrent lightpaths; differential
-    records must be identical (sharded vs unsharded) on traces that
-    exercised both merges and splits.
-    """
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        if record["kind"] == "throughput":
-            if float(record["speedup_total"]) < SHARDING_SPEEDUP_TARGET:
-                problems.append(
-                    f"{name}: sharded speedup {record['speedup_total']:.1f}x "
-                    f"is below the {SHARDING_SPEEDUP_TARGET:.0f}x target")
-            if not record["outcomes_equal"]:
-                problems.append(
-                    f"{name}: sharded and unsharded replays disagree on "
-                    "blocking or colouring")
-            if int(record["concurrent"]) < 800:
-                problems.append(
-                    f"{name}: only {record['concurrent']} concurrent "
-                    "lightpaths — the gate requires 800+")
-            continue
-        if not record["identical"]:
-            problems.append(
-                f"{name}: sharded OnlineResult differs from unsharded")
-        if not record["merges_exercised"]:
-            problems.append(f"{name}: trace never merged components")
-    if records and not any(int(r.get("component_splits", 0)) > 0
-                           for r in records):
-        problems.append(
-            "no scenario ever split a component — the lazy split-check "
-            "machinery went unexercised")
-    return problems
-
-
-def sharding_check_against_baseline(records: List[Dict[str, object]],
-                                    baseline: Dict[str, object],
-                                    tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E16 run against a recorded ``BENCH_sharding.json``.
-
-    Throughput uses the familiar two-signal policy: a regression must
-    show in both the absolute sharded time and the speedup ratio.
-    Differential records are deterministic — identity flags must hold and
-    blocking must reproduce within a small absolute slack.
-    """
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["kind"] == "throughput":
-            current = float(record["new_total_s"])
-            allowed = float(base["new_total_s"]) * (1.0 + tolerance)
-            ratio = float(record["speedup_total"])
-            ratio_floor = float(base["speedup_total"]) / (1.0 + tolerance)
-            if current > allowed and ratio < ratio_floor:
-                problems.append(
-                    f"{name}: sharded replay took {current * 1000:.1f}ms "
-                    f"(recorded {float(base['new_total_s']) * 1000:.1f}ms) "
-                    f"and its speedup fell to {ratio:.1f}x (recorded "
-                    f"{base['speedup_total']:.1f}x) — beyond "
-                    f"{tolerance:.0%} on both")
-            continue
-        drift = abs(float(record["blocking"]) - float(base["blocking"]))
-        if drift > _BLOCKING_TOLERANCE:
-            problems.append(
-                f"{name}: blocking drifted to {record['blocking']:.4f} "
-                f"(recorded {base['blocking']:.4f}) — the engine's "
-                "decisions changed")
-    return problems
+def run_sharding_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every E16 scenario and return the records."""
+    return ([measure_throughput_scenario(name, repeats=repeats)
+             for name in THROUGHPUT_SCENARIOS]
+            + [measure_differential_scenario(name)
+               for name in DIFFERENTIAL_SCENARIOS])

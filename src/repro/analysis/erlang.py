@@ -24,8 +24,8 @@ Two questions, one record file (``BENCH_online_routing.json``):
 Record kinds share one list: ``kind == "blocking"`` rows carry the
 blocking comparison, ``kind == "speculation"`` rows the familiar
 ``legacy_* / new_* / speedup_total`` timing schema of the other suites.
-``scripts/bench_report.py --suite routing`` records/checks the file and
-``scripts/run_all_experiments.py`` runs the same checks as gate E14.
+The claims on both are declared in :mod:`repro.analysis.suites` (suite
+``routing``, gate E14).
 
 **E15 — does defragmentation pay?**  ``BENCH_defrag.json`` holds two
 record kinds: ``kind == "defrag_blocking"`` replays the same hotspot
@@ -34,9 +34,8 @@ defrag never exceeds blocking without; ``kind == "defrag_reclaim"``
 fragments a warm engine, runs one :class:`~repro.online.defrag.DefragPass`
 per walk order and reports the wavelengths reclaimed against the
 from-scratch recolouring (DSATUR on the rebuilt conflict graph) and the
-true lower bound (the fibre load).  ``scripts/bench_report.py --suite
-defrag`` records/checks the file and ``scripts/run_all_experiments.py``
-runs the same checks as gate E15.
+true lower bound (the fibre load).  The claims are declared in
+:mod:`repro.analysis.suites` (suite ``defrag``, gate E15).
 
 :func:`erlang_sweep` can also fan the (offered load × routing) grid out
 across worker processes (``workers=``) through
@@ -48,7 +47,6 @@ changes where the simulations run.
 from __future__ import annotations
 
 import functools
-import sys
 import time
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -77,27 +75,16 @@ __all__ = [
     "SPECULATION_SPEEDUP_TARGET",
     "erlang_sweep",
     "run_routing_benchmark",
-    "routing_benchmark_document",
-    "routing_check_against_baseline",
-    "routing_speedup_problems",
     "run_defrag_benchmark",
-    "defrag_benchmark_document",
-    "defrag_check_against_baseline",
-    "defrag_problems",
 ]
 
 #: Speculative admit+rollback must beat rebuild-per-candidate by at least
 #: this factor on 500+ concurrent dipaths (gate E14 and
-#: ``benchmarks/bench_routing.py``).
+#: ``benchmarks/bench_suites.py``).
 SPECULATION_SPEEDUP_TARGET = 5.0
 
 #: The adaptive policies the blocking records compare against ``shortest``.
 ADAPTIVE_ROUTINGS = ("least_loaded", "k_shortest")
-
-#: Allowed absolute drift of a recorded blocking probability before the
-#: baseline check flags a behaviour change (traces are seeded, so the
-#: numbers are deterministic; the slack covers cross-version RNG shifts).
-_BLOCKING_TOLERANCE = 0.02
 
 
 # ---------------------------------------------------------------------- #
@@ -451,7 +438,7 @@ def measure_defrag_reclaim_scenario(name: str) -> Dict[str, object]:
     fragmented maximum fibre load.  Defrag moves also *re-route*, so it
     can legitimately beat both; what no proper assignment can beat is the
     final state's own fibre load, recorded per order as
-    ``load_after_<order>`` and enforced by :func:`defrag_problems`.
+    ``load_after_<order>`` and enforced by gate E15's ``within_load_bound``.
     """
     base_name, wavelengths, events = RECLAIM_SCENARIOS[name]
     record: Dict[str, object] = {
@@ -492,211 +479,16 @@ def measure_defrag_reclaim_scenario(name: str) -> Dict[str, object]:
     return record
 
 
-def run_defrag_benchmark(repeats: int = 3,
-                         scenarios: Optional[Sequence[str]] = None
-                         ) -> List[Dict[str, object]]:
-    """Run every (or the selected) E15 scenario and return the records.
-
-    ``repeats`` is accepted for suite-plumbing symmetry; the records are
-    deterministic replays, so repeating cannot change them.
-    """
-    del repeats
-    names = (list(BLOCKING_SCENARIOS) + list(RECLAIM_SCENARIOS)
-             if scenarios is None else list(scenarios))
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in BLOCKING_SCENARIOS:
-            records.append(measure_defrag_blocking_scenario(name))
-        else:
-            records.append(measure_defrag_reclaim_scenario(name))
-    return records
+def run_defrag_benchmark() -> List[Dict[str, object]]:
+    """Run every E15 scenario and return the records (deterministic)."""
+    return ([measure_defrag_blocking_scenario(name)
+             for name in BLOCKING_SCENARIOS]
+            + [measure_defrag_reclaim_scenario(name)
+               for name in RECLAIM_SCENARIOS])
 
 
-def defrag_benchmark_document(records: List[Dict[str, object]], repeats: int
-                              ) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_defrag.json`` schema."""
-    return {
-        "benchmark": "online_defrag",
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def defrag_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E15 claims, as messages.
-
-    Blocking records must show defrag-enabled blocking no worse than
-    defrag-off; reclaim records must reclaim at least one wavelength,
-    keep the colouring proper and keep every order's final colour count
-    at or above that final state's own fibre load.
-    """
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        if record["kind"] == "defrag_blocking":
-            if not record["defrag_not_worse"]:
-                problems.append(
-                    f"{name}: defrag made blocking worse "
-                    f"({record['blocking_defrag']:.4f} vs "
-                    f"{record['blocking_no_defrag']:.4f} without)")
-            continue
-        if not record["coloring_proper_after"]:
-            problems.append(f"{name}: post-defrag colouring is not proper")
-        if not record["reclaims_capacity"]:
-            problems.append(
-                f"{name}: defrag reclaimed no wavelength "
-                f"({record['colors_before']} before, best "
-                f"{record['colors_after_best']} after)")
-        if not record["within_load_bound"]:
-            problems.append(
-                f"{name}: impossible reclaim — some order ended with fewer "
-                "colours in use than its own final fibre load")
-    return problems
-
-
-def defrag_check_against_baseline(records: List[Dict[str, object]],
-                                  baseline: Dict[str, object],
-                                  tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E15 run against a recorded ``BENCH_defrag.json``.
-
-    Everything in this suite is a deterministic seeded replay: blocking
-    probabilities must reproduce within the same small absolute slack as
-    the routing suite, reclaimed-wavelength counts within one wavelength
-    (integer drift can only come from an engine behaviour change).
-    ``tolerance`` is accepted for plumbing symmetry but unused — there is
-    no timing in these records.
-    """
-    del tolerance
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["kind"] == "defrag_blocking":
-            for key in ("blocking_no_defrag", "blocking_defrag"):
-                drift = abs(float(record[key]) - float(base[key]))
-                if drift > _BLOCKING_TOLERANCE:
-                    problems.append(
-                        f"{name}: {key} drifted to {record[key]:.4f} "
-                        f"(recorded {base[key]:.4f}) — the engine's "
-                        "decisions changed")
-            continue
-        for key in ("colors_before", "colors_after_best"):
-            if abs(int(record[key]) - int(base[key])) > 1:
-                problems.append(
-                    f"{name}: {key} drifted to {record[key]} "
-                    f"(recorded {base[key]}) — the defrag engine's "
-                    "decisions changed")
-    return problems
-
-
-# ---------------------------------------------------------------------- #
-# suite plumbing (bench_report.py --suite routing, gate E14)
-# ---------------------------------------------------------------------- #
-def run_routing_benchmark(repeats: int = 3,
-                          scenarios: Optional[Sequence[str]] = None
-                          ) -> List[Dict[str, object]]:
-    """Run every (or the selected) routing scenario and return the records."""
-    names = (list(BLOCKING_SCENARIOS) + list(SPECULATION_SCENARIOS)
-             if scenarios is None else list(scenarios))
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in BLOCKING_SCENARIOS:
-            records.append(measure_blocking_scenario(name))
-        else:
-            records.append(measure_speculation_scenario(name, repeats=repeats))
-    return records
-
-
-def routing_benchmark_document(records: List[Dict[str, object]], repeats: int
-                               ) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_online_routing.json`` schema."""
-    return {
-        "benchmark": "online_adaptive_routing",
-        "speedup_target": SPECULATION_SPEEDUP_TARGET,
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def routing_speedup_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing their tentpole target, as messages.
-
-    Blocking records must show every adaptive policy strictly below fixed
-    shortest-path blocking; speculation records must hit
-    :data:`SPECULATION_SPEEDUP_TARGET` with both strategies agreeing.
-    """
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        if record["kind"] == "blocking":
-            if not record["adaptive_beats_fixed"]:
-                rates = ", ".join(
-                    f"{routing}={record[f'blocking_{routing}']:.4f}"
-                    for routing in ADAPTIVE_ROUTINGS)
-                problems.append(
-                    f"{name}: adaptive routing does not strictly beat fixed "
-                    f"shortest (shortest={record['blocking_shortest']:.4f}, "
-                    f"{rates})")
-            continue
-        if float(record["speedup_total"]) < SPECULATION_SPEEDUP_TARGET:
-            problems.append(
-                f"{name}: speculation speedup {record['speedup_total']:.1f}x "
-                f"is below the {SPECULATION_SPEEDUP_TARGET:.0f}x target")
-        if not record["decisions_equal"]:
-            problems.append(
-                f"{name}: transactional and rebuild evaluation disagree")
-    return problems
-
-
-def routing_check_against_baseline(records: List[Dict[str, object]],
-                                   baseline: Dict[str, object],
-                                   tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh run against a recorded ``BENCH_online_routing.json``.
-
-    Blocking records are deterministic (seeded traces, deterministic
-    engine), so they must reproduce the recorded probabilities to within
-    a small absolute slack.  Speculation records use the same two-signal
-    policy as the other engine gates: a regression must show in both the
-    absolute transactional time (10 ms slack) and the speedup ratio.
-    Like its conflict/online counterparts this checker does *not* include
-    :func:`routing_speedup_problems` — the callers run both.
-    """
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["kind"] == "blocking":
-            for key in ("blocking_shortest",
-                        *(f"blocking_{r}" for r in ADAPTIVE_ROUTINGS)):
-                drift = abs(float(record[key]) - float(base[key]))
-                if drift > _BLOCKING_TOLERANCE:
-                    problems.append(
-                        f"{name}: {key} drifted to {record[key]:.4f} "
-                        f"(recorded {base[key]:.4f}) — the engine's "
-                        "decisions changed")
-            continue
-        current = float(record["new_total_s"])
-        # 10 ms of absolute slack: the transactional side is so fast that
-        # its total stays within scheduler-noise territory even with 60
-        # what-ifs per scenario, and the speedup-ratio signal plus the
-        # separate 5x target still catch any real regression.
-        allowed = float(base["new_total_s"]) * (1.0 + tolerance) + 0.010
-        ratio = float(record["speedup_total"])
-        ratio_floor = float(base["speedup_total"]) / (1.0 + tolerance)
-        if current > allowed and ratio < ratio_floor:
-            problems.append(
-                f"{name}: transactional evaluation took "
-                f"{current * 1000:.2f}ms (recorded "
-                f"{float(base['new_total_s']) * 1000:.2f}ms) and its speedup "
-                f"fell to {ratio:.1f}x (recorded "
-                f"{base['speedup_total']:.1f}x) — beyond {tolerance:.0%} on "
-                "both")
-    return problems
+def run_routing_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every E14 scenario and return the records."""
+    return ([measure_blocking_scenario(name) for name in BLOCKING_SCENARIOS]
+            + [measure_speculation_scenario(name, repeats=repeats)
+               for name in SPECULATION_SCENARIOS])

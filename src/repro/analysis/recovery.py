@@ -1,7 +1,7 @@
 """Fault-tolerance benchmark (E17): crash recovery, restoration, shedding.
 
-Three claims, recorded in ``BENCH_recovery.json`` by
-``scripts/bench_report.py --suite recovery``:
+Three claims, recorded in ``BENCH_recovery.json`` (suite ``recovery`` of
+:mod:`repro.analysis.suites`):
 
 * **Crash recovery** (``kind == "crash_recovery"``) — a
   :class:`~repro.online.persistence.DurableEngine` driven through a
@@ -39,11 +39,10 @@ from __future__ import annotations
 
 import math
 import random
-import sys
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..dipaths.requests import Request
 from ..generators.regions import multi_region_topology, multi_region_traffic
@@ -67,14 +66,7 @@ __all__ = [
     "measure_restoration_scenario",
     "measure_shed_scenario",
     "run_recovery_benchmark",
-    "recovery_benchmark_document",
-    "recovery_problems",
-    "recovery_check_against_baseline",
 ]
-
-#: Allowed absolute drift of a recorded blocking probability (the traces
-#: are seeded, so restoration/shed records are deterministic).
-_BLOCKING_TOLERANCE = 0.02
 
 #: The snapshotted journal must replay at least this many times more
 #: records per second than replay-from-genesis *within the same run*.
@@ -197,8 +189,8 @@ def measure_crash_scenario(name: str, repeats: int = 3
                 mismatches += 1
 
         # replay-recovery time vs journal length, at clean boundaries.
-        # The absolute numbers are informational (see
-        # recovery_check_against_baseline); a warm-up run keeps them from
+        # The absolute numbers are informational (the gate compares the
+        # in-run snapshot ratio only); a warm-up run keeps them from
         # absorbing first-touch import/allocator costs all the same.
         samples: List[Dict[str, object]] = []
         prefix_path = str(Path(tmp) / "prefix.jsonl")
@@ -411,139 +403,10 @@ def measure_shed_scenario(name: str) -> Dict[str, object]:
     }
 
 
-# ---------------------------------------------------------------------- #
-# suite plumbing (bench_report.py --suite recovery, gate E17)
-# ---------------------------------------------------------------------- #
-def run_recovery_benchmark(repeats: int = 3,
-                           scenarios: Optional[Sequence[str]] = None
-                           ) -> List[Dict[str, object]]:
-    """Run every (or the selected) E17 scenario and return the records."""
-    names = (list(CRASH_SCENARIOS) + list(RESTORATION_SCENARIOS)
-             + list(SHED_SCENARIOS)
-             if scenarios is None else list(scenarios))
-    records: List[Dict[str, object]] = []
-    for name in names:
-        if name in CRASH_SCENARIOS:
-            records.append(measure_crash_scenario(name, repeats=repeats))
-        elif name in RESTORATION_SCENARIOS:
-            records.append(measure_restoration_scenario(name))
-        else:
-            records.append(measure_shed_scenario(name))
-    return records
-
-
-def recovery_benchmark_document(records: List[Dict[str, object]],
-                                repeats: int) -> Dict[str, object]:
-    """Wrap benchmark records in the ``BENCH_recovery.json`` schema."""
-    return {
-        "benchmark": "fault_tolerant_online_engine",
-        "python": sys.version.split()[0],
-        "repeats": repeats,
-        "results": records,
-    }
-
-
-def recovery_problems(records: List[Dict[str, object]]) -> List[str]:
-    """Records missing the E17 claims, as messages.
-
-    Crash-recovery records must be bit-identical on every kill point and
-    must have journalled actual fault events; across the crash scenarios,
-    snapshotted recovery must replay at least
-    :data:`SNAPSHOT_RECOVERY_SPEEDUP_TARGET` times faster than
-    replay-from-genesis measured *in the same run* (the machine-state-robust
-    timing signal); restoration records must show blocking strictly below
-    the restoration-off baseline at equal move budget; shed records must
-    shed and must bound the p99 work.
-    """
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        if record["kind"] == "crash_recovery":
-            if not record["bit_identical"]:
-                problems.append(
-                    f"{name}: {record['mismatches']}/{record['trials']} "
-                    "kill points recovered to a different fingerprint")
-            if not record["cuts"] or not record["repairs"]:
-                problems.append(
-                    f"{name}: the journalled workload never exercised "
-                    "cut/repair records")
-        elif record["kind"] == "restoration":
-            if not record["restoration_pays"]:
-                problems.append(
-                    f"{name}: restoration blocking "
-                    f"{record['blocking_restoration']:.4f} is not strictly "
-                    f"below the restoration-off baseline "
-                    f"{record['blocking_baseline']:.4f}")
-            if not record["restored_restoration"]:
-                problems.append(
-                    f"{name}: the restoration plane never re-admitted a "
-                    "stranded lightpath")
-        else:
-            if not record["guard_sheds"]:
-                problems.append(
-                    f"{name}: the admission guard never shed an arrival")
-            if not record["work_bounded"]:
-                problems.append(
-                    f"{name}: guarded p99 work "
-                    f"{record['p99_work_guarded']:.0f} is not strictly "
-                    f"below the unguarded "
-                    f"{record['p99_work_unguarded']:.0f}")
-    crash = [r for r in records if r["kind"] == "crash_recovery"]
-    snapshotted = [r for r in crash if r["snapshot_every"]]
-    from_genesis = [r for r in crash if not r["snapshot_every"]]
-    if snapshotted and from_genesis:
-        slowest_snap = min(float(r["records_per_second"])
-                           for r in snapshotted)
-        fastest_plain = max(float(r["records_per_second"])
-                            for r in from_genesis)
-        ratio = (slowest_snap / fastest_plain
-                 if fastest_plain else float("inf"))
-        if ratio < SNAPSHOT_RECOVERY_SPEEDUP_TARGET:
-            problems.append(
-                f"snapshotted recovery replays only {ratio:.1f}x faster "
-                f"than replay-from-genesis within this run (target "
-                f"{SNAPSHOT_RECOVERY_SPEEDUP_TARGET:.0f}x) — snapshots "
-                "stopped paying")
-    return problems
-
-
-def recovery_check_against_baseline(records: List[Dict[str, object]],
-                                    baseline: Dict[str, object],
-                                    tolerance: float = 0.20) -> List[str]:
-    """Compare a fresh E17 run against a recorded ``BENCH_recovery.json``.
-
-    Everything gated here is deterministic: journal shapes must match
-    exactly and blocking rates must reproduce within a small absolute
-    slack.  Recovery wall-clock is deliberately *not* compared against
-    the recorded run — the 2-40ms floors drift between processes by more
-    than any useful tolerance — the timing claim is the within-run
-    snapshot speedup ratio, checked by :func:`recovery_problems` on both
-    the recorded and the fresh run.  ``tolerance`` is kept for signature
-    compatibility with the other suites' checkers.
-    """
-    del tolerance
-    recorded = {r["scenario"]: r for r in baseline.get("results", [])}
-    problems: List[str] = []
-    for record in records:
-        name = record["scenario"]
-        base = recorded.get(name)
-        if base is None:
-            continue
-        if record["kind"] == "crash_recovery":
-            if int(record["journal_records"]) != int(base["journal_records"]):
-                problems.append(
-                    f"{name}: journal holds {record['journal_records']} "
-                    f"records (recorded {base['journal_records']}) — the "
-                    "journalled decisions changed")
-            continue
-        keys = (("blocking_restoration", "blocking_baseline")
-                if record["kind"] == "restoration"
-                else ("blocking_guarded", "blocking_unguarded"))
-        for key in keys:
-            drift = abs(float(record[key]) - float(base[key]))
-            if drift > _BLOCKING_TOLERANCE:
-                problems.append(
-                    f"{name}: {key} drifted to {record[key]:.4f} "
-                    f"(recorded {float(base[key]):.4f}) — the engine's "
-                    "decisions changed")
-    return problems
+def run_recovery_benchmark(repeats: int = 3) -> List[Dict[str, object]]:
+    """Run every E17 scenario and return the records."""
+    return ([measure_crash_scenario(name, repeats=repeats)
+             for name in CRASH_SCENARIOS]
+            + [measure_restoration_scenario(name)
+               for name in RESTORATION_SCENARIOS]
+            + [measure_shed_scenario(name) for name in SHED_SCENARIOS])

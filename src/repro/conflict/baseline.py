@@ -8,9 +8,10 @@ and the set-based exact solvers.  It exists for two reasons:
 * **equivalence testing** — ``tests/test_bitset_engine.py`` checks that the
   bitset engine produces identical edges, clique numbers and chromatic
   numbers on seeded random instances;
-* **benchmarking** — ``benchmarks/bench_scaling.py`` and
-  ``scripts/bench_report.py`` time this reference engine against the bitset
-  engine to track the speedup (recorded in ``BENCH_conflict_engine.json``).
+* **benchmarking** — gate E12 (suite ``conflict`` of
+  :mod:`repro.analysis.suites`) times this reference engine against the
+  bitset engine to track the speedup (recorded in
+  ``BENCH_conflict_engine.json``).
 
 Nothing in the library proper should import this module; treat it as a
 read-only historical reference.

@@ -648,11 +648,9 @@ class TestServiceLifecycle:
 class TestE19Smoke:
     def test_smoke_mode_validates_the_gate_wiring(self):
         """One warm-up-free replay per scenario; identity facts still gate."""
-        from repro.analysis.bench_service import (
-            run_service_benchmark,
-            service_problems,
-        )
+        from repro.analysis.suites import SUITES, problems
 
-        records = run_service_benchmark(smoke=True)
-        assert {r["kind"] for r in records} == {"service", "tenant_isolation"}
-        assert service_problems(records) == []
+        suite = SUITES["service"]
+        records = suite.run(smoke=True)
+        assert {r["kind"] for r in records} == set(suite.kinds)
+        assert problems(suite, records) == []
