@@ -114,7 +114,7 @@ from repro.online.simulator import simulate_online
 _g = random_internal_cycle_free_dag(30, 45, seed=0)
 _trace = poisson_trace(random_request_family(_g, 25, seed=0), 120,
                        arrival_rate=3.0, mean_holding=4.0, seed=0)
-simulate_online(_g, _trace, 8, sharded=True, audit_every=10)
+simulate_online(_g, _trace, 8, audit_every=10)
 print("AUDIT SMOKE OK")
 
 print("SMOKE OK")

@@ -30,8 +30,8 @@ their shard for a lazy split-check), exposing :meth:`shard_map`,
 :meth:`shard_view` and the ``component_merges`` / ``component_splits`` /
 ``shard_rebuilds`` counters — see :mod:`repro.conflict.sharding`.
 
-:class:`ShardedConflictGraph` is the engine the sharded online path runs
-on: it skips the eager O(degree) neighbour patching entirely and derives
+:class:`ShardedConflictGraph` is the one the online engine runs on: it
+skips the eager O(degree) neighbour patching entirely and derives
 adjacency masks **on demand** from the family's per-arc member bitmasks
 (O(arcs) union per query), so mutation cost per event is O(arcs)
 regardless of how conflicted the arriving lightpath is.  Every inherited
@@ -240,7 +240,7 @@ class _LazyAdjacency:
 class ShardedConflictGraph(DynamicConflictGraph):
     """A dynamic conflict graph with O(arcs) mutations and lazy adjacency.
 
-    The hot-path contract of the sharded online engine: arrivals and
+    The hot-path contract of the online engine: arrivals and
     departures never walk their neighbourhood — the family updates its
     per-arc member bitmasks (O(arcs)), the shard tracker re-files the
     member (O(arcs)), and that is all.  Adjacency queries

@@ -17,14 +17,15 @@ bit-identity contract of the online engine:
 
 Metrics split into two sections.  The *deterministic* section must be
 identical for any two runs that made the same decisions, regardless of
-code path (sharded vs unsharded, traced vs untraced).
+code path (traced vs untraced, ``simulate_online`` vs the service).
 Metrics registered with ``diagnostic=True`` land in a separate
 ``diagnostics`` section instead: they are still deterministic for a fixed
 code path (same seed + same configuration ⇒ same values) but are allowed
 to differ between equivalent code paths — e.g. `ShardTracker` merge
-counts differ between the sharded and unsharded engines even when every
-decision is identical.  Differential tests compare the deterministic
-section across paths and the full snapshot within a path.
+counts and ``colorindex.*`` record counts differ between a live engine
+and one recovered from a snapshot even when every decision is
+identical.  Differential tests compare the deterministic section across
+paths and the full snapshot within a path.
 
 Hot-path cost: metric objects are plain ``__slots__`` holders handed out
 once; incrementing is a cached-attribute ``.inc()`` with no dict lookup,

@@ -121,8 +121,9 @@ class OnlineWavelengthAssigner:
         # Active checkpoints, outermost first; mutations journal into the
         # innermost one (see repro.online.transaction for the nesting rules).
         self._checkpoints: List[AssignerCheckpoint] = []
-        # Optional per-fibre colour occupancy (the sharded engine's O(arcs)
-        # forbidden-mask source, see repro.online.sharding.ArcColorIndex).
+        # Optional per-fibre colour occupancy (the online engine's O(arcs)
+        # forbidden-mask source, see repro.online.sharding.ArcColorIndex);
+        # a bare assigner walks the conflict neighbourhood instead.
         self._color_index = None
 
     def attach_color_index(self, index) -> None:

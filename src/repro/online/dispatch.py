@@ -425,7 +425,6 @@ class Dispatcher:
             defrag_passes=engine.defrag_passes,
             defrag_moves=engine.defrag_moves,
             wavelengths_reclaimed=engine.wavelengths_reclaimed,
-            sharded=config.sharded,
             fibre_cuts=self.cuts, fibre_repairs=self.repairs,
             lightpaths_stranded=self.stranded,
             lightpaths_restored=self.restored,

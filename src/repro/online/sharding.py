@@ -1,4 +1,4 @@
-"""Per-fibre colour occupancy for the component-sharded online engine.
+"""Per-fibre colour occupancy for the online engine.
 
 :class:`ArcColorIndex` is the per-fibre wavelength occupancy table.  For
 every interned arc it tracks how many provisioned lightpaths hold each
@@ -39,9 +39,10 @@ class ArcColorIndex(Instrumented):
     member's arc list may already be gone.
 
     Operation counts publish into the registry under ``colorindex.*`` as
-    *diagnostic* metrics: only the sharded engine keeps an index, so the
-    counts exist on one of two decision-identical code paths and stay
-    out of the cross-path deterministic snapshot.
+    *diagnostic* metrics: a recovered engine re-seeds its index from the
+    snapshot and replays only the journal tail, so the counts depend on
+    the path that reached a state and stay out of the cross-path
+    deterministic snapshot.
     """
 
     __slots__ = ("_family", "_counts", "_masks", "_journals",

@@ -8,10 +8,11 @@
    (``shortest`` / ``unique``, as the paper assumes) or adaptively against
    the live per-arc load (``least_loaded`` / ``k_shortest`` / ``widest``)
    — unless the event carries a pre-routed dipath;
-2. the routed dipath joins the :class:`~repro.conflict.DynamicConflictGraph`
-   (O(degree) mask patching, no rebuild);
+2. the routed dipath joins the :class:`~repro.conflict.ShardedConflictGraph`
+   (O(arcs), no neighbourhood walk, no rebuild);
 3. the :class:`~repro.online.assigner.OnlineWavelengthAssigner` picks a
-   wavelength under the budget ``W`` — or blocks the request, in which case
+   wavelength under the budget ``W`` off its per-fibre colour index —
+   or blocks the request, in which case
    the dipath leaves the graph again.  With ``speculative=True`` the
    arrival's candidate routes are instead ranked by their post-admission
    load and admitted in that order inside
@@ -46,7 +47,7 @@ directly instead of round-tripping through event lists.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, fields
+from dataclasses import InitVar, dataclass, field, fields
 from typing import Dict, List, Optional, Tuple
 
 from ..exceptions import (
@@ -54,7 +55,7 @@ from ..exceptions import (
     ShardNotFoundError,
     SimulationError,
 )
-from ..conflict.dynamic import DynamicConflictGraph, ShardedConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from .._bitops import bit_list
 from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
@@ -100,7 +101,7 @@ _RESTORATION = {"restoration": True}
 class EngineConfig:
     """The engine knobs, declared once.
 
-    :class:`OnlineEngine` takes the first seven as keywords;
+    :class:`OnlineEngine` takes the first six as keywords;
     :func:`simulate_online`, :class:`~repro.service.RwaService` and
     :class:`~repro.online.persistence.DurableEngine` take all of them
     (``simulate_online`` derives ``restore_order`` from its
@@ -129,10 +130,6 @@ class EngineConfig:
         committing the first that colours
         (:func:`~repro.online.transaction.admit_best`); only routers with
         a real candidate set (``k_shortest``) offer more than one.
-    sharded:
-        Run on the component-sharded engine: O(arcs) structural events
-        and per-fibre forbidden masks instead of neighbourhood walks.
-        Decision-identical to the unsharded engine on every trace.
     restoration:
         Re-route lightpaths stranded by a fibre cut through batched
         re-admission + defrag retries (see
@@ -162,7 +159,10 @@ class EngineConfig:
     seed: Optional[int] = None
     k_candidates: int = 4
     speculative: bool = False
-    sharded: bool = False
+    #: Not a knob: the component-sharded engine is the only engine.  Kept
+    #: init-only (out of ``asdict`` and genesis records) because existing
+    #: callers, the ``perfbench`` workloads among them, pass ``True``.
+    sharded: InitVar[bool] = True
     restoration: bool = field(default=True, metadata=_RESTORATION)
     restore_retries: int = field(default=2, metadata=_RESTORATION)
     restore_move_budget: Optional[int] = field(default=None,
@@ -171,7 +171,10 @@ class EngineConfig:
     restore_order: str = field(default="highest_wavelength",
                                metadata=_RESTORATION)
 
-    def __post_init__(self) -> None:
+    def __post_init__(self, sharded: bool) -> None:
+        if sharded is not True:
+            raise ValueError("sharded=False is no longer supported: the "
+                             "component-sharded engine is the only engine")
         if self.restore_retries < 0:
             raise ValueError("restore_retries must be >= 0")
         if self.restore_move_budget is not None and \
@@ -192,28 +195,27 @@ class EngineConfig:
 
     @classmethod
     def from_record(cls, record: Dict[str, object]) -> "EngineConfig":
-        """The config stored in a journal genesis record."""
+        """The config stored in a journal genesis record (keys that are
+        not fields, such as the ``"sharded"`` of older journals, are
+        ignored)."""
         return cls(**{f.name: record[f.name] for f in fields(cls)})
 
     def components(self, family: DipathFamily, wavelengths: int,
                    metrics: MetricsRegistry
-                   ) -> Tuple[DynamicConflictGraph, OnlineWavelengthAssigner]:
+                   ) -> Tuple[ShardedConflictGraph, OnlineWavelengthAssigner]:
         """The conflict graph and assigner these knobs wire over ``family``.
 
-        ``sharded`` picks the component-sharded conflict graph and gives
-        the assigner a per-fibre :class:`~repro.online.sharding.
-        ArcColorIndex` (O(arcs) forbidden masks); both publish into
-        ``metrics``.  :class:`OnlineEngine` and snapshot recovery wire
-        their components here and nowhere else.
+        A component-sharded conflict graph (O(arcs) structural events)
+        and an assigner reading its forbidden colours from a per-fibre
+        :class:`~repro.online.sharding.ArcColorIndex` (O(arcs) masks);
+        both publish into ``metrics``.  :class:`OnlineEngine` and
+        snapshot recovery wire their components here and nowhere else.
         """
-        graph_type = ShardedConflictGraph if self.sharded \
-            else DynamicConflictGraph
-        conflict = graph_type(family, metrics=metrics)
+        conflict = ShardedConflictGraph(family, metrics=metrics)
         assigner = OnlineWavelengthAssigner(
             wavelengths, policy=self.policy,
             kempe_repair=self.kempe_repair, seed=self.seed)
-        if self.sharded:
-            assigner.attach_color_index(ArcColorIndex(family, metrics=metrics))
+        assigner.attach_color_index(ArcColorIndex(family, metrics=metrics))
         return conflict, assigner
 
     def build(self, graph: DiGraph, wavelengths: int,
@@ -414,8 +416,6 @@ class OnlineResult:
     wavelengths_reclaimed:
         Total distinct wavelengths freed by defrag passes (sum of each
         pass's reclaim, fragmentation can rebuild between passes).
-    sharded:
-        Whether the run used the component-sharded engine.
     fibre_cuts, fibre_repairs:
         Fault events processed during the run.
     lightpaths_stranded:
@@ -425,9 +425,7 @@ class OnlineResult:
         Successful re-admissions of stranded lightpaths (at cut time,
         on later retries, or at repair time).
     component_merges, component_splits, shard_rebuilds:
-        Shard-tracker counters at the end of the run (always recorded —
-        the unsharded engine tracks components too, it just does not
-        route its hot paths through them).
+        Shard-tracker counters at the end of the run.
     timeline:
         One sample per processed event: ``time``, ``active`` (concurrent
         lightpaths), ``wavelengths_active`` (colours currently in use),
@@ -456,7 +454,6 @@ class OnlineResult:
     defrag_passes: int = 0
     defrag_moves: int = 0
     wavelengths_reclaimed: int = 0
-    sharded: bool = EngineConfig.sharded
     fibre_cuts: int = 0
     fibre_repairs: int = 0
     lightpaths_stranded: int = 0
@@ -540,9 +537,10 @@ class OnlineEngine(Instrumented):
     """Live state of an online RWA run, one admission decision at a time.
 
     Owns the dynamic quartet — :class:`~repro.dipaths.family.DipathFamily`,
-    :class:`~repro.conflict.DynamicConflictGraph`, an online router bound
+    :class:`~repro.conflict.ShardedConflictGraph`, an online router bound
     to the live family, and the
-    :class:`~repro.online.assigner.OnlineWavelengthAssigner` — and exposes
+    :class:`~repro.online.assigner.OnlineWavelengthAssigner` with its
+    :class:`~repro.online.sharding.ArcColorIndex` — and exposes
     :meth:`admit` / :meth:`depart` as the two state transitions.
     :func:`simulate_online` is a trace loop over an engine; tests and
     benchmarks use the engine directly to inspect (or speculate on) the
@@ -562,8 +560,8 @@ class OnlineEngine(Instrumented):
     bit-identical — the differential suites assert it.
 
     The engine knobs (``routing``, ``policy``, ``kempe_repair``, ``seed``,
-    ``k_candidates``, ``speculative``, ``sharded``) are keywords,
-    documented and defaulted by :class:`EngineConfig`.
+    ``k_candidates``, ``speculative``) are keywords, documented and
+    defaulted by :class:`EngineConfig`.
     """
 
     def __init__(self, graph: DiGraph, wavelengths: int, *,
@@ -583,7 +581,6 @@ class OnlineEngine(Instrumented):
         self.tracer = tracer
         self.graph = graph
         self.family = DipathFamily()
-        self.sharded = config.sharded
         self.conflict, self.assigner = config.components(
             self.family, wavelengths, self._obs_registry)
         self.router = make_online_router(graph, config.routing,
@@ -661,25 +658,30 @@ class OnlineEngine(Instrumented):
         (:meth:`~repro.conflict.sharding.ShardTracker.audit`,
         :meth:`~repro.online.sharding.ArcColorIndex.audit`): runs the
         component tracker's and colour index's own audits, then verifies
-        the invariants only the engine can see —
+        the invariants only the engine can see against each active
+        member's raw route (``Dipath.arcs()``), never against the tables
+        under audit:
 
         * request bookkeeping: every ``request_id`` maps to a distinct
           active member and every active member is owned by a request;
-        * the conflict adjacency equals the shared-fibre relation the
-          family's arc tables imply;
+        * the family's per-member arc ids and per-fibre member tables,
+          and the conflict adjacency, equal the routes' fibres and
+          shared-fibre relation;
         * the colouring is total on active members, within the
-          wavelength budget, and proper along every conflict edge;
+          wavelength budget, and proper on every fibre;
         * the assigner's per-wavelength usage counters and used-mask
           match a recount of the colouring;
         * the colour index's per-arc occupancy equals a replay of the
-          colouring over each member's fibres.
+          colouring over each member's raw route.
 
-        O(active · arcs + active · degree) — meant for tests and the
-        opt-in ``audit_every=`` hook of :func:`simulate_online`, not the
+        O(active · arcs) — meant for tests and the opt-in
+        ``audit_every=`` hook of :func:`simulate_online`, not the
         admission hot path.  An empty list means the state is coherent.
         """
         problems = [f"tracker: {p}" for p in self.conflict.audit()]
         family, assigner, conflict = self.family, self.assigner, self.conflict
+        index = assigner.color_index
+        problems.extend(f"colorindex: {p}" for p in index.audit())
         coloring = dict(assigner.coloring)
         active = family.active_indices()
         active_set = set(active)
@@ -707,29 +709,51 @@ class OnlineEngine(Instrumented):
             if color is None:
                 problems.append(f"colours: active member {idx} has no "
                                 f"wavelength")
-                continue
-            if not 0 <= color < wavelengths:
+            elif not 0 <= color < wavelengths:
                 problems.append(f"colours: member {idx} wavelength {color} "
                                 f"is outside the budget {wavelengths}")
-        for idx in active:
+        # ground truth: fibre -> active members whose raw route uses it
+        routes = {idx: tuple(family[idx].arcs()) for idx in active}
+        users: Dict[Tuple, int] = {}
+        for idx, arcs in routes.items():
+            for arc in arcs:
+                users[arc] = users.get(arc, 0) | 1 << idx
+        interned = family._arc_ids          # arc -> id, for the index
+        for aid in range(family.num_arc_ids):
+            arc = family.arc_of_id(aid)
+            if family.members_on_arc(arc) != bit_list(users.get(arc, 0)):
+                problems.append(f"family: the member table of arc {arc} "
+                                f"disagrees with the routes using it")
+        for idx, arcs in routes.items():
+            if family.member_arc_ids(idx) != tuple(interned.get(arc)
+                                                   for arc in arcs):
+                problems.append(f"family: member {idx} arc ids disagree "
+                                f"with its route")
             expected = 0
-            for aid in family.member_arc_ids(idx):
-                for other in family.members_on_arc(family.arc_of_id(aid)):
-                    expected |= 1 << other
-            expected &= ~(1 << idx)
-            mask = conflict.neighbor_mask(idx)
-            if mask != expected:
+            for arc in arcs:
+                expected |= users[arc]
+            if conflict.neighbor_mask(idx) != expected & ~(1 << idx):
                 problems.append(f"conflict: member {idx} adjacency "
-                                f"disagrees with its shared-fibre members")
-                continue
-            color = coloring.get(idx)
-            if color is None:
-                continue
-            for other in bit_list(mask):
-                if other > idx and coloring.get(other) == color:
-                    problems.append(f"colours: members {idx} and {other} "
-                                    f"share wavelength {color} on a "
-                                    f"conflict edge")
+                                f"disagrees with its route's shared-fibre "
+                                f"members")
+        # properness per fibre, and the colour index's expected occupancy
+        expected_counts: Dict[int, Dict[int, int]] = {}
+        for arc, mask in users.items():
+            # an un-interned arc was reported as an arc-id mismatch above
+            aid = interned.get(arc)
+            per_color = ({} if aid is None
+                         else expected_counts.setdefault(aid, {}))
+            holder: Dict[int, int] = {}
+            for idx in bit_list(mask):
+                color = coloring.get(idx)
+                if color is None:
+                    continue
+                per_color[color] = per_color.get(color, 0) + 1
+                other = holder.setdefault(color, idx)
+                if other != idx:
+                    problems.append(f"colours: members {other} and {idx} "
+                                    f"share wavelength {color} on fibre "
+                                    f"{arc}")
         recount = [0] * wavelengths
         used_mask = 0
         for idx, color in coloring.items():
@@ -742,26 +766,16 @@ class OnlineEngine(Instrumented):
         if assigner.used_mask != used_mask:
             problems.append("assigner: used-wavelength mask disagrees "
                             "with a recount of the colouring")
-        index = assigner.color_index
-        if index is not None:
-            problems.extend(f"colorindex: {p}" for p in index.audit())
-            expected_counts: Dict[int, Dict[int, int]] = {}
-            for idx, color in coloring.items():
-                if idx not in active_set:
-                    continue
-                for aid in family.member_arc_ids(idx):
-                    per_color = expected_counts.setdefault(aid, {})
-                    per_color[color] = per_color.get(color, 0) + 1
-            for aid in range(max(family.num_arc_ids, len(index._counts))):
-                expected_arc = expected_counts.get(aid, {})
-                # reaching into the index's count table: the public mask
-                # only proves presence, the audit wants exact user counts
-                actual_arc = (index._counts[aid]
-                              if aid < len(index._counts) else {})
-                if actual_arc != expected_arc:
-                    problems.append(f"colorindex: arc {aid} occupancy "
-                                    f"{actual_arc} disagrees with a replay "
-                                    f"of the colouring ({expected_arc})")
+        for aid in range(max(family.num_arc_ids, len(index._counts))):
+            expected_arc = expected_counts.get(aid, {})
+            # reaching into the index's count table: the public mask
+            # only proves presence, the audit wants exact user counts
+            actual_arc = (index._counts[aid]
+                          if aid < len(index._counts) else {})
+            if actual_arc != expected_arc:
+                problems.append(f"colorindex: arc {aid} occupancy "
+                                f"{actual_arc} disagrees with a replay "
+                                f"of the colouring ({expected_arc})")
         return problems
 
     def admit(self, request_id: int, request: Optional[Request] = None,

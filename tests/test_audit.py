@@ -52,14 +52,16 @@ def loaded_engine(**kwargs) -> OnlineEngine:
 # --------------------------------------------------------------------------- #
 # clean engines audit clean
 # --------------------------------------------------------------------------- #
-@pytest.mark.parametrize("sharded", [False, True])
-def test_engine_audit_clean_after_churn(sharded):
-    engine = loaded_engine(sharded=sharded)
+@pytest.mark.parametrize("speculative", [False, True])
+def test_engine_audit_clean_after_churn(speculative):
+    # speculation admits through what-if transactions whose rollbacks
+    # unwind the colour index journal
+    engine = loaded_engine(speculative=speculative)
     assert engine.audit() == []
 
 
 def test_component_audits_clean_on_live_engine():
-    engine = loaded_engine(sharded=True)
+    engine = loaded_engine()
     assert engine.conflict.audit() == []
     assert engine.assigner.color_index.audit() == []
 
@@ -68,7 +70,7 @@ def test_component_audits_clean_on_live_engine():
 # corrupted components are named
 # --------------------------------------------------------------------------- #
 def test_corrupted_shard_tracker_is_detected():
-    engine = loaded_engine(sharded=True)
+    engine = loaded_engine()
     shard = engine.conflict.shard_of_member(engine.vertex_of[0])
     shard.member_mask = 0                       # zombie shard
     problems = engine.conflict.audit()
@@ -77,7 +79,7 @@ def test_corrupted_shard_tracker_is_detected():
 
 
 def test_corrupted_color_index_mask_is_detected():
-    engine = loaded_engine(sharded=True)
+    engine = loaded_engine()
     index = engine.assigner.color_index
     aid = next(a for a, per_color in enumerate(index._counts) if per_color)
     index._masks[aid] ^= 1 << 7                 # flip an unused colour bit
@@ -88,13 +90,39 @@ def test_corrupted_color_index_mask_is_detected():
 
 
 def test_corrupted_color_index_count_is_detected():
-    engine = loaded_engine(sharded=True)
+    engine = loaded_engine()
     index = engine.assigner.color_index
     aid = next(a for a, per_color in enumerate(index._counts) if per_color)
     color = next(iter(index._counts[aid]))
     index._counts[aid][color] = 0               # record() never leaves zeros
     assert any("non-positive" in p for p in index.audit())
     assert engine.audit() != []
+
+
+def _drop_one_arc_member(engine):
+    family = engine.family
+    aid = next(a for a in range(family.num_arc_ids)
+               if family.members_on_arc(family.arc_of_id(a)))
+    members = family._arc_members[aid]
+    family._arc_members[aid] = members & (members - 1)
+
+
+def _drop_one_member_arc_id(engine):
+    idx = engine.vertex_of[0]
+    engine.family._path_arc_ids[idx] = engine.family._path_arc_ids[idx][1:]
+
+
+@pytest.mark.parametrize("corrupt", [_drop_one_arc_member,
+                                     _drop_one_member_arc_id],
+                         ids=["arc_members", "member_arc_ids"])
+def test_corrupted_family_tables_are_detected(corrupt):
+    """The audit derives the expected relation from the raw routes, not
+    from the family tables the adjacency itself is derived from, so a
+    corrupted table cannot vouch for itself."""
+    engine = loaded_engine()
+    corrupt(engine)
+    problems = engine.audit()
+    assert any(p.startswith("family:") for p in problems), problems
 
 
 def test_corrupted_assigner_usage_is_detected():
@@ -155,20 +183,19 @@ def test_audited_fault_injection_run_is_clean():
         Event(3.0, DEPARTURE, 0),
         Event(3.5, DEPARTURE, 2),
     ])
-    # audit after every event, serial and sharded, with defrag on top
-    for sharded in (False, True):
-        result = simulate_online(graph, events, wavelengths=4,
-                                 routing="k_shortest", sharded=sharded,
-                                 defrag_every=3, audit_every=1)
-        assert result.fibre_cuts == 1
+    # audit after every event, with defrag on top
+    result = simulate_online(graph, events, wavelengths=4,
+                             routing="k_shortest", defrag_every=3,
+                             audit_every=1)
+    assert result.fibre_cuts == 1
 
 
 def test_audit_every_matches_unaudited_decisions():
     graph = random_internal_cycle_free_dag(24, 36, seed=3)
     trace = poisson_trace(random_request_family(graph, 18, seed=3), 90,
                           arrival_rate=3.0, mean_holding=4.0, seed=3)
-    plain = simulate_online(graph, trace, 8, sharded=True)
-    audited = simulate_online(graph, trace, 8, sharded=True, audit_every=7)
+    plain = simulate_online(graph, trace, 8)
+    audited = simulate_online(graph, trace, 8, audit_every=7)
     assert audited.accepted == plain.accepted
     assert audited.blocked == plain.blocked
     assert audited.wavelengths_used == plain.wavelengths_used
@@ -190,6 +217,6 @@ def test_fifty_seed_audited_sweep_including_faults():
                 cut_event(horizon / 3, arc, fault_id=1000),
                 repair_event(2 * horizon / 3, arc, fault_id=1001),
             ])
-        simulate_online(graph, events, 6, sharded=bool(seed % 3),
+        simulate_online(graph, events, 6,
                         defrag_every=None if seed % 5 else 25,
                         audit_every=10)

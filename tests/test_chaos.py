@@ -189,7 +189,7 @@ def test_supervisor_restart_with_engine_knobs(tmp_path):
     graph, events = _fault_workload(num_requests=30)
     every_knob = dict(routing="k_shortest", policy="least_used",
                       kempe_repair=True, seed=7, k_candidates=3,
-                      speculative=True, sharded=True, restoration=False,
+                      speculative=True, restoration=False,
                       restore_retries=1, restore_move_budget=5,
                       revert_on_repair=True, restore_order="longest_route")
     defaults = EngineConfig()
@@ -225,9 +225,8 @@ def test_supervisor_restart_with_engine_knobs(tmp_path):
         assert recovered.config == config
         # without any knobs, from_durable still takes the genesis config
         bare = RwaService.from_durable(recovered).result()
-        assert (bare.routing, bare.policy, bare.speculative,
-                bare.sharded) == (config.routing, config.policy,
-                                  config.speculative, config.sharded)
+        assert (bare.routing, bare.policy, bare.speculative) \
+            == (config.routing, config.policy, config.speculative)
 
 
 def test_fault_reconcile_moves_live_result_counters():

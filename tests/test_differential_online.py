@@ -320,7 +320,13 @@ def full_state(engine):
 
 
 def _warm_twins(seed, sharded, policy, kempe):
-    """Two engines driven through the same warm-up trace."""
+    """Two engines driven through the same warm-up trace.
+
+    ``sharded`` keeps the engine's own wiring; ``False`` swaps in the
+    eager library pair (a neighbour-patched
+    :class:`~repro.conflict.DynamicConflictGraph` and an assigner that
+    walks the neighbourhood, no colour index) before the first event.
+    """
     graph = random_dag(14, 0.35, seed=seed)
     pool = uniform_random_traffic(graph, 30, seed=seed)
     trace = poisson_trace(pool, 60, arrival_rate=6.0, mean_holding=10.0,
@@ -330,7 +336,11 @@ def _warm_twins(seed, sharded, policy, kempe):
     twins = []
     for _ in range(2):
         engine = OnlineEngine(graph, WAVELENGTHS, policy=policy,
-                              kempe_repair=kempe, seed=seed, sharded=sharded)
+                              kempe_repair=kempe, seed=seed)
+        if not sharded:
+            engine.conflict = DynamicConflictGraph(engine.family)
+            engine.assigner = OnlineWavelengthAssigner(
+                WAVELENGTHS, policy=policy, kempe_repair=kempe, seed=seed)
         for event in trace:
             if event.kind == ARRIVAL:
                 engine.admit(event.request_id, request=event.request)

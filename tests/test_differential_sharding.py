@@ -1,28 +1,27 @@
-"""Differential harness: sharded vs unsharded engines, decision-identical.
+"""Differential harness: the online engine against the audit oracle.
 
-The component-sharded engine routes its hot paths through per-fibre
-colour occupancy and lazy arc-derived adjacency; the claim that buys the
-speedup is that **no decision changes**: the forbidden-colour set of an
-arrival equals the colour set of its conflict neighbours, first-fit and
-friends see the same free colours, Kempe chains explore the same
-components, defrag accepts the same moves.  This harness pins the claim
-the way the PR 3 harness pinned rollback bit-identity:
+The online engine routes its hot paths through per-fibre colour
+occupancy and lazy arc-derived adjacency.  A decision reads exactly two
+inputs besides the colouring: the conflict adjacency (which members
+share a fibre with the arrival) and the forbidden-colour set (which
+colours its fibres already carry).  ``simulate_online(...,
+audit_every=1)`` proves after **every** event that the adjacency equals
+the raw routes' shared-fibre relation and that the colour index equals
+a replay of the colouring (:meth:`~repro.online.OnlineEngine.audit`), so
+every decision was taken on the inputs the paper's conflict graph
+defines:
 
-* a 50-seed sweep of random multi-region churn traces replayed through
-  ``simulate_online`` twice (sharded and unsharded) under a rotating mix
-  of routing/policy/defrag/batch configurations, asserting the full
-  :class:`~repro.online.OnlineResult` compares equal (blocking,
-  rejection reasons, colour counts, defrag counters, timelines);
+* a 50-seed sweep of random multi-region churn traces under a rotating
+  mix of routing/policy/defrag/batch configurations, fully traced
+  (instrumentation must not perturb the audit);
 * hand-built traces engineered to force component **merges** (a bridge
   lightpath arriving across two warm regions) and **splits** (the bridge
   departing mid-run, with a defrag trigger forcing the split-check while
-  the system is loaded), asserting identity *and* that the counters
-  prove the machinery actually fired.
+  the system is loaded), asserting the audit stays clean *and* that the
+  counters prove the machinery actually fired.
 """
 
 from __future__ import annotations
-
-from dataclasses import asdict
 
 import pytest
 
@@ -36,14 +35,6 @@ from repro.online import (
     simulate_online,
     sort_events,
 )
-
-#: Result fields describing the shard machinery itself, excluded from
-#: the identity comparison: both engines track components, but the
-#: unsharded one knows each removed member's degree for free and skips
-#: more split-checks, so the *diagnostic* counters legitimately differ —
-#: every decision-bearing field must still compare equal.
-_SHARD_FIELDS = ("sharded", "component_merges", "component_splits",
-                 "shard_rebuilds")
 
 #: Per-seed configuration rotation: every seed exercises one of these.
 _CONFIGS = (
@@ -62,32 +53,16 @@ _CONFIGS = (
 )
 
 
-def _deterministic_metrics(snapshot):
-    """The decision-bearing section of a metrics snapshot (see
-    :mod:`repro.obs.registry`): everything except ``diagnostics``."""
-    return {k: v for k, v in snapshot.items() if k != "diagnostics"}
-
-
-def _compare(graph, trace, wavelengths, **kwargs):
-    base = simulate_online(graph, trace, wavelengths, seed=3, **kwargs)
-    # the sharded side runs fully instrumented: per the observability
-    # layer's contract, tracing must not perturb a single decision
-    shard = simulate_online(graph, trace, wavelengths, seed=3, sharded=True,
-                            tracer=Tracer(sink=RingBufferSink(capacity=512)),
-                            **kwargs)
-    plain, mirrored = asdict(base), asdict(shard)
-    for field in _SHARD_FIELDS:
-        plain.pop(field), mirrored.pop(field)
-    # metrics: the deterministic section must match exactly; diagnostics
-    # (shard tracker, colour index) legitimately differ per code path
-    plain_metrics = plain.pop("metrics")
-    shard_metrics = mirrored.pop("metrics")
-    assert (_deterministic_metrics(plain_metrics)
-            == _deterministic_metrics(shard_metrics))
-    assert plain == mirrored, {
-        key: (plain[key], mirrored[key])
-        for key in plain if plain[key] != mirrored[key]}
-    return shard
+def _audited(graph, trace, wavelengths, **kwargs):
+    """One fully traced run audited after every event (an audit
+    violation raises :class:`~repro.exceptions.AuditError`)."""
+    result = simulate_online(graph, trace, wavelengths, seed=3,
+                             audit_every=1,
+                             tracer=Tracer(sink=RingBufferSink(capacity=512)),
+                             **kwargs)
+    assert len(result.accepted) + len(result.blocked) == sum(
+        1 for e in trace if e.kind == ARRIVAL)
+    return result
 
 
 @pytest.mark.parametrize("seed", range(50))
@@ -98,7 +73,7 @@ def test_sharded_engine_is_decision_identical(seed):
     trace = poisson_trace(pool, 130, arrival_rate=15.0, mean_holding=3.0,
                           seed=seed)
     config = dict(_CONFIGS[seed % len(_CONFIGS)])
-    _compare(graph, trace, 4 + seed % 3, record_timeline=True, **config)
+    _audited(graph, trace, 4 + seed % 3, record_timeline=True, **config)
 
 
 def _two_region_graph():
@@ -131,7 +106,7 @@ def test_engineered_merge_and_split_trace():
         Event(5.0, ARRIVAL, 5, dipath=["a0", "a1"]),
     ]
     trace = sort_events(events)
-    result = _compare(graph, trace, 4, routing="shortest", defrag_every=6)
+    result = _audited(graph, trace, 4, routing="shortest", defrag_every=6)
     assert result.component_merges >= 1
     assert result.component_splits >= 1
 
@@ -152,7 +127,7 @@ def test_engineered_merge_split_under_batching_and_speculation():
         Event(4.0, ARRIVAL, 6, dipath=["a0", "a1"]),
     ]
     trace = sort_events(events)
-    result = _compare(graph, trace, 4, routing="shortest",
+    result = _audited(graph, trace, 4, routing="shortest",
                       batch_policy="greedy", defrag_every=7)
     assert result.component_merges >= 1
     assert result.component_splits >= 1

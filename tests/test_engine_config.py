@@ -6,8 +6,9 @@
   durable journal writes its genesis record — rather than at the first
   fibre cut or defrag pass.
 * **One wiring.**  :meth:`EngineConfig.components` is the only place the
-  knobs pick the conflict graph, the assigner and the colour index; the
-  engine and snapshot recovery both call it.
+  conflict graph, the assigner and the colour index are wired; the
+  engine and snapshot recovery both call it.  There is one engine, so
+  ``sharded`` is no knob: ``True`` is accepted and ``False`` refused.
 * **One process.**  The online engine and the service run in the
   importing process: importing them loads no process-pool machinery.
 """
@@ -17,11 +18,12 @@ from __future__ import annotations
 import os
 import subprocess
 import sys
+from dataclasses import asdict, fields
 
 import pytest
 
 import repro
-from repro.conflict import DynamicConflictGraph, ShardedConflictGraph
+from repro.conflict import ShardedConflictGraph
 from repro.dipaths.family import DipathFamily
 from repro.graphs.digraph import DiGraph
 from repro.obs.registry import MetricsRegistry
@@ -77,19 +79,59 @@ def test_simulate_online_has_no_shard_workers_option():
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("sharded", [False, True])
 def test_components_wire_the_sharded_knob(sharded):
+    """One wiring, no branch: a component-sharded conflict graph and an
+    attached colour index, whether or not the retired ``sharded=True``
+    spelling is passed."""
+    spelling = {"sharded": True} if sharded else {}
     family = DipathFamily()
-    config = EngineConfig(sharded=sharded, policy="least_used",
-                          kempe_repair=True, seed=3)
+    config = EngineConfig(policy="least_used", kempe_repair=True, seed=3,
+                          **spelling)
+    assert config == EngineConfig(policy="least_used", kempe_repair=True,
+                                  seed=3)
     conflict, assigner = config.components(family, 5, MetricsRegistry())
-    expected = ShardedConflictGraph if sharded else DynamicConflictGraph
-    assert type(conflict) is expected
+    assert type(conflict) is ShardedConflictGraph
     assert conflict.family is family
     assert (assigner.wavelengths, assigner.policy, assigner.kempe_repair) \
         == (5, "least_used", True)
-    assert isinstance(assigner.color_index, ArcColorIndex) is sharded
-    engine = OnlineEngine(_line(), 5, sharded=sharded)
-    assert type(engine.conflict) is expected
-    assert (engine.assigner.color_index is None) is not sharded
+    assert isinstance(assigner.color_index, ArcColorIndex)
+    engine = OnlineEngine(_line(), 5, **spelling)
+    assert type(engine.conflict) is ShardedConflictGraph
+    assert isinstance(engine.assigner.color_index, ArcColorIndex)
+
+
+def test_engine_config_has_eleven_knobs_and_no_sharded_field():
+    assert [f.name for f in fields(EngineConfig)] == [
+        "routing", "policy", "kempe_repair", "seed", "k_candidates",
+        "speculative", "restoration", "restore_retries",
+        "restore_move_budget", "revert_on_repair", "restore_order"]
+    assert "sharded" not in asdict(EngineConfig(sharded=True))
+    result = simulate_online(_line(), [], 2)
+    assert not hasattr(result, "sharded")
+    assert not hasattr(result.engine, "sharded")
+
+
+def test_sharded_true_is_accepted_and_false_refused(tmp_path):
+    """``sharded`` has one legal value: every front-end taking engine
+    knobs accepts ``True`` and refuses ``False`` — the latter before a
+    durable journal writes its genesis record."""
+    simulate_online(_line(), [], 2, sharded=True)
+    OnlineEngine(_line(), 2, sharded=True)
+    RwaService(_line(), 2, sharded=True)
+    DurableEngine(_line(), str(tmp_path / "ok.jsonl"), 2,
+                  sharded=True).close()
+    path = tmp_path / "refused.jsonl"
+    refusals = (
+        lambda: simulate_online(_line(), [], 2, sharded=False),
+        lambda: OnlineEngine(_line(), 2, sharded=False),
+        lambda: RwaService(_line(), 2, sharded=False),
+        lambda: RwaService(_line(), 2, journal_path=str(path),
+                           sharded=False),
+        lambda: DurableEngine(_line(), str(path), 2, sharded=False),
+    )
+    for refuse in refusals:
+        with pytest.raises(ValueError, match="sharded=False"):
+            refuse()
+    assert not path.exists()
 
 
 # ---------------------------------------------------------------------- #

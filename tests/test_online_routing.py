@@ -305,7 +305,7 @@ class TestAdmitBestRanking:
         ``[c, d]`` (cost (1, 1, 1)) can."""
         graph = DiGraph(arcs=[("a", "b"), ("b", "c"), ("c", "d"),
                               ("d", "e")])
-        engine = OnlineEngine(graph, 2, sharded=True)
+        engine = OnlineEngine(graph, 2)
         for color, path in enumerate((["a", "b"], ["b", "c"])):
             engine.assigner.adopt(engine.conflict.add_dipath(Dipath(path)),
                                   color)

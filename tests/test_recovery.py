@@ -321,8 +321,8 @@ def test_genesis_record_bytes_are_pinned(tmp_path):
     path = tmp_path / "genesis.jsonl"
     DurableEngine(graph, str(path), 5, routing="k_shortest",
                   policy="least_used", kempe_repair=True, seed=7,
-                  k_candidates=3, speculative=True, sharded=True,
-                  snapshot_every=4, restoration=False, restore_retries=1,
+                  k_candidates=3, speculative=True, snapshot_every=4,
+                  restoration=False, restore_retries=1,
                   restore_move_budget=5, revert_on_repair=True,
                   restore_order="longest_route").close()
     assert path.read_bytes() == (
@@ -330,9 +330,61 @@ def test_genesis_record_bytes_are_pinned(tmp_path):
         b'"policy":"least_used","restoration":false,"restore_move_budget":5,'
         b'"restore_order":"longest_route","restore_retries":1,'
         b'"revert_on_repair":true,"routing":"k_shortest","seed":7,'
-        b'"sharded":true,"snapshot_every":4,"speculative":true,'
-        b'"type":"genesis","version":1,"vertices":[0,1,2],"wavelengths":5}'
+        b'"snapshot_every":4,"speculative":true,"type":"genesis",'
+        b'"version":1,"vertices":[0,1,2],"wavelengths":5}'
         b'\n')
+
+
+#: Records of a journal written before the engine knobs lost ``sharded``:
+#: the genesis record carries the retired key (``%s`` is its value).
+_OLD_JOURNAL = (
+    b'{"arcs":[[0,1],[0,2],[1,3],[2,3]],"k_candidates":4,'
+    b'"kempe_repair":false,"policy":"first_fit","restoration":true,'
+    b'"restore_move_budget":null,"restore_order":"highest_wavelength",'
+    b'"restore_retries":2,"revert_on_repair":false,"routing":"k_shortest",'
+    b'"seed":null,"sharded":%s,"snapshot_every":null,"speculative":false,'
+    b'"type":"genesis","version":1,"vertices":[0,1,2,3],"wavelengths":2}\n'
+    b'{"color":0,"dipath":null,"index":0,"outcome":null,"request":[0,3],'
+    b'"rid":0,"type":"admit"}\n'
+    b'{"color":0,"dipath":null,"index":1,"outcome":null,"request":[0,3],'
+    b'"rid":1,"type":"admit"}\n'
+    b'{"arc":[0,1],"defrag_moves":0,"restored":[0],"retries":0,'
+    b'"stranded":[0],"type":"cut"}\n'
+    b'{"color":null,"dipath":null,"index":null,"outcome":"no_wavelength",'
+    b'"request":[0,3],"rid":2,"type":"admit"}\n'
+    b'{"arc":[0,1],"defrag_moves":0,"restored":[],"reverted":[],'
+    b'"type":"repair"}\n'
+    b'{"outcome":true,"rid":1,"type":"depart"}\n'
+    b'{"max_moves":null,"moves":1,"order":"highest_wavelength",'
+    b'"reclaimed":0,"shard":null,"type":"defrag"}\n')
+
+
+@pytest.mark.parametrize("sharded", [b"true", b"false"])
+def test_journal_with_retired_sharded_key_recovers(tmp_path, sharded):
+    """Genesis records written while ``sharded`` was a knob still
+    recover — either value, onto the one engine — to the fingerprint of
+    a fresh journalled replay of the same ops."""
+    path = tmp_path / "old.jsonl"
+    path.write_bytes(_OLD_JOURNAL % sharded)
+    recovered = recover(str(path))
+    recovered.close()
+    assert "sharded" in recovered.genesis
+    fresh = DurableEngine(diamond(), str(tmp_path / "fresh.jsonl"), 2,
+                          routing="k_shortest")
+    fresh.admit(0, request=Request(0, 3))
+    fresh.admit(1, request=Request(0, 3))
+    fresh.cut((0, 1))
+    fresh.admit(2, request=Request(0, 3))
+    fresh.repair((0, 1))
+    fresh.depart(1)
+    fresh.defrag()
+    fresh.close()
+    assert recovered.config == fresh.config
+    assert engine_fingerprint(recovered.engine) \
+        == engine_fingerprint(fresh.engine)
+    # the fresh journal is the old one minus the retired key
+    assert (tmp_path / "fresh.jsonl").read_bytes() \
+        == _OLD_JOURNAL.replace(b'"sharded":%s,', b"")
 
 
 def test_empty_or_torn_genesis_raises(tmp_path):

@@ -79,6 +79,7 @@ class TestTraceLoopIdentity:
         ({"batch_policy": "greedy", "work_budget": 4.0, "queue_depth": 6},
          {"batch_policy": "greedy", "shed_work_budget": 4.0,
           "shed_queue_depth": 6}),
+        # the retired ``sharded=True`` spelling, accepted by both
         ({"sharded": True}, {"sharded": True}),
         ({"routing": "k_shortest", "speculative": True, "work_budget": 9.0},
          {"routing": "k_shortest", "speculative": True,
@@ -102,7 +103,7 @@ class TestTraceLoopIdentity:
         for field in ("wavelengths_used", "kempe_repairs", "defrag_passes",
                       "component_merges", "component_splits",
                       "shard_rebuilds", "batch_policy", "policy",
-                      "routing", "sharded"):
+                      "routing"):
             assert getattr(served, field) == getattr(reference, field), field
 
     def test_deterministic_metrics_match_trace_loop(self):

@@ -328,7 +328,7 @@ def _three_region_engine(wavelengths=8, events=160, **kwargs):
                                   seed=8)
     pool = random_walk_family(graph, 300, seed=9, min_length=2)
     trace = churn_trace(pool, 90, events, seed=10)
-    engine = OnlineEngine(graph, wavelengths, sharded=True, **kwargs)
+    engine = OnlineEngine(graph, wavelengths, **kwargs)
     for event in trace:
         if event.kind == "arrival":
             engine.admit(event.request_id, dipath=event.dipath)
