@@ -366,6 +366,10 @@ class DipathFamily:
         """The dense integer id of ``arc`` (raises ``KeyError`` if unused)."""
         return self._arc_ids[arc]
 
+    def find_arc_id(self, arc: Arc) -> Optional[int]:
+        """The dense integer id of ``arc``, or ``None`` if never interned."""
+        return self._arc_ids.get(arc)
+
     def arc_of_id(self, arc_id: int) -> Arc:
         """The arc with the given dense id."""
         return self._arcs[arc_id]
@@ -392,6 +396,10 @@ class DipathFamily:
         aid = self._arc_ids.get(arc)
         return 0 if aid is None else self._arc_members[aid].bit_count()
 
+    def load_of_arc_id(self, arc_id: int) -> int:
+        """The load of the arc with the given dense id."""
+        return self._arc_members[arc_id].bit_count()
+
     def load_per_arc(self) -> Dict[Arc, int]:
         """Mapping ``arc -> load`` restricted to arcs of positive load."""
         return {arc: mask.bit_count()
@@ -413,6 +421,14 @@ class DipathFamily:
             self._load_hist = hist
             self._load_cache = max(hist, default=0)
         return self._load_cache
+
+    def arcs_at_load(self, load: int) -> int:
+        """Number of arcs whose load is exactly ``load`` (``load >= 1``).
+
+        O(1) once warm: read from the histogram behind :meth:`load`.
+        """
+        self.load()
+        return self._load_hist.get(load, 0)
 
     def maximum_load_arcs(self) -> List[Arc]:
         """Arcs achieving the maximum load."""

@@ -203,6 +203,10 @@ class OnlineWavelengthAssigner:
         """Current user count per colour (a copy)."""
         return list(self._usage)
 
+    def users_of(self, color: int) -> int:
+        """Number of vertices currently holding ``color``.  O(1)."""
+        return self._usage[color]
+
     # ------------------------------------------------------------------ #
     # events
     # ------------------------------------------------------------------ #

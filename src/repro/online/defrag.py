@@ -28,6 +28,38 @@ potential (each component is a non-negative integer), so repeated passes
 terminate; ``max_moves`` and ``time_budget`` bound a single pass for
 engines that defragment inside a latency budget.
 
+Most attempts cannot improve, and proving that needs no speculation.
+Before opening the outer transaction, :meth:`DefragPass._may_improve`
+evaluates the objective for every pair a re-admission could commit — a
+candidate route ``R'`` and a colour ``c'`` free on it — from tables the
+engine already keeps, with the member taken out:
+
+* *colours in use and the highest colour*: the assigner's used mask,
+  minus the member's colour when the member is its only user;
+* *maximum fibre load*: the family's load histogram says whether an arc
+  off the member's route still sits at ``π``; if not, the maximum drops
+  to ``π - 1``.  Admitting ``R'`` makes it the larger of that and the
+  highest load on ``R'`` plus one;
+* *free colours on* ``R'``: the union of the
+  :class:`~repro.online.sharding.ArcColorIndex` masks of its arcs, with
+  the member's colour cleared on the arcs it shares with ``R'`` (a
+  proper colouring gives the member sole use of its colour on its own
+  fibres; clearing it anyway could only free more colours).
+
+For a fixed pair these four values are exactly the objective the move
+would reach: loads and colours move only on ``R'`` and ``c'``.  The pass
+speculates only if some pair is strictly below the current objective;
+otherwise the move is *pruned*.  This is sound because every policy
+picks a free colour, so the committed pair is one of those evaluated,
+and because a Kempe repair — the only way to colour a route with no free
+colour, and the only step that recolours other lightpaths — makes the
+bound answer "may improve".  A pruned move is one that would have rolled
+back bit-identically, so pruning changes no decision; only the
+path-dependent diagnostic counters of the skipped speculation
+(``shards.merges``/``splits``/``rebuilds``, ``colorindex.*``) read
+lower.  An assigner without a colour index gives the bound nothing to
+read, and every move is speculated.
+
 The pass never disconnects a lightpath for good: a move is an atomic
 remove + re-admit, and the remove is only committed together with a
 successful, strictly better re-admission.  Blocked re-admissions (the
@@ -105,6 +137,8 @@ class DefragMove:
 class DefragReport:
     """Outcome of one :meth:`DefragPass.run`.
 
+    ``attempted`` counts every walked member, ``pruned`` those of them
+    whose move the bound proved could not improve (never speculated).
     ``colors_*`` count distinct wavelengths in use, ``max_color_*`` the
     highest wavelength index in use and ``load_*`` the maximum fibre load,
     each sampled immediately before and after the pass.
@@ -112,6 +146,7 @@ class DefragReport:
 
     order: str
     attempted: int = 0
+    pruned: int = 0
     moves: List[DefragMove] = field(default_factory=list)
     colors_before: int = 0
     colors_after: int = 0
@@ -166,7 +201,8 @@ class DefragPass(Instrumented):
     metrics:
         Shared :class:`~repro.obs.registry.MetricsRegistry` to publish
         the pass counters into (``defrag.attempted`` /
-        ``defrag.committed``); a private registry is created otherwise.
+        ``defrag.pruned`` / ``defrag.committed``); a private registry is
+        created otherwise.
     """
 
     def __init__(self, conflict: DynamicConflictGraph,
@@ -186,6 +222,7 @@ class DefragPass(Instrumented):
             raise TransactionError("time_budget must be >= 0")
         self._obs_init("defrag", metrics)
         self._m_attempted = self._obs_counter("attempted")
+        self._m_pruned = self._obs_counter("pruned")
         self._m_committed = self._obs_counter("committed")
         self._conflict = conflict
         self._assigner = assigner
@@ -218,6 +255,8 @@ class DefragPass(Instrumented):
     # one move
     # ------------------------------------------------------------------ #
     def _candidate_routes(self, idx: int, current: Dipath) -> List[Dipath]:
+        """A fresh candidate list for ``idx``, ending with ``current``
+        unless the candidate function already offers it."""
         if self._candidates is None:
             return [current]
         routes = list(self._candidates(idx, current))
@@ -225,13 +264,78 @@ class DefragPass(Instrumented):
             routes.append(current)
         return routes
 
-    def _try_move(self, idx: int) -> Optional[DefragMove]:
-        """Speculatively re-admit member ``idx``; commit a strict improver."""
+    def _may_improve(self, idx: int, routes: Sequence[Dipath],
+                     before: Tuple[int, int, int, int]) -> bool:
+        """Whether re-admitting member ``idx`` could beat ``before``.
+
+        Evaluates the move objective of every (candidate route, free
+        colour) pair exactly, from the live tables with the member taken
+        out (see the module docstring); ``False`` proves the speculative
+        move would roll back.  O(arcs) per candidate.
+        """
+        assigner = self._assigner
+        index = assigner.color_index
+        if index is None:               # no per-fibre masks to read
+            return True
+        family = self._conflict.family
+        _, _, load, old_color = before
+        old_bit = 1 << old_color
+        used = assigner.used_mask
+        if assigner.users_of(old_color) == 1:
+            used &= ~old_bit
+        top = used.bit_length() - 1
+        own = family.member_arc_ids(idx)
+        at_peak = sum(1 for aid in own if family.load_of_arc_id(aid) == load)
+        base_load = (load - 1
+                     if at_peak and family.arcs_at_load(load) == at_peak
+                     else load)
+        budget = (1 << assigner.wavelengths) - 1
+        for route in routes:
+            peak, forbidden = base_load, 0
+            for arc in route.arcs():
+                aid = family.find_arc_id(arc)
+                if aid is None:         # a fibre no lightpath ever used
+                    arc_load, mask = 0, 0
+                else:
+                    arc_load = family.load_of_arc_id(aid)
+                    mask = index.colors_on_arc_id(aid)
+                    if aid in own:
+                        arc_load -= 1
+                        mask &= ~old_bit
+                if arc_load >= peak:
+                    peak = arc_load + 1
+                forbidden |= mask
+            free = budget & ~forbidden
+            if not free:
+                if assigner.kempe_repair:   # may recolour other lightpaths
+                    return True
+                continue                    # admit_best cannot colour it
+            # the best pair on this route: the lowest free colour already
+            # in use elsewhere, else the lowest free colour
+            pick = (free & used) or free
+            color = (pick & -pick).bit_length() - 1
+            best = ((used | 1 << color).bit_count(), max(top, color), peak,
+                    color)
+            if best < before:
+                return True
+        return False
+
+    def _try_move(self, idx: int,
+                  report: DefragReport) -> Optional[DefragMove]:
+        """Speculatively re-admit member ``idx``; commit a strict improver.
+
+        A move :meth:`_may_improve` rules out is counted in
+        ``report.pruned`` and never speculated.
+        """
         conflict, assigner = self._conflict, self._assigner
         old_route = conflict.family[idx]
         old_color = assigner.color_of(idx)
         routes = self._candidate_routes(idx, old_route)
         before = defrag_objective(conflict, assigner) + (old_color,)
+        if not self._may_improve(idx, routes, before):
+            report.pruned += 1
+            self._m_pruned.inc()
+            return None
         with WhatIfTransaction(conflict, assigner) as move:
             move.release(idx)
             move.remove_dipath(idx)
@@ -271,7 +375,7 @@ class DefragPass(Instrumented):
                 break
             report.attempted += 1
             self._m_attempted.inc()
-            move = self._try_move(idx)
+            move = self._try_move(idx, report)
             if move is not None:
                 report.moves.append(move)
                 self._m_committed.inc()

@@ -48,7 +48,7 @@ directly instead of round-tripping through event lists.
 from __future__ import annotations
 
 from dataclasses import InitVar, dataclass, field, fields
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Sequence, Tuple
 
 from ..exceptions import (
     RoutingError,
@@ -966,16 +966,15 @@ class OnlineEngine(Instrumented):
     # ------------------------------------------------------------------ #
     # defragmentation
     # ------------------------------------------------------------------ #
-    def _defrag_candidates(self, idx: int, dipath: Dipath) -> List[Dipath]:
-        """Candidate routes for re-admitting lightpath ``idx``."""
+    def _defrag_candidates(self, idx: int, dipath: Dipath
+                           ) -> Sequence[Dipath]:
+        """The router's candidate routes for re-admitting lightpath
+        ``idx`` (:class:`DefragPass` adds the current route)."""
         try:
-            request = Request(dipath.source, dipath.target)
-            routes = list(self.router.candidates(request))
+            return self.router.candidates(Request(dipath.source,
+                                                  dipath.target))
         except RoutingError:        # e.g. 'unique' routing on an ambiguous pair
-            routes = []
-        if dipath not in routes:
-            routes.append(dipath)
-        return routes
+            return []
 
     def defrag(self, order: str = "highest_wavelength",
                max_moves: Optional[int] = None,

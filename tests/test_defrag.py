@@ -18,7 +18,15 @@ Covers the three layers the subsystem spans:
 
 from __future__ import annotations
 
+import dataclasses
+import importlib.util
+import random
+import sys
+from pathlib import Path
+
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from test_differential_online import engine_state
 
@@ -28,18 +36,31 @@ from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_dag
+from repro.dipaths.requests import Request
+from repro.generators.regions import multi_region_topology, multi_region_traffic
+from repro.graphs.digraph import DiGraph
 from repro.online import (
     ARRIVAL,
+    DEFRAG_ORDERINGS,
+    POLICIES,
+    DefragMove,
     DefragPass,
+    DefragReport,
     Event,
     OnlineEngine,
     OnlineWavelengthAssigner,
     WhatIfTransaction,
     admit_batch,
+    admit_best,
+    defrag_objective,
+    engine_fingerprint,
     max_color_in_use,
     poisson_trace,
     simulate_online,
+    sort_events,
 )
+from repro.online.events import maintenance_events
+from repro.online.faults import FaultInjector
 from repro.optical.traffic import uniform_random_traffic
 
 
@@ -458,3 +479,261 @@ class TestEngineDefragWiring:
                                  record_timeline=False, batch_policy="greedy",
                                  defrag_on_block=True)
         assert helped.blocking_rate <= base.blocking_rate
+
+
+# ---------------------------------------------------------------------- #
+# the pruning bound
+# ---------------------------------------------------------------------- #
+def _speculate_every_member(self, idx, report):
+    """The move test before the bound, frozen: speculate every member.
+
+    The differential oracle for :meth:`DefragPass._may_improve`: patched
+    over :meth:`DefragPass._try_move`, it re-admits each walked member
+    inside an outer what-if and keeps only strict improvers.
+    """
+    conflict, assigner = self._conflict, self._assigner
+    old_route = conflict.family[idx]
+    old_color = assigner.color_of(idx)
+    routes = self._candidate_routes(idx, old_route)
+    before = defrag_objective(conflict, assigner) + (old_color,)
+    with WhatIfTransaction(conflict, assigner) as move:
+        move.release(idx)
+        move.remove_dipath(idx)
+        decision = admit_best(conflict, assigner, routes)
+        if decision is None:
+            return None
+        after = defrag_objective(conflict, assigner) + (decision.color,)
+        if not after < before:
+            return None
+        move.commit()
+    return DefragMove(index=idx, new_index=decision.index,
+                      old_color=old_color, new_color=decision.color,
+                      old_route=old_route, new_route=decision.dipath)
+
+
+def _region_network(seed):
+    graph = multi_region_topology(regions=2, region_size=12,
+                                  arc_probability=0.25, coupling=2,
+                                  seed=seed)
+    pool = multi_region_traffic(graph, num_requests=200, inter_fraction=0.3,
+                                seed=seed)
+    return graph, pool
+
+
+def _decided(report):
+    """A pass report without ``pruned`` (the oracle never prunes)."""
+    return dataclasses.replace(report, pruned=0)
+
+
+def _churn_with_faults(seed, policy, order, kempe, steps=200,
+                       wavelengths=3):
+    """Drive one warm engine through churn, cuts, repairs and passes.
+
+    Returns the log a twin must reproduce: every pass report (full
+    passes, ``members=`` passes over one shard, ``max_moves=1`` passes),
+    every fault report, the fingerprint after each of them (each also
+    audited) and the Kempe repair count, plus the number of moves the
+    bound pruned.
+    """
+    graph, pool = _region_network(seed)
+    pairs = pool.pairs()
+    engine = OnlineEngine(graph, wavelengths, routing="k_shortest",
+                          speculative=True, policy=policy,
+                          kempe_repair=kempe, seed=seed)
+    injector = FaultInjector(engine, revert_on_repair=True, order=order)
+    rng = random.Random(seed)
+    arcs = sorted(graph.arcs())
+    log, pruned, rid = [], 0, 0
+    for _ in range(steps):
+        roll = rng.random()
+        if roll < 0.55:
+            source, target = rng.choice(pairs)
+            engine.admit(rid, request=Request(source, target))
+            rid += 1
+        elif roll < 0.8 and engine.vertex_of:
+            victim = rng.choice(sorted(engine.vertex_of))
+            engine.depart(victim)
+            injector.forget(victim)
+        elif roll < 0.9:
+            cut = injector.cut_arcs()
+            if cut and rng.random() < 0.5:
+                # each rerouted lightpath gets a one-candidate revert pass
+                log.append(("detours", injector.rerouted()))
+                fault = injector.repair(rng.choice(cut))
+            else:
+                fault = injector.cut(rng.choice(
+                    [a for a in arcs if a not in cut]))
+            log.append(("fault", fault))
+        else:
+            shards = sorted(engine.shard_map().items())
+            members = rng.choice(shards)[1] if shards else None
+            max_moves = rng.choice([None, 1])
+            report = DefragPass(engine.conflict, engine.assigner,
+                                candidates=engine._defrag_candidates,
+                                order=order, members=members,
+                                max_moves=max_moves).run()
+            pruned += report.pruned
+            log.append(("pass", _decided(report)))
+        if roll >= 0.8:
+            report = engine.defrag(order=order)
+            pruned += report.pruned
+            log.append(("engine", _decided(report)))
+            log.append(("fingerprint", engine_fingerprint(engine)))
+            assert engine.audit() == []
+    log.append(("kempe", engine.assigner.kempe_repairs))
+    return log, pruned
+
+
+class TestPruningBound:
+    @pytest.mark.parametrize("kempe", [False, True])
+    @pytest.mark.parametrize("order", DEFRAG_ORDERINGS)
+    @pytest.mark.parametrize("policy", POLICIES)
+    def test_twin_matches_speculate_every_member(self, monkeypatch, policy,
+                                                 order, kempe):
+        log, pruned = _churn_with_faults(11, policy, order, kempe)
+        with monkeypatch.context() as patch:
+            patch.setattr(DefragPass, "_try_move", _speculate_every_member)
+            oracle, oracle_pruned = _churn_with_faults(11, policy, order,
+                                                       kempe)
+        assert oracle_pruned == 0
+        assert pruned > 0               # the bound really ran
+        assert log == oracle
+        assert any(detours for kind, detours in log if kind == "detours")
+        if kempe:
+            assert log[-1][1] > 0       # Kempe repairs really happened
+
+    @pytest.mark.parametrize("policy,kempe", [("first_fit", False),
+                                              ("least_used", True),
+                                              ("random", False)])
+    def test_audited_fault_traces_match_speculate_every_member(
+            self, monkeypatch, policy, kempe):
+        graph, pool = _region_network(3)
+        trace = poisson_trace(pool, 300, arrival_rate=2.0, mean_holding=6.0,
+                              seed=3)
+        arcs = sorted(graph.arcs())
+        plan = random.Random(3)
+        faults = []
+        for window in range(5):
+            faults += maintenance_events(plan.sample(arcs, 2),
+                                         10.0 + 30.0 * window, 12.0,
+                                         fault_id=2 * window)
+        events = sort_events(list(trace) + faults)
+
+        def run():
+            return simulate_online(
+                graph, events, 3, record_timeline=False, audit_every=1,
+                defrag_on_block=True, defrag_every=40, routing="k_shortest",
+                speculative=True, policy=policy, kempe_repair=kempe, seed=3,
+                revert_on_repair=True)
+
+        def outcome(result):
+            counters = dict(result.metrics["counters"])
+            pruned = counters.pop("defrag.pruned")
+            return (result.accepted, result.blocked, result.rejections,
+                    engine_fingerprint(result.engine), counters,
+                    result.metrics["gauges"]), pruned
+
+        bounded, pruned = outcome(run())
+        with monkeypatch.context() as patch:
+            patch.setattr(DefragPass, "_try_move", _speculate_every_member)
+            oracle, oracle_pruned = outcome(run())
+        assert pruned > 0 and oracle_pruned == 0
+        assert bounded[3]["defrag"][1] > 0      # some moves committed
+        assert bounded == oracle
+
+    def test_own_colour_counts_as_free_on_shared_fibres(self):
+        """The member's colour is free again on the fibres it leaves.
+
+        ``x`` (colour 0) shares ``a->b`` with its detour ``a-b-d-c``,
+        whose other fibres hold colours 1 and 2.  Only colour 0 fits the
+        detour, which takes ``x`` off the load-3 fibre ``b->c``.
+        """
+        graph = DiGraph()
+        graph.add_arcs([("a", "b"), ("b", "c"), ("b", "d"), ("d", "c")])
+        engine = OnlineEngine(graph, 3)
+        routes = {0: "abc", 1: "bc", 2: "bc",      # colours 0, 1, 2
+                  3: "bd", 4: "bd",                 # 0, 1
+                  5: "dc", 6: "dc", 7: "dc"}        # 0, 1, 2
+        for rid, route in routes.items():
+            assert engine.admit(rid, dipath=Dipath(list(route))) is None
+        for rid in (3, 5, 6):                       # x: sole user of 0
+            engine.depart(rid)
+        detour = Dipath(list("abdc"))
+        report = DefragPass(engine.conflict, engine.assigner,
+                            candidates=lambda idx, current: [detour],
+                            members=[engine.vertex_of[0]]).run()
+        assert report.pruned == 0
+        assert [(m.new_route, m.new_color) for m in report.moves] == \
+            [(detour, 0)]
+        assert report.load_after == 2
+
+    @settings(max_examples=40, deadline=None,
+              suppress_health_check=[HealthCheck.too_slow])
+    @given(seed=st.integers(0, 10 ** 6), policy=st.sampled_from(POLICIES),
+           kempe=st.booleans(), wavelengths=st.integers(2, 5),
+           order=st.sampled_from(DEFRAG_ORDERINGS))
+    def test_cannot_improve_means_the_move_rolls_back(
+            self, seed, policy, kempe, wavelengths, order):
+        """Soundness: wherever the bound says "cannot improve", the full
+        speculative move returns ``None`` and leaves the state
+        bit-identical.  Moves the bound lets through are committed by the
+        same speculation, so later members see a moving state."""
+        graph, pool = _region_network(seed % 7)
+        pairs = pool.pairs()
+        engine = OnlineEngine(graph, wavelengths, routing="k_shortest",
+                              speculative=True, policy=policy,
+                              kempe_repair=kempe, seed=seed)
+        rng = random.Random(seed)
+        for rid in range(60):
+            source, target = rng.choice(pairs)
+            engine.admit(rid, request=Request(source, target))
+            if rng.random() < 0.4:
+                engine.depart(rng.choice(sorted(engine.vertex_of)))
+        pass_ = DefragPass(engine.conflict, engine.assigner,
+                           candidates=engine._defrag_candidates, order=order)
+        report = DefragReport(order=order)
+        for idx in pass_._ordered_members():
+            old_route = engine.family[idx]
+            routes = pass_._candidate_routes(idx, old_route)
+            before = (defrag_objective(engine.conflict, engine.assigner)
+                      + (engine.assigner.color_of(idx),))
+            if pass_._may_improve(idx, routes, before):
+                _speculate_every_member(pass_, idx, report)
+                continue
+            state = _state(engine.conflict, engine.assigner)
+            fingerprint = engine_fingerprint(engine)
+            assert _speculate_every_member(pass_, idx, report) is None
+            assert _state(engine.conflict, engine.assigner) == state
+            assert engine_fingerprint(engine) == fingerprint
+        assert engine.audit() == []
+
+    def test_bound_prunes_most_restoration_attempts(self, monkeypatch):
+        """Tightness floor on the benchmark's fault workload: over the 12
+        traces of run seed 201 the bound rules out at least 80 % of the
+        defrag attempts, and every move it rules out really rolls back."""
+        path = Path(__file__).resolve().parents[1] / "perfbench" / \
+            "workloads.py"
+        spec = importlib.util.spec_from_file_location("_workloads", path)
+        workloads = importlib.util.module_from_spec(spec)
+        monkeypatch.setitem(sys.modules, spec.name, workloads)
+        spec.loader.exec_module(workloads)
+        workload = workloads.WORKLOADS["speculative-faults-sim"]
+        verdicts = []
+        bound = DefragPass._may_improve
+
+        def checked(self, idx, routes, before):
+            verdict = bound(self, idx, routes, before)
+            verdicts.append(verdict)
+            if not verdict:
+                assert _speculate_every_member(
+                    self, idx, DefragReport(order="")) is None
+            return verdict
+
+        monkeypatch.setattr(DefragPass, "_may_improve", checked)
+        knobs = dict(workload.engine, **workload.simulator)
+        for seed in workloads.trace_seeds(201, workload.traces):
+            graph, events = workload.inputs(seed)
+            simulate_online(graph, events, workload.wavelengths,
+                            record_timeline=False, **knobs)
+        assert len(verdicts) > 1000
+        assert verdicts.count(False) >= 0.8 * len(verdicts)
