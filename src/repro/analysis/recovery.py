@@ -55,7 +55,7 @@ from ..online.events import (
     repair_event,
     sort_events,
 )
-from ..online.persistence import DurableEngine, recover
+from ..online.persistence import DurableEngine, read_journal, recover
 from ..online.simulator import SHED, OnlineEngine, simulate_online
 
 __all__ = [
@@ -171,9 +171,8 @@ def measure_crash_scenario(name: str, repeats: int = 3
         genesis_end = data.index(b"\n") + 1
         newlines = [i + 1 for i, b in enumerate(data) if b == 0x0A]
 
-        snapshots = sum(
-            1 for line in data.decode("utf-8").splitlines()
-            if line and '"type":"snapshot"' in line)
+        snapshots = sum(1 for record in read_journal(journal)
+                        if record["type"] == "snapshot")
 
         # random kill points: any byte offset past the genesis record
         rng = random.Random(seed * 7 + 5)

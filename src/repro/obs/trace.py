@@ -12,8 +12,9 @@ plus ``"wall": <seconds>`` when the tracer was built with
 ``wall_clock=True``.  Point events use ``kind="event"`` with a single
 ``"t"``.  Serialized as JSONL with sorted keys and compact separators,
 trace records interleave cleanly with the ``DurableEngine`` decision
-journal (same one-object-per-line framing, disjoint ``kind`` values from
-the journal's ``type`` field).
+journal (one record per line, disjoint ``kind`` values from the
+journal's ``type`` field; :func:`read_jsonl` skips journal lines, bare
+v1 objects and CRC-framed v2 lines alike).
 
 Determinism contract: constructing spans must never read engine state
 beyond what the caller tags explicitly, and nothing recorded here feeds
@@ -299,11 +300,15 @@ class Tracer:
 
 
 def read_jsonl(lines: Iterable[str]) -> List[Dict[str, object]]:
-    """Parse JSONL trace lines, skipping journal records (no ``kind``)."""
+    """Parse JSONL trace lines, skipping journal records (no ``kind``,
+    or a v2 journal frame before the object); any other line that is not
+    JSON raises."""
+    # imported here: the journal module sits above the tracer it uses
+    from ..online.persistence import is_framed
     records = []
     for line in lines:
         line = line.strip()
-        if not line:
+        if not line or is_framed(line):
             continue
         obj = json.loads(line)
         if isinstance(obj, dict) and obj.get("kind") in ("span", "event"):

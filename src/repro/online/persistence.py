@@ -1,12 +1,12 @@
 """Durable journal and crash recovery for the online engine.
 
 :class:`DurableEngine` wraps :class:`~repro.online.simulator.OnlineEngine`
-with a **write-behind append-only JSONL journal**: every state transition
+with a **write-behind append-only journal**: every state transition
 (admission, batched admission, departure, defragmentation pass, fibre cut,
-fibre repair) executes first and is then appended as one JSON line
-recording both the *inputs* and the *decision* the engine took.  Each op
-syncs its record (one write and flush, plus ``fsync`` on request) before
-it returns, unless it runs inside :meth:`DurableEngine.group`: a group
+fibre repair) executes first and is then appended as one line recording
+both the *inputs* and the *decision* the engine took.  Each op syncs its
+record (one write and flush, plus ``fsync`` on request) before it
+returns, unless it runs inside :meth:`DurableEngine.group`: a group
 buffers its records and syncs them together when it exits — the group
 commit :class:`~repro.service.RwaService` runs every drained batch
 under.  The bytes written are the same either way; only the number of
@@ -18,15 +18,43 @@ check, not to trust: any divergence raises
 :class:`~repro.exceptions.RecoveryError` instead of silently running on a
 state the pre-crash engine never had.
 
+**Line format (v2, :data:`JOURNAL_VERSION`).**  Every line is
+``<crc32 of payload, 8 lowercase hex> <payload>\n``; the payload is one
+record as compact sorted-key JSON.  The genesis record (first line)
+carries the engine configuration and the topology.  Its ``vertices``
+list holds the vertex labels as JSON (tuples as arrays) in
+``graph.vertices()`` order: that is the **vertex table**, and every other
+vertex in the journal is written as its integer index into it — the
+genesis arcs, request endpoints, dipaths, cut/repair arcs, and a
+snapshot's paths, arcs, graph operations and stranded or rerouted
+routes.  The hot records (``admit``, ``admit_batch``,
+``depart``) are formatted by per-type templates whose payload equals the
+encoder's output for the same record dict byte for byte; every other
+record goes through the one encoder, :data:`_encode`.  The engine refuses
+an arrival that names a vertex outside the topology before any state
+changes, so every journalled vertex has an index.
+
 Periodically (``snapshot_every`` journal records) a **snapshot** record
 captures the full engine state — the dipath family's slot/arc tables, the
 assigner's colouring and monotone counters (via its own
 :class:`~repro.online.assigner.AssignerCheckpoint` capture), the
 ``request -> member`` map, the fault injector's stranded registry and the
 graph-operation history — so recovery jumps to the last snapshot and
-replays only the tail.  During a from-genesis replay each snapshot record
-doubles as an integrity gate: the replayed state must reproduce the
-snapshot bit-for-bit.
+replays only the tail.  Sorted keys make every snapshot payload start
+with ``{"state":``, so :func:`recover` finds the last snapshot by that
+prefix and **JSON-decodes only the genesis, that snapshot and the tail**;
+every earlier line is validated by its CRC alone.  During a from-genesis
+replay each snapshot record doubles as an integrity gate: the replayed
+state must reproduce the snapshot bit-for-bit.
+
+**v1 journals** (unframed JSON lines with vertex labels inline, genesis
+``"version": 1``) are read, never appended to: :func:`recover` replays
+one through the same :meth:`DurableEngine._replay`, decoding labels
+instead of indices, then atomically replaces the file with a v2 journal
+— the genesis (``"version": 2``) and one snapshot of the recovered state,
+written to a temporary file, flushed, fsynced and moved over the old
+file with ``os.replace``, then the directory fsynced so the rename is as
+durable as the appends that follow it.  There is no v1 writer.
 
 **Determinism contract.**  Routing tie-breaks depend on the adjacency-set
 iteration order of the topology, which depends on the graph's full
@@ -45,21 +73,24 @@ What is *not* journalled: wall-clock-bounded defrag passes
 (``time_budget`` is refused — a replay cannot reproduce a clock).
 
 Torn tails are expected: a crash mid-append leaves a final line without
-its newline (or an unparsable fragment).  :func:`recover` discards the
-torn tail, truncates the file to the last clean record boundary and
+its newline, or one whose CRC does not match.  :func:`recover` discards
+the torn tail, truncates the file to the last clean record boundary and
 resumes appending from there — the op that was being journalled when the
-crash hit is simply not durable, exactly like a database WAL.
+crash hit is simply not durable, exactly like a database WAL.  A bad
+line followed by a good one is corruption, never a tail, and raises.
 """
 
 from __future__ import annotations
 
 import json
 import os
+import re
+import zlib
 from contextlib import contextmanager, nullcontext
 from dataclasses import asdict
-from typing import Any, Dict, Iterator, List, Optional
+from typing import Any, Callable, Dict, Iterator, List, Optional, Tuple
 
-from .._typing import Arc
+from .._typing import Arc, Vertex
 from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..dipaths.requests import Request
@@ -74,24 +105,124 @@ from .routing import make_online_router
 from .simulator import EngineConfig, OnlineEngine
 
 __all__ = ["JOURNAL_VERSION", "DurableEngine", "engine_fingerprint",
-           "recover"]
+           "is_framed", "read_journal", "recover"]
 
-#: Journal format version, checked by :func:`recover`.
-JOURNAL_VERSION = 1
+#: Journal format version: the only one written, and the one
+#: :func:`recover` appends to (version 1 journals are migrated).
+JOURNAL_VERSION = 2
 
 
 # ---------------------------------------------------------------------- #
-# vertex / arc JSON codec
+# record codec
 # ---------------------------------------------------------------------- #
-#: The one journal encoder: compact separators and sorted keys fix the
-#: byte format :func:`recover` reads back.  ``json`` writes tuples as
-#: arrays, so vertex labels, arcs and paths need no write-side codec.
+#: The one generic journal encoder: compact separators and sorted keys
+#: fix the payload format :func:`recover` reads back, and the templates
+#: below reproduce it byte for byte for the hot records.
 _encode = json.JSONEncoder(separators=(",", ":"), sort_keys=True).encode
+
+#: Every snapshot payload starts with this: its keys sort as
+#: ``state`` < ``type`` and no other record type has a ``state`` key.
+_SNAPSHOT_PREFIX = b'{"state":'
+
+
+def _frame(payload: str) -> bytes:
+    """One journal line: CRC32 of the payload (8 hex), space, payload."""
+    data = payload.encode()
+    return b"%08x %s\n" % (zlib.crc32(data), data)
+
+
+#: A v2 frame: 8 lowercase hex digits (the CRC32) and a space.
+_FRAME_HEAD = re.compile(r"[0-9a-f]{8} ")
+
+
+def is_framed(line: str) -> bool:
+    """Whether a text line opens with a v2 journal frame, CRC unchecked:
+    lets a reader of a shared JSONL file (the tracer's) tell journal
+    lines from its own without knowing the journal format."""
+    return _FRAME_HEAD.match(line) is not None
+
+
+def _fsync_dir(path: str) -> None:
+    """fsync the directory holding ``path``, making a rename into it
+    durable; a no-op where directories cannot be opened or synced."""
+    try:
+        fd = os.open(os.path.dirname(os.path.abspath(path)), os.O_RDONLY)
+    except OSError:
+        return
+    try:
+        os.fsync(fd)
+    except OSError:
+        pass
+    finally:
+        os.close(fd)
+
+
+def _string_json(value: Optional[str]) -> str:
+    """An optional string (outcome reason, batch policy) as JSON."""
+    return "null" if value is None else _encode(value)
+
+
+def _path_json(codes: Dict[Vertex, str], dipath: Optional[Dipath]) -> str:
+    """A dipath as a JSON array of vertex-table indices (or ``null``)."""
+    if dipath is None:
+        return "null"
+    return "[" + ",".join(map(codes.__getitem__, dipath.vertices)) + "]"
+
+
+def _request_json(codes: Dict[Vertex, str],
+                  request: Optional[Request]) -> str:
+    if request is None:
+        return "null"
+    return f"[{codes[request.source]},{codes[request.target]}]"
+
+
+def _admit_payload(codes: Dict[Vertex, str], rid: int,
+                   request: Optional[Request], dipath: Optional[Dipath],
+                   outcome: Optional[str], index: Optional[int],
+                   color: Optional[int]) -> str:
+    """Template of an ``admit`` record (``codes``: vertex -> index str)."""
+    return (f'{{"color":{"null" if color is None else color},'
+            f'"dipath":{_path_json(codes, dipath)},'
+            f'"index":{"null" if index is None else index},'
+            f'"outcome":{_string_json(outcome)},'
+            f'"request":{_request_json(codes, request)},'
+            f'"rid":{rid:d},"type":"admit"}}')
+
+
+def _batch_payload(codes: Dict[Vertex, str], policy: str,
+                   arrivals: List[Event],
+                   reasons: Dict[int, Optional[str]],
+                   placement: Callable[[int], Tuple[int, Optional[int]]]
+                   ) -> str:
+    """Template of an ``admit_batch`` record; ``placement(rid)`` is the
+    ``(slot, colour)`` of an admitted request.  JSON object keys are the
+    request ids as strings, so both objects list them in string order."""
+    arrived = ",".join([
+        f"[{e.request_id:d},{_request_json(codes, e.request)},"
+        f"{_path_json(codes, e.dipath)}]" for e in arrivals])
+    outcome, placed = [], []
+    for rid in sorted(reasons, key=str):
+        reason = reasons[rid]
+        outcome.append(f'"{rid}":{_string_json(reason)}')
+        if reason is None:
+            idx, color = placement(rid)
+            placed.append(
+                f'"{rid}":[{idx:d},{"null" if color is None else color}]')
+    return (f'{{"arrivals":[{arrived}],"outcome":{{{",".join(outcome)}}},'
+            f'"placements":{{{",".join(placed)}}},'
+            f'"policy":{_string_json(policy)},"type":"admit_batch"}}')
+
+
+def _depart_payload(rid: int, held: bool) -> str:
+    """Template of a ``depart`` record."""
+    return (f'{{"outcome":{"true" if held else "false"},"rid":{rid:d},'
+            f'"type":"depart"}}')
 
 
 def _decode_vertex(v: Any) -> Any:
-    """Turn a journalled vertex label back into its hashable form (JSON
-    arrays become nested tuples).
+    """Turn a JSON vertex label back into its hashable form (JSON arrays
+    become nested tuples): genesis labels, and every vertex of a v1
+    journal.
 
     Safe because vertex labels must be hashable: a JSON array in a vertex
     position can only have been a tuple.
@@ -101,17 +232,87 @@ def _decode_vertex(v: Any) -> Any:
     return v
 
 
-def _decode_arc(obj: list) -> Arc:
-    return (_decode_vertex(obj[0]), _decode_vertex(obj[1]))
-
-
-def _decode_path(obj: list) -> Dipath:
-    return Dipath([_decode_vertex(v) for v in obj])
-
-
 def _decode_rng(obj):
     """A journalled ``random.Random.getstate()`` back to its tuple form."""
     return (obj[0], tuple(int(x) for x in obj[1]), obj[2])
+
+
+# ---------------------------------------------------------------------- #
+# line reader
+# ---------------------------------------------------------------------- #
+def _v2_payload(line: bytes) -> Optional[bytes]:
+    """The payload of a framed line, or ``None`` when its CRC (or the
+    frame itself) does not check."""
+    payload = line[9:]
+    if line[8:9] != b" " or line[:8] != b"%08x" % zlib.crc32(payload):
+        return None
+    return payload
+
+
+def _v1_record(line: bytes) -> Optional[Dict[str, Any]]:
+    """A v1 line decoded, or ``None`` when it is not a JSON object."""
+    try:
+        record = json.loads(line)
+    except ValueError:          # JSONDecodeError and UnicodeDecodeError
+        return None
+    return record if isinstance(record, dict) else None
+
+
+def _decode(payload: bytes, index: int) -> Dict[str, Any]:
+    """JSON-decode one CRC-checked v2 payload into its record."""
+    try:
+        record = json.loads(payload)
+    except ValueError as exc:
+        raise RecoveryError(f"undecodable journal record: {exc}",
+                            record=index) from exc
+    if not isinstance(record, dict):
+        raise RecoveryError("journal record is not an object", record=index)
+    return record
+
+
+def _scan(raw: bytes) -> Tuple[bool, list, int]:
+    """Split a journal into its clean lines.
+
+    Returns ``(v1, items, clean_len)``: whether the file is a v1 journal
+    (its first byte opens a bare JSON object rather than a CRC frame),
+    the clean records in order — decoded dicts for v1, CRC-checked
+    payloads for v2 — and the byte length of the clean prefix.  A bad
+    final line is the torn tail of a crashed append and is left out;
+    a bad line followed by another line raises with its index.
+    """
+    v1 = raw[:1] == b"{"
+    check = _v1_record if v1 else _v2_payload
+    complete = raw.split(b"\n")[:-1]
+    items: list = []
+    clean_len = 0
+    for pos, line in enumerate(complete):
+        item = check(line)
+        if item is None:
+            if pos == len(complete) - 1:
+                # Unreadable final line: the torn tail of a crashed
+                # append.  Trailing bytes after it (no newline — e.g.
+                # garbage flushed by the dying process after the torn
+                # record) are part of the same torn suffix; both are
+                # discarded.  Corruption *followed by* a clean record is
+                # not a tail and raises.
+                break
+            raise RecoveryError(
+                "unreadable journal record" if v1
+                else "journal record fails its CRC check", record=pos)
+        items.append(item)
+        clean_len += len(line) + 1
+    return v1, items, clean_len
+
+
+def read_journal(path: str) -> List[Dict[str, Any]]:
+    """Every clean record of a journal (v1 or v2), decoded, through the
+    line reader :func:`recover` uses: a torn final line is left out, a
+    bad line before a good one raises
+    :class:`~repro.exceptions.RecoveryError`.  Vertices stay as written
+    (table indices in v2).  The file is not modified."""
+    with open(path, "rb") as fh:
+        v1, items, _ = _scan(fh.read())
+    return items if v1 else [_decode(p, i) for i, p in enumerate(items)]
 
 
 # ---------------------------------------------------------------------- #
@@ -157,22 +358,6 @@ def engine_fingerprint(engine: OnlineEngine) -> Dict[str, Any]:
     }
 
 
-def _engine_from_genesis(genesis: Dict[str, Any],
-                         metrics: Optional[MetricsRegistry] = None,
-                         tracer: Optional[Tracer] = None):
-    """The config, canonical engine and injector a genesis record
-    describes."""
-    graph = DiGraph()
-    for v in genesis["vertices"]:
-        graph.add_vertex(_decode_vertex(v))
-    for a in genesis["arcs"]:
-        graph.add_arc(*_decode_arc(a))
-    config = EngineConfig.from_record(genesis)
-    engine = config.build(graph, genesis["wavelengths"], metrics=metrics,
-                          tracer=tracer)
-    return config, engine, FaultInjector.configured(engine, config)
-
-
 class DurableEngine(Instrumented):
     """An :class:`~repro.online.simulator.OnlineEngine` with a durable
     journal: every op is executed, then appended; :func:`recover` replays.
@@ -215,26 +400,46 @@ class DurableEngine(Instrumented):
                  tracer: Optional[Tracer] = None, **knobs) -> None:
         if snapshot_every is not None and snapshot_every < 1:
             raise ValueError("snapshot_every must be >= 1")
+        vertices = list(graph.vertices())
+        index = {v: i for i, v in enumerate(vertices)}
         genesis = {
             "type": "genesis", "version": JOURNAL_VERSION,
             "wavelengths": wavelengths, "snapshot_every": snapshot_every,
             **asdict(EngineConfig(**knobs)),
-            "vertices": list(graph.vertices()),
-            "arcs": list(graph.arcs()),
+            "vertices": vertices,
+            "arcs": [[index[u], index[v]] for u, v in graph.arcs()],
         }
-        self._bootstrap(genesis, path, mode="w", fsync=fsync,
-                        metrics=metrics, tracer=tracer)
+        self._bootstrap(genesis, path, fsync=fsync, metrics=metrics,
+                        tracer=tracer)
+        self._file = open(path, "wb")
         self._append(genesis)
 
-    def _bootstrap(self, genesis: Dict[str, Any], path: str, mode: str,
+    def _bootstrap(self, genesis: Dict[str, Any], path: str,
                    fsync: bool = False,
                    metrics: Optional[MetricsRegistry] = None,
                    tracer: Optional[Tracer] = None) -> None:
         self._genesis = genesis
         self._path = path
         self._fsync = fsync
-        self._config, self._engine, self._injector = _engine_from_genesis(
-            genesis, metrics=metrics, tracer=tracer)
+        # the vertex table, and how a record's vertices decode: a table
+        # lookup, or the label itself in a v1 journal
+        table = [_decode_vertex(v) for v in genesis["vertices"]]
+        self._table = table
+        self._vertex: Callable[[Any], Vertex] = (
+            _decode_vertex if genesis["version"] == 1 else table.__getitem__)
+        self._index = {v: i for i, v in enumerate(table)}
+        self._codes = {v: str(i) for i, v in enumerate(table)}
+        # the canonical engine: a private graph rebuilt in recorded order
+        graph = DiGraph()
+        for v in table:
+            graph.add_vertex(v)
+        for arc in genesis["arcs"]:
+            graph.add_arc(*self._arc_of(arc))
+        self._config = EngineConfig.from_record(genesis)
+        self._engine = self._config.build(graph, genesis["wavelengths"],
+                                          metrics=metrics, tracer=tracer)
+        self._injector = FaultInjector.configured(self._engine,
+                                                  self._config)
         self._obs_init("journal", self._engine.metrics)
         self._m_records = self._obs_counter("records", diagnostic=True)
         self._m_bytes = self._obs_counter("bytes", diagnostic=True)
@@ -244,20 +449,20 @@ class DurableEngine(Instrumented):
         self._graph_ops: List[list] = []
         self._records = 0
         self._since_snapshot = 0
-        # encoded records not yet written, and the group() nesting depth
-        self._pending: List[str] = []
+        # framed lines not yet written, and the group() nesting depth
+        self._pending: List[bytes] = []
         self._grouped = 0
-        self._file = open(path, mode, encoding="utf-8")
+        self._file = None
 
     @classmethod
     def _resume(cls, genesis: Dict[str, Any], path: str,
                 metrics: Optional[MetricsRegistry] = None,
                 tracer: Optional[Tracer] = None) -> "DurableEngine":
-        """A recovery skeleton: canonical genesis engine, journal appended
-        to (not truncated), no genesis record written."""
+        """A recovery skeleton: canonical genesis engine, no genesis
+        record written and no journal open yet (:func:`recover` opens it
+        for appending once the replay succeeded)."""
         self = cls.__new__(cls)
-        self._bootstrap(genesis, path, mode="a", metrics=metrics,
-                        tracer=tracer)
+        self._bootstrap(genesis, path, metrics=metrics, tracer=tracer)
         return self
 
     # ------------------------------------------------------------------ #
@@ -326,7 +531,7 @@ class DurableEngine(Instrumented):
     def close(self) -> None:
         """Sync any buffered records, then close the journal file (the
         engine stays usable in memory)."""
-        if not self._file.closed:
+        if self._file is not None and not self._file.closed:
             try:
                 self.sync()
             finally:
@@ -348,12 +553,8 @@ class DurableEngine(Instrumented):
                                     dipath=dipath)
         idx = self._engine.vertex_of.get(request_id)
         color = None if idx is None else self._engine.assigner.color_of(idx)
-        self._append({
-            "type": "admit", "rid": request_id,
-            "request": None if request is None
-            else [request.source, request.target],
-            "dipath": None if dipath is None else dipath.vertices,
-            "outcome": reason, "index": idx, "color": color})
+        self._write(_admit_payload(self._codes, request_id, request, dipath,
+                                   reason, idx, color))
         self._maybe_snapshot()
         return reason
 
@@ -362,23 +563,8 @@ class DurableEngine(Instrumented):
                     ) -> Dict[int, Optional[str]]:
         """Journalled :meth:`OnlineEngine.admit_batch` (serial path)."""
         reasons = self._engine.admit_batch(arrivals, policy=policy)
-        placements = {}
-        for event in arrivals:
-            rid = event.request_id
-            if reasons[rid] is None:
-                idx = self._engine.vertex_of[rid]
-                placements[str(rid)] = [idx,
-                                        self._engine.assigner.color_of(idx)]
-        self._append({
-            "type": "admit_batch", "policy": policy,
-            "arrivals": [
-                [e.request_id,
-                 None if e.request is None
-                 else [e.request.source, e.request.target],
-                 None if e.dipath is None else e.dipath.vertices]
-                for e in arrivals],
-            "outcome": {str(rid): r for rid, r in reasons.items()},
-            "placements": placements})
+        self._write(_batch_payload(self._codes, policy, arrivals, reasons,
+                                   self._placement))
         self._maybe_snapshot()
         return reasons
 
@@ -386,7 +572,7 @@ class DurableEngine(Instrumented):
         """Journalled :meth:`OnlineEngine.depart` (+ injector forget)."""
         held = self._engine.depart(request_id)
         self._injector.forget(request_id)
-        self._append({"type": "depart", "rid": request_id, "outcome": held})
+        self._write(_depart_payload(request_id, held))
         self._maybe_snapshot()
         return held
 
@@ -412,8 +598,9 @@ class DurableEngine(Instrumented):
     def cut(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.cut`."""
         report = self._injector.cut(arc)
-        self._graph_ops.append(["cut", report.arc])
-        self._append({"type": "cut", "arc": report.arc,
+        code = self._arc_code(report.arc)
+        self._graph_ops.append(["cut", code])
+        self._append({"type": "cut", "arc": code,
                       "stranded": report.stranded,
                       "restored": report.restored,
                       "retries": report.retries,
@@ -424,8 +611,9 @@ class DurableEngine(Instrumented):
     def repair(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.repair`."""
         report = self._injector.repair(arc)
-        self._graph_ops.append(["repair", report.arc])
-        self._append({"type": "repair", "arc": report.arc,
+        code = self._arc_code(report.arc)
+        self._graph_ops.append(["repair", code])
+        self._append({"type": "repair", "arc": code,
                       "restored": report.restored,
                       "reverted": report.reverted,
                       "defrag_moves": report.defrag_moves})
@@ -462,7 +650,7 @@ class DurableEngine(Instrumented):
         """
         if not self._pending:
             return
-        data = "".join(self._pending)
+        data = b"".join(self._pending)
         self._pending.clear()
         self._file.write(data)
         self._file.flush()
@@ -479,7 +667,12 @@ class DurableEngine(Instrumented):
                 self._m_fsync_unsupported.inc()
 
     def _append(self, record: Dict[str, Any]) -> None:
-        line = _encode(record) + "\n"
+        self._write(_encode(record))
+
+    def _write(self, payload: str) -> None:
+        """Frame one record payload and sync it (or buffer it, in a
+        group)."""
+        line = _frame(payload)
         self._pending.append(line)
         self._records += 1
         self._since_snapshot += 1
@@ -499,6 +692,28 @@ class DurableEngine(Instrumented):
         self._since_snapshot = 0
         self._m_snapshots.inc()
 
+    def _placement(self, request_id: int) -> Tuple[int, Optional[int]]:
+        """``(slot, colour)`` of an admitted request."""
+        idx = self._engine.vertex_of[request_id]
+        return idx, self._engine.assigner.color_of(idx)
+
+    # vertex codec: labels to table indices (written) and back (replayed)
+    def _arc_code(self, arc: Arc) -> List[int]:
+        return [self._index[arc[0]], self._index[arc[1]]]
+
+    def _path_code(self, path: Dipath) -> List[int]:
+        return list(map(self._index.__getitem__, path.vertices))
+
+    def _arc_of(self, obj: list) -> Arc:
+        return (self._vertex(obj[0]), self._vertex(obj[1]))
+
+    def _dipath_of(self, obj: list) -> Dipath:
+        return Dipath(map(self._vertex, obj))
+
+    def _request_of(self, obj: Optional[list]) -> Optional[Request]:
+        return None if obj is None else Request(self._vertex(obj[0]),
+                                                self._vertex(obj[1]))
+
     def _capture(self) -> Dict[str, Any]:
         """The engine state as a JSON-clean dict (canonicalizes shards)."""
         engine = self._engine
@@ -512,10 +727,11 @@ class DurableEngine(Instrumented):
         # leaves no journalling frame behind
         token = assigner.checkpoint()
         assigner.commit(token)
+        path_code, arc_code = self._path_code, self._arc_code
         return {
-            "paths": [None if p is None else p.vertices
+            "paths": [None if p is None else path_code(p)
                       for p in family._paths],
-            "arcs": list(family._arcs),
+            "arcs": list(map(arc_code, family._arcs)),
             "free_slots": list(family._free_slots),
             "load_warm": family._load_hist is not None,
             "masks_warm": family._conflict_masks is not None,
@@ -530,10 +746,10 @@ class DurableEngine(Instrumented):
             "defrag": [engine.defrag_passes, engine.defrag_moves,
                        engine.wavelengths_reclaimed],
             "graph_ops": self._graph_ops,
-            "cut_arcs": self._injector.cut_arcs(),
-            "stranded": {str(r): d.vertices for r, d in
+            "cut_arcs": list(map(arc_code, self._injector.cut_arcs())),
+            "stranded": {str(r): path_code(d) for r, d in
                          sorted(self._injector._stranded.items())},
-            "rerouted": {str(r): d.vertices for r, d in
+            "rerouted": {str(r): path_code(d) for r, d in
                          sorted(self._injector._rerouted.items())},
         }
 
@@ -547,21 +763,22 @@ class DurableEngine(Instrumented):
         # 1. topology: genesis build already happened; replay the cut /
         #    repair history so the adjacency sets relive the exact same
         #    mutation sequence as the pre-crash graph
-        for op, arc in state["graph_ops"]:
-            u, v = _decode_arc(arc)
+        self._graph_ops = []
+        for op, code in state["graph_ops"]:
+            u, v = arc = self._arc_of(code)
             if op == "cut":
                 engine.graph.remove_arc(u, v)
             else:
                 engine.graph.add_arc(u, v)
-        self._graph_ops = [list(op) for op in state["graph_ops"]]
+            self._graph_ops.append([op, self._arc_code(arc)])
         # 2. family: rebuild the slot/arc tables exactly — arc ids in
         #    historical interning order, freed slots in recycling order
         family = DipathFamily()
-        arcs = [_decode_arc(a) for a in state["arcs"]]
+        arcs = list(map(self._arc_of, state["arcs"]))
         family._arcs = list(arcs)
         family._arc_ids = {a: i for i, a in enumerate(arcs)}
         paths: List[Optional[Dipath]] = [
-            None if p is None else _decode_path(p) for p in state["paths"]]
+            None if p is None else self._dipath_of(p) for p in state["paths"]]
         family._paths = paths
         family._path_arc_ids = [
             () if p is None else tuple(family._arc_ids[a] for a in p.arcs())
@@ -609,26 +826,54 @@ class DurableEngine(Instrumented):
         (engine.defrag_passes, engine.defrag_moves,
          engine.wavelengths_reclaimed) = state["defrag"]
         # 6. injector registries
-        self._injector._cut = {_decode_arc(a): True
+        self._injector._cut = {self._arc_of(a): True
                                for a in state["cut_arcs"]}
-        self._injector._stranded = {int(r): _decode_path(p)
+        self._injector._stranded = {int(r): self._dipath_of(p)
                                     for r, p in state["stranded"].items()}
-        self._injector._rerouted = {int(r): _decode_path(p)
+        self._injector._rerouted = {int(r): self._dipath_of(p)
                                     for r, p in state["rerouted"].items()}
 
+    def _migrate(self) -> None:
+        """Replace a replayed v1 journal by a v2 one, atomically: the
+        genesis at version 2, then a snapshot of the recovered state,
+        written to a temporary file, flushed, fsynced and moved over the
+        journal with ``os.replace``, whose directory entry is then
+        fsynced too — appends after the migration go to the new file, so
+        the rename must be as durable as they are."""
+        self._genesis = dict(
+            self._genesis, version=JOURNAL_VERSION,
+            arcs=[self._arc_code(self._arc_of(arc))
+                  for arc in self._genesis["arcs"]])
+        self._vertex = self._table.__getitem__
+        temp = self._path + ".migrating"
+        self._file = open(temp, "wb")
+        try:
+            self._records = 0
+            self._append(self._genesis)
+            self.snapshot()
+            os.fsync(self._file.fileno())
+            self._file.close()
+        except BaseException:
+            self._file.close()
+            os.remove(temp)
+            raise
+        os.replace(temp, self._path)
+        _fsync_dir(self._path)
+
     def _replay(self, record: Dict[str, Any], index: int) -> None:
-        """Re-execute one journal record, verifying the recorded outcome."""
+        """Re-execute one journal record, verifying the recorded outcome.
+
+        Vertices decode through ``self._vertex``: a genesis table lookup
+        for v2 records, the JSON label decoder for v1 ones."""
         engine, injector = self._engine, self._injector
         rtype = record.get("type")
         try:
             if rtype == "admit":
-                request = None
-                if record["request"] is not None:
-                    s, t = record["request"]
-                    request = Request(_decode_vertex(s), _decode_vertex(t))
                 dipath = (None if record["dipath"] is None
-                          else _decode_path(record["dipath"]))
-                reason = engine.admit(record["rid"], request=request,
+                          else self._dipath_of(record["dipath"]))
+                reason = engine.admit(record["rid"],
+                                      request=self._request_of(
+                                          record["request"]),
                                       dipath=dipath)
                 if reason != record["outcome"]:
                     raise RecoveryError(
@@ -644,15 +889,11 @@ class DurableEngine(Instrumented):
                             f"{record['index']}/{record['color']}",
                             record=index)
             elif rtype == "admit_batch":
-                arrivals = []
-                for rid, req, path in record["arrivals"]:
-                    request = None
-                    if req is not None:
-                        request = Request(_decode_vertex(req[0]),
-                                          _decode_vertex(req[1]))
-                    dipath = None if path is None else _decode_path(path)
-                    arrivals.append(Event(0.0, ARRIVAL, rid,
-                                          request=request, dipath=dipath))
+                arrivals = [
+                    Event(0.0, ARRIVAL, rid, request=self._request_of(req),
+                          dipath=(None if path is None
+                                  else self._dipath_of(path)))
+                    for rid, req, path in record["arrivals"]]
                 reasons = engine.admit_batch(arrivals,
                                              policy=record["policy"])
                 expected = {int(k): v for k, v in record["outcome"].items()}
@@ -689,22 +930,24 @@ class DurableEngine(Instrumented):
                         f"{record['moves']}/{record['reclaimed']}",
                         record=index)
             elif rtype == "cut":
-                report = injector.cut(_decode_arc(record["arc"]))
-                self._graph_ops.append(["cut", record["arc"]])
+                arc = self._arc_of(record["arc"])
+                report = injector.cut(arc)
+                self._graph_ops.append(["cut", self._arc_code(arc)])
                 if (report.stranded != record["stranded"]
                         or report.restored != record["restored"]):
                     raise RecoveryError(
-                        f"cut{tuple(record['arc'])} replayed to stranded="
+                        f"cut{arc} replayed to stranded="
                         f"{report.stranded} restored={report.restored}, "
                         f"journal says {record['stranded']}/"
                         f"{record['restored']}", record=index)
             elif rtype == "repair":
-                report = injector.repair(_decode_arc(record["arc"]))
-                self._graph_ops.append(["repair", record["arc"]])
+                arc = self._arc_of(record["arc"])
+                report = injector.repair(arc)
+                self._graph_ops.append(["repair", self._arc_code(arc)])
                 if (report.restored != record["restored"]
                         or report.reverted != record["reverted"]):
                     raise RecoveryError(
-                        f"repair{tuple(record['arc'])} replayed to "
+                        f"repair{arc} replayed to "
                         f"restored={report.restored} reverted="
                         f"{report.reverted}, journal says "
                         f"{record['restored']}/{record['reverted']}",
@@ -731,14 +974,18 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None,
             tracer: Optional[Tracer] = None) -> DurableEngine:
     """Rebuild a :class:`DurableEngine` from its journal.
 
-    Parses the journal, discards a torn tail (truncating the file to the
-    last clean record boundary), rebuilds the canonical genesis engine,
-    jumps to the last snapshot if one exists and re-executes the remaining
-    records through the real engine code paths — verifying every replayed
-    decision against the journalled one.  Returns the recovered engine
-    with the journal re-opened for appending; raises
+    Checks every line's CRC, discards a torn tail (truncating the file to
+    the last clean record boundary), rebuilds the canonical genesis
+    engine, jumps to the last snapshot if one exists and re-executes the
+    remaining records through the real engine code paths — verifying
+    every replayed decision against the journalled one.  Only the
+    genesis, the last snapshot and the records after it are
+    JSON-decoded.  A v1 journal is replayed whole and then replaced,
+    atomically, by a v2 journal holding its genesis and one snapshot of
+    the recovered state.  Returns the recovered engine with the journal
+    re-opened for appending; raises
     :class:`~repro.exceptions.RecoveryError` on any corruption or
-    divergence.
+    divergence (the file is then left as it was, torn tail aside).
 
     ``metrics`` / ``tracer`` are handed to the rebuilt engine; with a
     tracer attached, recovery emits a ``recover`` span nesting a
@@ -749,77 +996,66 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None,
     """
     with open(path, "rb") as fh:
         raw = fh.read()
-    lines = raw.split(b"\n")
-    complete, tail = lines[:-1], lines[-1]
-    records: List[Dict[str, Any]] = []
-    clean_len = 0
-    for pos, line in enumerate(complete):
-        try:
-            record = json.loads(line.decode("utf-8"))
-            if not isinstance(record, dict):
-                raise ValueError(  # noqa: REPRO-D4 -- joins JSONDecodeError in the torn-tail handler
-                    "journal record is not an object")
-        except (ValueError, UnicodeDecodeError) as exc:
-            if pos == len(complete) - 1:
-                # Unreadable final line: the torn tail of a crashed
-                # append.  Trailing bytes after it (``tail`` non-empty —
-                # e.g. garbage flushed by the dying process after the
-                # torn record) are part of the same torn suffix; both
-                # are discarded by the truncate below.  Corruption
-                # *followed by* a clean record is not a tail and still
-                # raises.
-                break
-            raise RecoveryError(f"unreadable journal record: {exc}",
-                                record=pos) from exc
-        records.append(record)
-        clean_len += len(line) + 1
-    if not records:
+    v1, items, clean_len = _scan(raw)
+    if not items:
         raise RecoveryError("journal is empty or its genesis record is torn")
-    genesis = records[0]
+    # v1 lines were decoded while they were checked; v2 payloads are
+    # decoded only when they are replayed
+    decode = (lambda item, index: item) if v1 else _decode
+    genesis = decode(items[0], 0)
     if genesis.get("type") != "genesis":
         raise RecoveryError("journal does not start with a genesis record",
                             record=0)
-    if genesis.get("version") != JOURNAL_VERSION:
+    if genesis.get("version") != (1 if v1 else JOURNAL_VERSION):
         raise RecoveryError(
             f"unsupported journal version {genesis.get('version')!r} "
-            f"(this build writes {JOURNAL_VERSION})", record=0)
-    if clean_len != len(raw):
+            f"(this build writes {JOURNAL_VERSION} and migrates 1)",
+            record=0)
+    if v1:
+        # .get: a typeless record is _replay's "unknown record type", not
+        # a KeyError escaping recovery
+        snapshots = [i for i, r in enumerate(items)
+                     if r.get("type") == "snapshot"]
+    else:
+        snapshots = [i for i in range(1, len(items))
+                     if items[i].startswith(_SNAPSHOT_PREFIX)]
+    last = snapshots[-1] if snapshots else None
+    if not v1 and clean_len != len(raw):
         # drop the torn tail before any re-appending can interleave with it
         with open(path, "r+b") as fh:
             fh.truncate(clean_len)
     durable = DurableEngine._resume(genesis, path, metrics=metrics,
                                     tracer=tracer)
     tr = durable._engine.tracer
-    # .get: a typeless record is _replay's "unknown record type", not a
-    # KeyError escaping recovery
-    snapshots = [i for i, r in enumerate(records)
-                 if r.get("type") == "snapshot"]
     try:
-        with (tr.span("recover", records=len(records),
+        with (tr.span("recover", records=len(items),
                       snapshots=len(snapshots))
               if tr is not None else nullcontext()):
             start = 1
-            if snapshots:
-                last = snapshots[-1]
+            if last is not None:
                 with (tr.span("snapshot_restore", record=last)
                       if tr is not None else nullcontext()):
                     try:
-                        durable._apply_snapshot(records[last]["state"])
+                        durable._apply_snapshot(
+                            decode(items[last], last)["state"])
                     except RecoveryError:
                         raise
                     except Exception as exc:
                         raise RecoveryError(f"snapshot restore raised {exc!r}",
                                             record=last) from exc
                 start = last + 1
-            with (tr.span("replay", count=len(records) - start)
+            with (tr.span("replay", count=len(items) - start)
                   if tr is not None else nullcontext()):
-                for i in range(start, len(records)):
-                    durable._replay(records[i], i)
+                for i in range(start, len(items)):
+                    durable._replay(decode(items[i], i), i)
+        durable._records = len(items)
+        durable._since_snapshot = (len(items) - 1 - last if last is not None
+                                   else len(items))
+        if v1:
+            durable._migrate()
+        durable._file = open(path, "ab")
     except BaseException:
-        # a refused recovery must not leak the re-opened journal handle
+        # a refused recovery must not leak a journal handle
         durable.close()
         raise
-    durable._records = len(records)
-    durable._since_snapshot = (len(records) - 1 - snapshots[-1]
-                               if snapshots else len(records))
     return durable

@@ -54,6 +54,7 @@ from ..exceptions import (
     RoutingError,
     ShardNotFoundError,
     SimulationError,
+    VertexNotFoundError,
 )
 from ..conflict.dynamic import ShardedConflictGraph
 from .._bitops import bit_list
@@ -829,6 +830,7 @@ class OnlineEngine(Instrumented):
             raise SimulationError(
                 f"duplicate arrival for request {request_id}")
         if dipath is not None:
+            self._check_arrival(request, dipath)
             candidates = [dipath]
         elif request is None:
             raise SimulationError(
@@ -839,6 +841,7 @@ class OnlineEngine(Instrumented):
             routed = self.router.route(request)
             candidates = [] if routed is None else [routed]
         if not candidates:
+            self._check_vertices((request.source, request.target))
             self._m_rejected_route.inc()
             return NO_ROUTE
         if self.speculative and len(candidates) > 1:
@@ -857,6 +860,32 @@ class OnlineEngine(Instrumented):
         self.vertex_of[request_id] = idx
         self._m_admitted.inc()
         return None
+
+    def _check_arrival(self, request: Optional[Request],
+                       dipath: Dipath) -> None:
+        """Check a pre-routed arrival: its dipath's vertices and, when
+        it carries one too, its request's endpoints (journalled beside
+        the dipath even though only the dipath is routed)."""
+        self._check_vertices(dipath)
+        if request is not None:
+            self._check_vertices((request.source, request.target))
+
+    def _check_vertices(self, vertices) -> None:
+        """Refuse an arrival naming a vertex the topology lacks — a
+        request endpoint or a pre-routed dipath vertex — before any state
+        changes, whatever the router (the journal's vertex table holds
+        only topology vertices).  Takes a vertex sequence or a
+        :class:`~repro.dipaths.dipath.Dipath`.
+
+        A routed request needs the check only when no route came back:
+        a route's vertices are the topology's, and the BFS and k-shortest
+        routers already raise on an unknown endpoint."""
+        if isinstance(vertices, Dipath):
+            vertices = vertices.vertices
+        has_vertex = self.graph.has_vertex
+        for v in vertices:
+            if not has_vertex(v):
+                raise VertexNotFoundError(v)
 
     def admit_batch(self, arrivals: List[Event],
                     policy: str = "all_or_nothing"
@@ -898,9 +927,6 @@ class OnlineEngine(Instrumented):
 
     def _admit_batch(self, arrivals: List[Event],
                      policy: str) -> Dict[int, Optional[str]]:
-        self._m_batches.inc()
-        self._m_batch_arrivals.inc(len(arrivals))
-        self._h_batch_size.observe(len(arrivals))
         reasons: Dict[int, Optional[str]] = {}
         routed: List[tuple] = []
         for event in arrivals:
@@ -908,16 +934,23 @@ class OnlineEngine(Instrumented):
                 raise SimulationError(
                     f"duplicate arrival for request {event.request_id}")
             dipath = event.dipath
-            if dipath is None:
-                if event.request is None:
-                    raise SimulationError(
-                        f"arrival {event.request_id} has no request or "
-                        f"dipath")
+            if dipath is not None:
+                self._check_arrival(event.request, dipath)
+            elif event.request is None:
+                raise SimulationError(
+                    f"arrival {event.request_id} has no request or "
+                    f"dipath")
+            else:
                 dipath = self.router.route(event.request)
             if dipath is None:
+                self._check_vertices((event.request.source,
+                                      event.request.target))
                 reasons[event.request_id] = NO_ROUTE
             else:
                 routed.append((event.request_id, dipath))
+        self._m_batches.inc()
+        self._m_batch_arrivals.inc(len(arrivals))
+        self._h_batch_size.observe(len(arrivals))
         outcome = _admit_dipath_batch(
             self.conflict, self.assigner, [d for _, d in routed],
             policy=policy)

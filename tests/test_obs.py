@@ -40,6 +40,7 @@ from repro.obs.trace import (
     dumps_record,
     read_jsonl,
 )
+from repro.online.persistence import _frame
 
 
 # --------------------------------------------------------------------------- #
@@ -241,9 +242,20 @@ class TestTracer:
         # way a shared JSONL file would contain it
         lines = buffer.getvalue().splitlines()
         lines.insert(1, json.dumps({"type": "admit", "rid": 1}))
+        # and a CRC-framed (v2) journal line
+        lines.insert(2, _frame('{"outcome":true,"rid":1,"type":"depart"}')
+                     .decode().rstrip("\n"))
         records = read_jsonl(lines)
         assert [r["kind"] for r in records] == ["event", "span"]
         assert records[1]["tags"] == {"rid": 1}
+
+    @pytest.mark.parametrize("line", ["not json", "f4ac408 {}",
+                                      "F4AC4082 {}", '{"kind": "span"'])
+    def test_jsonl_malformed_line_raises(self, line):
+        """Only blank lines and v2 journal frames are skipped; any other
+        line that is not JSON raises."""
+        with pytest.raises(ValueError):
+            read_jsonl(['{"kind":"event","t":0}', line])
 
     def test_dumps_record_is_canonical(self):
         line = dumps_record({"b": 1, "a": {"y": 2, "x": 3}})

@@ -21,9 +21,9 @@ from repro.conflict import DynamicConflictGraph, build_conflict_graph
 from repro.coloring.verify import is_proper_coloring
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
-from repro.dipaths.requests import RequestFamily
+from repro.dipaths.requests import Request, RequestFamily
 from repro.dipaths.routing import route_all
-from repro.exceptions import SimulationError
+from repro.exceptions import SimulationError, VertexNotFoundError
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_dag
 from repro.generators.trees import out_tree
@@ -46,6 +46,7 @@ from repro.online import (
     sort_events,
 )
 from repro.graphs.dag import DAG
+from repro.graphs.digraph import DiGraph
 from repro.optical.network import OpticalNetwork
 from repro.optical.simulation import simulate_admission
 from repro.optical.traffic import (
@@ -240,13 +241,24 @@ class TestReplayEquivalence:
             len(ref[1]) / (len(ref[0]) + len(ref[1])))
 
 
+def _topology_of(family):
+    """The digraph of a pre-routed family's own arcs: the engine refuses
+    a dipath naming a vertex its topology lacks."""
+    graph = DiGraph()
+    for path in family:
+        for u, v in path.arcs():
+            if not graph.has_arc(u, v):
+                graph.add_arc(u, v)
+    return graph
+
+
 class TestPolicies:
     def _family_of_disjoint_paths(self):
         return DipathFamily([["a", "b"], ["c", "d"], ["e", "f"]])
 
     def test_first_fit_packs_least_used_spreads(self):
-        graph = random_dag(6, 0.5, seed=0)   # topology unused for prerouted
         family = self._family_of_disjoint_paths()
+        graph = _topology_of(family)
         ff = simulate_online(graph, replay_trace(family), 3,
                              policy="first_fit")
         lu = simulate_online(graph, replay_trace(family), 3,
@@ -313,8 +325,8 @@ class TestKempeRepair:
         # u1=[a,b] and u2=[b,c] are disjoint; v=[a,b,c] conflicts with both.
         # least_used gives u1 -> 0, u2 -> 1, so v is blocked at W=2 unless
         # the Kempe swap recolours u1 to 1 and frees colour 0.
-        graph = random_dag(4, 0.5, seed=0)   # unused (prerouted arrivals)
         family = DipathFamily([["a", "b"], ["b", "c"], ["a", "b", "c"]])
+        graph = _topology_of(family)
         trace = replay_trace(family)
         plain = simulate_online(graph, trace, 2, policy="least_used")
         assert plain.blocked == [2]
@@ -327,8 +339,8 @@ class TestKempeRepair:
     def test_repair_cannot_exceed_budget(self):
         # three pairwise-conflicting copies of one arc: chi = 3 > W = 2,
         # no swap can help.
-        graph = random_dag(4, 0.5, seed=0)
         family = DipathFamily([["a", "b"], ["a", "b"], ["a", "b"]])
+        graph = _topology_of(family)
         result = simulate_online(graph, replay_trace(family), 2,
                                  policy="first_fit", kempe_repair=True)
         assert result.blocked == [2]
@@ -407,6 +419,38 @@ class TestEvents:
                      Event(2.0, ARRIVAL, 0, request=request)]
         with pytest.raises(SimulationError):
             simulate_online(tree, duplicate, 2)
+
+    @pytest.mark.parametrize("arrival", [
+        dict(dipath=Dipath([0, 1, 7])),          # ends off the topology
+        dict(dipath=Dipath([5, 6])),             # wholly off it
+        dict(request=Request(0, 9)),             # an unknown endpoint
+        dict(request=Request(0, 9),              # ... beside a good dipath
+             dipath=Dipath([0, 1, 2])),
+    ])
+    @pytest.mark.parametrize("routing", ["shortest", "least_loaded",
+                                         "k_shortest", "widest"])
+    def test_arrival_naming_an_unknown_vertex_is_refused(self, arrival,
+                                                         routing):
+        """Every router and both admit paths raise VertexNotFoundError
+        before any state changes, and simulate_online propagates it."""
+        path = DiGraph()
+        path.add_arcs([(0, 1), (1, 2)])
+        engine = OnlineEngine(path, 2, routing=routing)
+        assert engine.admit(1, dipath=Dipath([0, 1, 2])) is None
+        before = engine.metrics.to_json()
+        with pytest.raises(VertexNotFoundError):
+            engine.admit(2, **arrival)
+        with pytest.raises(VertexNotFoundError):
+            engine.admit_batch([Event(0.0, ARRIVAL, 3,
+                                      request=Request(0, 2)),
+                                Event(0.0, ARRIVAL, 4, **arrival)])
+        assert engine.vertex_of == {1: 0}
+        assert len(engine.family) == 1
+        assert engine.metrics.to_json() == before
+        assert engine.audit() == []
+        with pytest.raises(VertexNotFoundError):
+            simulate_online(path, [Event(0.0, ARRIVAL, 0, **arrival)], 2,
+                            routing=routing)
 
     def test_timeline_records_engine_state(self):
         tree = out_tree(2, 3)

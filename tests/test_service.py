@@ -27,12 +27,23 @@ import pytest
 
 from repro.analysis.bench_service import flash_crowd_trace
 from repro.dipaths.requests import Request
-from repro.exceptions import RecoveryError, ServiceError, SimulationError
+from repro.dipaths.dipath import Dipath
+from repro.exceptions import (
+    RecoveryError,
+    ServiceError,
+    SimulationError,
+    VertexNotFoundError,
+)
 from repro.generators.regions import multi_region_topology, multi_region_traffic
 from repro.graphs.digraph import DiGraph
 from repro.online.events import (ARRIVAL, CUT, DEPARTURE, Event, cut_event,
                                  poisson_trace, repair_event, sort_events)
-from repro.online.persistence import DurableEngine, engine_fingerprint, recover
+from repro.online.persistence import (
+    DurableEngine,
+    engine_fingerprint,
+    read_journal,
+    recover,
+)
 from repro.online.simulator import (
     DEFAULT_TENANT,
     SHED,
@@ -253,15 +264,46 @@ class TestDurableService:
                              work_budget=3.0, queue_depth=4)
         shed = set(served.blocked_shed)
         assert shed    # the guard fired
-        journalled = {record["rid"]
-                      for record in map(json.loads,
-                                        path.read_text().splitlines())
+        journalled = {record["rid"] for record in read_journal(str(path))
                       if record.get("type") == "admit"}
         assert journalled.isdisjoint(shed)
         # recovery replays only engine decisions and still matches
         recovered = recover(str(path))
         assert recovered.fingerprint() == engine_fingerprint(served.engine)
         recovered.close()
+
+
+    @pytest.mark.parametrize("arrival", [dict(dipath=Dipath([0, 1, 7])),
+                                         dict(dipath=Dipath([5, 6])),
+                                         dict(request=Request(0, 9)),
+                                         dict(request=Request(0, 9),
+                                              dipath=Dipath([0, 1, 2]))])
+    def test_arrival_off_the_topology_fails_only_its_future(self, tmp_path,
+                                                            arrival):
+        """An arrival naming a vertex the topology lacks fails its own
+        future with VertexNotFoundError: nothing is journalled, the engine
+        is untouched and the service keeps serving."""
+        graph = DiGraph()
+        graph.add_arcs([(0, 1), (1, 2)])
+        path = tmp_path / "service.jsonl"
+
+        async def scenario():
+            async with RwaService(graph, 2, journal_path=str(path)) as svc:
+                assert await svc.submit(0, dipath=Dipath([0, 1, 2]),
+                                        time=0.0) is None
+                journal, before = path.read_bytes(), svc.fingerprint()
+                with pytest.raises(VertexNotFoundError):
+                    await svc.submit(1, time=1.0, **arrival)
+                assert path.read_bytes() == journal
+                assert svc.fingerprint() == before
+                assert await svc.submit(2, request=Request(1, 2),
+                                        time=2.0) is None
+                return svc.fingerprint()
+
+        live = asyncio.run(scenario())
+        recovered = recover(str(path))
+        recovered.close()
+        assert recovered.fingerprint() == live
 
 
 # --------------------------------------------------------------------------- #
@@ -300,11 +342,10 @@ async def _serve_in_waves(target, events):
     return futures
 
 
-def _journal_outcomes(data: bytes):
+def _journal_outcomes(path: str):
     """request id -> journalled outcome, for every admit and depart."""
     admits, departs = {}, {}
-    for line in data.decode("utf-8").splitlines():
-        record = json.loads(line)
+    for record in read_journal(path):
         if record["type"] == "admit":
             admits[record["rid"]] = record["outcome"]
         elif record["type"] == "admit_batch":
@@ -372,11 +413,11 @@ class TestGroupCommit:
         assert len(copies) == len(events)
         copy = tmp_path / "copy.jsonl"
         for data, acked in copies[::7] + copies[-1:]:
-            admits, departs = _journal_outcomes(data)
+            copy.write_bytes(data)
+            admits, departs = _journal_outcomes(str(copy))
             for (rid, kind), outcome in acked.items():
                 journalled = admits if kind == ARRIVAL else departs
                 assert journalled[rid] == outcome
-            copy.write_bytes(data)
             recover(str(copy)).close()
 
     def test_fsync_once_per_drained_batch(self, tmp_path, monkeypatch):
@@ -440,8 +481,7 @@ class TestGroupCommit:
 
         # every snapshot is an integrity gate on a from-genesis replay,
         # comparing encoded states; a tampered one must fail it
-        def replay_from_genesis(lines):
-            records = [json.loads(line) for line in lines]
+        def replay_from_genesis(records):
             replica = DurableEngine._resume(records[0],
                                             str(tmp_path / "replica.jsonl"))
             try:
@@ -450,15 +490,13 @@ class TestGroupCommit:
             finally:
                 replica.close()
 
-        lines = data.decode("utf-8").splitlines()
-        replay_from_genesis(lines)
-        index = next(i for i, line in enumerate(lines)
-                     if '"type":"snapshot"' in line)
-        record = json.loads(lines[index])
-        record["state"]["free_slots"].append(10 ** 6)
-        lines[index] = json.dumps(record)
+        replay_from_genesis(read_journal(str(served)))
+        records = read_journal(str(served))
+        index = next(i for i, record in enumerate(records)
+                     if record["type"] == "snapshot")
+        records[index]["state"]["free_slots"].append(10 ** 6)
         with pytest.raises(RecoveryError, match="snapshot") as excinfo:
-            replay_from_genesis(lines)
+            replay_from_genesis(records)
         assert excinfo.value.record == index
 
     def test_failed_sync_acknowledges_nothing(self, tmp_path):
