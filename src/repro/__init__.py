@@ -73,7 +73,7 @@ from .dipaths import (
 )
 from .conflict import (
     ConflictGraph,
-    DynamicConflictGraph,
+    ShardedConflictGraph,
     build_conflict_graph,
     clique_number,
 )
@@ -128,7 +128,7 @@ __all__ = [
     "route_unique",
     # conflict & colouring
     "ConflictGraph",
-    "DynamicConflictGraph",
+    "ShardedConflictGraph",
     "build_conflict_graph",
     "clique_number",
     "chromatic_number",

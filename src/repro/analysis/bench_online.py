@@ -4,11 +4,13 @@ Times conflict-graph maintenance under churn (constant-concurrency
 remove/add traces of 500+ concurrent dipaths, see
 :func:`repro.online.events.churn_trace`) under two strategies:
 
-* **rebuild-per-event** — the pre-online behaviour: every mutation drops
-  the family's caches wholesale and the conflict graph is rebuilt from
-  scratch (``invalidate_caches()`` + :func:`build_conflict_graph`);
-* **incremental** — the :class:`~repro.conflict.DynamicConflictGraph`
-  patches per-vertex adjacency masks in O(degree) per event.
+* **rebuild-per-event** — the pre-online behaviour: the conflict graph
+  is rebuilt from scratch after every mutation
+  (:func:`build_conflict_graph`, a cold build because every mutation
+  drops the family's conflict-mask cache);
+* **incremental** — the engine's
+  :class:`~repro.conflict.ShardedConflictGraph`: O(arcs) per event, with
+  adjacency derived from the arc bitmasks only when queried.
 
 Both strategies replay the *same* trace through the same free-list
 dynamics, so they end on identically-labelled graphs; the records assert
@@ -28,7 +30,7 @@ import time
 from typing import Callable, Dict, List, Tuple
 
 from ..conflict.conflict_graph import ConflictGraph, build_conflict_graph
-from ..conflict.dynamic import DynamicConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from ..coloring.dsatur import dsatur_coloring
 from ..dipaths.family import DipathFamily
 from ..dipaths.routing import route_all
@@ -97,8 +99,8 @@ def _split_warmup(trace: List[Event]) -> Tuple[List[Event], List[Event]]:
 
 def _replay_incremental(warmup: List[Event], churn: List[Event]
                         ) -> Tuple[float, ConflictGraph]:
-    """Timed churn replay through DynamicConflictGraph patching."""
-    conflict = DynamicConflictGraph(DipathFamily())
+    """Timed churn replay through the live ShardedConflictGraph."""
+    conflict = ShardedConflictGraph(DipathFamily())
     slot: Dict[int, int] = {}
     for event in warmup:
         slot[event.request_id] = conflict.add_dipath(event.dipath)
@@ -121,10 +123,6 @@ def _replay_rebuild(warmup: List[Event], churn: List[Event]
     conflict = build_conflict_graph(family)
     start = time.perf_counter()
     for event in churn:
-        # the pre-online cache policy: mutations drop the caches wholesale
-        # (invalidate *before* mutating so legacy never pays the new
-        # incremental patch work), then everything is rebuilt
-        family.invalidate_caches()
         if event.kind == ARRIVAL:
             slot[event.request_id] = family.add(event.dipath)
         else:

@@ -54,17 +54,18 @@ from .._bitops import iter_bits, lowest_missing_bit
 from ..coloring.dsatur import dsatur_coloring_masks
 from ..coloring.verify import is_proper_coloring
 from ..conflict.conflict_graph import build_conflict_graph
-from ..conflict.dynamic import DynamicConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..dipaths.requests import RequestFamily
 from ..generators.families import random_walk_family
 from ..generators.random_dags import random_dag, random_internal_cycle_free_dag
 from ..graphs.digraph import DiGraph
+from ..obs.registry import MetricsRegistry
 from ..online.assigner import OnlineWavelengthAssigner
 from ..online.events import ARRIVAL, poisson_trace
 from ..online.routing import live_load_cost
-from ..online.simulator import OnlineEngine, simulate_online
+from ..online.simulator import EngineConfig, OnlineEngine, simulate_online
 from ..online.transaction import WhatIfTransaction
 from ..optical.traffic import hotspot_traffic
 from ..parallel.sweep import Sweep, run_sweep
@@ -209,15 +210,19 @@ def measure_blocking_scenario(name: str) -> Dict[str, object]:
 # speculation benchmark
 # ---------------------------------------------------------------------- #
 def _warm_engine(concurrent: int, seed: int
-                 ) -> Tuple[DynamicConflictGraph, OnlineWavelengthAssigner,
+                 ) -> Tuple[ShardedConflictGraph, OnlineWavelengthAssigner,
                             List[Dipath]]:
-    """A 500+-concurrent warm engine plus a pool of candidate dipaths."""
+    """A 500+-concurrent warm engine plus a pool of candidate dipaths.
+
+    The conflict graph and assigner are wired exactly as the online
+    engine wires them (lazy adjacency, colour-indexed assigner).
+    """
     graph = random_dag(48, 0.12, seed=20260730)
     pool = list(random_walk_family(graph, 1200, seed=seed))
-    conflict = DynamicConflictGraph(DipathFamily())
     # first_fit with a roomy budget: the warm-up admits everything, so both
     # evaluation strategies start from an identical provisioned state.
-    assigner = OnlineWavelengthAssigner(96, policy="first_fit")
+    conflict, assigner = EngineConfig(policy="first_fit").components(
+        DipathFamily(), 96, MetricsRegistry())
     admitted = 0
     for dipath in pool:
         if admitted >= concurrent:
@@ -230,7 +235,7 @@ def _warm_engine(concurrent: int, seed: int
     return conflict, assigner, pool
 
 
-def _evaluate_transactional(conflict: DynamicConflictGraph,
+def _evaluate_transactional(conflict: ShardedConflictGraph,
                             assigner: OnlineWavelengthAssigner,
                             candidates: Sequence[Dipath]) -> Optional[int]:
     """Best admissible candidate via admit→score→rollback speculation."""
@@ -246,7 +251,7 @@ def _evaluate_transactional(conflict: DynamicConflictGraph,
     return None if best is None else best[1]
 
 
-def _evaluate_rebuild(conflict: DynamicConflictGraph,
+def _evaluate_rebuild(conflict: ShardedConflictGraph,
                       assigner: OnlineWavelengthAssigner,
                       candidates: Sequence[Dipath]) -> Optional[int]:
     """Best admissible candidate via copy + conflict-graph rebuild each.

@@ -271,7 +271,9 @@ SUITES: Dict[str, Suite] = {suite.name: suite for suite in (
             flags=_AGREE,
             floors={"speedup_total": ONLINE_SPEEDUP_TARGET,
                     "num_dipaths": 500},
-            timing_slack=0.002)}),
+            # the live graph replays a churn phase in ~1.5 ms, so the
+            # slack must stay well under it to see a 2x slowdown
+            timing_slack=0.0005)}),
     Suite(
         name="routing", gate="E14",
         title="adaptive routing + what-if speculation",
@@ -297,12 +299,13 @@ SUITES: Dict[str, Suite] = {suite.name: suite for suite in (
                                           "evaluation disagree"},
                 floors={"speedup_total": SPECULATION_SPEEDUP_TARGET,
                         "num_dipaths": 500},
-                # speculation leaves the engine caches intact: the one
-                # cold build only
-                ceilings={"mask_rebuilds": 1},
-                # the transactional side stays in scheduler-noise
-                # territory even with 60 what-ifs per scenario
-                timing_slack=0.010)}),
+                # neither the live engine nor its speculation ever
+                # builds the family's conflict-mask cache
+                ceilings={"mask_rebuilds": 0},
+                # the transactional side takes ~5 ms per scenario on the
+                # live graph; the slack must stay well under it to see a
+                # 2x slowdown
+                timing_slack=0.002)}),
     Suite(
         name="defrag", gate="E15", title="defragmentation blocking + reclaim",
         bench="BENCH_defrag.json",

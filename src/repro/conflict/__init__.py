@@ -14,7 +14,7 @@ from .cliques import (
     maximum_clique,
 )
 from .conflict_graph import ConflictGraph, build_conflict_graph
-from .dynamic import DynamicConflictGraph, ShardedConflictGraph
+from .dynamic import ShardedConflictGraph
 from .sharding import Shard, ShardTracker, ShardView
 from .covering import (
     blowup_chromatic_number,
@@ -32,7 +32,6 @@ from .independent_sets import (
 
 __all__ = [
     "ConflictGraph",
-    "DynamicConflictGraph",
     "Shard",
     "ShardTracker",
     "ShardView",

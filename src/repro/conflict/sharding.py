@@ -110,9 +110,9 @@ class ShardTracker(Instrumented):
 
     Merge/split/rebuild counters publish into the shared metrics registry
     under ``shards.*`` as *diagnostic* metrics: they depend on the
-    placement history (only the sharded engine tracks components, and
-    speculative add+rollback churn bumps them), so they are excluded from the cross-path deterministic snapshot while staying
-    reproducible for a fixed seed and configuration.
+    placement history (speculative add+rollback churn bumps them), so
+    they are excluded from the cross-path deterministic snapshot while
+    staying reproducible for a fixed seed and configuration.
     """
 
     __slots__ = ("_neighbor_of", "_arcs_of", "_shard_of_member",
@@ -192,17 +192,14 @@ class ShardTracker(Instrumented):
                 home.arc_mask |= 1 << aid
         return home
 
-    def on_remove(self, idx: int, dead_arcs: Tuple[int, ...] = (),
-                  can_split: bool = True) -> Shard:
+    def on_remove(self, idx: int, dead_arcs: Tuple[int, ...] = ()) -> Shard:
         """Detach departing member ``idx``; mark its shard dirty.
 
         The shard keeps owning the member's still-used arcs (a later
         arrival on any of them must land in the same shard while the
         split question is open) and becomes *dirty*: it may now cover
         several true components.  O(arcs); the split check is deferred
-        to :meth:`refresh`.  The dirty flag is skipped when the caller
-        knows the removal cannot split (``can_split=False``, e.g. the
-        member had at most one conflict partner) or when the removal
+        to :meth:`refresh`.  The dirty flag is skipped when the removal
         exactly undoes the member's join and that join merged nothing —
         the pre-join decomposition was already exact.
 
@@ -229,7 +226,7 @@ class ShardTracker(Instrumented):
             if shard_of_arc.get(aid) is shard:
                 del shard_of_arc[aid]
                 shard.arc_mask &= ~(1 << aid)
-        if can_split and not undoes_join:
+        if not undoes_join:
             shard.dirty = True
         return shard
 
@@ -425,7 +422,7 @@ class ShardView:
     * **compact remap** — ``to_local`` / ``to_global`` translate indices,
       ``neighbor_mask`` returns shard-width masks;
     * **read-only** — the view never writes back; mutate through the
-      owning :class:`~repro.conflict.DynamicConflictGraph`;
+      owning :class:`~repro.conflict.ShardedConflictGraph`;
     * **invalidated on merge/split** — any structural change to the shard
       (member add/remove, merge, split) bumps the shard version and
       :meth:`is_current` turns false; consumers rebuild the view.

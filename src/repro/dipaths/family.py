@@ -10,18 +10,23 @@ graph and by all colourings (a colouring is a mapping ``index -> colour``).
 Arcs are *interned* to dense integer ids as members are added: every dipath
 is recorded as a tuple of arc ids, and each arc id keeps the bitmask of
 member indices that use it.  Load queries are therefore proportional to the
-number of (arc, dipath) incidences rather than quadratic in the family size,
-and conflict queries are served from cached per-member bitmasks (bit ``j``
-of ``conflict_masks()[i]`` set iff members ``i`` and ``j`` share an arc).
+number of (arc, dipath) incidences rather than quadratic in the family size.
 
 The family is *dynamic*: :meth:`remove` retires a member and recycles its
 index through a free-list, so the online engine (:mod:`repro.online`) can
-model lightpath departures without renumbering the survivors.  Both
-:meth:`add` and :meth:`remove` maintain the conflict-mask cache
-*incrementally* — only the masks of members sharing an arc with the mutated
-dipath are touched, O(shared incidences) per event rather than a full
-rebuild (the full rebuild happens at most once, lazily, and is counted by
-:attr:`mask_rebuilds`).
+model lightpath departures without renumbering the survivors.  Mutations
+cost O(arcs) each: they touch the arc bitmasks and the load histogram,
+nothing else.
+
+Offline conflict queries (:meth:`conflict_masks`, :meth:`conflicting_pairs`,
+:meth:`conflicts_of`, and :func:`~repro.conflict.build_conflict_graph` on
+top of them) read per-member bitmasks (bit ``j`` of ``conflict_masks()[i]``
+set iff members ``i`` and ``j`` share an arc) from a cache built cold on
+first use and counted by :attr:`mask_rebuilds`.  Every mutation drops that
+cache rather than patching it, so a family that was queried once never
+pays O(degree) upkeep for the rest of its life; the online engine reads
+adjacency from the arc bitmasks instead (see
+:class:`~repro.conflict.ShardedConflictGraph`).
 """
 
 from __future__ import annotations
@@ -85,9 +90,7 @@ class DipathFamily:
         """Add a dipath to the family and return its index.
 
         Freed slots (see :meth:`remove`) are recycled before new indices are
-        allocated.  When the conflict-mask cache is live it is patched in
-        place: only the masks of members sharing an arc with the new dipath
-        are updated, never the whole cache.
+        allocated.  Drops the conflict-mask cache.
         """
         if not isinstance(dipath, Dipath):
             dipath = Dipath(dipath, graph=self._graph)
@@ -115,17 +118,7 @@ class DipathFamily:
             arc_members[aid] |= bit
             ids.append(aid)
         self._path_arc_ids[idx] = tuple(ids)
-        masks = self._conflict_masks
-        if masks is not None:
-            if len(masks) < len(self._paths):
-                masks.extend([0] * (len(self._paths) - len(masks)))
-            mask = 0
-            for aid in ids:
-                mask |= arc_members[aid]
-            mask &= ~bit
-            masks[idx] = mask
-            for j in iter_bits(mask):
-                masks[j] |= bit
+        self._conflict_masks = None
         hist = self._load_hist
         if hist is not None:
             cache = self._load_cache
@@ -143,16 +136,14 @@ class DipathFamily:
         """Remove member ``idx`` and return its dipath.
 
         The index goes onto a free-list and is recycled by a later
-        :meth:`add`; surviving members keep their indices.  When the
-        conflict-mask cache is live, only the masks of the (former)
-        conflict partners of ``idx`` are patched.  Raises ``IndexError``
-        for an index that is not an active member.
+        :meth:`add`; surviving members keep their indices.  Drops the
+        conflict-mask cache.  Raises ``IndexError`` for an index that is
+        not an active member.
         """
         if not 0 <= idx < len(self._paths) or self._paths[idx] is None:
             raise IndexError(f"member {idx} is not an active member")
         path = self._paths[idx]
-        bit = 1 << idx
-        unbit = ~bit
+        unbit = ~(1 << idx)
         hist = self._load_hist
         if hist is None:
             for aid in self._path_arc_ids[idx]:
@@ -171,11 +162,7 @@ class DipathFamily:
             while cache and not hist.get(cache, 0):
                 cache -= 1
             self._load_cache = cache
-        masks = self._conflict_masks
-        if masks is not None:
-            for j in iter_bits(masks[idx]):
-                masks[j] &= unbit
-            masks[idx] = 0
+        self._conflict_masks = None
         self._paths[idx] = None
         self._path_arc_ids[idx] = ()
         self._free_slots.append(idx)
@@ -245,24 +232,12 @@ class DipathFamily:
 
     @property
     def mask_rebuilds(self) -> int:
-        """How many times the conflict-mask cache was rebuilt from scratch.
+        """How many times the conflict-mask cache was built from scratch.
 
-        :meth:`add` and :meth:`remove` patch a live cache incrementally, so
-        this counts only cold (re)builds — at most one unless
-        :meth:`invalidate_caches` is called.
+        Every mutation drops the cache, so this counts the offline queries
+        that found it cold — the online engine never moves it.
         """
         return self._mask_rebuilds
-
-    def invalidate_caches(self) -> None:
-        """Drop the conflict-mask and load caches (next query rebuilds).
-
-        The library never needs this — mutations keep the caches coherent —
-        but the online benchmarks use it to time the rebuild-per-event
-        strategy the incremental engine replaces.
-        """
-        self._conflict_masks = None
-        self._load_cache = None
-        self._load_hist = None
 
     # ------------------------------------------------------------------ #
     # speculation support (see repro.online.transaction)
@@ -288,7 +263,8 @@ class DipathFamily:
         arcs the dipath interned first, and a possibly-changed load cache.
         Undoing them is O(new arcs) — the transaction layer calls this
         last-in-first-out, so the traces are guaranteed to sit at the tails
-        of their lists.
+        of their lists.  Like every mutation it drops the conflict-mask
+        cache.
         """
         slot_was_new, arc_watermark, load_cache = state
         if slot_was_new:
@@ -298,9 +274,7 @@ class DipathFamily:
             self._free_slots.pop()
             self._paths.pop()
             self._path_arc_ids.pop()
-            masks = self._conflict_masks
-            if masks is not None and len(masks) > len(self._paths):
-                del masks[len(self._paths):]
+        self._conflict_masks = None
         while len(self._arcs) > arc_watermark:
             arc = self._arcs.pop()
             if self._arc_members.pop():
@@ -442,13 +416,14 @@ class DipathFamily:
     # conflicts
     # ------------------------------------------------------------------ #
     def conflict_masks(self) -> List[int]:
-        """Per-member conflict bitmasks (cached; patched in place by
-        :meth:`add` / :meth:`remove`).
+        """Per-member conflict bitmasks (built cold, cached until the next
+        mutation).
 
         Bit ``j`` of entry ``i`` is set iff members ``i`` and ``j`` share at
         least one arc (``i != j``).  The list has one entry per *slot*
         (:attr:`num_slots`); freed slots hold mask ``0``.  The returned list
-        is the internal cache — treat it as read-only.
+        is the internal cache — treat it as read-only, and do not keep it
+        across a mutation.
         """
         masks = self._conflict_masks
         if masks is None:

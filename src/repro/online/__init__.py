@@ -7,8 +7,9 @@ lightpaths arrive and depart, and the gap between load and wavelengths
 shows up as avoidable blocking.  The moving parts:
 
 * :mod:`repro.online.events`     — seeded Poisson / replay / churn traces;
-* :class:`repro.conflict.DynamicConflictGraph` (re-exported here) — the
-  conflict graph patched in O(degree) per event;
+* :class:`repro.conflict.ShardedConflictGraph` (re-exported here) — the
+  conflict graph, O(arcs) per event with adjacency derived on demand and
+  its connected components tracked as shards;
 * :mod:`repro.online.routing`    — static (shortest / unique) and adaptive
   (least-loaded / k-shortest / widest) online routers consulting the live
   per-arc load;
@@ -38,11 +39,11 @@ shows up as avoidable blocking.  The moving parts:
 
 :func:`repro.optical.simulation.simulate_admission` is a thin static-order
 front-end over this engine.  See the "Dynamic engine" and "What-if
-transaction" sections of PERFORMANCE.md for the mask-patching and
+transaction" sections of PERFORMANCE.md for the lazy-adjacency and
 rollback contracts and per-event complexity.
 """
 
-from ..conflict.dynamic import DynamicConflictGraph, ShardedConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from ..conflict.sharding import Shard, ShardTracker, ShardView
 from .assigner import POLICIES, AssignerCheckpoint, OnlineWavelengthAssigner
 from .sharding import ArcColorIndex
@@ -105,7 +106,6 @@ __all__ = [
     "DefragPass",
     "DefragReport",
     "DurableEngine",
-    "DynamicConflictGraph",
     "EngineConfig",
     "Event",
     "FIBRE_CUT",

@@ -80,7 +80,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Callable, List, Optional, Sequence, Tuple
 
-from ..conflict.dynamic import DynamicConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from ..dipaths.dipath import Dipath
 from ..exceptions import TransactionError
 from ..obs.registry import Instrumented, MetricsRegistry
@@ -103,7 +103,7 @@ def max_color_in_use(assigner: OnlineWavelengthAssigner) -> int:
     return assigner.used_mask.bit_length() - 1
 
 
-def defrag_objective(conflict: DynamicConflictGraph,
+def defrag_objective(conflict: ShardedConflictGraph,
                      assigner: OnlineWavelengthAssigner) -> Tuple[int, int, int]:
     """The global part of the move-acceptance objective.
 
@@ -193,7 +193,7 @@ class DefragPass(Instrumented):
         Wall-clock budget in seconds for one pass (``None`` = unbounded).
     members:
         Restrict the walk to these member indices (e.g. one shard of the
-        conflict graph, see :meth:`~repro.conflict.DynamicConflictGraph.
+        conflict graph, see :meth:`~repro.conflict.ShardedConflictGraph.
         shard_map`); ``None`` walks every provisioned lightpath.  The
         move-acceptance objective stays global either way — a restricted
         pass attempts fewer moves, it does not change what counts as an
@@ -205,7 +205,7 @@ class DefragPass(Instrumented):
         created otherwise.
     """
 
-    def __init__(self, conflict: DynamicConflictGraph,
+    def __init__(self, conflict: ShardedConflictGraph,
                  assigner: OnlineWavelengthAssigner,
                  candidates: Optional[CandidateFunction] = None,
                  order: str = "highest_wavelength",

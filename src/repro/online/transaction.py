@@ -11,15 +11,16 @@ and undoes them in reverse:
 * **commit is O(1)** — drop the journal;
 * **rollback is O(touched)** — one inverse operation per mutation: the
   added member leaves again, arcs it interned first are un-interned, the
-  freed slot / load cache / conflict masks are restored, and the
-  assigner's colour changes (including whole Kempe chains) are replayed
-  backwards.  No cache is ever dropped, so ``mask_rebuilds`` stays put —
-  the invariant the differential harness pins down.
+  freed slot and load cache are restored, and the assigner's colour
+  changes (including whole Kempe chains) are replayed backwards.  Nothing
+  builds the family's conflict-mask cache, so ``mask_rebuilds`` stays put
+  — the invariant the differential harness pins down.
 
-After rollback the family, the dynamic conflict graph and the assigner
-are **bit-identical** to a never-touched twin: every internal mask,
-list, free-slot stack, cache and counter compares equal
-(``tests/test_differential_online.py`` asserts exactly this).
+After rollback the family, the conflict graph and the assigner are
+**bit-identical** to a never-touched twin: every internal mask, list,
+free-slot stack, load cache and counter compares equal
+(``tests/test_differential_online.py`` asserts exactly this); a warm
+conflict-mask cache is dropped, as by any mutation.
 
 :func:`admit_best` builds the paper-level feature on top: admit the
 candidate route of an arrival that leaves the least-loaded fibres behind.
@@ -49,7 +50,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Tuple
 
-from ..conflict.dynamic import DynamicConflictGraph
+from ..conflict.dynamic import ShardedConflictGraph
 from ..dipaths.dipath import Dipath
 from ..exceptions import TransactionError
 from .assigner import AssignerCheckpoint, OnlineWavelengthAssigner
@@ -65,7 +66,7 @@ _ADD, _REMOVE = "add", "remove"
 class WhatIfTransaction:
     """Checkpoint/rollback over the online engine state, nestable.
 
-    Wraps a :class:`~repro.conflict.DynamicConflictGraph` (and optionally
+    Wraps a :class:`~repro.conflict.ShardedConflictGraph` (and optionally
     the :class:`~repro.online.assigner.OnlineWavelengthAssigner` colouring
     it) and journals every mutation made *through the transaction*.
     ``commit()`` keeps them (O(1)); ``rollback()`` — or leaving a ``with``
@@ -82,16 +83,16 @@ class WhatIfTransaction:
 
     Examples
     --------
-    >>> from repro.conflict import DynamicConflictGraph
+    >>> from repro.conflict import ShardedConflictGraph
     >>> from repro.dipaths.family import DipathFamily
-    >>> dyn = DynamicConflictGraph(DipathFamily([["a", "b"]]))
+    >>> dyn = ShardedConflictGraph(DipathFamily([["a", "b"]]))
     >>> with WhatIfTransaction(dyn) as tx:
     ...     _ = tx.add_dipath(["a", "b", "c"])   # speculative: not committed
     >>> len(dyn.family)
     1
     """
 
-    def __init__(self, conflict: DynamicConflictGraph,
+    def __init__(self, conflict: ShardedConflictGraph,
                  assigner: Optional[OnlineWavelengthAssigner] = None) -> None:
         self._conflict = conflict
         self._family = conflict.family
@@ -262,7 +263,7 @@ class AdmissionDecision:
     dipath: Dipath      #: the admitted dipath
 
 
-def admit_best(conflict: DynamicConflictGraph,
+def admit_best(conflict: ShardedConflictGraph,
                assigner: OnlineWavelengthAssigner,
                candidates: Sequence[Dipath]) -> Optional[AdmissionDecision]:
     """Commit the least-loaded admissible candidate, or none.
@@ -346,7 +347,7 @@ class BatchResult:
                                    f"expected one of {BATCH_POLICIES}")
 
 
-def admit_batch(conflict: DynamicConflictGraph,
+def admit_batch(conflict: ShardedConflictGraph,
                 assigner: OnlineWavelengthAssigner,
                 dipaths: Sequence[Dipath],
                 policy: str = "all_or_nothing") -> BatchResult:

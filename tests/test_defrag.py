@@ -31,7 +31,7 @@ from hypothesis import strategies as st
 from test_differential_online import engine_state
 
 from repro.coloring.verify import is_proper_coloring
-from repro.conflict import DynamicConflictGraph, build_conflict_graph
+from repro.conflict import ShardedConflictGraph, build_conflict_graph
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
 from repro.generators.families import random_walk_family
@@ -65,7 +65,7 @@ from repro.optical.traffic import uniform_random_traffic
 
 
 def _engine(wavelengths=4, policy="first_fit"):
-    conflict = DynamicConflictGraph(DipathFamily())
+    conflict = ShardedConflictGraph(DipathFamily())
     # seeded so bit-identity comparisons between twins include RNG state
     assigner = OnlineWavelengthAssigner(wavelengths, policy=policy, seed=5)
     return conflict, assigner

@@ -6,19 +6,23 @@ what-ifs that are always rolled back — and the harness asserts the three
 contracts of the rollback design:
 
 (a) after every rollback the speculating engine's ``DipathFamily``,
-    ``DynamicConflictGraph`` and ``OnlineWavelengthAssigner`` are
+    ``ShardedConflictGraph`` and ``OnlineWavelengthAssigner`` are
     **bit-identical** to the never-touched twin: every internal bitmask,
     list, free-slot stack, cache and counter compares equal;
 (b) assignments produced under *adaptive* routing (least-loaded,
     k-shortest, widest, speculative or not) always pass
     :mod:`repro.coloring.verify` against a conflict graph rebuilt from
     scratch off the raw dipaths;
-(c) ``mask_rebuilds`` never moves on the rollback path — speculation and
-    rollback patch caches, they never drop them;
+(c) ``mask_rebuilds`` never moves on the speculation or rollback path —
+    no engine mutation builds the family's conflict-mask cache (each one
+    only drops it), so the cache stays cold for the engine's whole life;
 (d) :func:`~repro.online.admit_best`, which ranks candidates by their
     post-admission load and admits only until one colours, decides and
     leaves state exactly like the exhaustive rule that speculates every
-    candidate and scores the speculated state (the oracle below).
+    candidate and scores the speculated state (the oracle below) — with
+    the assigner reading forbidden colours from the engine's
+    ``ArcColorIndex`` and from the bare neighbour walk alike
+    (the ``color_index`` axis).
 
 The sequences come from two generators: a hypothesis-driven one (60
 examples exploring the op space adversarially, shrinkable on failure) and
@@ -35,7 +39,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.coloring.verify import is_proper_coloring
-from repro.conflict import DynamicConflictGraph, build_conflict_graph
+from repro.conflict import ShardedConflictGraph, build_conflict_graph
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
 from repro.generators.families import random_walk_family
@@ -91,7 +95,7 @@ class _Twin:
     """One dynamic engine half of the differential pair."""
 
     def __init__(self, kempe_repair=False, policy="least_used"):
-        self.conflict = DynamicConflictGraph(DipathFamily())
+        self.conflict = ShardedConflictGraph(DipathFamily())
         self.assigner = OnlineWavelengthAssigner(
             WAVELENGTHS, policy=policy, kempe_repair=kempe_repair, seed=99)
         self.active = []
@@ -153,7 +157,6 @@ def _run_differential_sequence(seed, churn_steps, kempe_repair=False,
         return False
     speculating = _Twin(kempe_repair=kempe_repair, policy=policy)
     untouched = _Twin(kempe_repair=kempe_repair, policy=policy)
-    rebuilds_before = speculating.conflict.family.mask_rebuilds
     for step in range(churn_steps):
         # identical committed churn on both twins
         if speculating.active and rng.random() < 0.4:
@@ -166,13 +169,13 @@ def _run_differential_sequence(seed, churn_steps, kempe_repair=False,
             untouched.arrive(dipath)
         # a random what-if on the speculating twin only, always rolled back
         _speculate(speculating, rng, paths, num_ops=rng.randrange(1, 5))
-        assert speculating.conflict.family.mask_rebuilds == rebuilds_before
+        assert speculating.conflict.family.mask_rebuilds == 0
     assert speculating.state() == untouched.state(), f"seed {seed}"
     return True
 
 
 class TestRollbackBitIdentity:
-    """(a) + (c): rollback leaves the state bit-identical, caches intact."""
+    """(a) + (c): rollback is bit-identical; the mask cache stays cold."""
 
     @given(seed=st.integers(0, 10_000), churn_steps=st.integers(5, 25),
            kempe=st.booleans(),
@@ -319,13 +322,13 @@ def full_state(engine):
     return state
 
 
-def _warm_twins(seed, sharded, policy, kempe):
+def _warm_twins(seed, color_index, policy, kempe):
     """Two engines driven through the same warm-up trace.
 
-    ``sharded`` keeps the engine's own wiring; ``False`` swaps in the
-    eager library pair (a neighbour-patched
-    :class:`~repro.conflict.DynamicConflictGraph` and an assigner that
-    walks the neighbourhood, no colour index) before the first event.
+    ``color_index`` keeps the engine's own wiring; ``False`` swaps in an
+    assigner without an :class:`~repro.online.ArcColorIndex`, which
+    derives forbidden colours by walking the conflict neighbourhood,
+    before the first event.
     """
     graph = random_dag(14, 0.35, seed=seed)
     pool = uniform_random_traffic(graph, 30, seed=seed)
@@ -337,8 +340,7 @@ def _warm_twins(seed, sharded, policy, kempe):
     for _ in range(2):
         engine = OnlineEngine(graph, WAVELENGTHS, policy=policy,
                               kempe_repair=kempe, seed=seed)
-        if not sharded:
-            engine.conflict = DynamicConflictGraph(engine.family)
+        if not color_index:
             engine.assigner = OnlineWavelengthAssigner(
                 WAVELENGTHS, policy=policy, kempe_repair=kempe, seed=seed)
         for event in trace:
@@ -361,10 +363,10 @@ def _ranked_first(family, candidates):
     return min(range(len(candidates)), key=key)
 
 
-def _oracle_sequence(seed, sharded, policy, kempe, steps, seen):
+def _oracle_sequence(seed, color_index, policy, kempe, steps, seen):
     """Drive ``admit_best`` and the oracle in lockstep; assert equality."""
     rng = random.Random(seed)
-    (oracle, engine), paths = _warm_twins(seed, sharded, policy, kempe)
+    (oracle, engine), paths = _warm_twins(seed, color_index, policy, kempe)
     assert full_state(oracle) == full_state(engine)
     admitted = []
     for _ in range(steps):
@@ -415,13 +417,13 @@ def _oracle_sequence(seed, sharded, policy, kempe, steps, seen):
 class TestAdmitBestOracle:
     """(d): rank-then-admit == speculate-every-candidate, state included."""
 
-    @pytest.mark.parametrize("sharded", [True, False])
+    @pytest.mark.parametrize("color_index", [True, False])
     @pytest.mark.parametrize("policy", ["first_fit", "least_used",
                                         "most_used", "random"])
-    def test_matches_exhaustive_oracle(self, sharded, policy):
+    def test_matches_exhaustive_oracle(self, color_index, policy):
         seen = {"none": 0, "skipped_first": 0, "kempe": 0, "defrag": 0}
         for seed in range(12):
-            _oracle_sequence(seed, sharded, policy, kempe=seed % 2 == 1,
+            _oracle_sequence(seed, color_index, policy, kempe=seed % 2 == 1,
                              steps=40, seen=seen)
         # the sweep must reach every branch the ranking could get wrong
         assert seen["none"] and seen["skipped_first"] and seen["defrag"]

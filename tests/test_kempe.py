@@ -19,7 +19,7 @@ from repro.coloring.kempe import (
     kempe_swap_component,
 )
 from repro.coloring.verify import is_proper_coloring
-from repro.conflict import DynamicConflictGraph
+from repro.conflict import ShardedConflictGraph
 from repro.dipaths.family import DipathFamily
 from repro.online import OnlineWavelengthAssigner
 
@@ -89,7 +89,7 @@ class TestKempeSwap:
 
 class TestAssignerRepairEdgeCases:
     def _engine(self, paths, wavelengths=2, policy="least_used"):
-        conflict = DynamicConflictGraph(DipathFamily())
+        conflict = ShardedConflictGraph(DipathFamily())
         assigner = OnlineWavelengthAssigner(wavelengths, policy=policy,
                                             kempe_repair=True)
         for p in paths:

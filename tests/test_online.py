@@ -2,7 +2,7 @@
 
 Covers the three equivalence contracts of the subsystem:
 
-* randomized add/remove sequences leave :class:`DynamicConflictGraph`
+* randomized add/remove sequences leave :class:`ShardedConflictGraph`
   identical to a from-scratch :func:`build_conflict_graph` (50+ seeded
   instances);
 * the online simulator with a pure-arrival replay trace reproduces the
@@ -17,7 +17,7 @@ import random
 
 import pytest
 
-from repro.conflict import DynamicConflictGraph, build_conflict_graph
+from repro.conflict import ShardedConflictGraph, build_conflict_graph
 from repro.coloring.verify import is_proper_coloring
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
@@ -73,14 +73,14 @@ def _graphs_equal(dynamic, family):
     return relabelled == sorted(fresh.edges())
 
 
-class TestDynamicConflictGraph:
+class TestShardedConflictGraph:
     def test_starts_from_existing_family(self, simple_family):
-        dyn = DynamicConflictGraph(simple_family)
+        dyn = ShardedConflictGraph(simple_family)
         assert sorted(dyn.edges()) == [(0, 1), (0, 2), (1, 2)]
         assert dyn.family is simple_family
 
-    def test_add_and_remove_patch_adjacency(self, simple_family):
-        dyn = DynamicConflictGraph(simple_family)
+    def test_add_and_remove_update_adjacency(self, simple_family):
+        dyn = ShardedConflictGraph(simple_family)
         idx = dyn.add_dipath(["b", "e"])
         assert idx == 3
         assert dyn.degree(3) == 0
@@ -100,7 +100,7 @@ class TestDynamicConflictGraph:
             if len(pool) == 0:
                 continue
             paths = list(pool)
-            dyn = DynamicConflictGraph(DipathFamily())
+            dyn = ShardedConflictGraph(DipathFamily())
             active = []
             for _ in range(80):
                 if active and rng.random() < 0.4:
@@ -109,18 +109,34 @@ class TestDynamicConflictGraph:
                     dyn.remove_dipath(victim)
                 else:
                     active.append(dyn.add_dipath(rng.choice(paths)))
+            assert dyn.family.mask_rebuilds == 0
             assert _graphs_equal(dyn, dyn.family), f"seed {seed}"
-            assert dyn.family.mask_rebuilds <= 1
             checked += 1
         assert checked >= 50
 
     def test_no_rebuild_during_churn(self):
-        dyn = DynamicConflictGraph(DipathFamily([["a", "b"], ["b", "c"]]))
-        assert dyn.family.mask_rebuilds == 1
+        dyn = ShardedConflictGraph(DipathFamily([["a", "b"], ["b", "c"]]))
+        assert dyn.family.mask_rebuilds == 0
         for _ in range(10):
             idx = dyn.add_dipath(["a", "b", "c"])
             dyn.remove_dipath(idx)
-        assert dyn.family.mask_rebuilds == 1
+        assert dyn.family.mask_rebuilds == 0
+
+    @pytest.mark.parametrize("mutate", [
+        lambda g: g.add_edge(0, 2),
+        lambda g: g.add_vertex(7),
+    ], ids=["add_edge", "add_vertex"])
+    def test_structural_mutators_are_refused(self, mutate):
+        dyn = ShardedConflictGraph(DipathFamily(
+            [["a", "b", "c"], ["b", "c", "d"], ["x", "y"]]))
+        before = (dyn.vertices(), sorted(dyn.edges()), dyn.vertex_mask,
+                  list(dyn.family.items()))
+        with pytest.raises(TypeError, match="add_dipath/remove_dipath"):
+            mutate(dyn)
+        assert (dyn.vertices(), sorted(dyn.edges()), dyn.vertex_mask,
+                list(dyn.family.items())) == before
+        assert sorted(dyn.edges()) == sorted(
+            build_conflict_graph(dyn.family).edges())
 
 
 class TestSparseFamiliesInOfflineConsumers:
@@ -128,7 +144,7 @@ class TestSparseFamiliesInOfflineConsumers:
 
     def _holed_family(self, graph):
         fam = DipathFamily(graph=graph)
-        dyn = DynamicConflictGraph(fam)
+        dyn = ShardedConflictGraph(fam)
         paths = list(random_walk_family(graph, 12, seed=1))
         slots = [dyn.add_dipath(p) for p in paths]
         dyn.remove_dipath(slots[0])
@@ -284,7 +300,7 @@ class TestPolicies:
         pool = route_all(graph, traffic, policy="shortest")
         trace = churn_trace(pool, 20, 40, seed=7)
         for policy in POLICIES:
-            dyn = DynamicConflictGraph(DipathFamily())
+            dyn = ShardedConflictGraph(DipathFamily())
             assigner = OnlineWavelengthAssigner(4, policy=policy, seed=3)
             slots = {}
             for event in trace:

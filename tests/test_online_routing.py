@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.conflict import DynamicConflictGraph
+from repro.conflict import ShardedConflictGraph
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.family import DipathFamily
 from repro.dipaths.requests import Request
@@ -196,7 +196,7 @@ class TestRejectionReasons:
 
 class TestTransactionSurface:
     def _engine(self):
-        conflict = DynamicConflictGraph(DipathFamily())
+        conflict = ShardedConflictGraph(DipathFamily())
         assigner = OnlineWavelengthAssigner(2)
         return conflict, assigner
 

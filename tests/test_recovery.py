@@ -36,6 +36,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.analysis.recovery import _drive_durable
+from repro.conflict import build_conflict_graph
 from repro.dipaths.dipath import Dipath
 from repro.dipaths.requests import Request
 from repro.exceptions import (
@@ -119,6 +120,31 @@ def test_snapshot_recovery_matches_genesis_replay(tmp_path):
     b = recover(without.path)
     a.close(), b.close()
     assert a.fingerprint() == b.fingerprint() == without.fingerprint()
+
+
+def test_an_offline_query_leaves_no_warm_mask_cache_behind(tmp_path):
+    # an offline conflict query on the live family warms its mask cache;
+    # the next admission must drop it rather than keep patching it
+    warmed = DurableEngine(diamond(), str(tmp_path / "warm.jsonl"),
+                           wavelengths=4)
+    never = DurableEngine(diamond(), str(tmp_path / "cold.jsonl"),
+                          wavelengths=4)
+    for durable in (warmed, never):
+        durable.admit(0, request=Request(0, 3))
+        durable.admit(1, request=Request(0, 3))
+    family = warmed.engine.family
+    build_conflict_graph(family)
+    assert family._conflict_masks is not None
+    for durable in (warmed, never):
+        durable.admit(2, request=Request(2, 3))
+    assert family._conflict_masks is None
+    warmed.snapshot()
+    warmed.close(), never.close()
+    snapshot = read_journal(warmed.path)[-1]
+    assert snapshot["type"] == "snapshot"
+    assert snapshot["state"]["masks_warm"] is False
+    assert engine_fingerprint(warmed.engine) == \
+        engine_fingerprint(never.engine)
 
 
 def test_torn_tail_is_discarded_and_truncated(tmp_path):

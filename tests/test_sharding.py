@@ -14,11 +14,7 @@ import random
 
 import pytest
 
-from repro.conflict import (
-    DynamicConflictGraph,
-    ShardedConflictGraph,
-    build_conflict_graph,
-)
+from repro.conflict import ShardedConflictGraph, build_conflict_graph
 from repro.dipaths.family import DipathFamily
 from repro.dipaths.requests import Request
 from repro.generators.families import random_walk_family
@@ -39,14 +35,10 @@ from repro.online import (
 from repro.online.routing import KShortestRouter, StaticRouter
 
 
-def _both_classes():
-    return (DynamicConflictGraph, ShardedConflictGraph)
-
-
 # ---------------------------------------------------------------------- #
 # component tracking
 # ---------------------------------------------------------------------- #
-@pytest.mark.parametrize("cls", _both_classes())
+@pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_disjoint_dipaths_form_separate_shards(cls):
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
@@ -56,7 +48,7 @@ def test_disjoint_dipaths_form_separate_shards(cls):
     assert g.component_merges == 0
 
 
-@pytest.mark.parametrize("cls", _both_classes())
+@pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_bridging_arrival_merges_shards(cls):
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
@@ -67,7 +59,7 @@ def test_bridging_arrival_merges_shards(cls):
     assert g.shard_of_member(bridge) is g.shard_of_member(0)
 
 
-@pytest.mark.parametrize("cls", _both_classes())
+@pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_departure_splits_lazily_with_rebuild(cls):
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
@@ -82,7 +74,7 @@ def test_departure_splits_lazily_with_rebuild(cls):
     assert g.shard_rebuilds == 1
 
 
-@pytest.mark.parametrize("cls", _both_classes())
+@pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_speculative_rollback_does_not_trigger_rebuilds(cls):
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
@@ -106,7 +98,7 @@ def test_empty_shard_is_released():
     assert g.shard_map() == {other: [other]}
 
 
-@pytest.mark.parametrize("cls", _both_classes())
+@pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_dead_fibre_ownership_is_dropped_on_clean_removal(cls):
     # Y=[2,3]; X=[1,2,3] joins Y's shard without merging; X's clean
     # removal (undoes the join, shard never dirty) must drop ownership
@@ -214,32 +206,28 @@ def test_shard_view_invalidated_on_structural_change():
 # ---------------------------------------------------------------------- #
 # lazy adjacency equivalence
 # ---------------------------------------------------------------------- #
-def test_sharded_graph_matches_dynamic_graph_under_churn():
+def test_sharded_graph_matches_cold_build_under_churn():
     graph = random_dag(18, 0.25, seed=3)
     pool = list(random_walk_family(graph, 60, seed=4))
-    dyn = DynamicConflictGraph(DipathFamily())
     lazy = ShardedConflictGraph(DipathFamily())
     rng = random.Random(9)
     active = []
     for step in range(120):
         if active and rng.random() < 0.4:
-            idx = active.pop(rng.randrange(len(active)))
-            dyn.remove_dipath(idx)
-            lazy.remove_dipath(idx)
+            lazy.remove_dipath(active.pop(rng.randrange(len(active))))
         else:
-            path = pool[step % len(pool)]
-            idx = dyn.add_dipath(path)
-            assert lazy.add_dipath(path) == idx
-            active.append(idx)
+            active.append(lazy.add_dipath(pool[step % len(pool)]))
+        # the mutation dropped the family's mask cache: a cold build
+        rebuilt = build_conflict_graph(lazy.family)
         for v in lazy.family.active_indices():
-            assert lazy.neighbor_mask(v) == dyn.neighbor_mask(v)
-            assert lazy.degree(v) == dyn.degree(v)
-    # inherited mask algorithms run through the lazy mapping
-    assert lazy.num_edges == dyn.num_edges
-    assert lazy.connected_components() == dyn.connected_components()
-    assert sorted(lazy.vertices()) == sorted(dyn.vertices())
-    rebuilt = build_conflict_graph(lazy.family)
-    assert frozenset(rebuilt.edges()) == frozenset(dyn.edges())
+            assert lazy.neighbor_mask(v) == rebuilt.neighbor_mask(v)
+            assert lazy.degree(v) == rebuilt.degree(v)
+        # inherited mask algorithms run through the lazy mapping
+        assert lazy.num_edges == rebuilt.num_edges
+        assert lazy.connected_components() == rebuilt.connected_components()
+        assert lazy.vertices() == rebuilt.vertices()
+        assert frozenset(lazy.edges()) == frozenset(rebuilt.edges())
+    assert lazy.family.mask_rebuilds == 120
 
 
 # ---------------------------------------------------------------------- #
