@@ -111,7 +111,7 @@ class ShardedConflictGraph(ConflictGraph):
     big-int words per queried vertex.
     """
 
-    __slots__ = ("_family", "_tx_stack", "_shards", "_metrics")
+    __slots__ = ("_family", "_tx_stack", "_shards")
 
     def __init__(self, family: Optional[DipathFamily] = None,
                  graph: Optional[DiGraph] = None,
@@ -122,22 +122,13 @@ class ShardedConflictGraph(ConflictGraph):
         #: Open WhatIfTransactions over this graph, outermost first (owned
         #: by repro.online.transaction; empty outside speculation).
         self._tx_stack: list = []
-        self._metrics = metrics
         self._nbr = _LazyAdjacency(self)
-        vmask = 0
+        self._vmask = 0
+        self._shards = ShardTracker(self.neighbor_mask, family.member_arc_ids,
+                                    metrics=metrics)
         for i in family.active_indices():
-            vmask |= 1 << i
-        self._vmask = vmask
-        self._shards = self._seed_tracker()
-
-    def _seed_tracker(self) -> ShardTracker:
-        """A :class:`ShardTracker` replaying the family's current members."""
-        tracker = ShardTracker(self.neighbor_mask,
-                               self._family.member_arc_ids,
-                               metrics=self._metrics)
-        for i in self._family.active_indices():
-            tracker.on_add(i, self._family.member_arc_ids(i))
-        return tracker
+            self._vmask |= 1 << i
+            self._shards.on_add(i, family.member_arc_ids(i))
 
     @property
     def family(self) -> DipathFamily:
