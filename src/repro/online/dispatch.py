@@ -47,7 +47,11 @@ class Dispatcher:
     dispatcher owns everything else:
 
     * **Grouping.**  Under a ``batch_policy`` each run of equal-time
-      arrivals is one burst, admitted atomically through ``admit_batch``.
+      arrivals is one burst, admitted atomically through ``admit_batch``,
+      and each run of equal-time departures is one group, torn down
+      through ``depart_batch`` (one journal record on a durable backend).
+      Departures stay single under ``defrag_every``: its periodic pass
+      must land between the same two departures as in an op-by-op run.
     * **Shedding.**  The optional :class:`~repro.online.simulator.
       AdmissionGuard` charges each arrival its work (``k_candidates``
       under speculation, ``1`` otherwise) before any routing work and
@@ -173,18 +177,22 @@ class Dispatcher:
     # ops in
     # ------------------------------------------------------------------ #
     def groups(self, ops: Sequence) -> Iterator[Sequence]:
-        """Split time-ordered ops into dispatch groups: a burst of
-        equal-time arrivals under a ``batch_policy``, else one op each."""
+        """Split time-ordered ops into dispatch groups: a run of
+        equal-time arrivals or departures under a ``batch_policy``, else
+        one op each."""
         if self.batch_policy is None:
             for op in ops:
                 yield (op,)
             return
+        runs = (ARRIVAL,) if self._defrag_every is not None \
+            else (ARRIVAL, DEPARTURE)
         index, count = 0, len(ops)
         while index < count:
             op = ops[index]
             end = index + 1
-            if op.kind == ARRIVAL:
-                while end < count and ops[end].kind == ARRIVAL and \
+            kind = op.kind
+            if kind in runs:
+                while end < count and ops[end].kind == kind and \
                         ops[end].time == op.time:
                     end += 1
             yield ops[index:end]
@@ -204,7 +212,14 @@ class Dispatcher:
         if kind == ARRIVAL:
             decided = self._arrivals(group)
         elif kind == DEPARTURE:
-            decided = [(op, self._depart(op))]
+            if len(group) == 1:
+                decided = [(op, self._departed(
+                    op, self._backend.depart(op.request_id)))]
+            else:
+                held = self._backend.depart_batch(
+                    [member.request_id for member in group])
+                decided = [(member, self._departed(member, flag))
+                           for member, flag in zip(group, held)]
         elif kind == CUT or kind == REPAIR:
             decided = [(op, self._fault(op))]
         elif kind == DEFRAG:
@@ -293,9 +308,9 @@ class Dispatcher:
             decided.append((op, reason))
         return decided
 
-    def _depart(self, op) -> bool:
+    def _departed(self, op, held: bool) -> bool:
+        """Book one departure the backend has decided."""
         rid = op.request_id
-        held = self._backend.depart(rid)
         t0 = self._admitted_at.pop(rid, None)
         if held and t0 is not None:
             self._holding.observe(op.time - t0)

@@ -2,9 +2,10 @@
 
 :class:`DurableEngine` wraps :class:`~repro.online.simulator.OnlineEngine`
 with a **write-behind append-only journal**: every state transition
-(admission, batched admission, departure, defragmentation pass, fibre cut,
-fibre repair) executes first and is then appended as one line recording
-both the *inputs* and the *decision* the engine took.  Each op syncs its
+(admission, batched admission, departure, batched departure,
+defragmentation pass, fibre cut, fibre repair) executes first and is then
+appended as one line recording both the *inputs* and the *decision* the
+engine took.  Each op syncs its
 record (one write and flush, plus ``fsync`` on request) before it
 returns, unless it runs inside :meth:`DurableEngine.group`: a group
 buffers its records and syncs them together when it exits — the group
@@ -27,14 +28,18 @@ list holds the vertex labels as JSON (tuples as arrays) in
 vertex in the journal is written as its integer index into it — the
 genesis arcs, request endpoints, dipaths, cut/repair arcs, and a
 snapshot's paths, arcs, graph operations and stranded or rerouted
-routes.  The hot records (``admit``, ``admit_batch``,
-``depart``) are formatted by per-type templates whose payload equals the
-encoder's output for the same record dict byte for byte; every other
-record goes through the one encoder, :data:`_encode`.  The engine refuses
-an arrival that names a vertex outside the topology before any state
-changes, so every journalled vertex has an index.
+routes.  The hot records (``admit``, ``admit_batch``, ``depart`` and
+``depart_batch``) are formatted by per-type templates whose payload
+equals the encoder's output for the same record dict byte for byte;
+every other record goes through the one encoder, :data:`_encode`.  A
+``depart_batch`` record, ``{"held": [...], "rids": [...]}``, carries a
+run of equal-time departures in order (a lone departure keeps its
+``depart`` record).  The engine refuses an arrival that names a vertex
+outside the topology before any state changes, so every journalled
+vertex has an index.
 
-Periodically (``snapshot_every`` journal records) a **snapshot** record
+Periodically (``snapshot_every`` journal records, where a whole
+``admit_batch`` or ``depart_batch`` counts as one) a **snapshot** record
 captures the full engine state — the dipath family's slot/arc tables, the
 assigner's colouring and monotone counters (via its own
 :class:`~repro.online.assigner.AssignerCheckpoint` capture), the
@@ -217,6 +222,14 @@ def _depart_payload(rid: int, held: bool) -> str:
     """Template of a ``depart`` record."""
     return (f'{{"outcome":{"true" if held else "false"},"rid":{rid:d},'
             f'"type":"depart"}}')
+
+
+def _depart_batch_payload(rids: List[int], held: List[bool]) -> str:
+    """Template of a ``depart_batch`` record: a run of departures in
+    order, with each one's ``held`` flag."""
+    flags = ",".join(["true" if h else "false" for h in held])
+    ids = ",".join([f"{rid:d}" for rid in rids])
+    return f'{{"held":[{flags}],"rids":[{ids}],"type":"depart_batch"}}'
 
 
 def _decode_vertex(v: Any) -> Any:
@@ -576,6 +589,18 @@ class DurableEngine(Instrumented):
         self._maybe_snapshot()
         return held
 
+    def depart_batch(self, request_ids: List[int]) -> List[bool]:
+        """Journalled :meth:`OnlineEngine.depart_batch` (+ injector
+        forget): one record, and one count toward ``snapshot_every``,
+        for the whole run."""
+        held = self._engine.depart_batch(request_ids)
+        forget = self._injector.forget
+        for rid in request_ids:
+            forget(rid)
+        self._write(_depart_batch_payload(request_ids, held))
+        self._maybe_snapshot()
+        return held
+
     def defrag(self, order: str = "highest_wavelength",
                max_moves: Optional[int] = None,
                time_budget: Optional[float] = None,
@@ -918,6 +943,15 @@ class DurableEngine(Instrumented):
                     raise RecoveryError(
                         f"depart({record['rid']}) replayed to {held}, "
                         f"journal says {record['outcome']}", record=index)
+            elif rtype == "depart_batch":
+                rids = record["rids"]
+                held = engine.depart_batch(rids)
+                for rid in rids:
+                    injector.forget(rid)
+                if held != record["held"]:
+                    raise RecoveryError(
+                        f"depart_batch({rids}) replayed to held={held}, "
+                        f"journal says {record['held']}", record=index)
             elif rtype == "defrag":
                 report = engine.defrag(order=record["order"],
                                        max_moves=record["max_moves"],

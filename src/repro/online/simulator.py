@@ -783,9 +783,10 @@ class OnlineEngine(Instrumented):
               dipath: Optional[Dipath] = None) -> Optional[str]:
         """Try to provision one arrival; return the rejection reason.
 
-        ``None`` means admitted.  A pre-routed ``dipath`` skips routing;
-        otherwise the engine's router picks the route (or the candidate
-        set, under speculation) from the live state.
+        ``None`` means admitted.  A pre-routed ``dipath`` skips routing
+        (one over an arc the topology lacks, or has cut, is refused with
+        :data:`NO_ROUTE`); otherwise the engine's router picks the route
+        (or the candidate set, under speculation) from the live state.
 
         With a tracer attached, the decision is wrapped in an ``admit``
         span tagged with the request id, the outcome, and — on success —
@@ -830,8 +831,8 @@ class OnlineEngine(Instrumented):
             raise SimulationError(
                 f"duplicate arrival for request {request_id}")
         if dipath is not None:
-            self._check_arrival(request, dipath)
-            candidates = [dipath]
+            candidates = [dipath] if self._check_arrival(request, dipath) \
+                else []
         elif request is None:
             raise SimulationError(
                 f"arrival {request_id} has no request or dipath")
@@ -841,7 +842,8 @@ class OnlineEngine(Instrumented):
             routed = self.router.route(request)
             candidates = [] if routed is None else [routed]
         if not candidates:
-            self._check_vertices((request.source, request.target))
+            if request is not None:
+                self._check_vertices((request.source, request.target))
             self._m_rejected_route.inc()
             return NO_ROUTE
         if self.speculative and len(candidates) > 1:
@@ -862,26 +864,31 @@ class OnlineEngine(Instrumented):
         return None
 
     def _check_arrival(self, request: Optional[Request],
-                       dipath: Dipath) -> None:
+                       dipath: Dipath) -> bool:
         """Check a pre-routed arrival: its dipath's vertices and, when
         it carries one too, its request's endpoints (journalled beside
-        the dipath even though only the dipath is routed)."""
-        self._check_vertices(dipath)
+        the dipath even though only the dipath is routed).
+
+        Returns whether every arc of the dipath is an arc of the live
+        topology; a dipath over an arc that never existed, or one that is
+        cut now, is refused with :data:`NO_ROUTE` before any state
+        changes."""
+        vertices = dipath.vertices if isinstance(dipath, Dipath) else dipath
+        self._check_vertices(vertices)
         if request is not None:
             self._check_vertices((request.source, request.target))
+        has_arc = self.graph.has_arc
+        return all(has_arc(u, v) for u, v in zip(vertices, vertices[1:]))
 
     def _check_vertices(self, vertices) -> None:
         """Refuse an arrival naming a vertex the topology lacks — a
         request endpoint or a pre-routed dipath vertex — before any state
         changes, whatever the router (the journal's vertex table holds
-        only topology vertices).  Takes a vertex sequence or a
-        :class:`~repro.dipaths.dipath.Dipath`.
+        only topology vertices).
 
         A routed request needs the check only when no route came back:
         a route's vertices are the topology's, and the BFS and k-shortest
         routers already raise on an unknown endpoint."""
-        if isinstance(vertices, Dipath):
-            vertices = vertices.vertices
         has_vertex = self.graph.has_vertex
         for v in vertices:
             if not has_vertex(v):
@@ -892,9 +899,10 @@ class OnlineEngine(Instrumented):
                     ) -> Dict[int, Optional[str]]:
         """Admit a burst of arrival events atomically; reasons per request.
 
-        Each arrival is routed first (pre-routed dipaths are used verbatim;
-        unroutable requests are rejected with :data:`NO_ROUTE` without
-        touching the batch); the routed burst is then admitted through
+        Each arrival is routed first (pre-routed dipaths are used verbatim
+        if every arc is live; unroutable requests and off-topology dipaths
+        are rejected with :data:`NO_ROUTE` without touching the batch);
+        the routed burst is then admitted through
         :func:`repro.online.transaction.admit_batch` under the given
         partial-commit policy.  Returns ``request_id -> None`` (admitted)
         or a rejection reason.  The burst runs as one what-if
@@ -935,7 +943,9 @@ class OnlineEngine(Instrumented):
                     f"duplicate arrival for request {event.request_id}")
             dipath = event.dipath
             if dipath is not None:
-                self._check_arrival(event.request, dipath)
+                if not self._check_arrival(event.request, dipath):
+                    reasons[event.request_id] = NO_ROUTE
+                    continue
             elif event.request is None:
                 raise SimulationError(
                     f"arrival {event.request_id} has no request or "
@@ -986,6 +996,15 @@ class OnlineEngine(Instrumented):
             held = self._depart(request_id)
             span.tags["held"] = held
             return held
+
+    def depart_batch(self, request_ids: Sequence[int]) -> List[bool]:
+        """Tear down a run of lightpaths in order; one ``held`` flag each.
+
+        A plain loop over :meth:`depart`: every departure keeps its own
+        span and counters, so a run departs exactly as its ops would one
+        by one."""
+        depart = self.depart
+        return [depart(rid) for rid in request_ids]
 
     def _depart(self, request_id: int) -> bool:
         idx = self.vertex_of.pop(request_id, None)
@@ -1097,7 +1116,11 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         When set (one of :data:`~repro.online.transaction.BATCH_POLICIES`),
         consecutive arrivals sharing a timestamp are admitted as one
         atomic burst through :meth:`OnlineEngine.admit_batch` instead of
-        one by one.
+        one by one, and consecutive departures sharing a timestamp go
+        through :meth:`OnlineEngine.depart_batch` (unless
+        ``defrag_every`` is set), which decides exactly what they would
+        one by one.  The timeline gets one sample per group, repeated
+        for each of its events.
     defrag_every:
         Run a defragmentation pass every this many processed events.
     defrag_on_block:

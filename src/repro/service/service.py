@@ -18,10 +18,13 @@ Three design points carry the identity contract:
   the trace order.
 * **Coalescing.**  The drain task grabs everything queued at a scheduling
   point and, under a ``batch_policy``, admits consecutive equal-deadline
-  arrivals as one atomic burst through ``admit_batch`` — the same static
-  grouping rule ``simulate_online`` applies to a pre-sorted trace.  A
-  trace enqueued in one go (as :func:`serve_trace` does) therefore
-  coalesces into the identical bursts.
+  arrivals as one atomic burst through ``admit_batch`` and tears down
+  consecutive equal-time departures as one run through ``depart_batch``
+  (one journal record on a durable service) — the same static grouping
+  rule ``simulate_online`` applies to a pre-sorted trace.  A trace
+  enqueued in one go (as :func:`serve_trace` does) therefore coalesces
+  into the identical groups.  A departure run decides exactly what its
+  departures would one by one.
 * **Coherent reads.**  Processing a drained batch never awaits, so every
   read API (:meth:`RwaService.utilisation`, :meth:`RwaService.shard_map`,
   :meth:`RwaService.blocking_stats`, :meth:`RwaService.metrics_snapshot`)
@@ -180,7 +183,9 @@ class RwaService:
         When set (one of
         :data:`~repro.online.transaction.BATCH_POLICIES`), consecutive
         queued arrivals sharing a deadline (``time``) are admitted as one
-        atomic burst through ``admit_batch``.  ``None`` admits one by one.
+        atomic burst through ``admit_batch``, and consecutive queued
+        departures sharing a ``time`` go through ``depart_batch``.
+        ``None`` decides every op on its own.
     work_budget, burst, queue_depth, tenants:
         :class:`~repro.online.simulator.AdmissionGuard` configuration
         (any of them set turns the guard on); ``tenants``

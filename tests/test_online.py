@@ -40,13 +40,16 @@ from repro.online import (
     POLICIES,
     SHED,
     churn_trace,
+    cut_event,
     poisson_trace,
+    repair_event,
     replay_trace,
     simulate_online,
     sort_events,
 )
 from repro.graphs.dag import DAG
 from repro.graphs.digraph import DiGraph
+from repro.online.persistence import engine_fingerprint
 from repro.optical.network import OpticalNetwork
 from repro.optical.simulation import simulate_admission
 from repro.optical.traffic import (
@@ -467,6 +470,42 @@ class TestEvents:
         with pytest.raises(VertexNotFoundError):
             simulate_online(path, [Event(0.0, ARRIVAL, 0, **arrival)], 2,
                             routing=routing)
+
+    @pytest.mark.parametrize("routing", ["shortest", "least_loaded",
+                                         "k_shortest", "widest"])
+    def test_pre_routed_dipath_over_an_absent_arc_is_no_route(self,
+                                                              routing):
+        """A pre-routed dipath over an arc the topology never had, or over
+        one that is cut now, is refused with NO_ROUTE before any state
+        changes — by both admit paths and by simulate_online."""
+        graph = DiGraph(arcs=[("a", "b"), ("b", "c")])
+        engine = OnlineEngine(graph, 2, routing=routing)
+        assert engine.admit(1, dipath=Dipath(["a", "b"])) is None
+        fingerprint = engine_fingerprint(engine)
+        for rid, arrival in enumerate((dict(dipath=Dipath(["c", "b"])),
+                                       dict(request=Request("a", "c"),
+                                            dipath=Dipath(["a", "c"]))), 2):
+            assert engine.admit(rid, **arrival) == NO_ROUTE
+            burst = [Event(0.0, ARRIVAL, 10 + rid, **arrival)]
+            assert engine.admit_batch(burst) == {10 + rid: NO_ROUTE}
+        assert engine_fingerprint(engine) == fingerprint
+        assert engine.metrics.counter("engine.rejected.no_route").value == 4
+        assert engine.admit_batch(
+            [Event(0.0, ARRIVAL, 5, dipath=Dipath(["c", "b"])),
+             Event(0.0, ARRIVAL, 6, dipath=Dipath(["b", "c"]))],
+            policy="best_prefix") == {5: NO_ROUTE, 6: None}
+
+        trace = [Event(0.0, ARRIVAL, 0, dipath=Dipath(["c", "b"])),
+                 cut_event(1.0, ("b", "c")),
+                 Event(2.0, ARRIVAL, 1, dipath=Dipath(["a", "b", "c"])),
+                 Event(2.0, ARRIVAL, 2, dipath=Dipath(["a", "b"])),
+                 repair_event(3.0, ("b", "c")),
+                 Event(4.0, ARRIVAL, 3, dipath=Dipath(["a", "b", "c"]))]
+        for batch_policy in (None, "best_prefix"):
+            result = simulate_online(graph, trace, 2, routing=routing,
+                                     batch_policy=batch_policy)
+            assert result.rejections == {0: NO_ROUTE, 1: NO_ROUTE}
+            assert result.accepted == [2, 3]
 
     def test_timeline_records_engine_state(self):
         tree = out_tree(2, 3)

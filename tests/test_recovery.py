@@ -46,6 +46,7 @@ from repro.exceptions import (
     VertexNotFoundError,
 )
 from repro.generators.regions import multi_region_topology, multi_region_traffic
+from repro.online import NO_ROUTE
 from repro.online.events import ARRIVAL, Event
 import repro.online.persistence as persistence
 from repro.online.persistence import (
@@ -86,6 +87,15 @@ def small_workload(tmp_path, name="journal.jsonl", **kwargs):
     return durable
 
 
+def burst_workload(tmp_path, name="burst.jsonl", **kwargs):
+    """:func:`small_workload`, then one run of departures journalled as a
+    single ``depart_batch`` record: request 0 was rerouted by the cut,
+    request 9 never arrived (``held`` false)."""
+    durable = small_workload(tmp_path, name=name, **kwargs)
+    assert durable.depart_batch([0, 9, 2, 3]) == [True, False, True, True]
+    return durable
+
+
 # --------------------------------------------------------------------------- #
 # round trips
 # --------------------------------------------------------------------------- #
@@ -120,6 +130,22 @@ def test_snapshot_recovery_matches_genesis_replay(tmp_path):
     b = recover(without.path)
     a.close(), b.close()
     assert a.fingerprint() == b.fingerprint() == without.fingerprint()
+
+
+@pytest.mark.parametrize("snapshot_every", [None, 3])
+def test_journal_ending_in_depart_batch_recovers_to_live_fingerprint(
+        tmp_path, snapshot_every):
+    durable = burst_workload(tmp_path, snapshot_every=snapshot_every)
+    durable.close()
+    records = read_journal(durable.path)
+    last = [r for r in records if r["type"] != "snapshot"][-1]
+    assert last == {"type": "depart_batch", "rids": [0, 9, 2, 3],
+                    "held": [True, False, True, True]}
+    recovered = recover(durable.path)
+    recovered.close()
+    assert recovered.fingerprint() == durable.fingerprint()
+    assert recovered.records == durable.records
+    assert recovered.injector._rerouted == {}       # departed: forgotten
 
 
 def test_an_offline_query_leaves_no_warm_mask_cache_behind(tmp_path):
@@ -199,6 +225,33 @@ def test_torn_tail_with_trailing_garbage_is_discarded(tmp_path):
     bad.write_bytes(b"".join(lines[:-1]) + b"\x00garbage\n" + lines[-1])
     with pytest.raises(RecoveryError):
         recover(str(bad))
+
+
+def test_torn_depart_batch_tail_is_discarded(tmp_path):
+    """A crash inside a ``depart_batch`` line tears the whole run: none
+    of its departures is durable, and recovery lands on the state before
+    it."""
+    durable = burst_workload(tmp_path)
+    durable.close()
+    data = Path(durable.path).read_bytes()
+    boundary = data.rindex(b"\n", 0, len(data) - 1) + 1
+    assert b'"type":"depart_batch"' in data[boundary:]
+    clean = tmp_path / "clean.jsonl"
+    clean.write_bytes(data[:boundary])
+    reference = recover(str(clean))
+    reference.close()
+    assert set(reference.vertex_of) == {0, 2, 3}
+
+    middle = boundary + (len(data) - boundary) // 2
+    for suffix in (data[boundary:middle],
+                   data[boundary:middle] + b"\n\x00\xff",
+                   data[boundary:-1]):                # all but the newline
+        torn = tmp_path / "torn.jsonl"
+        torn.write_bytes(data[:boundary] + suffix)
+        recovered = recover(str(torn))
+        recovered.close()
+        assert recovered.fingerprint() == reference.fingerprint()
+        assert torn.read_bytes() == data[:boundary]
 
 
 def test_clean_record_without_type_raises_recovery_error(tmp_path):
@@ -624,6 +677,45 @@ def test_unknown_vertex_is_refused_before_journalling(tmp_path):
     assert recovered.fingerprint() == before
 
 
+def test_pre_routed_dipath_off_the_live_topology_is_no_route(tmp_path):
+    """A pre-routed dipath over an arc the topology never had, or over a
+    cut one, is journalled as refused with NO_ROUTE, changes no state and
+    is refused again on replay."""
+    graph = DiGraph()
+    graph.add_arcs([(0, 1), (1, 2)])
+    durable = DurableEngine(graph, str(tmp_path / "j.jsonl"), 2)
+    assert durable.admit(0, dipath=Dipath([0, 1])) is None
+    before = durable.fingerprint()
+    assert durable.admit(1, dipath=Dipath([2, 1])) == NO_ROUTE
+    assert durable.admit_batch([Event(0.0, ARRIVAL, 2,
+                                      dipath=Dipath([1, 0]))]) \
+        == {2: NO_ROUTE}
+    assert durable.fingerprint() == before
+    durable.cut((1, 2))
+    assert durable.admit(3, request=Request(0, 1),
+                         dipath=Dipath([0, 1, 2])) == NO_ROUTE
+    assert durable.admit_batch(
+        [Event(0.0, ARRIVAL, 4, dipath=Dipath([1, 2])),
+         Event(0.0, ARRIVAL, 5, dipath=Dipath([0, 1]))],
+        policy="best_prefix") == {4: NO_ROUTE, 5: None}
+    durable.repair((1, 2))
+    assert durable.admit(6, dipath=Dipath([1, 2])) is None
+    durable.close()
+    assert set(durable.vertex_of) == {0, 5, 6}
+    outcomes = {}
+    for record in read_journal(durable.path):
+        if record["type"] == "admit":
+            outcomes[record["rid"]] = record["outcome"]
+        elif record["type"] == "admit_batch":
+            outcomes.update((int(k), v)
+                            for k, v in record["outcome"].items())
+    assert outcomes == {0: None, 1: NO_ROUTE, 2: NO_ROUTE, 3: NO_ROUTE,
+                        4: NO_ROUTE, 5: None, 6: None}
+    recovered = recover(durable.path)
+    recovered.close()
+    assert recovered.fingerprint() == durable.fingerprint()
+
+
 # --------------------------------------------------------------------------- #
 # v2 line format: templates, CRC frames, skip-decode
 # --------------------------------------------------------------------------- #
@@ -671,6 +763,15 @@ def test_admit_template_matches_the_encoder(rid, request, dipath, outcome,
 def test_depart_template_matches_the_encoder(rid, held):
     assert persistence._depart_payload(rid, held) == persistence._encode(
         {"type": "depart", "rid": rid, "outcome": held})
+
+
+@given(run=st.lists(st.tuples(_rids, st.booleans()), max_size=12))
+@settings(max_examples=100, deadline=None)
+def test_depart_batch_template_matches_the_encoder(run):
+    rids, held = [rid for rid, _ in run], [flag for _, flag in run]
+    assert persistence._depart_batch_payload(rids, held) \
+        == persistence._encode({"type": "depart_batch", "rids": rids,
+                                "held": held})
 
 
 @given(arrivals=st.lists(st.tuples(_requests, _dipaths, _reasons, _slots,
@@ -805,6 +906,22 @@ def test_tampered_outcome_is_caught_by_replay_verification(tmp_path):
     tampered = tmp_path / "tampered.jsonl"
     tampered.write_bytes(b"".join(lines))
     with pytest.raises(RecoveryError) as excinfo:
+        recover(str(tampered))
+    assert excinfo.value.record == index
+
+
+def test_tampered_depart_batch_held_list_raises_with_index(tmp_path):
+    durable = burst_workload(tmp_path)
+    durable.close()
+    lines = Path(durable.path).read_bytes().splitlines(keepends=True)
+    index, record = next((i, r) for i, r in
+                         enumerate(read_journal(durable.path))
+                         if r["type"] == "depart_batch")
+    record["held"][1] = True             # request 9 never held a lightpath
+    lines[index] = _frame(persistence._encode(record))
+    tampered = tmp_path / "tampered.jsonl"
+    tampered.write_bytes(b"".join(lines))
+    with pytest.raises(RecoveryError, match="depart_batch") as excinfo:
         recover(str(tampered))
     assert excinfo.value.record == index
 

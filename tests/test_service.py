@@ -46,6 +46,7 @@ from repro.online.persistence import (
 )
 from repro.online.simulator import (
     DEFAULT_TENANT,
+    NO_ROUTE,
     SHED,
     AdmissionGuard,
     simulate_online,
@@ -305,17 +306,50 @@ class TestDurableService:
         recovered.close()
         assert recovered.fingerprint() == live
 
+    def test_pre_routed_dipath_over_an_absent_arc_is_no_route(self,
+                                                              tmp_path):
+        """A pre-routed dipath over an arc the topology never had, or
+        over a cut one, resolves to NO_ROUTE with the engine untouched;
+        the refusal is journalled and recovery reproduces it."""
+        graph = DiGraph()
+        graph.add_arcs([(0, 1), (1, 2)])
+        path = tmp_path / "service.jsonl"
+
+        async def scenario():
+            async with RwaService(graph, 2, journal_path=str(path),
+                                  batch_policy="best_prefix") as svc:
+                assert await svc.submit(0, dipath=Dipath([0, 1]),
+                                        time=0.0) is None
+                before = svc.fingerprint()
+                assert await svc.submit(1, dipath=Dipath([2, 1]),
+                                        time=1.0) == NO_ROUTE
+                assert svc.fingerprint() == before
+                await svc.cut((1, 2), time=2.0)
+                outcomes = await asyncio.gather(
+                    svc.submit(2, dipath=Dipath([0, 1, 2]), time=3.0),
+                    svc.submit(3, dipath=Dipath([0, 1]), time=3.0))
+                assert outcomes == [NO_ROUTE, None]
+                assert svc.blocking_stats()["by_reason"] == {NO_ROUTE: 2}
+                return svc.fingerprint()
+
+        live = asyncio.run(scenario())
+        admits, _ = _journal_outcomes(str(path))
+        assert admits == {0: None, 1: NO_ROUTE, 2: NO_ROUTE, 3: None}
+        recovered = recover(str(path))
+        recovered.close()
+        assert recovered.fingerprint() == live
+
 
 # --------------------------------------------------------------------------- #
 # group commit: acknowledged implies flushed
 # --------------------------------------------------------------------------- #
-def _flash_crowd(bursts=10, burst_size=8):
+def _flash_crowd(bursts=10, burst_size=8, holding=2.5):
     graph = multi_region_topology(regions=2, region_size=12,
                                   arc_probability=0.2, coupling=2, seed=5)
     pool = multi_region_traffic(graph, bursts * burst_size,
                                 inter_fraction=0.25, seed=6)
     return graph, flash_crowd_trace(pool.pairs(), bursts, burst_size,
-                                    spacing=1.0, holding=2.5)
+                                    spacing=1.0, holding=holding)
 
 
 def _waves(events):
@@ -352,6 +386,8 @@ def _journal_outcomes(path: str):
             admits.update((int(r), o) for r, o in record["outcome"].items())
         elif record["type"] == "depart":
             departs[record["rid"]] = record["outcome"]
+        elif record["type"] == "depart_batch":
+            departs.update(zip(record["rids"], record["held"]))
     return admits, departs
 
 
@@ -391,7 +427,7 @@ class TestGroupCommit:
         async def scenario():
             service = RwaService(graph, 8, journal_path=str(path),
                                  batch_policy="best_prefix",
-                                 snapshot_every=16)
+                                 snapshot_every=6)
             acked = {}
 
             def on_done(event, future):
@@ -425,7 +461,10 @@ class TestGroupCommit:
 
         calls = []
         monkeypatch.setattr(persistence.os, "fsync", calls.append)
-        graph, events = _flash_crowd()
+        # each burst but the last three shares its timestamp with the
+        # departures of the burst three before it, so a drained batch
+        # carries an admit_batch and a depart_batch record
+        graph, events = _flash_crowd(holding=3.0)
 
         async def scenario():
             service = RwaService(graph, 8, journal_path=str(tmp_path / "s"),
@@ -461,15 +500,14 @@ class TestGroupCommit:
         graph, events = _flash_crowd()
         served = tmp_path / "served.jsonl"
         serve_trace(graph, events, 8, journal_path=str(served),
-                    batch_policy="best_prefix", snapshot_every=16)
+                    batch_policy="best_prefix", snapshot_every=6)
         bare = DurableEngine(graph, str(tmp_path / "bare.jsonl"), 8,
-                             snapshot_every=16)
+                             snapshot_every=6)
         for _, group in itertools.groupby(events,
                                           key=lambda e: (e.time, e.kind)):
             group = list(group)
             if group[0].kind == DEPARTURE:
-                for event in group:
-                    bare.depart(event.request_id)
+                bare.depart_batch([event.request_id for event in group])
             elif len(group) > 1:
                 bare.admit_batch(group, policy="best_prefix")
             else:
