@@ -50,8 +50,7 @@ class Dispatcher:
       arrivals is one burst, admitted atomically through ``admit_batch``,
       and each run of equal-time departures is one group, torn down
       through ``depart_batch`` (one journal record on a durable backend).
-      Departures stay single under ``defrag_every``: its periodic pass
-      must land between the same two departures as in an op-by-op run.
+      A trigger a group crosses fires once, after the whole group.
     * **Shedding.**  The optional :class:`~repro.online.simulator.
       AdmissionGuard` charges each arrival its work (``k_candidates``
       under speculation, ``1`` otherwise) before any routing work and
@@ -184,14 +183,12 @@ class Dispatcher:
             for op in ops:
                 yield (op,)
             return
-        runs = (ARRIVAL,) if self._defrag_every is not None \
-            else (ARRIVAL, DEPARTURE)
         index, count = 0, len(ops)
         while index < count:
             op = ops[index]
             end = index + 1
             kind = op.kind
-            if kind in runs:
+            if kind == ARRIVAL or kind == DEPARTURE:
                 while end < count and ops[end].kind == kind and \
                         ops[end].time == op.time:
                     end += 1

@@ -38,8 +38,9 @@ run of equal-time departures in order (a lone departure keeps its
 outside the topology before any state changes, so every journalled
 vertex has an index.
 
-Periodically (``snapshot_every`` journal records, where a whole
-``admit_batch`` or ``depart_batch`` counts as one) a **snapshot** record
+Periodically (every ``snapshot_every`` journal records, where a whole
+``admit_batch`` counts as one and a ``depart_batch`` as one per
+departure) a **snapshot** record
 captures the full engine state — the dipath family's slot/arc tables, the
 assigner's colouring and monotone counters (via its own
 :class:`~repro.online.assigner.AssignerCheckpoint` capture), the
@@ -389,8 +390,9 @@ class DurableEngine(Instrumented):
         (truncating any existing file); use :func:`recover` to resume an
         existing one.
     snapshot_every:
-        Append a full state snapshot every this many journal records
-        (``None`` = never; recovery then replays from genesis).
+        Append a full state snapshot every this many journal records,
+        a ``depart_batch`` counting once per departure (``None`` = never;
+        recovery then replays from genesis).
     fsync:
         ``os.fsync`` on every :meth:`sync` — after every op, or once per
         :meth:`group` (durability against OS crashes, not just process
@@ -591,13 +593,15 @@ class DurableEngine(Instrumented):
 
     def depart_batch(self, request_ids: List[int]) -> List[bool]:
         """Journalled :meth:`OnlineEngine.depart_batch` (+ injector
-        forget): one record, and one count toward ``snapshot_every``,
-        for the whole run."""
+        forget): one record for the whole run, counted toward
+        ``snapshot_every`` once per departure, as op-by-op departures
+        would be."""
         held = self._engine.depart_batch(request_ids)
         forget = self._injector.forget
         for rid in request_ids:
             forget(rid)
-        self._write(_depart_batch_payload(request_ids, held))
+        self._write(_depart_batch_payload(request_ids, held),
+                    len(request_ids))
         self._maybe_snapshot()
         return held
 
@@ -694,13 +698,13 @@ class DurableEngine(Instrumented):
     def _append(self, record: Dict[str, Any]) -> None:
         self._write(_encode(record))
 
-    def _write(self, payload: str) -> None:
+    def _write(self, payload: str, ops: int = 1) -> None:
         """Frame one record payload and sync it (or buffer it, in a
-        group)."""
+        group); it counts ``ops`` toward ``snapshot_every``."""
         line = _frame(payload)
         self._pending.append(line)
         self._records += 1
-        self._since_snapshot += 1
+        self._since_snapshot += ops
         self._m_records.inc()
         self._m_bytes.inc(len(line))
         if not self._grouped:
@@ -893,6 +897,8 @@ class DurableEngine(Instrumented):
         engine, injector = self._engine, self._injector
         rtype = record.get("type")
         try:
+            self._since_snapshot += (len(record["rids"])
+                                     if rtype == "depart_batch" else 1)
             if rtype == "admit":
                 dipath = (None if record["dipath"] is None
                           else self._dipath_of(record["dipath"]))
@@ -1065,7 +1071,7 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None,
         with (tr.span("recover", records=len(items),
                       snapshots=len(snapshots))
               if tr is not None else nullcontext()):
-            start = 1
+            start = durable._since_snapshot = 1   # genesis counts
             if last is not None:
                 with (tr.span("snapshot_restore", record=last)
                       if tr is not None else nullcontext()):
@@ -1077,14 +1083,12 @@ def recover(path: str, metrics: Optional[MetricsRegistry] = None,
                     except Exception as exc:
                         raise RecoveryError(f"snapshot restore raised {exc!r}",
                                             record=last) from exc
-                start = last + 1
+                start, durable._since_snapshot = last + 1, 0
             with (tr.span("replay", count=len(items) - start)
                   if tr is not None else nullcontext()):
                 for i in range(start, len(items)):
                     durable._replay(decode(items[i], i), i)
         durable._records = len(items)
-        durable._since_snapshot = (len(items) - 1 - last if last is not None
-                                   else len(items))
         if v1:
             durable._migrate()
         durable._file = open(path, "ab")

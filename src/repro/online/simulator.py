@@ -1117,10 +1117,11 @@ def simulate_online(graph: DiGraph, events: List[Event], wavelengths: int,
         consecutive arrivals sharing a timestamp are admitted as one
         atomic burst through :meth:`OnlineEngine.admit_batch` instead of
         one by one, and consecutive departures sharing a timestamp go
-        through :meth:`OnlineEngine.depart_batch` (unless
-        ``defrag_every`` is set), which decides exactly what they would
-        one by one.  The timeline gets one sample per group, repeated
-        for each of its events.
+        through :meth:`OnlineEngine.depart_batch`, which decides exactly
+        what they would one by one.  A periodic trigger (``defrag_every``,
+        ``audit_every``) a group crosses fires once, after the group, and
+        the timeline gets one sample per group, repeated for each of its
+        events.
     defrag_every:
         Run a defragmentation pass every this many processed events.
     defrag_on_block:

@@ -11,7 +11,9 @@ counter and gauge and the ``result.holding_time`` histogram must agree,
 for :func:`~repro.online.simulator.simulate_online` and for
 :func:`~repro.service.serve_trace` alike; a durable run's journal, with
 each ``depart_batch`` expanded into ``depart`` records and snapshots
-dropped, must equal the op-by-op journal.
+dropped, must equal the op-by-op journal.  The remaining tests pin
+what grouping does change: a periodic trigger a run crosses fires after
+the whole run, and the timeline samples each run once.
 """
 
 from __future__ import annotations
@@ -22,8 +24,10 @@ import pytest
 
 from repro.analysis.bench_service import flash_crowd_trace
 from repro.generators.regions import multi_region_topology, multi_region_traffic
-from repro.online import (DEPARTURE, OnlineEngine, simulate_online,
-                          sort_events)
+from repro.dipaths.dipath import Dipath
+from repro.graphs.digraph import DiGraph
+from repro.online import (ARRIVAL, DEPARTURE, Event, OnlineEngine,
+                          simulate_online, sort_events)
 from repro.online.dispatch import Dispatcher
 from repro.online.events import maintenance_events
 from repro.online.persistence import (
@@ -42,9 +46,6 @@ CONFIGS = {
     "shortest": KNOBS["shortest"],
     "speculative": dict(KNOBS["speculative"], defrag_on_block=True,
                         defrag_utilization=0.75),
-    # a periodic pass must land between the same two departures, so
-    # departures stay single under defrag_every
-    "defrag_every": dict(routing="least_loaded", defrag_every=7),
 }
 
 
@@ -132,10 +133,7 @@ def test_simulate_online_burst_departures_match_op_by_op(name, runs,
     config = CONFIGS[name]
     grouped = simulate_online(graph, events, 4, batch_policy="best_prefix",
                               record_timeline=False, **config)
-    if "defrag_every" in config:
-        assert runs == []
-    else:
-        assert runs and min(runs) >= 2
+    assert runs and min(runs) >= 2
     assert grouped.fibre_cuts == 6 and grouped.lightpaths_stranded > 0
     one_by_one()
     del runs[:]
@@ -174,3 +172,54 @@ def test_serve_trace_burst_departures_match_op_by_op(name, runs,
     recovered = recover(grouped_path)
     recovered.close()
     assert recovered.fingerprint() == engine_fingerprint(grouped.engine)
+
+
+def test_periodic_defrag_lands_after_the_departure_run(monkeypatch):
+    """``defrag_every=4`` crosses its boundary at the run's first
+    departure (event 4 of 6); the pass runs once the whole run has
+    departed, as it does for an arrival burst."""
+    calls = []
+    depart, defrag = OnlineEngine.depart, OnlineEngine.defrag
+
+    def depart_spy(self, request_id):
+        calls.append(("depart", request_id))
+        return depart(self, request_id)
+
+    def defrag_spy(self, *args, **kwargs):
+        calls.append(("defrag",))
+        return defrag(self, *args, **kwargs)
+
+    monkeypatch.setattr(OnlineEngine, "depart", depart_spy)
+    monkeypatch.setattr(OnlineEngine, "defrag", defrag_spy)
+    paths = [["a", "b"], ["b", "c"], ["c", "d"]]
+    events = [Event(0.0, ARRIVAL, rid, dipath=Dipath(path))
+              for rid, path in enumerate(paths)]
+    events += [Event(1.0, DEPARTURE, rid) for rid in range(3)]
+    result = simulate_online(DiGraph(arcs=[("a", "b"), ("b", "c"),
+                                           ("c", "d")]),
+                             events, 2, batch_policy="best_prefix",
+                             defrag_every=4, record_timeline=False)
+    assert result.accepted == [0, 1, 2] and result.defrag_passes == 1
+    assert calls == [("depart", 0), ("depart", 1), ("depart", 2),
+                     ("defrag",)]
+
+
+def test_timeline_samples_each_departure_run_once(one_by_one):
+    """Every event of a group gets the state after the whole group: the
+    op-by-op run's sample at the group's last event."""
+    graph, events = _trace()
+    grouped = simulate_online(graph, events, 4, batch_policy="best_prefix",
+                              **KNOBS["shortest"])
+    one_by_one()
+    single = simulate_online(graph, events, 4, batch_policy="best_prefix",
+                             **KNOBS["shortest"])
+    ends, start = [], 0
+    for i, event in enumerate(events):
+        following = events[i + 1] if i + 1 < len(events) else None
+        if (following is None or event.kind not in (ARRIVAL, DEPARTURE)
+                or (following.kind, following.time)
+                != (event.kind, event.time)):
+            ends += [i] * (i + 1 - start)
+            start = i + 1
+    assert grouped.timeline == [single.timeline[end] for end in ends]
+    assert grouped.timeline != single.timeline

@@ -148,6 +148,36 @@ def test_journal_ending_in_depart_batch_recovers_to_live_fingerprint(
     assert recovered.injector._rerouted == {}       # departed: forgotten
 
 
+def test_depart_batch_counts_once_per_departure_toward_snapshot_every(
+        tmp_path):
+    # small_workload leaves 8 records (genesis included) toward the next
+    # snapshot; the four-departure run brings the count to 12, as four
+    # depart records would
+    durable = burst_workload(tmp_path, snapshot_every=10)
+    durable.close()
+    assert [r["type"] for r in read_journal(durable.path)][-2:] == [
+        "depart_batch", "snapshot"]
+
+
+def test_recovered_engine_keeps_the_live_snapshot_cadence(tmp_path):
+    """Recovery resumes the ``snapshot_every`` count where the live
+    engine left it, a ``depart_batch`` counting once per departure: the
+    same ops appended to the live and the recovered journal write the
+    same bytes, snapshot included."""
+    durable = burst_workload(tmp_path, snapshot_every=16)
+    durable.sync()
+    crashed = tmp_path / "crashed.jsonl"
+    crashed.write_bytes(Path(durable.path).read_bytes())
+    recovered = recover(str(crashed))
+    for engine in (durable, recovered):
+        engine.admit(10, request=Request(0, 3))
+        engine.admit(11, request=Request(0, 2))
+        engine.depart_batch([10, 11])
+        engine.close()
+    assert read_journal(durable.path)[-1]["type"] == "snapshot"
+    assert crashed.read_bytes() == Path(durable.path).read_bytes()
+
+
 def test_an_offline_query_leaves_no_warm_mask_cache_behind(tmp_path):
     # an offline conflict query on the live family warms its mask cache;
     # the next admission must drop it rather than keep patching it
@@ -714,6 +744,32 @@ def test_pre_routed_dipath_off_the_live_topology_is_no_route(tmp_path):
     recovered = recover(durable.path)
     recovered.close()
     assert recovered.fingerprint() == durable.fingerprint()
+
+
+@pytest.mark.parametrize("cut", [False, True], ids=["absent", "cut"])
+def test_older_journal_admitting_a_dipath_off_the_topology_is_refused(
+        tmp_path, cut):
+    """A journal written before pre-routed dipaths were checked against
+    the live arcs may hold an ``admit`` of a dipath over an absent or cut
+    arc with outcome ``None``.  Replay re-decides it as NO_ROUTE, so
+    recovery refuses the journal at that record (a snapshot that already
+    holds such a lightpath restores it as recorded)."""
+    graph = DiGraph()
+    graph.add_arcs([(0, 1), (1, 2)])
+    durable = DurableEngine(graph, str(tmp_path / "j.jsonl"), 2)
+    assert durable.admit(0, dipath=Dipath([0, 1])) is None
+    if cut:
+        durable.cut((1, 2))
+    stale = Dipath([1, 2]) if cut else Dipath([2, 1])
+    durable.close()
+    index = len(read_journal(durable.path))
+    with open(durable.path, "ab") as fh:
+        fh.write(_frame(persistence._admit_payload(
+            durable._codes, 1, None, stale, None, 1, 0)))
+    assert read_journal(durable.path)[index]["outcome"] is None
+    with pytest.raises(RecoveryError, match="no_route") as excinfo:
+        recover(durable.path)
+    assert excinfo.value.record == index
 
 
 # --------------------------------------------------------------------------- #

@@ -427,7 +427,7 @@ class TestGroupCommit:
         async def scenario():
             service = RwaService(graph, 8, journal_path=str(path),
                                  batch_policy="best_prefix",
-                                 snapshot_every=6)
+                                 snapshot_every=16)
             acked = {}
 
             def on_done(event, future):
@@ -500,9 +500,9 @@ class TestGroupCommit:
         graph, events = _flash_crowd()
         served = tmp_path / "served.jsonl"
         serve_trace(graph, events, 8, journal_path=str(served),
-                    batch_policy="best_prefix", snapshot_every=6)
+                    batch_policy="best_prefix", snapshot_every=16)
         bare = DurableEngine(graph, str(tmp_path / "bare.jsonl"), 8,
-                             snapshot_every=6)
+                             snapshot_every=16)
         for _, group in itertools.groupby(events,
                                           key=lambda e: (e.time, e.kind)):
             group = list(group)
