@@ -70,7 +70,7 @@ __all__ = [
 
 #: The snapshotted journal must replay at least this many times more
 #: records per second than replay-from-genesis *within the same run*.
-#: The within-run ratio is the gated performance signal (observed ~13x):
+#: The within-run ratio is the gated performance signal (observed 7-8x):
 #: absolute recovery wall-clock is recorded for information only, because
 #: the 2-40ms floors drift between processes by more than any sane
 #: regression tolerance.

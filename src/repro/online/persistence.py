@@ -12,12 +12,16 @@ buffers its records and syncs them together when it exits — the group
 commit :class:`~repro.service.RwaService` runs every drained batch
 under.  The bytes written are the same either way; only the number of
 writes differs.
-:func:`recover` rebuilds a crashed engine by re-executing the journal
-through the very same engine code paths and **verifying** each replayed
-decision against the recorded one — recovered state is something to
-check, not to trust: any divergence raises
-:class:`~repro.exceptions.RecoveryError` instead of silently running on a
-state the pre-crash engine never had.
+:func:`recover` rebuilds a crashed engine by running each journal record
+back through the very :class:`DurableEngine` op that wrote it — looked up
+by record type in one table, called with the record's inputs — with the
+op's record write swapped for a **verifier**: the record the op would
+write must equal the journalled one, every field of it.  Recovered state
+is something to check, not to trust: any divergence raises
+:class:`~repro.exceptions.RecoveryError` naming each differing field,
+instead of silently running on a state the pre-crash engine never had.
+The live path has no replay branch: the swap lives on the instance for
+the one replayed call.
 
 **Line format (v2, :data:`JOURNAL_VERSION`).**  Every line is
 ``<crc32 of payload, 8 lowercase hex> <payload>\n``; the payload is one
@@ -38,9 +42,9 @@ run of equal-time departures in order (a lone departure keeps its
 outside the topology before any state changes, so every journalled
 vertex has an index.
 
-Periodically (every ``snapshot_every`` journal records, where a whole
-``admit_batch`` counts as one and a ``depart_batch`` as one per
-departure) a **snapshot** record
+Periodically (every ``snapshot_every`` counts, which the one record
+write keeps: one per record, except a ``depart_batch``, which counts once
+per departure) a **snapshot** record
 captures the full engine state — the dipath family's slot/arc tables, the
 assigner's colouring and monotone counters (via its own
 :class:`~repro.online.assigner.AssignerCheckpoint` capture), the
@@ -50,13 +54,17 @@ replays only the tail.  Sorted keys make every snapshot payload start
 with ``{"state":``, so :func:`recover` finds the last snapshot by that
 prefix and **JSON-decodes only the genesis, that snapshot and the tail**;
 every earlier line is validated by its CRC alone.  During a from-genesis
-replay each snapshot record doubles as an integrity gate: the replayed
-state must reproduce the snapshot bit-for-bit.
+replay each snapshot record doubles as an integrity gate: it replays
+through :meth:`DurableEngine.snapshot`, so the replayed state must
+reproduce the snapshot bit-for-bit.
 
 **v1 journals** (unframed JSON lines with vertex labels inline, genesis
-``"version": 1``) are read, never appended to: :func:`recover` replays
-one through the same :meth:`DurableEngine._replay`, decoding labels
-instead of indices, then atomically replaces the file with a v2 journal
+``"version": 1``) are read, never appended to.  The vertex coding is the
+one difference between the versions, so it is one per-version codec,
+chosen from the genesis version and used both ways (v1: the labels
+themselves, as JSON): :func:`recover` replays a v1 journal through the
+same :meth:`DurableEngine._replay`, then switches the codec to v2 and
+atomically replaces the file with a v2 journal
 — the genesis (``"version": 2``) and one snapshot of the recovered state,
 written to a temporary file, flushed, fsynced and moved over the old
 file with ``os.replace``, then the directory fsynced so the rename is as
@@ -436,17 +444,11 @@ class DurableEngine(Instrumented):
         self._genesis = genesis
         self._path = path
         self._fsync = fsync
-        # the vertex table, and how a record's vertices decode: a table
-        # lookup, or the label itself in a v1 journal
-        table = [_decode_vertex(v) for v in genesis["vertices"]]
-        self._table = table
-        self._vertex: Callable[[Any], Vertex] = (
-            _decode_vertex if genesis["version"] == 1 else table.__getitem__)
-        self._index = {v: i for i, v in enumerate(table)}
-        self._codes = {v: str(i) for i, v in enumerate(table)}
+        self._table = [_decode_vertex(v) for v in genesis["vertices"]]
+        self._use_codec(genesis["version"])
         # the canonical engine: a private graph rebuilt in recorded order
         graph = DiGraph()
-        for v in table:
+        for v in self._table:
             graph.add_vertex(v)
         for arc in genesis["arcs"]:
             graph.add_arc(*self._arc_of(arc))
@@ -461,7 +463,8 @@ class DurableEngine(Instrumented):
         self._m_snapshots = self._obs_counter("snapshots", diagnostic=True)
         self._m_fsync_unsupported = self._obs_counter(
             "fsync_unsupported", diagnostic=True)
-        self._graph_ops: List[list] = []
+        # the topology's cut/repair history, coded at capture
+        self._graph_ops: List[Tuple[str, Arc]] = []
         self._records = 0
         self._since_snapshot = 0
         # framed lines not yet written, and the group() nesting depth
@@ -627,9 +630,8 @@ class DurableEngine(Instrumented):
     def cut(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.cut`."""
         report = self._injector.cut(arc)
-        code = self._arc_code(report.arc)
-        self._graph_ops.append(["cut", code])
-        self._append({"type": "cut", "arc": code,
+        self._graph_ops.append(("cut", report.arc))
+        self._append({"type": "cut", "arc": self._arc_code(report.arc),
                       "stranded": report.stranded,
                       "restored": report.restored,
                       "retries": report.retries,
@@ -640,9 +642,8 @@ class DurableEngine(Instrumented):
     def repair(self, arc: Arc) -> FaultReport:
         """Journalled :meth:`~repro.online.faults.FaultInjector.repair`."""
         report = self._injector.repair(arc)
-        code = self._arc_code(report.arc)
-        self._graph_ops.append(["repair", code])
-        self._append({"type": "repair", "arc": code,
+        self._graph_ops.append(("repair", report.arc))
+        self._append({"type": "repair", "arc": self._arc_code(report.arc),
                       "restored": report.restored,
                       "reverted": report.reverted,
                       "defrag_moves": report.defrag_moves})
@@ -700,7 +701,9 @@ class DurableEngine(Instrumented):
 
     def _write(self, payload: str, ops: int = 1) -> None:
         """Frame one record payload and sync it (or buffer it, in a
-        group); it counts ``ops`` toward ``snapshot_every``."""
+        group); it counts ``ops`` toward ``snapshot_every`` (the one
+        place that count is kept; :meth:`_replay` swaps in a verifier
+        that counts the same)."""
         line = _frame(payload)
         self._pending.append(line)
         self._records += 1
@@ -726,18 +729,32 @@ class DurableEngine(Instrumented):
         idx = self._engine.vertex_of[request_id]
         return idx, self._engine.assigner.color_of(idx)
 
-    # vertex codec: labels to table indices (written) and back (replayed)
-    def _arc_code(self, arc: Arc) -> List[int]:
+    # vertex codec: labels to journal codes (written) and back (replayed)
+    def _use_codec(self, version: int) -> None:
+        """Code vertices as journal ``version`` does, both ways: v2 by
+        their vertex-table index, v1 by the label itself (JSON arrays for
+        tuples)."""
+        table = self._table
+        if version == 1:
+            self._vertex: Callable[[Any], Vertex] = _decode_vertex
+            self._index = {v: v for v in table}
+            self._codes = {v: _encode(v) for v in table}
+        else:
+            self._vertex = table.__getitem__
+            self._index = {v: i for i, v in enumerate(table)}
+            self._codes = {v: str(i) for i, v in enumerate(table)}
+
+    def _arc_code(self, arc: Arc) -> list:
         return [self._index[arc[0]], self._index[arc[1]]]
 
-    def _path_code(self, path: Dipath) -> List[int]:
+    def _path_code(self, path: Dipath) -> list:
         return list(map(self._index.__getitem__, path.vertices))
 
     def _arc_of(self, obj: list) -> Arc:
         return (self._vertex(obj[0]), self._vertex(obj[1]))
 
-    def _dipath_of(self, obj: list) -> Dipath:
-        return Dipath(map(self._vertex, obj))
+    def _dipath_of(self, obj: Optional[list]) -> Optional[Dipath]:
+        return None if obj is None else Dipath(map(self._vertex, obj))
 
     def _request_of(self, obj: Optional[list]) -> Optional[Request]:
         return None if obj is None else Request(self._vertex(obj[0]),
@@ -774,7 +791,7 @@ class DurableEngine(Instrumented):
                           sorted(engine.vertex_of.items())},
             "defrag": [engine.defrag_passes, engine.defrag_moves,
                        engine.wavelengths_reclaimed],
-            "graph_ops": self._graph_ops,
+            "graph_ops": [[op, arc_code(arc)] for op, arc in self._graph_ops],
             "cut_arcs": list(map(arc_code, self._injector.cut_arcs())),
             "stranded": {str(r): path_code(d) for r, d in
                          sorted(self._injector._stranded.items())},
@@ -799,15 +816,14 @@ class DurableEngine(Instrumented):
                 engine.graph.remove_arc(u, v)
             else:
                 engine.graph.add_arc(u, v)
-            self._graph_ops.append([op, self._arc_code(arc)])
+            self._graph_ops.append((op, arc))
         # 2. family: rebuild the slot/arc tables exactly — arc ids in
         #    historical interning order, freed slots in recycling order
         family = DipathFamily()
         arcs = list(map(self._arc_of, state["arcs"]))
         family._arcs = list(arcs)
         family._arc_ids = {a: i for i, a in enumerate(arcs)}
-        paths: List[Optional[Dipath]] = [
-            None if p is None else self._dipath_of(p) for p in state["paths"]]
+        paths = list(map(self._dipath_of, state["paths"]))
         family._paths = paths
         family._path_arc_ids = [
             () if p is None else tuple(family._arc_ids[a] for a in p.arcs())
@@ -869,11 +885,10 @@ class DurableEngine(Instrumented):
         journal with ``os.replace``, whose directory entry is then
         fsynced too — appends after the migration go to the new file, so
         the rename must be as durable as they are."""
-        self._genesis = dict(
-            self._genesis, version=JOURNAL_VERSION,
-            arcs=[self._arc_code(self._arc_of(arc))
-                  for arc in self._genesis["arcs"]])
-        self._vertex = self._table.__getitem__
+        arcs = list(map(self._arc_of, self._genesis["arcs"]))
+        self._use_codec(JOURNAL_VERSION)
+        self._genesis = dict(self._genesis, version=JOURNAL_VERSION,
+                             arcs=list(map(self._arc_code, arcs)))
         temp = self._path + ".migrating"
         self._file = open(temp, "wb")
         try:
@@ -890,124 +905,80 @@ class DurableEngine(Instrumented):
         _fsync_dir(self._path)
 
     def _replay(self, record: Dict[str, Any], index: int) -> None:
-        """Re-execute one journal record, verifying the recorded outcome.
+        """Re-run one journal record through the op that wrote it.
 
-        Vertices decode through ``self._vertex``: a genesis table lookup
-        for v2 records, the JSON label decoder for v1 ones."""
-        engine, injector = self._engine, self._injector
+        For that one call the instance's :meth:`_write` is a verifier —
+        the op's record must encode to the journalled one, and it counts
+        toward ``snapshot_every`` as the live write does — and
+        :meth:`_maybe_snapshot` does nothing (the journal's own snapshot
+        records replay in place).  Vertices decode through the codec of
+        the genesis version."""
         rtype = record.get("type")
+        op = _REPLAY.get(rtype)
+        if op is None:
+            raise RecoveryError(f"unknown record type {rtype!r}",
+                                record=index)
+        journalled = _encode(record)
+
+        def verify(payload: str, ops: int = 1) -> None:
+            if payload != journalled:
+                raise RecoveryError(
+                    f"{rtype} replayed to " + ", ".join(_differences(
+                        json.loads(payload), record, "", 2)),
+                    record=index)
+            self._since_snapshot += ops
+
+        self._write, self._maybe_snapshot = verify, _replayed_in_place
         try:
-            self._since_snapshot += (len(record["rids"])
-                                     if rtype == "depart_batch" else 1)
-            if rtype == "admit":
-                dipath = (None if record["dipath"] is None
-                          else self._dipath_of(record["dipath"]))
-                reason = engine.admit(record["rid"],
-                                      request=self._request_of(
-                                          record["request"]),
-                                      dipath=dipath)
-                if reason != record["outcome"]:
-                    raise RecoveryError(
-                        f"admit({record['rid']}) replayed to {reason!r}, "
-                        f"journal says {record['outcome']!r}", record=index)
-                if reason is None:
-                    idx = engine.vertex_of[record["rid"]]
-                    color = engine.assigner.color_of(idx)
-                    if idx != record["index"] or color != record["color"]:
-                        raise RecoveryError(
-                            f"admit({record['rid']}) replayed to slot "
-                            f"{idx}/colour {color}, journal says "
-                            f"{record['index']}/{record['color']}",
-                            record=index)
-            elif rtype == "admit_batch":
-                arrivals = [
-                    Event(0.0, ARRIVAL, rid, request=self._request_of(req),
-                          dipath=(None if path is None
-                                  else self._dipath_of(path)))
-                    for rid, req, path in record["arrivals"]]
-                reasons = engine.admit_batch(arrivals,
-                                             policy=record["policy"])
-                expected = {int(k): v for k, v in record["outcome"].items()}
-                if reasons != expected:
-                    raise RecoveryError(
-                        f"batch replayed to {reasons!r}, journal says "
-                        f"{expected!r}", record=index)
-                for key, (idx, color) in record["placements"].items():
-                    rid = int(key)
-                    got_idx = engine.vertex_of.get(rid)
-                    got_color = (None if got_idx is None
-                                 else engine.assigner.color_of(got_idx))
-                    if got_idx != idx or got_color != color:
-                        raise RecoveryError(
-                            f"batch placement of request {rid} replayed "
-                            f"to {got_idx}/{got_color}, journal says "
-                            f"{idx}/{color}", record=index)
-            elif rtype == "depart":
-                held = engine.depart(record["rid"])
-                injector.forget(record["rid"])
-                if held != record["outcome"]:
-                    raise RecoveryError(
-                        f"depart({record['rid']}) replayed to {held}, "
-                        f"journal says {record['outcome']}", record=index)
-            elif rtype == "depart_batch":
-                rids = record["rids"]
-                held = engine.depart_batch(rids)
-                for rid in rids:
-                    injector.forget(rid)
-                if held != record["held"]:
-                    raise RecoveryError(
-                        f"depart_batch({rids}) replayed to held={held}, "
-                        f"journal says {record['held']}", record=index)
-            elif rtype == "defrag":
-                report = engine.defrag(order=record["order"],
-                                       max_moves=record["max_moves"],
-                                       shard=record["shard"])
-                if (len(report.moves) != record["moves"]
-                        or report.reclaimed != record["reclaimed"]):
-                    raise RecoveryError(
-                        f"defrag replayed to {len(report.moves)} moves / "
-                        f"{report.reclaimed} reclaimed, journal says "
-                        f"{record['moves']}/{record['reclaimed']}",
-                        record=index)
-            elif rtype == "cut":
-                arc = self._arc_of(record["arc"])
-                report = injector.cut(arc)
-                self._graph_ops.append(["cut", self._arc_code(arc)])
-                if (report.stranded != record["stranded"]
-                        or report.restored != record["restored"]):
-                    raise RecoveryError(
-                        f"cut{arc} replayed to stranded="
-                        f"{report.stranded} restored={report.restored}, "
-                        f"journal says {record['stranded']}/"
-                        f"{record['restored']}", record=index)
-            elif rtype == "repair":
-                arc = self._arc_of(record["arc"])
-                report = injector.repair(arc)
-                self._graph_ops.append(["repair", self._arc_code(arc)])
-                if (report.restored != record["restored"]
-                        or report.reverted != record["reverted"]):
-                    raise RecoveryError(
-                        f"repair{arc} replayed to "
-                        f"restored={report.restored} reverted="
-                        f"{report.reverted}, journal says "
-                        f"{record['restored']}/{record['reverted']}",
-                        record=index)
-            elif rtype == "snapshot":
-                # integrity gate: a from-genesis replay must pass through
-                # the exact state the live engine snapshotted here
-                if _encode(self._capture()) != _encode(record["state"]):
-                    raise RecoveryError(
-                        "replayed state does not match the snapshot",
-                        record=index)
-                self._since_snapshot = 0
-            else:
-                raise RecoveryError(f"unknown record type {rtype!r}",
-                                    record=index)
+            op(self, record)
         except RecoveryError:
             raise
         except Exception as exc:
             raise RecoveryError(f"replay raised {exc!r}",
                                 record=index) from exc
+        finally:
+            del self._write, self._maybe_snapshot
+
+
+def _replayed_in_place() -> None:
+    """:meth:`DurableEngine._maybe_snapshot` during replay: a snapshot the
+    live engine took is a journal record of its own."""
+
+
+def _differences(replayed: Any, journalled: Any, name: str,
+                 depth: int) -> List[str]:
+    """``name=replayed (journal: journalled)`` for every field that
+    differs, descending ``depth`` levels into JSON objects."""
+    if _encode(replayed) == _encode(journalled):
+        return []
+    if depth and isinstance(replayed, dict) and isinstance(journalled, dict):
+        prefix = f"{name}." if name else ""
+        return [diff for key in sorted(replayed.keys() | journalled.keys())
+                for diff in _differences(replayed.get(key),
+                                         journalled.get(key), prefix + key,
+                                         depth - 1)]
+    return [f"{name}={replayed!r} (journal: {journalled!r})"]
+
+
+#: Every journalled record type but ``genesis``, mapped to the
+#: :class:`DurableEngine` op that writes it, called with the record's
+#: decoded inputs: :meth:`DurableEngine._replay`'s one dispatch.
+_REPLAY: Dict[str, Callable[[DurableEngine, Dict[str, Any]], Any]] = {
+    "admit": lambda durable, r: durable.admit(
+        r["rid"], request=durable._request_of(r["request"]),
+        dipath=durable._dipath_of(r["dipath"])),
+    "admit_batch": lambda durable, r: durable.admit_batch(
+        [Event(0.0, ARRIVAL, rid, request=durable._request_of(request),
+               dipath=durable._dipath_of(dipath))
+         for rid, request, dipath in r["arrivals"]], policy=r["policy"]),
+    "depart": lambda durable, r: durable.depart(r["rid"]),
+    "depart_batch": lambda durable, r: durable.depart_batch(r["rids"]),
+    "defrag": lambda durable, r: durable.defrag(
+        order=r["order"], max_moves=r["max_moves"], shard=r["shard"]),
+    "cut": lambda durable, r: durable.cut(durable._arc_of(r["arc"])),
+    "repair": lambda durable, r: durable.repair(durable._arc_of(r["arc"])),
+    "snapshot": lambda durable, r: durable.snapshot(),
+}
 
 
 def recover(path: str, metrics: Optional[MetricsRegistry] = None,

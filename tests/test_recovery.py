@@ -48,6 +48,7 @@ from repro.exceptions import (
 from repro.generators.regions import multi_region_topology, multi_region_traffic
 from repro.online import NO_ROUTE
 from repro.online.events import ARRIVAL, Event
+from repro.online.transaction import BATCH_POLICIES
 import repro.online.persistence as persistence
 from repro.online.persistence import (
     DurableEngine,
@@ -94,6 +95,60 @@ def burst_workload(tmp_path, name="burst.jsonl", **kwargs):
     durable = small_workload(tmp_path, name=name, **kwargs)
     assert durable.depart_batch([0, 9, 2, 3]) == [True, False, True, True]
     return durable
+
+
+def every_record_workload(tmp_path, name="every.jsonl"):
+    """One journal holding every record type: ``admit``, ``admit_batch``
+    under each batch policy, ``depart``, ``depart_batch``, ``defrag``,
+    ``cut``, ``repair`` and one ``snapshot``, taken early so that every
+    other type also follows it (and :func:`recover` replays it)."""
+    durable = DurableEngine(diamond(), str(tmp_path / name), wavelengths=2,
+                            routing="k_shortest", speculative=True)
+    durable.admit(0, request=Request(0, 3))
+    durable.snapshot()
+    durable.admit(1, request=Request(0, 3))
+    durable.admit(2, request=Request(0, 3))              # no wavelength
+    rids = iter(range(3, 100))
+    for policy in BATCH_POLICIES:
+        durable.admit_batch(
+            [Event(0.0, ARRIVAL, next(rids), request=Request(*pair))
+             for pair in ((2, 3), (0, 1), (0, 3))], policy=policy)
+    durable.depart(1)
+    durable.cut((0, 1))
+    durable.depart_batch([0, 99, 3])
+    durable.defrag(order="highest_wavelength", max_moves=4)
+    durable.repair((0, 1))
+    durable.admit(next(rids), request=Request(0, 3))
+    return durable
+
+
+def replay_from_genesis(records, tmp_path) -> DurableEngine:
+    """Every record after the genesis through ``_replay``, snapshots
+    included (each one an integrity gate)."""
+    replica = DurableEngine._resume(records[0],
+                                    str(tmp_path / "replica.jsonl"))
+    for index, record in enumerate(records[1:], 1):
+        replica._replay(record, index)
+    return replica
+
+
+def tampered(value):
+    """A different JSON value of the same shape: a lie about an
+    outcome that only replay verification can catch."""
+    if isinstance(value, bool):
+        return not value
+    if isinstance(value, int):
+        return value + 1
+    if isinstance(value, str):
+        return value + "!"
+    if isinstance(value, list):
+        return value + [value[0] if value else 0]
+    if isinstance(value, dict):
+        if not value:
+            return {"0": 0}
+        key = min(value)
+        return dict(value, **{key: tampered(value[key])})
+    return 0                                                  # None
 
 
 # --------------------------------------------------------------------------- #
@@ -683,6 +738,26 @@ def test_v1_journal_with_snapshot_recovers_and_migrates(tmp_path):
     assert not (tmp_path / "v1.jsonl.migrating").exists()
 
 
+def test_v1_journal_replays_from_genesis_through_its_snapshot(tmp_path):
+    """A from-genesis replay of a v1 journal captures its snapshot in
+    labels, as the v1 writer did, so the snapshot gate passes; a lie in
+    a v1 record is still refused at its index."""
+    path = tmp_path / "v1.jsonl"
+    path.write_bytes(_V1_SNAPSHOT_JOURNAL)
+    records = read_journal(str(path))
+    assert [r["type"] for r in records][3:6] == ["cut", "admit", "snapshot"]
+    fresh = _tuple_labelled_ops(tmp_path / "fresh.jsonl")
+    replica = replay_from_genesis(records, tmp_path)
+    assert replica.fingerprint() == fresh.fingerprint()
+    for index, field in ((3, "retries"), (4, "outcome"), (5, "state"),
+                         (7, "placements")):
+        lie = read_journal(str(path))
+        lie[index][field] = tampered(lie[index][field])
+        with pytest.raises(RecoveryError, match=field) as excinfo:
+            replay_from_genesis(lie, tmp_path)
+        assert excinfo.value.record == index
+
+
 def test_unknown_vertex_is_refused_before_journalling(tmp_path):
     """An arrival naming a vertex the topology lacks raises
     VertexNotFoundError with the journal and the engine untouched."""
@@ -948,21 +1023,67 @@ def test_corrupt_middle_record_raises_with_index(tmp_path):
     assert issubclass(RecoveryError, ReproError)
 
 
-def test_tampered_outcome_is_caught_by_replay_verification(tmp_path):
-    durable = small_workload(tmp_path)
+#: The fields each record type's op takes as inputs, and the fields it
+#: decides: replay runs the op on the inputs and verifies the rest.
+_INPUTS = {"admit": ["rid", "request", "dipath"],
+           "admit_batch": ["arrivals", "policy"],
+           "depart": ["rid"], "depart_batch": ["rids"],
+           "defrag": ["order", "max_moves", "shard"],
+           "cut": ["arc"], "repair": ["arc"], "snapshot": []}
+_OUTCOMES = {"admit": ["outcome", "index", "color"],
+             "admit_batch": ["outcome", "placements"],
+             "depart": ["outcome"], "depart_batch": ["held"],
+             "defrag": ["moves", "reclaimed"],
+             "cut": ["stranded", "restored", "retries", "defrag_moves"],
+             "repair": ["restored", "reverted", "defrag_moves"],
+             "snapshot": ["state"]}
+
+
+def test_every_record_type_has_a_replay_entry(tmp_path):
+    """The workload writes every record type; each one is an op in the
+    replay table, whose fields are its inputs and its outcomes, and
+    the journal replays from genesis and recovers to the live state."""
+    durable = every_record_workload(tmp_path)
     durable.close()
+    records = read_journal(durable.path)
+    assert {r["type"] for r in records} \
+        == set(persistence._REPLAY) | {"genesis"}
+    assert {r["policy"] for r in records if r["type"] == "admit_batch"} \
+        == set(BATCH_POLICIES)
+    for record in records[1:]:
+        rtype = record["type"]
+        assert set(record) == {"type", *_INPUTS[rtype], *_OUTCOMES[rtype]}
+    replica = replay_from_genesis(records, tmp_path)
+    assert replica.fingerprint() == durable.fingerprint()
+    recovered = recover(durable.path)
+    recovered.close()
+    assert recovered.fingerprint() == durable.fingerprint()
+
+
+@pytest.mark.parametrize("rtype,field", [
+    (rtype, field) for rtype, fields in _OUTCOMES.items() for field in fields])
+def test_tampered_outcome_is_caught_by_replay_verification(tmp_path, rtype,
+                                                           field):
+    """A lie about any outcome field, re-framed with a valid CRC, is
+    refused at its record by a from-genesis replay and, past the last
+    snapshot, by :func:`recover`; the message names the field."""
+    durable = every_record_workload(tmp_path)
+    durable.close()
+    records = read_journal(durable.path)
+    index = max(i for i, r in enumerate(records) if r["type"] == rtype)
+    records[index][field] = tampered(records[index][field])
+    with pytest.raises(RecoveryError, match=f"{rtype} replayed to {field}") \
+            as excinfo:
+        replay_from_genesis(records, tmp_path)
+    assert excinfo.value.record == index
+    if rtype == "snapshot":
+        return              # recovery restores the last snapshot as written
     lines = Path(durable.path).read_bytes().splitlines(keepends=True)
-    index, admit = next((i, record)
-                        for i, record in enumerate(read_journal(durable.path))
-                        if record.get("type") == "admit")
-    admit["color"] = 3 - (admit["color"] or 0)       # lie about the outcome
-    # re-framed with a valid CRC, so the lie reaches replay verification
-    lines[index] = _frame(json.dumps(admit, separators=(",", ":"),
-                                     sort_keys=True))
-    tampered = tmp_path / "tampered.jsonl"
-    tampered.write_bytes(b"".join(lines))
-    with pytest.raises(RecoveryError) as excinfo:
-        recover(str(tampered))
+    lines[index] = _frame(persistence._encode(records[index]))
+    path = tmp_path / "tampered.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(RecoveryError, match=field) as excinfo:
+        recover(str(path))
     assert excinfo.value.record == index
 
 
