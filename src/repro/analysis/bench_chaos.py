@@ -47,7 +47,7 @@ import random
 import tempfile
 import time
 from pathlib import Path
-from typing import Dict, List, Tuple
+from typing import Dict, List
 
 from ..generators.regions import multi_region_topology, multi_region_traffic
 from ..online.events import (ARRIVAL, CUT, DEPARTURE, REPAIR, cut_event,
@@ -56,7 +56,7 @@ from ..online.events import (ARRIVAL, CUT, DEPARTURE, REPAIR, cut_event,
 from ..online.persistence import engine_fingerprint
 from ..online.simulator import OnlineResult, simulate_online
 from ..service import RwaService, ServiceSupervisor, serve_trace
-from .bench_service import flash_crowd_trace
+from .bench_service import _decisions, flash_crowd_trace
 from .recovery import _hot_arcs
 
 __all__ = [
@@ -67,12 +67,6 @@ __all__ = [
     "measure_chaos_restoration",
     "run_chaos_benchmark",
 ]
-
-
-def _decisions(result: OnlineResult) -> Tuple:
-    """The decision-bearing projection of a result (identity checks)."""
-    return (result.accepted, result.blocked, result.rejections,
-            result.wavelengths_used, result.kempe_repairs)
 
 
 def _cut_flash_crowd(seed_topo: int, seed_traffic: int, bursts: int,

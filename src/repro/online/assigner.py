@@ -1,9 +1,13 @@
 """Online wavelength assignment over a dynamic conflict graph.
 
-:class:`OnlineWavelengthAssigner` colours conflict-graph vertices as they
-arrive, under a hard budget of ``wavelengths`` colours.  A colour is *free*
-for a vertex when no currently-coloured neighbour uses it; among the free
-colours the pluggable policy picks:
+:class:`OnlineWavelengthAssigner` colours the members of a live
+:class:`~repro.dipaths.family.DipathFamily` as they arrive, under a hard
+budget of ``wavelengths`` colours.  A colour is *free* for a member when
+no coloured member sharing one of its fibres uses it — the paper's
+conflict relation read per fibre: the assigner owns a
+:class:`~repro.online.sharding.ArcColorIndex` and takes the forbidden
+colours of a member as the union of its arcs' occupancy masks, O(arcs).
+Among the free colours the pluggable policy picks:
 
 * ``first_fit``   — the smallest free colour (the classical heuristic, and
   exactly the per-fibre first-fit of the static admission loop);
@@ -21,18 +25,29 @@ in one Kempe component containing no ``b``-coloured neighbour, swapping
 that component frees ``a``.  This is the recolouring step of Theorem 1's
 proof (see :mod:`repro.coloring.kempe`) used operationally: a bounded
 amount of wavelength reconfiguration instead of blocking.
+
+Every colour change — an assignment, an adoption, a release, each member
+of a Kempe chain, and each undo of one — goes through one private
+primitive that moves the colouring, the usage counts, the used and
+ever-used masks and the colour index together, and journals the change
+(with the member's arc ids) while a checkpoint is open.  That journal is
+the only undo log of colour state: a rollback replays it inverted, the
+index included.
 """
 
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Tuple
 
 from .._bitops import bit_list, iter_bits, lowest_missing_bit
 from ..coloring.kempe import kempe_component
 from ..conflict.conflict_graph import ConflictGraph
+from ..dipaths.family import DipathFamily
 from ..exceptions import EngineStateError, TransactionError
+from ..obs.registry import MetricsRegistry
+from .sharding import ArcColorIndex
 
 __all__ = ["POLICIES", "AssignerCheckpoint", "OnlineWavelengthAssigner"]
 
@@ -40,10 +55,13 @@ __all__ = ["POLICIES", "AssignerCheckpoint", "OnlineWavelengthAssigner"]
 POLICIES = ("first_fit", "least_used", "most_used", "random")
 
 
-#: One colour change: ``(vertex, old colour or None, new colour or None)``.
-#: ``old is None`` records a fresh assignment, ``new is None`` a release,
-#: both set a Kempe recolouring.
-JournalEntry = Tuple[int, Optional[int], Optional[int]]
+#: One colour change: ``(vertex, its arc ids, old colour or None, new
+#: colour or None)``.  ``old is None`` records a fresh assignment, ``new is
+#: None`` a release, both set a recolouring.  The arc ids are captured at
+#: change time, so undoing the change in the colour index never needs the
+#: member's route — the transaction layer unwinds colours before it
+#: unwinds adds/removes, and by then the route may be gone.
+JournalEntry = Tuple[int, Tuple[int, ...], Optional[int], Optional[int]]
 
 
 @dataclass
@@ -52,21 +70,23 @@ class AssignerCheckpoint:
 
     While a checkpoint is active every colour change of the assigner is
     journalled; :meth:`OnlineWavelengthAssigner.rollback` replays the
-    journal in reverse and restores the two monotone counters and the
-    policy RNG state (the ``random`` policy draws during speculation),
-    leaving the assigner exactly as it was when the checkpoint was taken —
+    journal back to ``mark`` in reverse and restores the two monotone
+    counters and the policy RNG state (the ``random`` policy draws during
+    speculation), leaving the assigner exactly as it was when the
+    checkpoint was taken and its colour index with the same occupancy —
     in O(changes since the checkpoint), never a rebuild.
 
-    Checkpoints *stack*: a nested checkpoint journals on top of its parent,
-    and committing it splices its journal into the parent's, so a later
-    parent rollback still undoes the committed inner changes.  Commit and
-    rollback must consume checkpoints innermost-first (LIFO).
+    Checkpoints *stack* over the one journal: a nested checkpoint marks
+    the journal's length when it is taken, committing it keeps its
+    entries in place for the parent, so a later parent rollback still
+    undoes the committed inner changes.  Commit and rollback must consume
+    checkpoints innermost-first (LIFO).
     """
 
     ever_used: int
     repairs: int
     rng_state: object
-    journal: List[JournalEntry] = field(default_factory=list)
+    mark: int
 
 
 class _AdjacencyView:
@@ -87,10 +107,13 @@ class _AdjacencyView:
 
 
 class OnlineWavelengthAssigner:
-    """Incremental colouring of arriving/departing conflict-graph vertices.
+    """Incremental colouring of arriving/departing members of a family.
 
     Parameters
     ----------
+    family:
+        The live :class:`~repro.dipaths.family.DipathFamily` whose members
+        are coloured; the assigner's colour index reads its arc ids.
     wavelengths:
         The colour budget ``W``; assigned colours are ``0..W-1``.
     policy:
@@ -99,16 +122,22 @@ class OnlineWavelengthAssigner:
         Attempt one Kempe chain swap before declaring a vertex blocked.
     seed:
         Seed for the ``random`` policy (ignored by the others).
+    metrics:
+        Registry the colour index publishes its ``colorindex.*``
+        counters into.
     """
 
-    def __init__(self, wavelengths: int, policy: str = "first_fit",
-                 kempe_repair: bool = False,
-                 seed: Optional[int] = None) -> None:
+    def __init__(self, family: DipathFamily, wavelengths: int,
+                 policy: str = "first_fit", kempe_repair: bool = False,
+                 seed: Optional[int] = None,
+                 metrics: Optional[MetricsRegistry] = None) -> None:
         if wavelengths < 1:
             raise ValueError("wavelengths must be >= 1")
         if policy not in POLICIES:
             raise ValueError(
                 f"unknown policy {policy!r}; expected one of {POLICIES}")
+        self._family = family
+        self._index = ArcColorIndex(family, metrics=metrics)
         self._wavelengths = wavelengths
         self._policy = policy
         self._kempe_repair = kempe_repair
@@ -118,41 +147,21 @@ class OnlineWavelengthAssigner:
         self._used_mask: int = 0            # bitmask of colours in use now
         self._ever_used: int = 0            # bitmask of colours ever assigned
         self._repairs = 0
-        # Active checkpoints, outermost first; mutations journal into the
-        # innermost one (see repro.online.transaction for the nesting rules).
+        # Active checkpoints, outermost first, each marking its start in
+        # the one journal of colour changes (see repro.online.transaction
+        # for the nesting rules); the journal is empty with none active.
         self._checkpoints: List[AssignerCheckpoint] = []
-        # Optional per-fibre colour occupancy (the online engine's O(arcs)
-        # forbidden-mask source, see repro.online.sharding.ArcColorIndex);
-        # a bare assigner walks the conflict neighbourhood instead.
-        self._color_index = None
-
-    def attach_color_index(self, index) -> None:
-        """Source forbidden masks from a per-arc colour occupancy index.
-
-        ``index`` must implement the :class:`repro.online.sharding.
-        ArcColorIndex` protocol: ``forbidden_mask(vertex)``,
-        ``record(vertex, old, new)`` and ``checkpoint``/``commit``/
-        ``rollback`` mirroring this assigner's.  With an index attached,
-        :meth:`assign` computes the forbidden colours of a vertex as the
-        union of its arcs' occupancy masks — O(arcs) — instead of walking
-        its conflict neighbours, and every colour change (including Kempe
-        chains and journal rollbacks) is mirrored into the index.  The
-        forbidden set is identical by construction: a colour is used by a
-        conflicting lightpath iff it is in use on a shared fibre.
-        """
-        if self._color or self._checkpoints:
-            raise EngineStateError(
-                "attach the colour index before any assignment")
-        self._color_index = index
+        self._journal: List[JournalEntry] = []
 
     @property
-    def color_index(self):
-        """The attached colour occupancy index, or ``None``.
+    def color_index(self) -> ArcColorIndex:
+        """The per-fibre colour occupancy index the assigner keeps.
 
-        Exposed for the audit layer: ``OnlineEngine.audit()`` replays the
-        colouring against the index's per-arc counts.
+        Exposed for readers of per-arc colours (the defrag bound) and the
+        audit layer: ``OnlineEngine.audit()`` replays the colouring
+        against the index's per-arc counts.
         """
-        return self._color_index
+        return self._index
 
     # ------------------------------------------------------------------ #
     # state
@@ -214,33 +223,21 @@ class OnlineWavelengthAssigner:
         """Colour ``vertex`` of ``graph``; return its colour or ``None``.
 
         ``None`` means the vertex is blocked: every colour of the budget is
-        used by a neighbour and (if enabled) the Kempe repair found no
-        admissible swap.  A blocked vertex is left uncoloured — the caller
-        removes it from the graph.
+        used on one of its fibres and (if enabled) the Kempe repair found
+        no admissible swap.  A blocked vertex is left uncoloured — the
+        caller removes it from the graph.  An already coloured vertex is
+        refused with :class:`~repro.exceptions.EngineStateError` before
+        any state changes.
         """
-        color_of = self._color
-        index = self._color_index
-        if index is not None:
-            forbidden = index.forbidden_mask(vertex)
-        else:
-            forbidden = 0
-            for j in iter_bits(graph.neighbor_mask(vertex)):
-                c = color_of.get(j)
-                if c is not None:
-                    forbidden |= 1 << c
-        color = self._pick(forbidden)
+        if vertex in self._color:
+            raise EngineStateError(
+                f"member {vertex} already holds wavelength "
+                f"{self._color[vertex]}")
+        color = self._pick(self._index.forbidden_mask(vertex))
         if color is None and self._kempe_repair:
             color = self._try_kempe_repair(graph, vertex)
-        if color is None:
-            return None
-        color_of[vertex] = color
-        self._usage[color] += 1
-        self._used_mask |= 1 << color
-        self._ever_used |= 1 << color
-        if self._checkpoints:
-            self._checkpoints[-1].journal.append((vertex, None, color))
-        if index is not None:
-            index.record(vertex, None, color)
+        if color is not None:
+            self._recolor(vertex, None, color)
         return color
 
     def adopt(self, vertex: int, color: int) -> None:
@@ -250,34 +247,22 @@ class OnlineWavelengthAssigner:
         fresh assignment when ``vertex`` is uncoloured, a recolouring
         otherwise.  Journalled and mirrored into the colour index exactly
         like :meth:`assign`, so replayed state is bit-identical to having
-        decided locally.
+        decided locally.  A colour outside the budget raises
+        :class:`ValueError`, a ``vertex`` that is not a live member of the
+        family :class:`~repro.exceptions.EngineStateError`, both before
+        any state changes.
         """
         if not 0 <= color < self._wavelengths:
             raise ValueError(f"colour {color} outside the budget")
-        old = self._color.get(vertex)
-        self._color[vertex] = color
-        self._usage[color] += 1
-        self._used_mask |= 1 << color
-        if old is not None:
-            self._usage[old] -= 1
-            if not self._usage[old]:
-                self._used_mask &= ~(1 << old)
-        self._ever_used |= 1 << color
-        if self._checkpoints:
-            self._checkpoints[-1].journal.append((vertex, old, color))
-        if self._color_index is not None:
-            self._color_index.record(vertex, old, color)
+        if not self._family.is_active(vertex):
+            raise EngineStateError(
+                f"cannot colour member {vertex}: not a live member")
+        self._recolor(vertex, self._color.get(vertex), color)
 
     def release(self, vertex: int) -> int:
         """Forget the colour of a departing vertex; return it."""
-        color = self._color.pop(vertex)
-        self._usage[color] -= 1
-        if not self._usage[color]:
-            self._used_mask &= ~(1 << color)
-        if self._checkpoints:
-            self._checkpoints[-1].journal.append((vertex, color, None))
-        if self._color_index is not None:
-            self._color_index.record(vertex, color, None)
+        color = self._color[vertex]
+        self._recolor(vertex, color, None)
         return color
 
     # ------------------------------------------------------------------ #
@@ -286,10 +271,9 @@ class OnlineWavelengthAssigner:
     def checkpoint(self) -> AssignerCheckpoint:
         """Start journalling colour changes; return the undo token.
 
-        Checkpoints nest: each call pushes a new journal and every
-        subsequent :meth:`assign` / :meth:`release` / Kempe recolouring is
-        recorded in the innermost one until :meth:`commit` or
-        :meth:`rollback` consumes its token.  Tokens must be consumed
+        Checkpoints nest: each call marks the journal's current length and
+        every subsequent colour change is journalled until :meth:`commit`
+        or :meth:`rollback` consumes its token.  Tokens must be consumed
         innermost-first — resolving an outer checkpoint while an inner one
         is still open raises.
         """
@@ -297,69 +281,81 @@ class OnlineWavelengthAssigner:
         # ever draws from the RNG, so the other policies skip the capture
         # (rollback restores the state only when one was taken).
         rng_state = self._rng.getstate() if self._policy == "random" else None
-        token = AssignerCheckpoint(self._ever_used, self._repairs, rng_state)
+        token = AssignerCheckpoint(self._ever_used, self._repairs, rng_state,
+                                   len(self._journal))
         self._checkpoints.append(token)
-        if self._color_index is not None:
-            self._color_index.checkpoint()
         return token
 
     def commit(self, token: AssignerCheckpoint) -> None:
-        """Accept the changes since ``token``; stop journalling.  O(1).
+        """Accept the changes since ``token``.  O(1).
 
-        With a parent checkpoint still active the committed journal is
-        spliced into the parent's, so rolling the parent back later still
-        undoes the inner, committed changes.
+        With a parent checkpoint still active the committed entries stay
+        in the journal, so rolling the parent back later still undoes the
+        inner, committed changes; the outermost commit drops the journal.
         """
-        if not self._checkpoints or self._checkpoints[-1] is not token:
-            raise TransactionError("token does not match the active checkpoint")
-        self._checkpoints.pop()
-        if self._checkpoints:
-            self._checkpoints[-1].journal.extend(token.journal)
-        if self._color_index is not None:
-            self._color_index.commit()
+        self._pop(token)
+        if not self._checkpoints:
+            self._journal.clear()
 
     def rollback(self, token: AssignerCheckpoint) -> None:
         """Undo every colour change since ``token`` was taken.
 
-        Replays the journal in reverse — O(changes) — and restores the
-        ``colors_ever_used`` / ``kempe_repairs`` counters and the policy
-        RNG state, leaving the assigner bit-identical to its state at
-        :meth:`checkpoint` time.
+        Replays the journal inverted, newest change first — O(changes) —
+        and restores the ``colors_ever_used`` / ``kempe_repairs`` counters
+        and the policy RNG state, leaving the assigner bit-identical to its
+        state at :meth:`checkpoint` time and its colour index with the
+        same occupancy.
         """
-        if not self._checkpoints or self._checkpoints[-1] is not token:
-            raise TransactionError("token does not match the active checkpoint")
-        self._checkpoints.pop()
-        color_of = self._color
-        usage = self._usage
-        used = self._used_mask
-        for vertex, old, new in reversed(token.journal):
-            if old is None:                 # fresh assignment: take it back
-                del color_of[vertex]
-                usage[new] -= 1
-                if not usage[new]:
-                    used &= ~(1 << new)
-            elif new is None:               # release: colour comes back
-                color_of[vertex] = old
-                usage[old] += 1
-                used |= 1 << old
-            else:                           # Kempe recolouring: swap back
-                color_of[vertex] = old
-                usage[new] -= 1
-                if not usage[new]:
-                    used &= ~(1 << new)
-                usage[old] += 1
-                used |= 1 << old
-        self._used_mask = used
+        self._pop(token)
+        journal = self._journal
+        while len(journal) > token.mark:
+            vertex, arcs, old, new = journal.pop()
+            self._recolor(vertex, new, old, arcs)
+        self._index.count_rollback()
         self._ever_used = token.ever_used
         self._repairs = token.repairs
         if token.rng_state is not None:
             self._rng.setstate(token.rng_state)
-        if self._color_index is not None:
-            self._color_index.rollback()
 
     # ------------------------------------------------------------------ #
     # internals
     # ------------------------------------------------------------------ #
+    def _pop(self, token: AssignerCheckpoint) -> None:
+        """Retire ``token``, which must be the innermost checkpoint."""
+        if not self._checkpoints or self._checkpoints[-1] is not token:
+            raise TransactionError("token does not match the active checkpoint")
+        self._checkpoints.pop()
+
+    def _recolor(self, vertex: int, old: Optional[int], new: Optional[int],
+                 arcs: Optional[Tuple[int, ...]] = None) -> None:
+        """Move ``vertex`` from colour ``old`` to ``new`` (``None``: none).
+
+        The one colour change: the colouring, the usage counts, the used
+        and ever-used masks and the colour index move together.  A new
+        change (``arcs`` omitted) reads the member's arc ids, is journalled
+        while a checkpoint is open and counts as an index record;
+        :meth:`rollback` passes a journal entry inverted with the arc ids
+        it captured, and journals nothing.
+        """
+        usage = self._usage
+        if old is not None:
+            usage[old] -= 1
+            if not usage[old]:
+                self._used_mask &= ~(1 << old)
+        if new is None:
+            del self._color[vertex]
+        else:
+            self._color[vertex] = new
+            usage[new] += 1
+            self._used_mask |= 1 << new
+            self._ever_used |= 1 << new
+        undo = arcs is not None
+        if not undo:
+            arcs = self._family.member_arc_ids(vertex)
+            if self._checkpoints:
+                self._journal.append((vertex, arcs, old, new))
+        self._index.record(arcs, old, new, undo)
+
     def _pick(self, forbidden: int) -> Optional[int]:
         """Choose a colour ``< W`` outside ``forbidden`` per the policy."""
         wavelengths = self._wavelengths
@@ -403,25 +399,9 @@ class OnlineWavelengthAssigner:
                     continue
                 if any(u in component for u in by_color.get(b, ())):
                     continue
-                for u in component:
+                for u in component:         # every member holds a or b
                     old = color_of[u]
-                    if old == a:
-                        color_of[u] = b
-                    elif old == b:
-                        color_of[u] = a
-                    else:
-                        continue
-                    self._usage[old] -= 1
-                    if not self._usage[old]:
-                        self._used_mask &= ~(1 << old)
-                    self._usage[color_of[u]] += 1
-                    self._used_mask |= 1 << color_of[u]
-                    self._ever_used |= 1 << color_of[u]
-                    if self._checkpoints:
-                        self._checkpoints[-1].journal.append(
-                            (u, old, color_of[u]))
-                    if self._color_index is not None:
-                        self._color_index.record(u, old, color_of[u])
+                    self._recolor(u, old, b if old == a else a)
                 self._repairs += 1
                 return a
         return None

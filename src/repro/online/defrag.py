@@ -57,8 +57,7 @@ bound answer "may improve".  A pruned move is one that would have rolled
 back bit-identically, so pruning changes no decision; only the
 path-dependent diagnostic counters of the skipped speculation
 (``shards.merges``/``splits``/``rebuilds``, ``colorindex.*``) read
-lower.  An assigner without a colour index gives the bound nothing to
-read, and every move is speculated.
+lower.
 
 The pass never disconnects a lightpath for good: a move is an atomic
 remove + re-admit, and the remove is only committed together with a
@@ -275,8 +274,6 @@ class DefragPass(Instrumented):
         """
         assigner = self._assigner
         index = assigner.color_index
-        if index is None:               # no per-fibre masks to read
-            return True
         family = self._conflict.family
         _, _, load, old_color = before
         old_bit = 1 << old_color

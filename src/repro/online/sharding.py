@@ -4,13 +4,14 @@
 every interned arc it tracks how many provisioned lightpaths hold each
 colour on that fibre, plus the derived one-word colour bitmask.  The
 forbidden colours of an arriving lightpath are then the union of its
-arcs' masks — **O(arcs)** — instead of a walk over its conflict
-neighbours (O(degree) with dictionary lookups and family-width big-int
-steps).  The two sets are equal by definition: a colour is held by a
-conflicting lightpath iff it is in use on a shared fibre.  The index
-journals every change under the assigner's checkpoints, so what-if
-rollbacks restore it bit-identically without ever consulting the
-(possibly already rolled back) structure.
+arcs' masks — **O(arcs)**.  That is the paper's conflict relation read
+per fibre: a colour is held by a conflicting lightpath iff it is in use
+on a shared fibre.  The index is owned by the
+:class:`~repro.online.assigner.OnlineWavelengthAssigner`, the one writer
+of colour state; it keeps no journal of its own — what-if rollbacks
+replay the assigner's journal, whose entries carry the arc ids each
+change touched, so the index is restored bit-identically without ever
+consulting the (possibly already rolled back) structure.
 """
 
 from __future__ import annotations
@@ -25,18 +26,12 @@ __all__ = ["ArcColorIndex"]
 
 
 class ArcColorIndex(Instrumented):
-    """Per-arc wavelength occupancy with checkpointed journalling.
+    """Per-arc wavelength occupancy of one family's coloured members.
 
-    Attach to an :class:`~repro.online.assigner.OnlineWavelengthAssigner`
-    via :meth:`~repro.online.assigner.OnlineWavelengthAssigner.
-    attach_color_index`; the assigner then sources forbidden masks from
-    :meth:`forbidden_mask` and mirrors every colour change (assignments,
-    releases, Kempe chains, rollback replays) through :meth:`record`.
-
-    Journal entries capture the member's arc ids *at mutation time*, so
-    rolling the index back never needs the structure — the transaction
-    layer unwinds colours before it unwinds adds/removes, and by then the
-    member's arc list may already be gone.
+    Built by an :class:`~repro.online.assigner.OnlineWavelengthAssigner`
+    over its family: the assigner sources forbidden masks from
+    :meth:`forbidden_mask` and applies every colour change (assignments,
+    releases, Kempe chains, and their undoing) through :meth:`record`.
 
     Operation counts publish into the registry under ``colorindex.*`` as
     *diagnostic* metrics: a recovered engine re-seeds its index from the
@@ -45,7 +40,7 @@ class ArcColorIndex(Instrumented):
     deterministic snapshot.
     """
 
-    __slots__ = ("_family", "_counts", "_masks", "_journals",
+    __slots__ = ("_family", "_counts", "_masks",
                  "_m_records", "_m_rollbacks") + Instrumented._OBS_SLOTS
 
     def __init__(self, family: DipathFamily,
@@ -54,8 +49,6 @@ class ArcColorIndex(Instrumented):
         self._family = family
         self._counts: List[Dict[int, int]] = []    # arc id -> colour -> users
         self._masks: List[int] = []                # arc id -> colour bitmask
-        self._journals: List[List[Tuple[Tuple[int, ...],
-                                        Optional[int], Optional[int]]]] = []
         self._m_records = self._obs_counter("records", diagnostic=True)
         self._m_rollbacks = self._obs_counter("rollbacks", diagnostic=True)
 
@@ -128,28 +121,27 @@ class ArcColorIndex(Instrumented):
         return problems
 
     # ------------------------------------------------------------------ #
-    # mutation
+    # mutation (driven by the assigner's colour changes)
     # ------------------------------------------------------------------ #
-    def record(self, vertex: int, old: Optional[int],
-               new: Optional[int]) -> None:
-        """Mirror one colour change of ``vertex`` (assign/release/recolour).
+    def record(self, arcs: Tuple[int, ...], old: Optional[int],
+               new: Optional[int], undo: bool = False) -> None:
+        """Move one user of fibres ``arcs`` from colour ``old`` to ``new``.
 
-        Must be called while the member is structurally present — its arc
-        ids are captured into the journal here.
+        ``None`` is no colour: an assignment, a release or a recolouring.
+        ``undo`` marks a rollback replaying a change inverted, which is
+        not counted in ``colorindex.records``.
         """
-        arcs = self._family.member_arc_ids(vertex)
-        if self._journals:
-            self._journals[-1].append((arcs, old, new))
-        self._m_records.inc()
-        self._shift(arcs, old, new)
-
-    def _shift(self, arcs: Tuple[int, ...], old: Optional[int],
-               new: Optional[int]) -> None:
+        if not undo:
+            self._m_records.inc()
         for aid in arcs:
             if old is not None:
                 self._bump(aid, old, -1)
             if new is not None:
                 self._bump(aid, new, 1)
+
+    def count_rollback(self) -> None:
+        """Count one what-if rollback of the assigner."""
+        self._m_rollbacks.inc()
 
     def _bump(self, aid: int, color: int, delta: int) -> None:
         counts = self._counts
@@ -170,23 +162,3 @@ class ArcColorIndex(Instrumented):
         else:
             del per_color[color]
             self._masks[aid] &= ~(1 << color)
-
-    # ------------------------------------------------------------------ #
-    # checkpoints (driven by the assigner's own checkpoint stack)
-    # ------------------------------------------------------------------ #
-    def checkpoint(self) -> None:
-        """Open a journal aligned with the assigner's innermost checkpoint."""
-        self._journals.append([])
-
-    def commit(self) -> None:
-        """Keep the innermost journal (splicing into the parent, if any)."""
-        journal = self._journals.pop()
-        if self._journals:
-            self._journals[-1].extend(journal)
-
-    def rollback(self) -> None:
-        """Invert the innermost journal, newest change first."""
-        journal = self._journals.pop()
-        self._m_rollbacks.inc()
-        for arcs, old, new in reversed(journal):
-            self._shift(arcs, new, old)

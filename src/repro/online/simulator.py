@@ -69,7 +69,6 @@ from .assigner import OnlineWavelengthAssigner
 from .defrag import DEFRAG_ORDERINGS, DefragPass, DefragReport
 from .events import Event
 from .routing import make_online_router
-from .sharding import ArcColorIndex
 from .transaction import admit_batch as _admit_dipath_batch
 from .transaction import admit_best
 
@@ -207,17 +206,16 @@ class EngineConfig:
         """The conflict graph and assigner these knobs wire over ``family``.
 
         A component-sharded conflict graph (O(arcs) structural events)
-        and an assigner reading its forbidden colours from a per-fibre
+        and an assigner, which reads forbidden colours from its per-fibre
         :class:`~repro.online.sharding.ArcColorIndex` (O(arcs) masks);
         both publish into ``metrics``.  :class:`OnlineEngine` and
         snapshot recovery wire their components here and nowhere else.
         """
-        conflict = ShardedConflictGraph(family, metrics=metrics)
-        assigner = OnlineWavelengthAssigner(
-            wavelengths, policy=self.policy,
-            kempe_repair=self.kempe_repair, seed=self.seed)
-        assigner.attach_color_index(ArcColorIndex(family, metrics=metrics))
-        return conflict, assigner
+        return (ShardedConflictGraph(family, metrics=metrics),
+                OnlineWavelengthAssigner(
+                    family, wavelengths, policy=self.policy,
+                    kempe_repair=self.kempe_repair, seed=self.seed,
+                    metrics=metrics))
 
     def build(self, graph: DiGraph, wavelengths: int,
               metrics: Optional[MetricsRegistry] = None,

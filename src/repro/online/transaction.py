@@ -10,11 +10,12 @@ and undoes them in reverse:
 
 * **commit is O(1)** — drop the journal;
 * **rollback is O(touched)** — one inverse operation per mutation: the
-  added member leaves again, arcs it interned first are un-interned, the
-  freed slot and load cache are restored, and the assigner's colour
-  changes (including whole Kempe chains) are replayed backwards.  Nothing
-  builds the family's conflict-mask cache, so ``mask_rebuilds`` stays put
-  — the invariant the differential harness pins down.
+  assigner's colour changes (including whole Kempe chains) are replayed
+  backwards from its one colour journal, which also restores its per-fibre
+  colour index; then the added member leaves again, arcs it interned
+  first are un-interned, and the freed slot and load cache are restored.
+  Nothing builds the family's conflict-mask cache, so ``mask_rebuilds``
+  stays put — the invariant the differential harness pins down.
 
 After rollback the family, the conflict graph and the assigner are
 **bit-identical** to a never-touched twin: every internal mask, list,
@@ -66,9 +67,11 @@ _ADD, _REMOVE = "add", "remove"
 class WhatIfTransaction:
     """Checkpoint/rollback over the online engine state, nestable.
 
-    Wraps a :class:`~repro.conflict.ShardedConflictGraph` (and optionally
-    the :class:`~repro.online.assigner.OnlineWavelengthAssigner` colouring
-    it) and journals every mutation made *through the transaction*.
+    Wraps a :class:`~repro.conflict.ShardedConflictGraph` and the
+    :class:`~repro.online.assigner.OnlineWavelengthAssigner` colouring its
+    family, and journals every mutation made *through the transaction*:
+    structural ones in its own log, colour changes under an assigner
+    checkpoint.
     ``commit()`` keeps them (O(1)); ``rollback()`` — or leaving a ``with``
     block without committing — undoes them in O(touched).
 
@@ -79,21 +82,22 @@ class WhatIfTransaction:
     outer transaction while a child is open raises).  Committing a child
     merges its journal into the parent, so the parent's rollback undoes
     the child's committed mutations too.  Nested transactions over the
-    same engine must share the same assigner (or consistently use none).
+    same engine must share the same assigner.
 
     Examples
     --------
     >>> from repro.conflict import ShardedConflictGraph
     >>> from repro.dipaths.family import DipathFamily
     >>> dyn = ShardedConflictGraph(DipathFamily([["a", "b"]]))
-    >>> with WhatIfTransaction(dyn) as tx:
-    ...     _ = tx.add_dipath(["a", "b", "c"])   # speculative: not committed
-    >>> len(dyn.family)
-    1
+    >>> assigner = OnlineWavelengthAssigner(dyn.family, 2)
+    >>> with WhatIfTransaction(dyn, assigner) as tx:
+    ...     _ = tx.admit(["a", "b", "c"])        # speculative: not committed
+    >>> len(dyn.family), dict(assigner.coloring)
+    (1, {})
     """
 
     def __init__(self, conflict: ShardedConflictGraph,
-                 assigner: Optional[OnlineWavelengthAssigner] = None) -> None:
+                 assigner: OnlineWavelengthAssigner) -> None:
         self._conflict = conflict
         self._family = conflict.family
         self._assigner = assigner
@@ -102,8 +106,7 @@ class WhatIfTransaction:
         self._parent: Optional["WhatIfTransaction"] = \
             stack[-1] if stack else None
         self._log: List[Tuple] = []
-        self._checkpoint: Optional[AssignerCheckpoint] = \
-            assigner.checkpoint() if assigner is not None else None
+        self._checkpoint: AssignerCheckpoint = assigner.checkpoint()
         self._open = True
         stack.append(self)
 
@@ -153,15 +156,11 @@ class WhatIfTransaction:
     def assign(self, idx: int) -> Optional[int]:
         """Colour member ``idx`` (journalled, Kempe repair included)."""
         self._require_open()
-        if self._assigner is None:
-            raise TransactionError("transaction opened without an assigner")
         return self._assigner.assign(self._conflict, idx)
 
     def release(self, idx: int) -> int:
         """Release member ``idx``'s colour (journalled)."""
         self._require_open()
-        if self._assigner is None:
-            raise TransactionError("transaction opened without an assigner")
         return self._assigner.release(idx)
 
     def admit(self, dipath) -> Tuple[int, Optional[int]]:
@@ -185,8 +184,7 @@ class WhatIfTransaction:
         """
         self._require_open()
         self._detach()
-        if self._checkpoint is not None:
-            self._assigner.commit(self._checkpoint)
+        self._assigner.commit(self._checkpoint)
         if self._parent is not None:
             self._parent._log.extend(self._log)
         self._log.clear()
@@ -195,10 +193,9 @@ class WhatIfTransaction:
         """Undo every journalled mutation, newest first.  O(touched)."""
         self._require_open()
         self._detach()
-        if self._checkpoint is not None:
-            # Colour state is disjoint from the structural state, so the
-            # whole colour journal can be unwound before the structure.
-            self._assigner.rollback(self._checkpoint)
+        # Colour state is disjoint from the structural state, so the
+        # whole colour journal can be unwound before the structure.
+        self._assigner.rollback(self._checkpoint)
         conflict, family = self._conflict, self._family
         for entry in reversed(self._log):
             if entry[0] is _ADD:

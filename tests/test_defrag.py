@@ -67,7 +67,8 @@ from repro.optical.traffic import uniform_random_traffic
 def _engine(wavelengths=4, policy="first_fit"):
     conflict = ShardedConflictGraph(DipathFamily())
     # seeded so bit-identity comparisons between twins include RNG state
-    assigner = OnlineWavelengthAssigner(wavelengths, policy=policy, seed=5)
+    assigner = OnlineWavelengthAssigner(conflict.family, wavelengths,
+                                        policy=policy, seed=5)
     return conflict, assigner
 
 

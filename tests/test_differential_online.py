@@ -19,10 +19,8 @@ contracts of the rollback design:
 (d) :func:`~repro.online.admit_best`, which ranks candidates by their
     post-admission load and admits only until one colours, decides and
     leaves state exactly like the exhaustive rule that speculates every
-    candidate and scores the speculated state (the oracle below) — with
-    the assigner reading forbidden colours from the engine's
-    ``ArcColorIndex`` and from the bare neighbour walk alike
-    (the ``color_index`` axis).
+    candidate and scores the speculated state (the oracle below), the
+    assigner's per-fibre ``ArcColorIndex`` included.
 
 The sequences come from two generators: a hypothesis-driven one (60
 examples exploring the op space adversarially, shrinkable on failure) and
@@ -97,7 +95,7 @@ class _Twin:
     def __init__(self, kempe_repair=False, policy="least_used"):
         self.conflict = ShardedConflictGraph(DipathFamily())
         self.assigner = OnlineWavelengthAssigner(
-            WAVELENGTHS, policy=policy, kempe_repair=kempe_repair, seed=99)
+            self.conflict.family, WAVELENGTHS, policy=policy, kempe_repair=kempe_repair, seed=99)
         self.active = []
 
     def state(self):
@@ -314,22 +312,15 @@ def full_state(engine):
     state = engine_state(conflict.family, conflict, assigner)
     state["shard_map"] = conflict.shard_map()
     index = assigner.color_index
-    if index is not None:
-        masks = {aid: m for aid, m in enumerate(index._masks) if m}
-        counts = {aid: dict(c) for aid, c in enumerate(index._counts) if c}
-        assert max(masks, default=-1) < conflict.family.num_arc_ids
-        state["index_masks"], state["index_counts"] = masks, counts
+    masks = {aid: m for aid, m in enumerate(index._masks) if m}
+    counts = {aid: dict(c) for aid, c in enumerate(index._counts) if c}
+    assert max(masks, default=-1) < conflict.family.num_arc_ids
+    state["index_masks"], state["index_counts"] = masks, counts
     return state
 
 
-def _warm_twins(seed, color_index, policy, kempe):
-    """Two engines driven through the same warm-up trace.
-
-    ``color_index`` keeps the engine's own wiring; ``False`` swaps in an
-    assigner without an :class:`~repro.online.ArcColorIndex`, which
-    derives forbidden colours by walking the conflict neighbourhood,
-    before the first event.
-    """
+def _warm_twins(seed, policy, kempe):
+    """Two engines driven through the same warm-up trace."""
     graph = random_dag(14, 0.35, seed=seed)
     pool = uniform_random_traffic(graph, 30, seed=seed)
     trace = poisson_trace(pool, 60, arrival_rate=6.0, mean_holding=10.0,
@@ -340,9 +331,6 @@ def _warm_twins(seed, color_index, policy, kempe):
     for _ in range(2):
         engine = OnlineEngine(graph, WAVELENGTHS, policy=policy,
                               kempe_repair=kempe, seed=seed)
-        if not color_index:
-            engine.assigner = OnlineWavelengthAssigner(
-                WAVELENGTHS, policy=policy, kempe_repair=kempe, seed=seed)
         for event in trace:
             if event.kind == ARRIVAL:
                 engine.admit(event.request_id, request=event.request)
@@ -363,10 +351,10 @@ def _ranked_first(family, candidates):
     return min(range(len(candidates)), key=key)
 
 
-def _oracle_sequence(seed, color_index, policy, kempe, steps, seen):
+def _oracle_sequence(seed, policy, kempe, steps, seen):
     """Drive ``admit_best`` and the oracle in lockstep; assert equality."""
     rng = random.Random(seed)
-    (oracle, engine), paths = _warm_twins(seed, color_index, policy, kempe)
+    (oracle, engine), paths = _warm_twins(seed, policy, kempe)
     assert full_state(oracle) == full_state(engine)
     admitted = []
     for _ in range(steps):
@@ -417,13 +405,12 @@ def _oracle_sequence(seed, color_index, policy, kempe, steps, seen):
 class TestAdmitBestOracle:
     """(d): rank-then-admit == speculate-every-candidate, state included."""
 
-    @pytest.mark.parametrize("color_index", [True, False])
     @pytest.mark.parametrize("policy", ["first_fit", "least_used",
                                         "most_used", "random"])
-    def test_matches_exhaustive_oracle(self, color_index, policy):
+    def test_matches_exhaustive_oracle(self, policy):
         seen = {"none": 0, "skipped_first": 0, "kempe": 0, "defrag": 0}
         for seed in range(12):
-            _oracle_sequence(seed, color_index, policy, kempe=seed % 2 == 1,
+            _oracle_sequence(seed, policy, kempe=seed % 2 == 1,
                              steps=40, seen=seen)
         # the sweep must reach every branch the ranking could get wrong
         assert seen["none"] and seen["skipped_first"] and seen["defrag"]

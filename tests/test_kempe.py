@@ -90,8 +90,8 @@ class TestKempeSwap:
 class TestAssignerRepairEdgeCases:
     def _engine(self, paths, wavelengths=2, policy="least_used"):
         conflict = ShardedConflictGraph(DipathFamily())
-        assigner = OnlineWavelengthAssigner(wavelengths, policy=policy,
-                                            kempe_repair=True)
+        assigner = OnlineWavelengthAssigner(conflict.family, wavelengths,
+                                            policy=policy, kempe_repair=True)
         for p in paths:
             idx = conflict.add_dipath(p)
             assert assigner.assign(conflict, idx) is not None

@@ -304,7 +304,8 @@ class TestPolicies:
         trace = churn_trace(pool, 20, 40, seed=7)
         for policy in POLICIES:
             dyn = ShardedConflictGraph(DipathFamily())
-            assigner = OnlineWavelengthAssigner(4, policy=policy, seed=3)
+            assigner = OnlineWavelengthAssigner(dyn.family, 4, policy=policy,
+                                                seed=3)
             slots = {}
             for event in trace:
                 if event.kind == ARRIVAL:
@@ -334,9 +335,9 @@ class TestPolicies:
 
     def test_unknown_policy_rejected(self):
         with pytest.raises(ValueError):
-            OnlineWavelengthAssigner(2, policy="mystery")
+            OnlineWavelengthAssigner(DipathFamily(), 2, policy="mystery")
         with pytest.raises(ValueError):
-            OnlineWavelengthAssigner(0)
+            OnlineWavelengthAssigner(DipathFamily(), 0)
 
 
 class TestKempeRepair:

@@ -197,7 +197,7 @@ class TestRejectionReasons:
 class TestTransactionSurface:
     def _engine(self):
         conflict = ShardedConflictGraph(DipathFamily())
-        assigner = OnlineWavelengthAssigner(2)
+        assigner = OnlineWavelengthAssigner(conflict.family, 2)
         return conflict, assigner
 
     def test_closed_transaction_rejects_operations(self):
@@ -222,13 +222,17 @@ class TestTransactionSurface:
         # outer rollback undoes the committed child too
         assert len(conflict.family) == 0
 
-    def test_structure_only_transaction(self):
-        conflict, _ = self._engine()
-        with WhatIfTransaction(conflict) as tx:     # no assigner
-            idx = tx.add_dipath(["a", "b"])
-            with pytest.raises(RuntimeError):
-                tx.assign(idx)
-        assert len(conflict.family) == 0
+    def test_outermost_commit_drops_the_colour_journal(self):
+        conflict, assigner = self._engine()
+        with WhatIfTransaction(conflict, assigner) as outer:
+            with WhatIfTransaction(conflict, assigner) as inner:
+                idx, color = inner.admit(["a", "b"])
+                inner.commit()
+            # the committed child's change stays for the outer rollback
+            assert [entry[0] for entry in assigner._journal] == [idx]
+            outer.commit()
+        assert assigner._journal == []
+        assert assigner.color_of(idx) == color
 
     def test_admit_best_prefers_spread(self):
         conflict, assigner = self._engine()

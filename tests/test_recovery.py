@@ -1087,6 +1087,32 @@ def test_tampered_outcome_is_caught_by_replay_verification(tmp_path, rtype,
     assert excinfo.value.record == index
 
 
+def test_snapshot_colouring_a_freed_slot_is_refused(tmp_path):
+    """A CRC-valid snapshot whose colouring names a slot the family has
+    freed is refused at that record, not recovered into an engine whose
+    ``audit()`` fails."""
+    durable = DurableEngine(diamond(), str(tmp_path / "freed.jsonl"),
+                            wavelengths=4)
+    for rid in range(3):
+        durable.admit(rid, request=Request(0, 3))
+    durable.depart(1)
+    durable.snapshot()
+    durable.close()
+    records = read_journal(durable.path)
+    index = len(records) - 1
+    state = records[index]["state"]
+    (freed,) = state["free_slots"]
+    assert str(freed) not in state["coloring"]
+    state["coloring"][str(freed)] = 3
+    lines = Path(durable.path).read_bytes().splitlines(keepends=True)
+    lines[index] = _frame(persistence._encode(records[index]))
+    path = tmp_path / "tampered.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(RecoveryError, match="not a live member") as excinfo:
+        recover(str(path))
+    assert excinfo.value.record == index
+
+
 def test_tampered_depart_batch_held_list_raises_with_index(tmp_path):
     durable = burst_workload(tmp_path)
     durable.close()

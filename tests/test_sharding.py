@@ -10,6 +10,7 @@ topology-versioned route caches.
 
 from __future__ import annotations
 
+import itertools
 import random
 
 import pytest
@@ -17,6 +18,7 @@ import pytest
 from repro.conflict import ShardedConflictGraph, build_conflict_graph
 from repro.dipaths.family import DipathFamily
 from repro.dipaths.requests import Request
+from repro.exceptions import EngineStateError
 from repro.generators.families import random_walk_family
 from repro.generators.random_dags import random_dag
 from repro.generators.regions import (
@@ -26,7 +28,7 @@ from repro.generators.regions import (
 )
 from repro.graphs.digraph import DiGraph
 from repro.online import (
-    ArcColorIndex,
+    POLICIES,
     OnlineEngine,
     OnlineWavelengthAssigner,
     WhatIfTransaction,
@@ -80,8 +82,9 @@ def test_speculative_rollback_does_not_trigger_rebuilds(cls):
     g.add_dipath(["a", "b", "c"])
     g.shard_map()
     rebuilds = g.shard_rebuilds
+    assigner = OnlineWavelengthAssigner(g.family, 2)
     for _ in range(5):
-        with WhatIfTransaction(g) as tx:
+        with WhatIfTransaction(g, assigner) as tx:
             tx.add_dipath(["b", "c", "d"])
         # rollback removed the member it added: the join-undo heuristic
         # must keep the shard clean, so no rebuild is pending
@@ -241,35 +244,86 @@ def _forbidden_by_neighbors(conflict, assigner, vertex):
     return forbidden
 
 
+def _assert_index_is_the_neighbor_union(engine):
+    """Each live member's forbidden mask is its neighbours' colours, plus
+    its own colour when it holds one."""
+    conflict, assigner = engine.conflict, engine.assigner
+    for idx in engine.family.active_indices():
+        expected = _forbidden_by_neighbors(conflict, assigner, idx)
+        if idx in assigner.coloring:
+            expected |= 1 << assigner.color_of(idx)
+        assert assigner.color_index.forbidden_mask(idx) == expected
+
+
+def _nested_what_if(engine, pool, rng):
+    """An outer what-if of three children, each admitting a pool dipath
+    or releasing and removing a held lightpath; a child commits or rolls
+    back by a coin flip, and so does the outer one.  Committed members
+    are handed to ``engine.vertex_of`` so that ``audit()`` finds an
+    owner for each."""
+    conflict, assigner = engine.conflict, engine.assigner
+    owned = dict(engine.vertex_of)
+    rids = itertools.count(max(owned, default=0) + 1000)
+    with WhatIfTransaction(conflict, assigner) as outer:
+        for _ in range(3):
+            with WhatIfTransaction(conflict, assigner) as inner:
+                if owned and rng.random() < 0.4:
+                    rid = rng.choice(sorted(owned))
+                    inner.release(owned[rid])
+                    inner.remove_dipath(owned[rid])
+                    change = (rid, None)
+                else:
+                    idx, color = inner.admit(rng.choice(pool))
+                    change = (next(rids), idx if color is not None else None)
+                _assert_index_is_the_neighbor_union(engine)
+                if change[0] in owned or change[1] is not None:
+                    if rng.random() < 0.5:
+                        inner.commit()
+                        rid, idx = change
+                        if idx is None:
+                            del owned[rid]
+                        else:
+                            owned[rid] = idx
+            _assert_index_is_the_neighbor_union(engine)
+        if rng.random() < 0.5:
+            outer.commit()
+            engine.vertex_of.clear()
+            engine.vertex_of.update(owned)
+
+
 def test_arc_color_index_matches_neighbor_union_under_churn():
+    """The index's forbidden masks equal the conflict-neighbour union and
+    the engine audits clean after every admission, departure and nested
+    what-if, under every policy with and without Kempe repair."""
     graph = random_dag(16, 0.3, seed=5)
     pool = list(random_walk_family(graph, 50, seed=6))
-    conflict = ShardedConflictGraph(DipathFamily())
-    index = ArcColorIndex(conflict.family)
-    assigner = OnlineWavelengthAssigner(4, policy="first_fit")
-    assigner.attach_color_index(index)
-    rng = random.Random(11)
-    active = []
-    for step in range(150):
-        if active and rng.random() < 0.45:
-            idx = active.pop(rng.randrange(len(active)))
-            assigner.release(idx)
-            conflict.remove_dipath(idx)
-        else:
-            idx = conflict.add_dipath(pool[step % len(pool)])
-            expected = _forbidden_by_neighbors(conflict, assigner, idx)
-            assert index.forbidden_mask(idx) == expected
-            if assigner.assign(conflict, idx) is None:
-                conflict.remove_dipath(idx)
-            else:
-                active.append(idx)
+    repairs = rollbacks = 0
+    for policy in POLICIES:
+        for kempe in (False, True):
+            engine = OnlineEngine(graph, 3, policy=policy,
+                                  kempe_repair=kempe, seed=7)
+            rng = random.Random(11)
+            for rid in range(120):
+                roll = rng.random()
+                if engine.vertex_of and roll < 0.35:
+                    engine.depart(rng.choice(sorted(engine.vertex_of)))
+                elif roll < 0.55:
+                    _nested_what_if(engine, pool, rng)
+                else:
+                    engine.admit(rid, dipath=rng.choice(pool))
+                _assert_index_is_the_neighbor_union(engine)
+                assert engine.audit() == []
+            repairs += engine.assigner.kempe_repairs
+            rollbacks += engine.metrics.snapshot()["diagnostics"][
+                "counters"]["colorindex.rollbacks"]
+    assert repairs and rollbacks
 
 
 def test_arc_color_index_rolls_back_with_the_assigner():
     conflict = ShardedConflictGraph(DipathFamily())
-    index = ArcColorIndex(conflict.family)
-    assigner = OnlineWavelengthAssigner(3, policy="first_fit")
-    assigner.attach_color_index(index)
+    assigner = OnlineWavelengthAssigner(conflict.family, 3,
+                                        policy="first_fit")
+    index = assigner.color_index
     a = conflict.add_dipath(["a", "b", "c"])
     assigner.assign(conflict, a)
     snapshot = [index.colors_on_arc_id(aid)
@@ -285,18 +339,9 @@ def test_arc_color_index_rolls_back_with_the_assigner():
     assert index.forbidden_mask(a) == 1 << assigner.color_of(a)
 
 
-def test_attach_color_index_rejects_warm_assigner():
-    conflict = ShardedConflictGraph(DipathFamily())
-    assigner = OnlineWavelengthAssigner(2)
-    idx = conflict.add_dipath(["a", "b"])
-    assigner.assign(conflict, idx)
-    with pytest.raises(RuntimeError):
-        assigner.attach_color_index(ArcColorIndex(conflict.family))
-
-
 def test_adopt_replays_fresh_and_recolour():
     conflict = ShardedConflictGraph(DipathFamily())
-    assigner = OnlineWavelengthAssigner(4)
+    assigner = OnlineWavelengthAssigner(conflict.family, 4)
     idx = conflict.add_dipath(["a", "b"])
     assigner.adopt(idx, 2)
     assert assigner.color_of(idx) == 2
@@ -306,6 +351,40 @@ def test_adopt_replays_fresh_and_recolour():
     assert assigner.usage()[2] == 0 and assigner.usage()[3] == 1
     with pytest.raises(ValueError):
         assigner.adopt(idx, 4)
+
+
+def _colour_state(engine):
+    assigner = engine.assigner
+    return (dict(assigner.coloring), assigner.usage(), assigner.used_mask,
+            assigner.colors_ever_used(), list(assigner.color_index._masks))
+
+
+@pytest.mark.parametrize("slot", ["freed", "out_of_range"])
+def test_adopt_refuses_a_slot_that_is_not_a_live_member(slot):
+    engine = OnlineEngine(DiGraph(arcs=[("a", "b"), ("b", "c")]), 3)
+    engine.admit(0, dipath=["a", "b"])
+    engine.admit(1, dipath=["b", "c"])
+    freed = engine.vertex_of[1]
+    engine.depart(1)
+    before = _colour_state(engine)
+    with pytest.raises(EngineStateError):
+        engine.assigner.adopt(freed if slot == "freed" else 99, 1)
+    assert _colour_state(engine) == before
+    assert engine.audit() == []
+
+
+def test_assign_refuses_an_already_coloured_member():
+    engine = OnlineEngine(DiGraph(arcs=[("a", "b")]), 3)
+    engine.admit(0, dipath=["a", "b"])
+    idx = engine.vertex_of[0]
+    before = _colour_state(engine)
+    with WhatIfTransaction(engine.conflict, engine.assigner) as tx:
+        with pytest.raises(EngineStateError):
+            tx.assign(idx)
+        assert _colour_state(engine) == before
+        tx.commit()
+    assert _colour_state(engine) == before
+    assert engine.audit() == []
 
 
 # ---------------------------------------------------------------------- #
