@@ -225,7 +225,8 @@ class OnlineWavelengthAssigner:
         ``None`` means the vertex is blocked: every colour of the budget is
         used on one of its fibres and (if enabled) the Kempe repair found
         no admissible swap.  A blocked vertex is left uncoloured — the
-        caller removes it from the graph.  An already coloured vertex is
+        caller removes it from the graph.  An already coloured vertex, or
+        one that is not a live member of the family (a freed slot), is
         refused with :class:`~repro.exceptions.EngineStateError` before
         any state changes.
         """
@@ -233,6 +234,9 @@ class OnlineWavelengthAssigner:
             raise EngineStateError(
                 f"member {vertex} already holds wavelength "
                 f"{self._color[vertex]}")
+        if not self._family.is_active(vertex):
+            raise EngineStateError(
+                f"cannot colour member {vertex}: not a live member")
         color = self._pick(self._index.forbidden_mask(vertex))
         if color is None and self._kempe_repair:
             color = self._try_kempe_repair(graph, vertex)

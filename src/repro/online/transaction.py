@@ -28,12 +28,15 @@ candidate route of an arrival that leaves the least-loaded fibres behind.
 The ranking needs no speculation and is exact — the objective depends
 only on loads, admitting a dipath adds exactly one to the load of each of
 its arcs, and neither the wavelength choice nor a Kempe repair moves a
-load — so the candidates are ranked up front.  Speculation decides
-*admissibility*: each candidate is admitted in rank order (route ×
-wavelength × Kempe repair, exactly as a real arrival) and the first one
-that colours is committed; the ones that do not are rolled back.  This is
-what ``k_shortest`` routing with ``speculative=True`` in
-:func:`repro.online.simulator.simulate_online` runs per arrival.
+load — so the candidates are ranked up front.  Admissibility needs no
+speculation either, except under Kempe repair: without recolouring, a
+candidate colours iff some wavelength is free on every one of its
+fibres, which the union of those fibres' masks in the assigner's colour
+index answers before anything moves.  The first candidate in rank order
+that colours is admitted; only a candidate with no free colour under
+Kempe repair is speculated (and rolled back if the repair fails).  This is what ``k_shortest`` routing with
+``speculative=True`` in :func:`repro.online.simulator.simulate_online`
+runs per arrival.
 
 Transactions **nest**: opening a transaction while another is active makes
 it a child of the innermost open one.  A child must resolve before its
@@ -43,7 +46,9 @@ is what lets :class:`~repro.online.defrag.DefragPass` wrap a whole
 remove → :func:`admit_best` → compare move in an outer transaction and
 drop it bit-identically when the move is not a strict improvement, and
 what :func:`admit_batch` uses to admit a burst of arrivals atomically
-under the partial-commit policies (:data:`BATCH_POLICIES`).
+under the partial-commit policies (:data:`BATCH_POLICIES`): one
+transaction per burst, with a child only where Kempe repair may
+recolour.
 """
 
 from __future__ import annotations
@@ -260,6 +265,43 @@ class AdmissionDecision:
     dipath: Dipath      #: the admitted dipath
 
 
+def _place(conflict: ShardedConflictGraph,
+           assigner: OnlineWavelengthAssigner,
+           dipath: Dipath) -> Tuple[Optional[int], Optional[int]]:
+    """Add and colour one routed dipath, or leave the state as it was.
+
+    Returns ``(member index, colour)``, or ``(None, None)`` when the
+    dipath does not colour.  The union of its fibres' colour masks decides
+    first, before anything moves (arcs not interned yet are free); it is
+    the forbidden mask the assigner would read once the dipath is added:
+
+    * a free colour — the add and the colouring cannot fail, so they run
+      in the innermost open transaction (journalled there, for a parent's
+      rollback) or, with none open, straight on the engine;
+    * no free colour and no Kempe repair — blocked, nothing touched (the
+      dipath is still checked as an add would check it);
+    * no free colour and Kempe repair on — a child
+      :class:`WhatIfTransaction`, because the repair must place the
+      member before it can recolour around it.
+    """
+    forbidden = assigner.color_index.dipath_mask(dipath)
+    full = (1 << assigner.wavelengths) - 1
+    if forbidden & full != full:
+        stack = conflict._tx_stack
+        idx = (stack[-1].add_dipath(dipath) if stack
+               else conflict.add_dipath(dipath))
+        return idx, assigner.assign(conflict, idx)
+    if not assigner.kempe_repair:
+        conflict.family.checked(dipath)
+        return None, None
+    with WhatIfTransaction(conflict, assigner) as tx:
+        idx, color = tx.admit(dipath)
+        if color is not None:
+            tx.commit()
+            return idx, color
+    return None, None
+
+
 def admit_best(conflict: ShardedConflictGraph,
                assigner: OnlineWavelengthAssigner,
                candidates: Sequence[Dipath]) -> Optional[AdmissionDecision]:
@@ -271,13 +313,15 @@ def admit_best(conflict: ShardedConflictGraph,
     admitting a dipath adds exactly one to each of its arcs.  The sort is
     stable, so ties keep the earliest candidate (with candidates ordered
     shortest-first the tie-break matches static routing).  Candidates are
-    then admitted in rank order, each inside its own
-    :class:`WhatIfTransaction` (route × wavelength × Kempe repair, exactly
-    as a real arrival): the first one that gets a colour is committed, the
-    others roll back.  ``None`` means no candidate fits the wavelength
+    then tried in rank order, route × wavelength × Kempe repair exactly
+    as a real arrival, and the first that colours is admitted.  Whether a
+    candidate colours is read from its fibres' colour masks before any
+    mutation; only a candidate with no free colour under Kempe repair is
+    speculated in a child :class:`WhatIfTransaction` (see
+    :func:`_place`).  ``None`` means no candidate fits the wavelength
     budget, and leaves the state bit-identical.  Under an enclosing
-    transaction (defrag moves, batches) the commit hands the journal
-    upwards, so the outer rollback can still undo the admission.
+    transaction (defrag moves, batches) the admission is journalled into
+    the innermost one, so the outer rollback can still undo it.
     """
     family = conflict.family
 
@@ -287,13 +331,10 @@ def admit_best(conflict: ShardedConflictGraph,
 
     for pos in sorted(range(len(candidates)), key=cost_after):
         dipath = candidates[pos]
-        with WhatIfTransaction(conflict, assigner) as tx:
-            idx, color = tx.admit(dipath)
-            if color is not None:
-                tx.commit()
-                return AdmissionDecision(index=idx, color=color,
-                                         candidate=pos, dipath=dipath)
-            # leaving the block uncommitted rolls the attempt back
+        idx, color = _place(conflict, assigner, dipath)
+        if color is not None:
+            return AdmissionDecision(index=idx, color=color,
+                                     candidate=pos, dipath=dipath)
     return None
 
 
@@ -350,11 +391,13 @@ def admit_batch(conflict: ShardedConflictGraph,
                 policy: str = "all_or_nothing") -> BatchResult:
     """Admit a burst of pre-routed arrivals atomically.
 
-    The whole batch runs inside one outer :class:`WhatIfTransaction`; each
-    arrival is attempted in a nested child transaction that commits into
-    the outer one on success and rolls back on failure, so the engine never
-    holds a half-admitted arrival and an ``all_or_nothing`` failure unwinds
-    every earlier admission of the burst bit-identically.  See
+    The whole batch runs inside one outer :class:`WhatIfTransaction`, so
+    the engine never holds a half-admitted arrival and an
+    ``all_or_nothing`` failure unwinds every earlier admission of the
+    burst bit-identically.  Each arrival is decided by :func:`_place`:
+    one that colours is admitted straight into the burst's transaction,
+    one that does not leaves nothing behind, and a child transaction is
+    opened only when Kempe repair may recolour.  See
     :data:`BATCH_POLICIES` for the partial-commit semantics.
     """
     result = BatchResult(policy=policy)       # validates the policy name
@@ -362,10 +405,7 @@ def admit_batch(conflict: ShardedConflictGraph,
     outer = WhatIfTransaction(conflict, assigner)
     try:
         for pos, dipath in enumerate(batch):
-            with WhatIfTransaction(conflict, assigner) as inner:
-                idx, color = inner.admit(dipath)
-                if color is not None:
-                    inner.commit()
+            idx, color = _place(conflict, assigner, dipath)
             if color is not None:
                 result.admitted.append((pos, idx, color))
                 continue

@@ -3,20 +3,21 @@
 :class:`RwaService` owns one :class:`~repro.online.simulator.OnlineEngine`
 (or, with a journal path, a
 :class:`~repro.online.persistence.DurableEngine`) and funnels every state
-transition through a single FIFO admission queue drained by one consumer
-task.  That single-writer discipline is what makes the service safe to
-share between coroutines without locks, and it is also what makes it
-*auditable*: the decisions the service makes are exactly the decisions
+transition through a single FIFO inbox drained by one consumer task,
+which takes the whole inbox in one step.  That single-writer discipline
+is what makes the service safe to share between coroutines without
+locks, and it is also what makes it *auditable*: the decisions the
+service makes are exactly the decisions
 :func:`~repro.online.simulator.simulate_online` makes on the same ordered
 trace — :func:`serve_trace` replays a trace through a service and the E19
 gate asserts the engine fingerprints match bit for bit.
 
 Three design points carry the identity contract:
 
-* **Ordering.**  The queue is FIFO and the event loop is single-threaded,
+* **Ordering.**  The inbox is FIFO and the event loop is single-threaded,
   so requests are decided in submission order — the submission order *is*
   the trace order.
-* **Coalescing.**  The drain task grabs everything queued at a scheduling
+* **Coalescing.**  The drain task takes everything queued at a scheduling
   point and, under a ``batch_policy``, admits consecutive equal-deadline
   arrivals as one atomic burst through ``admit_batch`` and tears down
   consecutive equal-time departures as one run through ``depart_batch``
@@ -47,7 +48,7 @@ cuts and repairs (:meth:`RwaService.cut` / :meth:`RwaService.repair`
 enqueue them as first-class ops), ``FIBRE_CUT`` accounting and the
 ``result.*`` metrics are one implementation, so :func:`serve_trace` and
 :func:`simulate_online` agree by construction (the E19/E21 gates check
-it end to end).  What stays here is the front door: the queue, its
+it end to end).  What stays here is the front door: the inbox, its
 ordering, scheduled maintenance, time-regression / retry / deadline
 checks, the chaos hook and the futures.  Within a drained batch, ops
 sharing a timestamp are stably reordered by the events.py tie-break
@@ -95,12 +96,6 @@ __all__ = ["EXPIRED", "RwaService", "serve_trace", "aserve_trace"]
 #: before processing — dropped pre-routing, partitioned like the other
 #: reasons under ``result.blocked.expired``.
 EXPIRED = "expired"
-
-#: Queue-op kind of the stop sentinel (the others are the trace kinds
-#: plus :data:`~repro.online.dispatch.DEFRAG`); not a string, so no
-#: replayed trace event can pose as it.
-_STOP = object()
-
 
 def _op_rank(op: "_Op") -> int:
     """Processing rank among ops sharing a timestamp: the trace order
@@ -152,7 +147,7 @@ class _Op:
         self.future = future
         self.submitted = _time.perf_counter()
         # True for planned maintenance ops living in RwaService._scheduled
-        # rather than the FIFO queue — the supervisor re-plans (rather
+        # rather than the FIFO inbox — the supervisor re-plans (rather
         # than re-queues) these across a crash-restart
         self.scheduled = False
 
@@ -203,9 +198,11 @@ class RwaService:
         reach the engine and are deliberately *not* journalled — quota
         refusal is a front-door policy, not engine state.
     max_pending:
-        Bound on the admission queue; when full, :meth:`submit` applies
-        backpressure (awaits a slot) and :meth:`submit_nowait` raises
-        ``asyncio.QueueFull``.  ``None`` = unbounded.
+        Bound on the ops waiting in the inbox (the drain task empties it
+        whole each time it runs).  When it is full, :meth:`submit`
+        applies backpressure (awaits room, keeping submission order) and
+        the ``*_nowait`` calls raise ``asyncio.QueueFull``.  ``None`` =
+        unbounded.
     crash_after_n_ops:
         Test-only chaos hook: the consumer task raises a
         :class:`ServiceError` *between* ops once this many have been
@@ -274,8 +271,13 @@ class RwaService:
         self._registry = self._engine.metrics
         self._tracer = self._engine.tracer
         self._wavelengths = wavelengths
-        self._max_pending = max_pending
-        self._queue: Optional[asyncio.Queue] = None
+        self._bound = float("inf") if max_pending is None else max_pending
+        # the FIFO inbox the drain task takes whole; _wakeup is set while
+        # the drain waits for it to fill, _room while submitters wait for
+        # a full one to be taken
+        self._inbox: List[_Op] = []
+        self._wakeup: Optional[asyncio.Future] = None
+        self._room: Optional[asyncio.Future] = None
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped = False
         self._last_time = float("-inf")
@@ -318,10 +320,9 @@ class RwaService:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> "RwaService":
-        """Create the admission queue and the drain task."""
+        """Start the drain task."""
         if self._drain_task is not None or self._stopped:
             raise ServiceError("service already started")
-        self._queue = asyncio.Queue(self._max_pending or 0)
         self._drain_task = asyncio.get_running_loop().create_task(
             self._drain())
         return self
@@ -334,12 +335,13 @@ class RwaService:
         A durable service's journal is closed (the engine stays usable
         in memory, e.g. for fingerprinting).
 
+        A :meth:`submit` still awaiting room when ``stop`` is called was
+        not enqueued, and raises :class:`ServiceError` too.
+
         Stopping a *crashed* service (the consumer task died) raises
         :class:`ServiceError` immediately: there is no consumer left to
-        drain the queue, so enqueueing the stop sentinel could block
-        forever on a bounded queue — recover via :meth:`take_unfinished`
-        or a :class:`~repro.service.supervisor.ServiceSupervisor`
-        instead.
+        drain the inbox — recover via :meth:`take_unfinished` or a
+        :class:`~repro.service.supervisor.ServiceSupervisor` instead.
         """
         if self._stopped:
             return
@@ -358,9 +360,7 @@ class RwaService:
                 "with queued ops undecided — collect them via "
                 "take_unfinished() (or run under a ServiceSupervisor)"
             ) from (None if task.cancelled() else task.exception())
-        loop = asyncio.get_running_loop()
-        sentinel = _Op(_STOP, self._last_time, loop.create_future())
-        await self._queue.put(sentinel)
+        self._wake()
         await self._drain_task
         self._drain_task = None
         if self._durable is not None:
@@ -395,11 +395,28 @@ class RwaService:
     # submission
     # ------------------------------------------------------------------ #
     def _enqueue_nowait(self, op: _Op) -> "asyncio.Future":
-        if self._queue is None or self._stopped:
+        if self._drain_task is None or self._stopped:
             raise ServiceError("service is not running (start() it, or "
                                "use 'async with RwaService(...)')")
-        self._queue.put_nowait(op)
+        inbox = self._inbox
+        if len(inbox) >= self._bound:
+            raise asyncio.QueueFull
+        inbox.append(op)
+        if self._wakeup is not None:
+            self._wake()
         return op.future
+
+    def _wake(self) -> None:
+        """Wake the drain task if it is waiting for the inbox to fill."""
+        wakeup, self._wakeup = self._wakeup, None
+        if wakeup is not None and not wakeup.done():
+            wakeup.set_result(None)
+
+    def _open_room(self) -> None:
+        """Wake every :meth:`submit` waiting for room, in arrival order."""
+        room, self._room = self._room, None
+        if room is not None and not room.done():
+            room.set_result(None)
 
     def submit_nowait(self, request_id: int,
                       request: Optional[Request] = None,
@@ -442,7 +459,7 @@ class RwaService:
         (:data:`~repro.online.simulator.NO_ROUTE` /
         :data:`~repro.online.simulator.NO_WAVELENGTH` /
         :data:`~repro.online.simulator.SHED`).  With ``max_pending``
-        set, a full queue applies backpressure here instead of raising.
+        set, a full inbox applies backpressure here instead of raising.
 
         ``deadline`` is an *event-time* expiry: if the service clock has
         passed it by the time the arrival is examined, the arrival is
@@ -456,7 +473,7 @@ class RwaService:
         resubmit with ``retry=True`` to be answered from the decision
         log (see :class:`~repro.service.client.RetryingClient`).
         """
-        if self._queue is None or self._stopped:
+        if self._drain_task is None or self._stopped:
             raise ServiceError("service is not running (start() it, or "
                                "use 'async with RwaService(...)')")
         loop = asyncio.get_running_loop()
@@ -464,7 +481,13 @@ class RwaService:
         op = _Op(ARRIVAL, when, loop.create_future(),
                  request_id=request_id, request=request, dipath=dipath,
                  tenant=tenant, deadline=deadline, retry=retry)
-        await self._queue.put(op)
+        while len(self._inbox) >= self._bound:
+            # backpressure: the drain task opens the room when it takes
+            # the inbox; waiters wake in the order they started waiting
+            if self._room is None:
+                self._room = loop.create_future()
+            await self._room
+        self._enqueue_nowait(op)
         if timeout is None:
             return await op.future
         try:
@@ -548,7 +571,7 @@ class RwaService:
         ``start``, repair it at ``start + duration``.
 
         The ops are *scheduled*, not queued: they sit outside the FIFO
-        queue and are released into the stream when the service clock
+        inbox and are released into the stream when the service clock
         reaches them (each runs just before the first queued op whose
         ``(time, rank)`` is past it, or at :meth:`stop` if the stream
         ends first).  The cut edge of the window pre-emptively drains
@@ -561,7 +584,7 @@ class RwaService:
         Returns ``(cut_futures, repair_futures)``, one per arc, each
         resolving to the op's :class:`FaultReport`.
         """
-        if self._queue is None or self._stopped:
+        if self._drain_task is None or self._stopped:
             raise ServiceError("service is not running (start() it, or "
                                "use 'async with RwaService(...)')")
         if duration <= 0:
@@ -590,8 +613,8 @@ class RwaService:
                       key=lambda o: (o.time, _op_rank(o)))
 
     def pending(self) -> int:
-        """Operations queued but not yet decided."""
-        return 0 if self._queue is None else self._queue.qsize()
+        """Operations in the inbox, not yet taken by the drain task."""
+        return len(self._inbox)
 
     def take_unfinished(self) -> List[_Op]:
         """Collect every unresolved op after a consumer-task death.
@@ -612,58 +635,52 @@ class RwaService:
         self._stopped = True
         ops = list(self._current_batch or [])
         self._current_batch = None
-        if self._queue is not None:
-            while True:
-                try:
-                    ops.append(self._queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
+        ops.extend(self._inbox)
+        self._inbox = []
         ops.extend(self._scheduled)
         self._scheduled = []
-        return [op for op in ops
-                if op.kind != _STOP and not op.future.done()]
+        return [op for op in ops if not op.future.done()]
 
     # ------------------------------------------------------------------ #
     # the drain task
     # ------------------------------------------------------------------ #
+    async def _take(self) -> List[_Op]:
+        """Wait for the inbox to fill, then take it whole in one step.
+
+        Returns ``[]`` only once the service is stopping and the inbox
+        is empty.  Taking the inbox opens the room :meth:`submit` awaits
+        under ``max_pending``.
+        """
+        while not self._inbox and not self._stopped:
+            self._wakeup = asyncio.get_running_loop().create_future()
+            await self._wakeup
+        ops, self._inbox = self._inbox, []
+        self._open_room()
+        return ops
+
     async def _drain(self) -> None:
-        queue = self._queue
-        while True:
-            op = await queue.get()
-            ops = [op]
+        try:
             while True:
-                try:
-                    ops.append(queue.get_nowait())
-                except asyncio.QueueEmpty:
-                    break
-            stop_at = next((i for i, o in enumerate(ops)
-                            if o.kind == _STOP), None)
-            work = ops if stop_at is None else ops[:stop_at]
-            if work:
+                ops = await self._take()
+                if not ops:
+                    # the stream is over: release any maintenance ops
+                    # still scheduled past the last submission, in
+                    # planned order
+                    self._flush_scheduled()
+                    return
                 # held visibly while processing: if _process raises (the
                 # chaos crash hook), take_unfinished() finds the batch's
                 # undecided remainder here
-                self._current_batch = work
+                self._current_batch = ops
                 if self._durable is None:
-                    self._process(work)
+                    self._process(ops)
                 else:
-                    self._commit(work)
+                    self._commit(ops)
                 self._current_batch = None
-            if stop_at is not None:
-                # the stream is over: release any maintenance ops still
-                # scheduled past the last submission, in planned order
-                self._flush_scheduled()
-                # ops raced in behind the sentinel lose: their futures
-                # fail the same way a post-stop submit does
-                for straggler in ops[stop_at + 1:]:
-                    straggler.future.set_exception(
-                        ServiceError("service stopped"))
-                ops[stop_at].future.set_result(None)
-                for _ in ops:
-                    queue.task_done()
-                return
-            for _ in ops:
-                queue.task_done()
+        finally:
+            # wake submitters still awaiting room: after a stop they are
+            # refused, after a crash they re-check the inbox
+            self._open_room()
 
     @staticmethod
     def _rank_runs(ops: List[_Op]) -> List[_Op]:
@@ -672,7 +689,7 @@ class RwaService:
         The events.py tie-break (departure < repair < cut < arrival)
         applied to a drained batch: a no-op on a ``sort_events``-ordered
         trace, and the deterministic convention for live submissions
-        whose same-timestamp ops raced into the queue in any order.
+        whose same-timestamp ops raced into the inbox in any order.
         Ops never move across distinct timestamps, so time-regression
         detection is untouched.
         """

@@ -436,15 +436,16 @@ def test_equal_time_cut_precedes_arrival():
 # timeouts, deadlines, retries
 # --------------------------------------------------------------------------- #
 def _gated_service(service):
-    """Hold the drain task's queue shut until the returned gate is set."""
+    """Hold the drain task back from the inbox until the returned gate is
+    set (call it after ``start()``, before the loop runs the drain)."""
     gate = asyncio.Event()
-    real_get = service._queue.get
+    take = service._take
 
-    async def gated_get():
+    async def gated_take():
         await gate.wait()
-        return await real_get()
+        return await take()
 
-    service._queue.get = gated_get
+    service._take = gated_take
     return gate
 
 

@@ -302,34 +302,40 @@ class TestAdmitBestRanking:
         assert spec.family[spec.vertex_of[99]] == short
 
     @staticmethod
-    def _work_engine():
-        """W = 2 with a → b on colour 0 and b → c on colour 1, so
-        ``[a, b, c]`` (post-admission cost (2, 4, 2)) cannot be coloured
-        while ``[b, c, d, e]`` (cost (2, 4, 3), ranked after it) and
-        ``[c, d]`` (cost (1, 1, 1)) can."""
-        graph = DiGraph(arcs=[("a", "b"), ("b", "c"), ("c", "d"),
-                              ("d", "e")])
-        engine = OnlineEngine(graph, 2)
-        for color, path in enumerate((["a", "b"], ["b", "c"])):
+    def _work_engine(kempe):
+        """W = 2 with ``[y, a, b]`` on colour 0 and ``[b, c, v]`` on
+        colour 1, chained into one Kempe component by ``[y, a, u, c]``
+        (colour 1) and ``[u, c, v]`` (colour 0).  So ``[a, b, c]``
+        (post-admission cost (2, 4, 2)) cannot be coloured, not even by
+        a Kempe repair, while ``[b, c, d, e]`` (cost (2, 4, 3), ranked
+        after it) and ``[c, d]`` (cost (1, 1, 1)) can."""
+        graph = DiGraph(arcs=[("y", "a"), ("a", "b"), ("b", "c"), ("c", "d"),
+                              ("d", "e"), ("a", "u"), ("u", "c"),
+                              ("c", "v")])
+        engine = OnlineEngine(graph, 2, kempe_repair=kempe)
+        for color, path in ((0, ["y", "a", "b"]), (1, ["b", "c", "v"]),
+                            (1, ["y", "a", "u", "c"]), (0, ["u", "c", "v"])):
             engine.assigner.adopt(engine.conflict.add_dipath(Dipath(path)),
                                   color)
         return engine
 
     @staticmethod
     def _spy(monkeypatch):
+        """Count the conflict-graph adds (inside a transaction or not) and
+        the transaction rollbacks."""
         calls = {"add": 0, "rollback": 0}
-        add = WhatIfTransaction.add_dipath
+        add = ShardedConflictGraph.add_dipath
         rollback = WhatIfTransaction.rollback
 
-        def counting_add(tx, dipath):
+        def counting_add(graph, dipath):
             calls["add"] += 1
-            return add(tx, dipath)
+            return add(graph, dipath)
 
         def counting_rollback(tx):
             calls["rollback"] += 1
             return rollback(tx)
 
-        monkeypatch.setattr(WhatIfTransaction, "add_dipath", counting_add)
+        monkeypatch.setattr(ShardedConflictGraph, "add_dipath", counting_add)
         monkeypatch.setattr(WhatIfTransaction, "rollback", counting_rollback)
         return calls
 
@@ -339,18 +345,35 @@ class TestAdmitBestRanking:
         return diagnostics["counters"]["colorindex.rollbacks"]
 
     def test_top_ranked_fit_costs_one_add(self, monkeypatch):
-        engine = self._work_engine()
+        for kempe in (False, True):
+            engine = self._work_engine(kempe)
+            with monkeypatch.context() as patch:
+                calls = self._spy(patch)
+                blocked, fits = Dipath(["a", "b", "c"]), Dipath(["c", "d"])
+                decision = admit_best(engine.conflict, engine.assigner,
+                                      [blocked, fits])
+            assert decision is not None and decision.candidate == 1
+            assert calls == {"add": 1, "rollback": 0}
+            assert self._index_rollbacks(engine) == 0
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_j_misfits_cost_nothing_without_kempe(self, monkeypatch, j):
+        """The colour masks refuse a misfit before anything is added."""
+        engine = self._work_engine(kempe=False)
         calls = self._spy(monkeypatch)
-        blocked, fits = Dipath(["a", "b", "c"]), Dipath(["c", "d"])
+        fits, blocked = Dipath(["b", "c", "d", "e"]), Dipath(["a", "b", "c"])
         decision = admit_best(engine.conflict, engine.assigner,
-                              [blocked, fits])
-        assert decision is not None and decision.candidate == 1
+                              [fits] + [blocked] * j)
+        assert decision is not None
+        assert decision.candidate == 0 and decision.color == 0
         assert calls == {"add": 1, "rollback": 0}
         assert self._index_rollbacks(engine) == 0
 
     @pytest.mark.parametrize("j", [1, 2, 3])
     def test_j_misfits_cost_j_rollbacks(self, monkeypatch, j):
-        engine = self._work_engine()
+        """Under Kempe repair a misfit is still speculated: the repair
+        must place the member before it can search, and fails here."""
+        engine = self._work_engine(kempe=True)
         calls = self._spy(monkeypatch)
         fits, blocked = Dipath(["b", "c", "d", "e"]), Dipath(["a", "b", "c"])
         decision = admit_best(engine.conflict, engine.assigner,
@@ -359,15 +382,19 @@ class TestAdmitBestRanking:
         assert decision.candidate == 0 and decision.color == 0
         assert calls == {"add": j + 1, "rollback": j}
         assert self._index_rollbacks(engine) == j
+        assert engine.assigner.kempe_repairs == 0
 
     def test_no_fit_returns_none_and_leaves_state(self, monkeypatch):
-        engine = self._work_engine()
-        before = engine_fingerprint(engine)
-        masks = list(engine.assigner.color_index._masks)
-        calls = self._spy(monkeypatch)
-        blocked = Dipath(["a", "b", "c"])
-        assert admit_best(engine.conflict, engine.assigner,
-                          [blocked, blocked]) is None
-        assert calls == {"add": 2, "rollback": 2}
-        assert engine_fingerprint(engine) == before
-        assert engine.assigner.color_index._masks == masks
+        for kempe in (False, True):
+            engine = self._work_engine(kempe)
+            before = engine_fingerprint(engine)
+            masks = list(engine.assigner.color_index._masks)
+            blocked = Dipath(["a", "b", "c"])
+            with monkeypatch.context() as patch:
+                calls = self._spy(patch)
+                assert admit_best(engine.conflict, engine.assigner,
+                                  [blocked, blocked]) is None
+            assert calls == ({"add": 2, "rollback": 2} if kempe
+                             else {"add": 0, "rollback": 0})
+            assert engine_fingerprint(engine) == before
+            assert engine.assigner.color_index._masks == masks

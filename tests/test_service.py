@@ -629,6 +629,93 @@ class TestServiceLifecycle:
 
         assert asyncio.run(scenario()) == [None, None, "no_wavelength"]
 
+    def test_submit_nowait_raises_queue_full_at_max_pending(self):
+        graph = _line_graph()
+
+        async def scenario():
+            async with RwaService(graph, 2, max_pending=2) as service:
+                # the drain task has not run yet: both ops wait in the inbox
+                futures = [service.submit_nowait(rid, request=Request(0, 3),
+                                                 time=0.0)
+                           for rid in range(2)]
+                with pytest.raises(asyncio.QueueFull):
+                    service.submit_nowait(2, request=Request(0, 3), time=0.0)
+                with pytest.raises(asyncio.QueueFull):
+                    service.depart_nowait(0, time=1.0)
+                assert service.pending() == 2
+                decided = [await future for future in futures]
+                assert service.pending() == 0
+                # the drain took the inbox: there is room again
+                assert await service.submit(2, request=Request(0, 3),
+                                            time=1.0) == "no_wavelength"
+                return decided
+
+        assert asyncio.run(scenario()) == [None, None]
+
+    def test_submit_awaits_room_and_keeps_submission_order(self):
+        """Ten concurrent submits through an inbox of three: the late ones
+        wait for room, none is refused, and each decision comes back in
+        submission order."""
+        graph = _line_graph()
+
+        async def scenario():
+            finished, seen = [], []
+            async with RwaService(graph, 2, max_pending=3) as service:
+                async def one(rid):
+                    seen.append(service.pending())
+                    reason = await service.submit(rid, request=Request(0, 3),
+                                                  time=0.0)
+                    finished.append(rid)
+                    return reason
+
+                reasons = await asyncio.gather(*(one(rid)
+                                                 for rid in range(10)))
+                stats = service.blocking_stats()
+            return reasons, finished, seen, stats
+
+        reasons, finished, seen, stats = asyncio.run(scenario())
+        assert reasons == [None, None] + ["no_wavelength"] * 8
+        assert finished == list(range(10))
+        assert max(seen) == 3                 # the inbox filled up ...
+        assert stats["accepted"] + stats["blocked"] == 10   # ... none lost
+
+    def test_pending_counts_queued_ops(self):
+        graph = _line_graph()
+
+        async def scenario():
+            service = RwaService(graph, 2)
+            assert service.pending() == 0
+            await service.start()
+            service.submit_nowait(0, request=Request(0, 3), time=0.0)
+            service.depart_nowait(0, time=1.0)
+            service.cut_nowait((0, 1), time=2.0)
+            counted = service.pending()
+            await service.stop()
+            return counted, service.pending()
+
+        assert asyncio.run(scenario()) == (3, 0)
+
+    def test_a_submit_awaiting_room_at_stop_is_refused(self):
+        graph = _line_graph()
+
+        async def scenario():
+            service = RwaService(graph, 2, max_pending=1)
+            await service.start()
+            await asyncio.sleep(0)            # the drain waits for work
+            late = asyncio.ensure_future(
+                service.submit(1, request=Request(0, 3), time=0.0))
+            first = service.submit_nowait(0, request=Request(0, 3), time=0.0)
+            # ``late`` finds the inbox full and awaits room; the drain
+            # then takes ``first``
+            await asyncio.sleep(0)
+            assert not late.done()
+            await service.stop()
+            with pytest.raises(ServiceError):
+                await late
+            return first.result()
+
+        assert asyncio.run(scenario()) is None
+
     def test_malformed_traffic_fails_only_its_future(self):
         """A duplicate arrival or a time-travelling one poisons nothing."""
         graph = _line_graph()

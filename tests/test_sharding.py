@@ -33,6 +33,7 @@ from repro.online import (
     OnlineWavelengthAssigner,
     WhatIfTransaction,
     churn_trace,
+    engine_fingerprint,
 )
 from repro.online.routing import KShortestRouter, StaticRouter
 
@@ -370,6 +371,25 @@ def test_adopt_refuses_a_slot_that_is_not_a_live_member(slot):
     with pytest.raises(EngineStateError):
         engine.assigner.adopt(freed if slot == "freed" else 99, 1)
     assert _colour_state(engine) == before
+    assert engine.audit() == []
+
+
+@pytest.mark.parametrize("slot", ["freed", "out_of_range"])
+def test_assign_refuses_a_slot_that_is_not_a_live_member(slot):
+    """A freed slot used to be coloured silently, and the audit then
+    found an inactive member holding a wavelength."""
+    engine = OnlineEngine(DiGraph(arcs=[("a", "b"), ("b", "c")]), 3)
+    engine.admit(0, dipath=["a", "b"])
+    engine.admit(1, dipath=["b", "c"])
+    freed = engine.vertex_of[1]
+    engine.depart(1)
+    before = _colour_state(engine)
+    fingerprint = engine_fingerprint(engine)
+    with pytest.raises(EngineStateError, match="not a live member"):
+        engine.assigner.assign(engine.conflict,
+                               freed if slot == "freed" else 99)
+    assert _colour_state(engine) == before
+    assert engine_fingerprint(engine) == fingerprint
     assert engine.audit() == []
 
 
