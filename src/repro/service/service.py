@@ -152,6 +152,10 @@ class _Op:
         self.scheduled = False
 
 
+_NOT_RUNNING = ("service is not running (start() it, or use "
+                "'async with RwaService(...)')")
+
+
 def _percentile(sorted_values: Sequence[float], q: float) -> float:
     """Nearest-rank percentile of an ascending list.
 
@@ -199,10 +203,12 @@ class RwaService:
         refusal is a front-door policy, not engine state.
     max_pending:
         Bound on the ops waiting in the inbox (the drain task empties it
-        whole each time it runs).  When it is full, :meth:`submit`
-        applies backpressure (awaits room, keeping submission order) and
-        the ``*_nowait`` calls raise ``asyncio.QueueFull``.  ``None`` =
-        unbounded.
+        whole each time it runs).  When it is full, the awaitable calls
+        (:meth:`submit`, :meth:`depart`, :meth:`cut`, :meth:`repair`,
+        :meth:`request_defrag`) apply backpressure: each awaits room,
+        and waiters enqueue in the order they started waiting.  The
+        ``*_nowait`` calls raise ``asyncio.QueueFull`` instead.  ``None``
+        = unbounded.
     crash_after_n_ops:
         Test-only chaos hook: the consumer task raises a
         :class:`ServiceError` *between* ops once this many have been
@@ -272,12 +278,14 @@ class RwaService:
         self._tracer = self._engine.tracer
         self._wavelengths = wavelengths
         self._bound = float("inf") if max_pending is None else max_pending
-        # the FIFO inbox the drain task takes whole; _wakeup is set while
-        # the drain waits for it to fill, _room while submitters wait for
-        # a full one to be taken
+        # the FIFO inbox the drain task takes whole.  _filled wakes the
+        # drain when an op lands in an empty inbox (or the service
+        # stops); _room wakes the callers waiting for a full inbox to be
+        # taken.  Events, so each waiter awaits its own future and
+        # cancelling one waiter leaves the others waiting.
         self._inbox: List[_Op] = []
-        self._wakeup: Optional[asyncio.Future] = None
-        self._room: Optional[asyncio.Future] = None
+        self._filled = asyncio.Event()
+        self._room = asyncio.Event()
         self._drain_task: Optional[asyncio.Task] = None
         self._stopped = False
         self._last_time = float("-inf")
@@ -335,8 +343,9 @@ class RwaService:
         A durable service's journal is closed (the engine stays usable
         in memory, e.g. for fingerprinting).
 
-        A :meth:`submit` still awaiting room when ``stop`` is called was
-        not enqueued, and raises :class:`ServiceError` too.
+        A call still awaiting room when ``stop`` is called (see
+        ``max_pending``) was not enqueued, and raises
+        :class:`ServiceError` too.
 
         Stopping a *crashed* service (the consumer task died) raises
         :class:`ServiceError` immediately: there is no consumer left to
@@ -360,7 +369,7 @@ class RwaService:
                 "with queued ops undecided — collect them via "
                 "take_unfinished() (or run under a ServiceSupervisor)"
             ) from (None if task.cancelled() else task.exception())
-        self._wake()
+        self._filled.set()
         await self._drain_task
         self._drain_task = None
         if self._durable is not None:
@@ -394,29 +403,34 @@ class RwaService:
     # ------------------------------------------------------------------ #
     # submission
     # ------------------------------------------------------------------ #
-    def _enqueue_nowait(self, op: _Op) -> "asyncio.Future":
+    def _check_running(self) -> None:
         if self._drain_task is None or self._stopped:
-            raise ServiceError("service is not running (start() it, or "
-                               "use 'async with RwaService(...)')")
+            raise ServiceError(_NOT_RUNNING)
+
+    def _enqueue_nowait(self, op: _Op) -> "asyncio.Future":
+        # the check of _check_running, inline: this runs once per op
+        if self._drain_task is None or self._stopped:
+            raise ServiceError(_NOT_RUNNING)
         inbox = self._inbox
         if len(inbox) >= self._bound:
             raise asyncio.QueueFull
         inbox.append(op)
-        if self._wakeup is not None:
-            self._wake()
+        if len(inbox) == 1:
+            # the drain only ever waits on an empty inbox
+            self._filled.set()
         return op.future
 
-    def _wake(self) -> None:
-        """Wake the drain task if it is waiting for the inbox to fill."""
-        wakeup, self._wakeup = self._wakeup, None
-        if wakeup is not None and not wakeup.done():
-            wakeup.set_result(None)
+    async def _await_room(self) -> None:
+        """Wait until the inbox has room for one more op.
 
-    def _open_room(self) -> None:
-        """Wake every :meth:`submit` waiting for room, in arrival order."""
-        room, self._room = self._room, None
-        if room is not None and not room.done():
-            room.set_result(None)
+        The backpressure of every awaitable call under ``max_pending``:
+        the drain task sets ``_room`` when it takes the inbox, and the
+        waiters wake in the order they started waiting.
+        """
+        self._check_running()
+        while len(self._inbox) >= self._bound:
+            self._room.clear()
+            await self._room.wait()
 
     def submit_nowait(self, request_id: int,
                       request: Optional[Request] = None,
@@ -473,30 +487,23 @@ class RwaService:
         resubmit with ``retry=True`` to be answered from the decision
         log (see :class:`~repro.service.client.RetryingClient`).
         """
-        if self._drain_task is None or self._stopped:
-            raise ServiceError("service is not running (start() it, or "
-                               "use 'async with RwaService(...)')")
+        self._check_running()
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
+        # built before any wait for room, as the latency clock starts here
         op = _Op(ARRIVAL, when, loop.create_future(),
                  request_id=request_id, request=request, dipath=dipath,
                  tenant=tenant, deadline=deadline, retry=retry)
-        while len(self._inbox) >= self._bound:
-            # backpressure: the drain task opens the room when it takes
-            # the inbox; waiters wake in the order they started waiting
-            if self._room is None:
-                self._room = loop.create_future()
-            await self._room
-        self._enqueue_nowait(op)
+        await self._await_room()
+        future = self._enqueue_nowait(op)
         if timeout is None:
-            return await op.future
+            return await future
         try:
             # shield: a timed-out wait must not cancel the op — the
             # engine still decides it exactly once
-            return await asyncio.wait_for(asyncio.shield(op.future),
-                                          timeout)
+            return await asyncio.wait_for(asyncio.shield(future), timeout)
         except asyncio.TimeoutError:
-            op.future.add_done_callback(_retrieve_quietly)
+            future.add_done_callback(_retrieve_quietly)
             raise TimedOut(request_id, timeout) from None
 
     def depart_nowait(self, request_id: int, *,
@@ -510,8 +517,8 @@ class RwaService:
     async def depart(self, request_id: int, *,
                      time: Optional[float] = None) -> bool:
         """Release one lightpath and await the engine's acknowledgement."""
-        future = self.depart_nowait(request_id, time=time)
-        return await future
+        await self._await_room()
+        return await self.depart_nowait(request_id, time=time)
 
     async def request_defrag(self, order: str = "highest_wavelength",
                              max_moves: Optional[int] = None):
@@ -520,11 +527,11 @@ class RwaService:
         The pass runs in admission order like any other op, so it never
         interleaves with a burst.
         """
+        await self._await_room()
         loop = asyncio.get_running_loop()
-        future = self._enqueue_nowait(_Op(
+        return await self._enqueue_nowait(_Op(
             DEFRAG, self._last_time, loop.create_future(),
             order=order, max_moves=max_moves))
-        return await future
 
     def cut_nowait(self, arc: Arc, *,
                    time: Optional[float] = None) -> "asyncio.Future":
@@ -547,6 +554,7 @@ class RwaService:
     async def cut(self, arc: Arc, *,
                   time: Optional[float] = None) -> FaultReport:
         """Cut one fibre and await its :class:`FaultReport`."""
+        await self._await_room()
         return await self.cut_nowait(arc, time=time)
 
     def repair_nowait(self, arc: Arc, *,
@@ -562,6 +570,7 @@ class RwaService:
     async def repair(self, arc: Arc, *,
                      time: Optional[float] = None) -> FaultReport:
         """Repair one cut fibre and await its :class:`FaultReport`."""
+        await self._await_room()
         return await self.repair_nowait(arc, time=time)
 
     def schedule_maintenance(
@@ -584,9 +593,7 @@ class RwaService:
         Returns ``(cut_futures, repair_futures)``, one per arc, each
         resolving to the op's :class:`FaultReport`.
         """
-        if self._drain_task is None or self._stopped:
-            raise ServiceError("service is not running (start() it, or "
-                               "use 'async with RwaService(...)')")
+        self._check_running()
         if duration <= 0:
             raise ValueError("duration must be positive")
         if not arcs:
@@ -637,6 +644,7 @@ class RwaService:
         self._current_batch = None
         ops.extend(self._inbox)
         self._inbox = []
+        self._room.set()        # callers awaiting room are refused now
         ops.extend(self._scheduled)
         self._scheduled = []
         return [op for op in ops if not op.future.done()]
@@ -648,14 +656,14 @@ class RwaService:
         """Wait for the inbox to fill, then take it whole in one step.
 
         Returns ``[]`` only once the service is stopping and the inbox
-        is empty.  Taking the inbox opens the room :meth:`submit` awaits
-        under ``max_pending``.
+        is empty.  Taking the inbox sets the room the awaitable calls
+        wait for under ``max_pending``.
         """
         while not self._inbox and not self._stopped:
-            self._wakeup = asyncio.get_running_loop().create_future()
-            await self._wakeup
+            self._filled.clear()
+            await self._filled.wait()
         ops, self._inbox = self._inbox, []
-        self._open_room()
+        self._room.set()
         return ops
 
     async def _drain(self) -> None:
@@ -678,9 +686,9 @@ class RwaService:
                     self._commit(ops)
                 self._current_batch = None
         finally:
-            # wake submitters still awaiting room: after a stop they are
+            # wake callers still awaiting room: after a stop they are
             # refused, after a crash they re-check the inbox
-            self._open_room()
+            self._room.set()
 
     @staticmethod
     def _rank_runs(ops: List[_Op]) -> List[_Op]:

@@ -53,6 +53,8 @@ from repro.online.simulator import (
 )
 from repro.service import RwaService, ServiceSupervisor, serve_trace
 
+from test_chaos import _gated_service
+
 pytestmark = pytest.mark.service
 
 
@@ -715,6 +717,69 @@ class TestServiceLifecycle:
             return first.result()
 
         assert asyncio.run(scenario()) is None
+
+    def test_cancelling_one_submit_awaiting_room_spares_the_others(self):
+        """Each caller waiting for room waits on its own: cancelling one
+        neither cancels the others nor poisons later submits."""
+        graph = _line_graph()
+
+        async def scenario():
+            service = RwaService(graph, 2, max_pending=1)
+            await service.start()
+            gate = _gated_service(service)
+            first = service.submit_nowait(0, request=Request(0, 3), time=0.0)
+            cancelled = asyncio.ensure_future(
+                service.submit(1, request=Request(0, 3), time=0.0))
+            kept = asyncio.ensure_future(
+                service.submit(2, request=Request(0, 3), time=0.0))
+            await asyncio.sleep(0)            # both await room
+            assert not cancelled.done() and not kept.done()
+            cancelled.cancel()
+            await asyncio.sleep(0)
+            assert cancelled.cancelled() and not kept.done()
+            # a submit arriving at the still-full inbox waits as well
+            late = asyncio.ensure_future(
+                service.submit(3, request=Request(0, 3), time=0.0))
+            await asyncio.sleep(0)
+            assert not late.done()
+            gate.set()
+            decisions = [await first, await kept, await late]
+            result = service.result()
+            await service.stop()
+            return decisions, result
+
+        decisions, result = asyncio.run(scenario())
+        assert decisions == [None, None, "no_wavelength"]
+        assert result.accepted == [0, 2]
+        assert result.rejections == {3: "no_wavelength"}
+
+    def test_awaitable_depart_cut_repair_await_room(self):
+        """Under ``max_pending`` every awaitable call applies
+        backpressure as ``submit`` does; only ``*_nowait`` raises."""
+        graph = _line_graph()
+
+        async def scenario():
+            service = RwaService(graph, 2, max_pending=1)
+            await service.start()
+            gate = _gated_service(service)
+            first = service.submit_nowait(0, request=Request(0, 3), time=0.0)
+            calls = [asyncio.ensure_future(coro) for coro in (
+                service.depart(0, time=1.0),
+                service.cut((0, 1), time=2.0),
+                service.repair((0, 1), time=3.0),
+                service.request_defrag())]
+            await asyncio.sleep(0)
+            assert service.pending() == 1
+            assert not any(call.done() for call in calls)
+            gate.set()
+            outcomes = [await first] + [await call for call in calls]
+            await service.stop()
+            return outcomes
+
+        admitted, held, cut, repair, defrag = asyncio.run(scenario())
+        assert admitted is None and held is True
+        assert cut.arc == (0, 1) and repair.arc == (0, 1)
+        assert defrag is not None
 
     def test_malformed_traffic_fails_only_its_future(self):
         """A duplicate arrival or a time-travelling one poisons nothing."""
