@@ -115,6 +115,15 @@ _g = random_internal_cycle_free_dag(30, 45, seed=0)
 _trace = poisson_trace(random_request_family(_g, 25, seed=0), 120,
                        arrival_rate=3.0, mean_holding=4.0, seed=0)
 simulate_online(_g, _trace, 8, audit_every=10)
+# The colour index flips mask bits, exact only while the colouring is
+# proper; Kempe chain swaps recolour member by member, so audit after
+# every event of a run that swaps, under every policy.
+from repro.online import POLICIES
+
+for _policy in POLICIES:
+    _kempe = simulate_online(_g, _trace, 3, policy=_policy, seed=0,
+                             kempe_repair=True, audit_every=1)
+    assert _kempe.kempe_repairs > 0, _policy
 print("AUDIT SMOKE OK")
 
 # Backpressure: one flash-crowd burst submitted through a service whose

@@ -166,17 +166,27 @@ class ShardTracker(Instrumented):
         """Place arriving member ``idx`` (using ``arc_ids``); merge shards.
 
         Returns the shard the member ended up in.  O(arcs) plus the
-        amortised small-into-large relabelling cost of merges.
+        amortised small-into-large relabelling cost of merges.  The
+        touched-shard list is built only once a second shard shows up:
+        almost every arrival touches at most one.
         """
         shard_of_arc = self._shard_of_arc
-        touched: List[Shard] = []
+        home: Optional[Shard] = None        # the first shard touched
+        touched: Optional[List[Shard]] = None
         for aid in arc_ids:
             shard = shard_of_arc.get(aid)
-            if shard is not None and shard not in touched:
+            if shard is None or shard is home:
+                continue
+            if home is None:
+                home = shard
+            elif touched is None:
+                touched = [home, shard]
+            elif shard not in touched:
                 touched.append(shard)
-        if not touched:
+        if home is None:
             home = Shard()
-        else:
+        elif touched is not None:
+            # largest first; max keeps the first seen among equals
             home = max(touched, key=lambda s: s.size)
             for other in touched:
                 if other is not home:
@@ -185,7 +195,7 @@ class ShardTracker(Instrumented):
         home.member_mask |= 1 << idx
         home.version += 1
         self._shard_of_member[idx] = home
-        self._join_stamp[idx] = (home, home.version, len(touched) > 1)
+        self._join_stamp[idx] = (home, home.version, touched is not None)
         for aid in arc_ids:
             if shard_of_arc.get(aid) is not home:
                 shard_of_arc[aid] = home

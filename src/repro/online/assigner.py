@@ -32,7 +32,11 @@ primitive that moves the colouring, the usage counts, the used and
 ever-used masks and the colour index together, and journals the change
 (with the member's arc ids) while a checkpoint is open.  That journal is
 the only undo log of colour state: a rollback replays it inverted, the
-index included.
+index included.  The index keeps one colour mask per fibre and flips
+bits, which is exact only while the colouring is proper (see
+:mod:`repro.online.sharding`): every colour the assigner picks is free
+on the member's fibres, a Kempe swap and a rollback end proper, and
+:meth:`OnlineWavelengthAssigner.adopt` refuses a colour that is taken.
 """
 
 from __future__ import annotations
@@ -158,8 +162,8 @@ class OnlineWavelengthAssigner:
         """The per-fibre colour occupancy index the assigner keeps.
 
         Exposed for readers of per-arc colours (the defrag bound) and the
-        audit layer: ``OnlineEngine.audit()`` replays the colouring
-        against the index's per-arc counts.
+        audit layer: ``OnlineEngine.audit()`` replays the colouring over
+        the members' routes and compares the index's per-arc masks.
         """
         return self._index
 
@@ -252,16 +256,23 @@ class OnlineWavelengthAssigner:
         otherwise.  Journalled and mirrored into the colour index exactly
         like :meth:`assign`, so replayed state is bit-identical to having
         decided locally.  A colour outside the budget raises
-        :class:`ValueError`, a ``vertex`` that is not a live member of the
-        family :class:`~repro.exceptions.EngineStateError`, both before
-        any state changes.
+        :class:`ValueError`; a ``vertex`` that is not a live member of the
+        family, or a colour another member already holds on one of its
+        fibres (the member's own current colour counts as free), raises
+        :class:`~repro.exceptions.EngineStateError` — all before any
+        state changes, so the colouring stays proper.
         """
         if not 0 <= color < self._wavelengths:
             raise ValueError(f"colour {color} outside the budget")
         if not self._family.is_active(vertex):
             raise EngineStateError(
                 f"cannot colour member {vertex}: not a live member")
-        self._recolor(vertex, self._color.get(vertex), color)
+        old = self._color.get(vertex)
+        if color != old and self._index.forbidden_mask(vertex) >> color & 1:
+            raise EngineStateError(
+                f"cannot colour member {vertex} with wavelength {color}: "
+                f"a member sharing one of its fibres holds it")
+        self._recolor(vertex, old, color)
 
     def release(self, vertex: int) -> int:
         """Forget the colour of a departing vertex; return it."""

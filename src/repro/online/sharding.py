@@ -1,12 +1,22 @@
 """Per-fibre colour occupancy for the online engine.
 
-:class:`ArcColorIndex` is the per-fibre wavelength occupancy table.  For
-every interned arc it tracks how many provisioned lightpaths hold each
-colour on that fibre, plus the derived one-word colour bitmask.  The
-forbidden colours of an arriving lightpath are then the union of its
-arcs' masks — **O(arcs)**.  That is the paper's conflict relation read
-per fibre: a colour is held by a conflicting lightpath iff it is in use
-on a shared fibre.  The index is owned by the
+:class:`ArcColorIndex` is the per-fibre wavelength occupancy table: for
+every interned arc, one word whose bit ``c`` is set iff a provisioned
+lightpath holds colour ``c`` on that fibre.  The forbidden colours of an
+arriving lightpath are then the union of its arcs' masks — **O(arcs)**.
+That is the paper's conflict relation read per fibre: a colour is held
+by a conflicting lightpath iff it is in use on a shared fibre.
+
+The index keeps masks only, no per-colour user counts.  A colour change
+flips ``(1 << old) ^ (1 << new)`` into each fibre's mask, so a mask bit
+is the *parity* of the fibre's users of that colour.  Under a proper
+colouring each fibre carries each wavelength at most once, so parity is
+presence.  The colouring is improper only in the middle of a Kempe chain
+swap or a rollback replay, and nothing reads a mask there; the one
+outside writer, :meth:`~repro.online.assigner.OnlineWavelengthAssigner.
+adopt`, refuses a colour already on one of the member's fibres.
+
+The index is owned by the
 :class:`~repro.online.assigner.OnlineWavelengthAssigner`, the one writer
 of colour state; it keeps no journal of its own — what-if rollbacks
 replay the assigner's journal, whose entries carry the arc ids each
@@ -16,9 +26,8 @@ consulting the (possibly already rolled back) structure.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
-from ..exceptions import EngineStateError
 from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..obs.registry import Instrumented, MetricsRegistry
@@ -41,15 +50,14 @@ class ArcColorIndex(Instrumented):
     deterministic snapshot.
     """
 
-    __slots__ = ("_family", "_counts", "_masks",
+    __slots__ = ("_family", "_masks",
                  "_m_records", "_m_rollbacks") + Instrumented._OBS_SLOTS
 
     def __init__(self, family: DipathFamily,
                  metrics: Optional[MetricsRegistry] = None) -> None:
         self._obs_init("colorindex", metrics)
         self._family = family
-        self._counts: List[Dict[int, int]] = []    # arc id -> colour -> users
-        self._masks: List[int] = []                # arc id -> colour bitmask
+        self._masks: List[int] = []         # arc id -> colour bitmask
         self._m_records = self._obs_counter("records", diagnostic=True)
         self._m_rollbacks = self._obs_counter("rollbacks", diagnostic=True)
 
@@ -97,47 +105,18 @@ class ArcColorIndex(Instrumented):
 
         Same protocol as :meth:`repro.conflict.sharding.ShardTracker.audit`
         (and composed by ``OnlineEngine.audit()``): an empty list means
-        the bookkeeping is coherent —
+        no colour sits on an arc id the family no longer interns.
 
-        * the per-arc count table and the per-arc mask table cover the
-          same arc ids;
-        * every recorded ``(arc, colour)`` user count is positive (zero
-          entries are deleted eagerly by :meth:`record`);
-        * each arc's colour bitmask has exactly the bits of its count
-          table — the O(1) forbidden-mask fast path and the exact counts
-          never disagree;
-        * no colour sits on an arc id the family no longer interns.
-
-        Magnitude checks against ground truth (does the count equal the
-        number of lightpaths actually colouring this arc?) need the
-        engine's view and live in ``OnlineEngine.audit()``.
+        Whether each mask holds exactly the colours of the lightpaths on
+        its fibre needs the engine's view: ``OnlineEngine.audit()``
+        replays the colouring over each member's raw route and compares
+        every mask with the result.
         """
-        problems: List[str] = []
-        counts, masks = self._counts, self._masks
-        if len(counts) != len(masks):
-            problems.append(
-                f"colour index tracks {len(counts)} arcs in counts but "
-                f"{len(masks)} in masks")
         interned = self._family.num_arc_ids
-        for aid, per_color in enumerate(counts):
-            expected = 0
-            for color in sorted(per_color):
-                users = per_color[color]
-                if users <= 0:
-                    problems.append(
-                        f"arc {aid} colour {color} has non-positive "
-                        f"count {users}")
-                expected |= 1 << color
-            mask = masks[aid] if aid < len(masks) else 0
-            if mask != expected:
-                problems.append(
-                    f"arc {aid} mask {mask:#x} disagrees with its counts "
-                    f"({expected:#x})")
-            if per_color and aid >= interned:
-                problems.append(
-                    f"arc id {aid} holds colours but is no longer "
-                    f"interned by the family")
-        return problems
+        return [f"arc id {aid} holds colours {mask:#x} but is no longer "
+                f"interned by the family"
+                for aid, mask in enumerate(self._masks)
+                if mask and aid >= interned]
 
     # ------------------------------------------------------------------ #
     # mutation (driven by the assigner's colour changes)
@@ -147,37 +126,28 @@ class ArcColorIndex(Instrumented):
         """Move one user of fibres ``arcs`` from colour ``old`` to ``new``.
 
         ``None`` is no colour: an assignment, a release or a recolouring.
+        Each fibre's mask flips both colours' bits (see the module
+        docstring for why that is exact wherever a mask is read).
         ``undo`` marks a rollback replaying a change inverted, which is
         not counted in ``colorindex.records``.
         """
         if not undo:
             self._m_records.inc()
-        for aid in arcs:
-            if old is not None:
-                self._bump(aid, old, -1)
-            if new is not None:
-                self._bump(aid, new, 1)
+        flip = ((0 if old is None else 1 << old)
+                ^ (0 if new is None else 1 << new))
+        masks = self._masks
+        try:
+            for aid in arcs:
+                masks[aid] ^= flip
+        except IndexError:
+            # an arc interned since the table last grew: the loop stopped
+            # at the first such arc, having flipped every arc before it
+            known = len(masks)
+            first = next(i for i, aid in enumerate(arcs) if aid >= known)
+            masks.extend([0] * (max(arcs) + 1 - known))
+            for aid in arcs[first:]:
+                masks[aid] ^= flip
 
     def count_rollback(self) -> None:
         """Count one what-if rollback of the assigner."""
         self._m_rollbacks.inc()
-
-    def _bump(self, aid: int, color: int, delta: int) -> None:
-        counts = self._counts
-        if aid >= len(counts):
-            masks = self._masks
-            grow = aid + 1 - len(counts)
-            counts.extend({} for _ in range(grow))
-            masks.extend([0] * grow)
-        per_color = counts[aid]
-        value = per_color.get(color, 0) + delta
-        if value:
-            if value < 0:
-                raise EngineStateError(
-                    f"arc {aid} colour {color} count went negative")
-            per_color[color] = value
-            if value == delta:              # 0 -> positive transition
-                self._masks[aid] |= 1 << color
-        else:
-            del per_color[color]
-            self._masks[aid] &= ~(1 << color)

@@ -670,8 +670,10 @@ class OnlineEngine(Instrumented):
           wavelength budget, and proper on every fibre;
         * the assigner's per-wavelength usage counters and used-mask
           match a recount of the colouring;
-        * the colour index's per-arc occupancy equals a replay of the
-          colouring over each member's raw route.
+        * the colour index's per-arc mask equals a replay of the
+          colouring over each member's raw route (with the per-fibre
+          properness check, this pins every mask bit the index's
+          parity flips could get wrong).
 
         O(active · arcs) — meant for tests and the opt-in
         ``audit_every=`` hook of :func:`simulate_online`, not the
@@ -735,24 +737,23 @@ class OnlineEngine(Instrumented):
                 problems.append(f"conflict: member {idx} adjacency "
                                 f"disagrees with its route's shared-fibre "
                                 f"members")
-        # properness per fibre, and the colour index's expected occupancy
-        expected_counts: Dict[int, Dict[int, int]] = {}
+        # properness per fibre, and the colour index's expected masks
+        expected_masks: Dict[int, int] = {}
         for arc, mask in users.items():
-            # an un-interned arc was reported as an arc-id mismatch above
-            aid = interned.get(arc)
-            per_color = ({} if aid is None
-                         else expected_counts.setdefault(aid, {}))
             holder: Dict[int, int] = {}
             for idx in bit_list(mask):
                 color = coloring.get(idx)
                 if color is None:
                     continue
-                per_color[color] = per_color.get(color, 0) + 1
                 other = holder.setdefault(color, idx)
                 if other != idx:
                     problems.append(f"colours: members {other} and {idx} "
                                     f"share wavelength {color} on fibre "
                                     f"{arc}")
+            # an un-interned arc was reported as an arc-id mismatch above
+            aid = interned.get(arc)
+            if aid is not None:
+                expected_masks[aid] = sum(1 << c for c in holder)
         recount = [0] * wavelengths
         used_mask = 0
         for idx, color in coloring.items():
@@ -765,16 +766,14 @@ class OnlineEngine(Instrumented):
         if assigner.used_mask != used_mask:
             problems.append("assigner: used-wavelength mask disagrees "
                             "with a recount of the colouring")
-        for aid in range(max(family.num_arc_ids, len(index._counts))):
-            expected_arc = expected_counts.get(aid, {})
-            # reaching into the index's count table: the public mask
-            # only proves presence, the audit wants exact user counts
-            actual_arc = (index._counts[aid]
-                          if aid < len(index._counts) else {})
+        # arc ids past the family's are the index's own audit (above)
+        for aid in range(family.num_arc_ids):
+            expected_arc = expected_masks.get(aid, 0)
+            actual_arc = index.colors_on_arc_id(aid)
             if actual_arc != expected_arc:
-                problems.append(f"colorindex: arc {aid} occupancy "
-                                f"{actual_arc} disagrees with a replay "
-                                f"of the colouring ({expected_arc})")
+                problems.append(f"colorindex: arc {aid} mask "
+                                f"{actual_arc:#x} disagrees with a replay "
+                                f"of the colouring ({expected_arc:#x})")
         return problems
 
     def admit(self, request_id: int, request: Optional[Request] = None,

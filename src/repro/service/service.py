@@ -123,16 +123,18 @@ class _Op:
                  "tenant", "order", "max_moves", "arc", "deadline",
                  "retry", "future", "submitted", "scheduled")
 
+    # the arrival fields come first, so the per-op submit and depart
+    # paths build an _Op positionally
     def __init__(self, kind: str, time: float, future,
                  request_id: Optional[int] = None,
                  request: Optional[Request] = None,
                  dipath: Optional[Dipath] = None,
                  tenant: Optional[str] = None,
+                 deadline: Optional[float] = None,
+                 retry: bool = False,
                  order: str = "highest_wavelength",
                  max_moves: Optional[int] = None,
-                 arc: Optional[Arc] = None,
-                 deadline: Optional[float] = None,
-                 retry: bool = False) -> None:
+                 arc: Optional[Arc] = None) -> None:
         self.kind = kind
         self.time = time
         self.request_id = request_id
@@ -455,9 +457,8 @@ class RwaService:
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
         return self._enqueue_nowait(_Op(
-            ARRIVAL, when, loop.create_future(), request_id=request_id,
-            request=request, dipath=dipath, tenant=tenant,
-            deadline=deadline, retry=retry))
+            ARRIVAL, when, loop.create_future(), request_id, request, dipath,
+            tenant, deadline, retry))
 
     async def submit(self, request_id: int,
                      request: Optional[Request] = None,
@@ -491,9 +492,8 @@ class RwaService:
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
         # built before any wait for room, as the latency clock starts here
-        op = _Op(ARRIVAL, when, loop.create_future(),
-                 request_id=request_id, request=request, dipath=dipath,
-                 tenant=tenant, deadline=deadline, retry=retry)
+        op = _Op(ARRIVAL, when, loop.create_future(), request_id, request,
+                 dipath, tenant, deadline, retry)
         await self._await_room()
         future = self._enqueue_nowait(op)
         if timeout is None:
@@ -512,7 +512,7 @@ class RwaService:
         loop = asyncio.get_running_loop()
         when = time if time is not None else max(self._last_time, 0.0)
         return self._enqueue_nowait(_Op(
-            DEPARTURE, when, loop.create_future(), request_id=request_id))
+            DEPARTURE, when, loop.create_future(), request_id))
 
     async def depart(self, request_id: int, *,
                      time: Optional[float] = None) -> bool:
@@ -699,8 +699,18 @@ class RwaService:
         trace, and the deterministic convention for live submissions
         whose same-timestamp ops raced into the inbox in any order.
         Ops never move across distinct timestamps, so time-regression
-        detection is untouched.
+        detection is untouched.  A batch already in that order (the
+        usual case) comes back as the same list after one scan.
         """
+        rank_of, arrival = _KIND_RANK.get, _KIND_RANK[ARRIVAL]
+        last_time, last_rank = None, 0
+        for op in ops:
+            rank = rank_of(op.kind, arrival)
+            if rank < last_rank and op.time == last_time:
+                break
+            last_time, last_rank = op.time, rank
+        else:
+            return ops
         out: List[_Op] = []
         i = 0
         while i < len(ops):

@@ -78,25 +78,39 @@ def test_corrupted_shard_tracker_is_detected():
     assert any(p.startswith("tracker:") for p in engine.audit())
 
 
+def _coloured_arc(index) -> int:
+    return next(aid for aid, mask in enumerate(index._masks) if mask)
+
+
 def test_corrupted_color_index_mask_is_detected():
+    """A mask bit the colouring does not justify is named."""
     engine = loaded_engine()
     index = engine.assigner.color_index
-    aid = next(a for a, per_color in enumerate(index._counts) if per_color)
-    index._masks[aid] ^= 1 << 7                 # flip an unused colour bit
-    problems = index.audit()
-    assert problems and any("disagrees" in p for p in problems)
-    assert any("colorindex" in p or "disagrees" in p
-               for p in engine.audit())
+    aid = _coloured_arc(index)
+    index._masks[aid] ^= 1 << 3                 # an in-budget unused colour
+    problems = [p for p in engine.audit() if p.startswith("colorindex:")]
+    assert problems and all(f"arc {aid} mask" in p and "disagrees" in p
+                            for p in problems)
 
 
-def test_corrupted_color_index_count_is_detected():
+def test_corrupted_color_index_missing_bit_is_detected():
+    """A colour the colouring puts on a fibre but its mask lacks is named."""
     engine = loaded_engine()
     index = engine.assigner.color_index
-    aid = next(a for a, per_color in enumerate(index._counts) if per_color)
-    color = next(iter(index._counts[aid]))
-    index._counts[aid][color] = 0               # record() never leaves zeros
-    assert any("non-positive" in p for p in index.audit())
-    assert engine.audit() != []
+    aid = _coloured_arc(index)
+    index._masks[aid] &= index._masks[aid] - 1  # clear its lowest colour
+    problems = [p for p in engine.audit() if p.startswith("colorindex:")]
+    assert problems and all(f"arc {aid} mask" in p and "disagrees" in p
+                            for p in problems)
+
+
+def test_colour_on_an_uninterned_arc_is_detected():
+    engine = loaded_engine()
+    index = engine.assigner.color_index
+    index._masks.extend(
+        [0] * (engine.family.num_arc_ids - len(index._masks)) + [1])
+    assert any("no longer interned" in p for p in index.audit())
+    assert any(p.startswith("colorindex:") for p in engine.audit())
 
 
 def _drop_one_arc_member(engine):

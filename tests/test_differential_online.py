@@ -303,9 +303,9 @@ def exhaustive_admit_best(conflict, assigner, candidates):
 def full_state(engine):
     """:func:`engine_state` plus the shard partition and colour index.
 
-    The colour index grows its per-arc tables the first time an arc
-    carries a colour and never shrinks them, so how many empty entries
-    they hold depends on how much was ever speculated; the state is the
+    The colour index grows its per-arc mask table the first time an arc
+    carries a colour and never shrinks it, so how many empty entries it
+    holds depends on how much was ever speculated; the state is the
     non-empty entries, and none may lie past the family's interned arcs.
     """
     conflict, assigner = engine.conflict, engine.assigner
@@ -313,9 +313,8 @@ def full_state(engine):
     state["shard_map"] = conflict.shard_map()
     index = assigner.color_index
     masks = {aid: m for aid, m in enumerate(index._masks) if m}
-    counts = {aid: dict(c) for aid, c in enumerate(index._counts) if c}
     assert max(masks, default=-1) < conflict.family.num_arc_ids
-    state["index_masks"], state["index_counts"] = masks, counts
+    state["index_masks"] = masks
     return state
 
 

@@ -1113,6 +1113,31 @@ def test_snapshot_colouring_a_freed_slot_is_refused(tmp_path):
     assert excinfo.value.record == index
 
 
+def test_snapshot_with_an_improper_colouring_is_refused(tmp_path):
+    """A CRC-valid snapshot giving two members that share a fibre the
+    same wavelength is refused at that record, not resumed with an
+    improper colouring."""
+    durable = DurableEngine(diamond(), str(tmp_path / "improper.jsonl"),
+                            wavelengths=4)
+    for rid in range(2):
+        durable.admit(rid, request=Request(0, 3))
+    first, second = durable.vertex_of[0], durable.vertex_of[1]
+    durable.snapshot()
+    durable.close()
+    records = read_journal(durable.path)
+    index = len(records) - 1
+    coloring = records[index]["state"]["coloring"]
+    assert coloring[str(first)] != coloring[str(second)]
+    coloring[str(max(first, second))] = coloring[str(min(first, second))]
+    lines = Path(durable.path).read_bytes().splitlines(keepends=True)
+    lines[index] = _frame(persistence._encode(records[index]))
+    path = tmp_path / "tampered.jsonl"
+    path.write_bytes(b"".join(lines))
+    with pytest.raises(RecoveryError, match="holds it") as excinfo:
+        recover(str(path))
+    assert excinfo.value.record == index
+
+
 def test_tampered_depart_batch_held_list_raises_with_index(tmp_path):
     durable = burst_workload(tmp_path)
     durable.close()

@@ -36,6 +36,7 @@ from repro.exceptions import (
 )
 from repro.generators.regions import multi_region_topology, multi_region_traffic
 from repro.graphs.digraph import DiGraph
+from repro.online.dispatch import DEFRAG
 from repro.online.events import (ARRIVAL, CUT, DEPARTURE, Event, cut_event,
                                  poisson_trace, repair_event, sort_events)
 from repro.online.persistence import (
@@ -52,6 +53,7 @@ from repro.online.simulator import (
     simulate_online,
 )
 from repro.service import RwaService, ServiceSupervisor, serve_trace
+from repro.service.service import _Op
 
 from test_chaos import _gated_service
 
@@ -874,6 +876,36 @@ class TestServiceLifecycle:
 # --------------------------------------------------------------------------- #
 # E19 gate wiring (cheap smoke; the full replay is bench-marked)
 # --------------------------------------------------------------------------- #
+class TestRankRuns:
+    """``RwaService._rank_runs``: the events.py tie-break applied to one
+    drained batch, run by run of equal timestamps."""
+
+    @staticmethod
+    def ops(*spec):
+        return [_Op(kind, time, None, request_id=n)
+                for n, (kind, time) in enumerate(spec)]
+
+    def test_a_batch_in_rank_order_comes_back_as_the_same_list(self):
+        ops = self.ops((DEPARTURE, 1.0), (CUT, 1.0), (ARRIVAL, 1.0),
+                       (DEFRAG, 1.0), (ARRIVAL, 2.0), (DEPARTURE, 3.0))
+        assert RwaService._rank_runs(ops) is ops
+
+    def test_equal_time_ops_are_ranked_fifo_within_a_rank(self):
+        ops = self.ops((ARRIVAL, 1.0), (DEPARTURE, 1.0), (DEFRAG, 1.0),
+                       (CUT, 1.0), (DEPARTURE, 1.0), (ARRIVAL, 1.0))
+        ranked = RwaService._rank_runs(ops)
+        assert [op.request_id for op in ranked] == [1, 4, 3, 0, 2, 5]
+        assert [op.request_id for op in ops] == [0, 1, 2, 3, 4, 5]
+
+    def test_ops_never_cross_distinct_timestamps(self):
+        # the 1.0 run regresses in time; each run is ranked in place
+        ops = self.ops((ARRIVAL, 2.0), (DEPARTURE, 2.0), (ARRIVAL, 1.0),
+                       (DEPARTURE, 1.0), (ARRIVAL, 2.0), (DEPARTURE, 2.0))
+        ranked = RwaService._rank_runs(ops)
+        assert [op.request_id for op in ranked] == [1, 0, 3, 2, 5, 4]
+        assert [op.time for op in ranked] == [2.0, 2.0, 1.0, 1.0, 2.0, 2.0]
+
+
 class TestE19Smoke:
     def test_smoke_mode_validates_the_gate_wiring(self):
         """One warm-up-free replay per scenario; identity facts still gate."""

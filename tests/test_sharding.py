@@ -62,6 +62,31 @@ def test_bridging_arrival_merges_shards(cls):
     assert g.shard_of_member(bridge) is g.shard_of_member(0)
 
 
+@pytest.mark.parametrize("touched", [0, 1, 2, 3])
+def test_arrival_joins_the_largest_touched_shard(touched):
+    """Shards A (one member), B and C (two each); an arrival touching the
+    first ``touched`` of A, B, C in route order joins B, the first of the
+    largest, counts one merge per extra shard, and its undo leaves the
+    shard clean only if the join merged nothing."""
+    g = ShardedConflictGraph(DipathFamily())
+    g.add_dipath(["a", "b"])
+    g.add_dipath(["c", "d"])
+    g.add_dipath(["c", "d"])
+    g.add_dipath(["e", "f"])
+    g.add_dipath(["e", "f"])
+    shard_b = g.shard_of_member(1)
+    route = {0: ["x", "y"], 1: ["c", "d"], 2: ["a", "b", "c", "d"],
+             3: ["a", "b", "c", "d", "e", "f"]}[touched]
+    idx = g.add_dipath(route)
+    home = g.shard_of_member(idx)
+    assert g.component_merges == max(touched - 1, 0)
+    assert (home is shard_b) == (touched > 0)
+    assert home.size == {0: 1, 1: 3, 2: 4, 3: 6}[touched]
+    g.remove_dipath(idx)
+    assert home.dirty == (touched > 1)
+    assert g.audit() == []
+
+
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_departure_splits_lazily_with_rebuild(cls):
     g = cls(DipathFamily())
@@ -372,6 +397,31 @@ def test_adopt_refuses_a_slot_that_is_not_a_live_member(slot):
         engine.assigner.adopt(freed if slot == "freed" else 99, 1)
     assert _colour_state(engine) == before
     assert engine.audit() == []
+
+
+def test_adopt_refuses_a_colour_a_conflicting_member_holds():
+    """Two members sharing fibre b->c could both adopt wavelength 1, and
+    the index then carried that colour twice on one fibre; the colour
+    index keeps one bit per fibre and colour, so adopt must keep the
+    colouring proper."""
+    conflict = ShardedConflictGraph(DipathFamily())
+    assigner = OnlineWavelengthAssigner(conflict.family, 3)
+    first = conflict.add_dipath(["a", "b", "c"])
+    second = conflict.add_dipath(["b", "c", "d"])
+    assigner.adopt(first, 1)
+    before = (dict(assigner.coloring), assigner.usage(),
+              list(assigner.color_index._masks))
+    with pytest.raises(EngineStateError, match="holds it"):
+        assigner.adopt(second, 1)
+    assert (dict(assigner.coloring), assigner.usage(),
+            list(assigner.color_index._masks)) == before
+    assigner.adopt(second, 2)
+    with pytest.raises(EngineStateError, match="holds it"):
+        assigner.adopt(first, 2)                # recolouring onto a taken one
+    assigner.adopt(first, 1)                    # its own colour is free
+    assigner.adopt(first, 0)
+    assert assigner.coloring == {first: 0, second: 2}
+    assert assigner.color_index.forbidden_mask(first) == 0b101
 
 
 @pytest.mark.parametrize("slot", ["freed", "out_of_range"])
