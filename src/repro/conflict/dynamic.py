@@ -191,12 +191,13 @@ class ShardedConflictGraph(ConflictGraph):
 
     def _retract_add(self, idx: int,
                      state: Tuple[bool, int, Optional[int]]) -> None:
-        """Family-level retract of a rolled-back add, shard-coherently.
+        """Family-level retract of an undone add, shard-coherently.
 
         The transaction layer routes ``DipathFamily._retract_add`` through
-        the graph so arc ids the speculation interned (and the retract now
-        un-interns) also lose their shard ownership — the same ids may be
-        recycled for *different* arcs later.
+        the graph (on a rollback, and after a blocked placement) so arc ids
+        the add interned (and the retract now un-interns) also lose their
+        shard ownership — the same ids may be recycled for *different*
+        arcs later.
         """
         before = len(self._family._arcs)
         self._family._retract_add(idx, state)

@@ -243,9 +243,10 @@ class ShardTracker(Instrumented):
     def on_retract(self, start: int, stop: int) -> None:
         """Forget ownership of the un-interned arc ids ``start..stop-1``.
 
-        Called when a rolled-back speculation un-interns the arcs it
-        created (see ``DipathFamily._retract_add``); the ids may be
-        reused for *different* arcs later, so stale ownership must go.
+        Called when a rolled-back speculation or a blocked placement
+        un-interns the arcs it created (see ``DipathFamily._retract_add``);
+        the ids may be reused for *different* arcs later, so stale
+        ownership must go.
         """
         shard_of_arc = self._shard_of_arc
         for aid in range(start, stop):

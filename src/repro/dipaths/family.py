@@ -92,7 +92,11 @@ class DipathFamily:
         Freed slots (see :meth:`remove`) are recycled before new indices are
         allocated.  Drops the conflict-mask cache.
         """
-        dipath = self.checked(dipath)
+        if not isinstance(dipath, Dipath):
+            dipath = Dipath(dipath, graph=self._graph)
+        elif self._graph is not None and not dipath.is_valid_in(self._graph):
+            raise InvalidDipathError(
+                f"{dipath!r} is not a dipath of the attached digraph")
         if self._free_slots:
             idx = self._free_slots.pop()
             self._paths[idx] = dipath
@@ -127,20 +131,6 @@ class DipathFamily:
                     cache = count
             self._load_cache = cache
         return idx
-
-    def checked(self, dipath: Dipath | Sequence[Vertex]) -> Dipath:
-        """``dipath`` as a :class:`Dipath` of the attached digraph.
-
-        The check :meth:`add` makes before it changes anything: raises
-        :class:`InvalidDipathError` for a vertex sequence that is no
-        dipath, or one that leaves the attached digraph.
-        """
-        if not isinstance(dipath, Dipath):
-            return Dipath(dipath, graph=self._graph)
-        if self._graph is not None and not dipath.is_valid_in(self._graph):
-            raise InvalidDipathError(
-                f"{dipath!r} is not a dipath of the attached digraph")
-        return dipath
 
     def remove(self, idx: int) -> Dipath:
         """Remove member ``idx`` and return its dipath.

@@ -28,7 +28,6 @@ from __future__ import annotations
 
 from typing import List, Optional, Tuple
 
-from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..obs.registry import Instrumented, MetricsRegistry
 
@@ -75,24 +74,6 @@ class ArcColorIndex(Instrumented):
         forbidden = 0
         for aid in self._family.member_arc_ids(vertex):
             if aid < known:
-                forbidden |= masks[aid]
-        return forbidden
-
-    def dipath_mask(self, dipath: Dipath) -> int:
-        """Colours in use on any fibre of ``dipath``, member or not.
-
-        The mask :meth:`forbidden_mask` would return once ``dipath`` is
-        added, read without adding it: arcs the family has not interned
-        yet carry no colour.  Burst and what-if admission decide from it
-        before they mutate anything.
-        """
-        masks = self._masks
-        known = len(masks)
-        find = self._family.find_arc_id
-        forbidden = 0
-        for arc in dipath.arcs():
-            aid = find(arc)
-            if aid is not None and aid < known:
                 forbidden |= masks[aid]
         return forbidden
 

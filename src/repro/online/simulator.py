@@ -54,6 +54,7 @@ from ..exceptions import (
     RoutingError,
     ShardNotFoundError,
     SimulationError,
+    TransactionError,
     VertexNotFoundError,
 )
 from ..conflict.dynamic import ShardedConflictGraph
@@ -788,8 +789,11 @@ class OnlineEngine(Instrumented):
         With a tracer attached, the decision is wrapped in an ``admit``
         span tagged with the request id, the outcome, and — on success —
         the colour, the route's arc ids and the conflict-component
-        anchor.
+        anchor.  Refused while a what-if transaction is open (see
+        :meth:`_refuse_in_transaction`).
         """
+        if self.conflict._tx_stack:
+            self._refuse_in_transaction("admit")
         tracer = self.tracer
         if tracer is None:
             return self._admit(request_id, request, dipath)
@@ -824,26 +828,12 @@ class OnlineEngine(Instrumented):
 
     def _admit(self, request_id: int, request: Optional[Request],
                dipath: Optional[Dipath]) -> Optional[str]:
-        if request_id in self.vertex_of:
-            raise SimulationError(
-                f"duplicate arrival for request {request_id}")
-        if dipath is not None:
-            candidates = [dipath] if self._check_arrival(request, dipath) \
-                else []
-        elif request is None:
-            raise SimulationError(
-                f"arrival {request_id} has no request or dipath")
-        elif self.speculative:
-            candidates = self.router.candidates(request)
-        else:
-            routed = self.router.route(request)
-            candidates = [] if routed is None else [routed]
+        candidates = self._route(request_id, request, dipath,
+                                 self.speculative)
         if not candidates:
-            if request is not None:
-                self._check_vertices((request.source, request.target))
             self._m_rejected_route.inc()
             return NO_ROUTE
-        if self.speculative and len(candidates) > 1:
+        if len(candidates) > 1:
             decision = admit_best(self.conflict, self.assigner, candidates)
             if decision is None:
                 self._m_rejected_wavelength.inc()
@@ -851,6 +841,11 @@ class OnlineEngine(Instrumented):
             self.vertex_of[request_id] = decision.index
             self._m_admitted.inc()
             return None
+        # A lone arrival is added, coloured and, if blocked, only removed,
+        # not retracted as the transaction layer's placement is: its freed
+        # slot and the arcs it interned stay behind.  Journals already
+        # written record that state in their snapshots (the v1 journals of
+        # tests/test_recovery.py among them), so replay needs this path.
         idx = self.conflict.add_dipath(candidates[0])
         if self.assigner.assign(self.conflict, idx) is None:
             self.conflict.remove_dipath(idx)
@@ -859,6 +854,34 @@ class OnlineEngine(Instrumented):
         self.vertex_of[request_id] = idx
         self._m_admitted.inc()
         return None
+
+    def _route(self, request_id: int, request: Optional[Request],
+               dipath: Optional[Dipath], speculative: bool) -> List[Dipath]:
+        """The routing step of one arrival: its candidate routes.
+
+        Raises :class:`~repro.exceptions.SimulationError` for a duplicate
+        request id or an arrival with neither request nor dipath.  A
+        pre-routed ``dipath`` is the one candidate if :meth:`_check_arrival`
+        passes it; else the router's candidates (``speculative``) or its
+        route.  An empty list is a :data:`NO_ROUTE` rejection whose
+        endpoints :meth:`_check_vertices` has checked.
+        """
+        if request_id in self.vertex_of:
+            raise SimulationError(
+                f"duplicate arrival for request {request_id}")
+        if dipath is not None:
+            return [dipath] if self._check_arrival(request, dipath) else []
+        if request is None:
+            raise SimulationError(
+                f"arrival {request_id} has no request or dipath")
+        if speculative:
+            candidates = self.router.candidates(request)
+        else:
+            routed = self.router.route(request)
+            candidates = [] if routed is None else [routed]
+        if not candidates:
+            self._check_vertices((request.source, request.target))
+        return candidates
 
     def _check_arrival(self, request: Optional[Request],
                        dipath: Dipath) -> bool:
@@ -903,8 +926,8 @@ class OnlineEngine(Instrumented):
         :func:`repro.online.transaction.admit_batch` under the given
         partial-commit policy.  Returns ``request_id -> None`` (admitted)
         or a rejection reason.  The burst runs as one what-if
-        transaction, so it also nests inside a caller's open
-        :class:`~repro.online.transaction.WhatIfTransaction`.
+        transaction of its own, and is refused while a caller's is open
+        (see :meth:`_refuse_in_transaction`).
 
         With a tracer attached the burst is wrapped in an
         ``admit_batch`` span and every admitted member additionally
@@ -912,6 +935,8 @@ class OnlineEngine(Instrumented):
         span), so trace analysis sees batched and singleton admissions
         uniformly.
         """
+        if self.conflict._tx_stack:
+            self._refuse_in_transaction("admit_batch")
         tracer = self.tracer
         if tracer is None:
             return self._admit_batch(arrivals, policy)
@@ -922,12 +947,7 @@ class OnlineEngine(Instrumented):
                              if reason is None]
             span.tags["admitted"] = len(admitted_rids)
             for rid in admitted_rids:
-                idx = self.vertex_of[rid]
-                tracer.event(
-                    "admit", rid=rid, outcome="admitted",
-                    color=self.assigner.color_of(idx),
-                    arcs=self.family.member_arc_ids(idx),
-                    shard=self.conflict.shard_of_member(idx).anchor())
+                tracer.event("admit", **self._admit_tags(rid, None))
             return reasons
 
     def _admit_batch(self, arrivals: List[Event],
@@ -935,26 +955,12 @@ class OnlineEngine(Instrumented):
         reasons: Dict[int, Optional[str]] = {}
         routed: List[tuple] = []
         for event in arrivals:
-            if event.request_id in self.vertex_of:
-                raise SimulationError(
-                    f"duplicate arrival for request {event.request_id}")
-            dipath = event.dipath
-            if dipath is not None:
-                if not self._check_arrival(event.request, dipath):
-                    reasons[event.request_id] = NO_ROUTE
-                    continue
-            elif event.request is None:
-                raise SimulationError(
-                    f"arrival {event.request_id} has no request or "
-                    f"dipath")
+            rid = event.request_id
+            candidates = self._route(rid, event.request, event.dipath, False)
+            if candidates:
+                routed.append((rid, candidates[0]))
             else:
-                dipath = self.router.route(event.request)
-            if dipath is None:
-                self._check_vertices((event.request.source,
-                                      event.request.target))
-                reasons[event.request_id] = NO_ROUTE
-            else:
-                routed.append((event.request_id, dipath))
+                reasons[rid] = NO_ROUTE
         self._m_batches.inc()
         self._m_batch_arrivals.inc(len(arrivals))
         self._h_batch_size.observe(len(arrivals))
@@ -979,7 +985,10 @@ class OnlineEngine(Instrumented):
 
     def depart(self, request_id: int) -> bool:
         """Tear down a provisioned lightpath; ``False`` if it never held one
-        (blocked arrivals depart silently)."""
+        (blocked arrivals depart silently).  Refused while a what-if
+        transaction is open (see :meth:`_refuse_in_transaction`)."""
+        if self.conflict._tx_stack:
+            self._refuse_in_transaction("depart")
         tracer = self.tracer
         if tracer is None:
             return self._depart(request_id)
@@ -1002,6 +1011,18 @@ class OnlineEngine(Instrumented):
         by one."""
         depart = self.depart
         return [depart(rid) for rid in request_ids]
+
+    def _refuse_in_transaction(self, op: str) -> None:
+        """Refuse ``op`` with :class:`~repro.exceptions.TransactionError`.
+
+        :meth:`admit`, :meth:`admit_batch` and :meth:`depart` call this
+        before any change while a what-if transaction is open: the
+        request map is not journalled (nor a lone arrival's add), so a
+        rollback could not undo them.  Speculate through the transaction.
+        """
+        raise TransactionError(
+            f"{op} inside an open what-if transaction: the engine's "
+            f"request map is not journalled; resolve the transaction first")
 
     def _depart(self, request_id: int) -> bool:
         idx = self.vertex_of.pop(request_id, None)

@@ -28,13 +28,11 @@ candidate route of an arrival that leaves the least-loaded fibres behind.
 The ranking needs no speculation and is exact — the objective depends
 only on loads, admitting a dipath adds exactly one to the load of each of
 its arcs, and neither the wavelength choice nor a Kempe repair moves a
-load — so the candidates are ranked up front.  Admissibility needs no
-speculation either, except under Kempe repair: without recolouring, a
-candidate colours iff some wavelength is free on every one of its
-fibres, which the union of those fibres' masks in the assigner's colour
-index answers before anything moves.  The first candidate in rank order
-that colours is admitted; only a candidate with no free colour under
-Kempe repair is speculated (and rolled back if the repair fails).  This is what ``k_shortest`` routing with
+load — so the candidates are ranked up front.  Each candidate in rank
+order is then added and coloured (Kempe repair included); one that does
+not colour has recoloured nothing, so removing it and retracting its add
+restores the state exactly, and the next candidate is tried.  The first
+that colours is admitted.  This is what ``k_shortest`` routing with
 ``speculative=True`` in :func:`repro.online.simulator.simulate_online`
 runs per arrival.
 
@@ -47,8 +45,7 @@ remove → :func:`admit_best` → compare move in an outer transaction and
 drop it bit-identically when the move is not a strict improvement, and
 what :func:`admit_batch` uses to admit a burst of arrivals atomically
 under the partial-commit policies (:data:`BATCH_POLICIES`): one
-transaction per burst, with a child only where Kempe repair may
-recolour.
+transaction per burst, and no child per arrival.
 """
 
 from __future__ import annotations
@@ -271,35 +268,29 @@ def _place(conflict: ShardedConflictGraph,
     """Add and colour one routed dipath, or leave the state as it was.
 
     Returns ``(member index, colour)``, or ``(None, None)`` when the
-    dipath does not colour.  The union of its fibres' colour masks decides
-    first, before anything moves (arcs not interned yet are free); it is
-    the forbidden mask the assigner would read once the dipath is added:
-
-    * a free colour — the add and the colouring cannot fail, so they run
-      in the innermost open transaction (journalled there, for a parent's
-      rollback) or, with none open, straight on the engine;
-    * no free colour and no Kempe repair — blocked, nothing touched (the
-      dipath is still checked as an add would check it);
-    * no free colour and Kempe repair on — a child
-      :class:`WhatIfTransaction`, because the repair must place the
-      member before it can recolour around it.
+    dipath does not colour.  One path: add the dipath, then let the
+    assigner colour it (Kempe repair included).  A blocked attempt has
+    changed no colour — a failed Kempe search recolours nothing — so it
+    is undone exactly by removing the member and retracting the add to
+    the family state captured before it: the freed slot, the arcs it
+    interned first and the load cache.  (Only the shard tracker may keep
+    a merge the add made: a superset of the true components, which
+    ``engine_fingerprint`` and the next refresh see exactly, as after a
+    rollback.)  A coloured member's add is journalled in the innermost
+    open transaction (for a parent's rollback); its colour changes are
+    journalled by the assigner.
     """
-    forbidden = assigner.color_index.dipath_mask(dipath)
-    full = (1 << assigner.wavelengths) - 1
-    if forbidden & full != full:
-        stack = conflict._tx_stack
-        idx = (stack[-1].add_dipath(dipath) if stack
-               else conflict.add_dipath(dipath))
-        return idx, assigner.assign(conflict, idx)
-    if not assigner.kempe_repair:
-        conflict.family.checked(dipath)
+    state = conflict.family._spec_state()
+    idx = conflict.add_dipath(dipath)
+    color = assigner.assign(conflict, idx)
+    if color is None:
+        conflict.remove_dipath(idx)
+        conflict._retract_add(idx, state)
         return None, None
-    with WhatIfTransaction(conflict, assigner) as tx:
-        idx, color = tx.admit(dipath)
-        if color is not None:
-            tx.commit()
-            return idx, color
-    return None, None
+    stack = conflict._tx_stack
+    if stack:
+        stack[-1]._log.append((_ADD, idx, state))
+    return idx, color
 
 
 def admit_best(conflict: ShardedConflictGraph,
@@ -314,14 +305,14 @@ def admit_best(conflict: ShardedConflictGraph,
     stable, so ties keep the earliest candidate (with candidates ordered
     shortest-first the tie-break matches static routing).  Candidates are
     then tried in rank order, route × wavelength × Kempe repair exactly
-    as a real arrival, and the first that colours is admitted.  Whether a
-    candidate colours is read from its fibres' colour masks before any
-    mutation; only a candidate with no free colour under Kempe repair is
-    speculated in a child :class:`WhatIfTransaction` (see
-    :func:`_place`).  ``None`` means no candidate fits the wavelength
-    budget, and leaves the state bit-identical.  Under an enclosing
-    transaction (defrag moves, batches) the admission is journalled into
-    the innermost one, so the outer rollback can still undo it.
+    as a real arrival, and the first that colours is admitted.  Each
+    attempt adds, colours and, if blocked, removes and retracts the
+    candidate exactly (see :func:`_place`), so no attempt needs a
+    transaction of its own.  ``None`` means no candidate fits the
+    wavelength budget, and leaves the state bit-identical.  Under an
+    enclosing transaction (defrag moves, batches) the admission is
+    journalled into the innermost one, so the outer rollback can still
+    undo it.
     """
     family = conflict.family
 
@@ -395,9 +386,9 @@ def admit_batch(conflict: ShardedConflictGraph,
     the engine never holds a half-admitted arrival and an
     ``all_or_nothing`` failure unwinds every earlier admission of the
     burst bit-identically.  Each arrival is decided by :func:`_place`:
-    one that colours is admitted straight into the burst's transaction,
-    one that does not leaves nothing behind, and a child transaction is
-    opened only when Kempe repair may recolour.  See
+    it is added and coloured (Kempe repair included); one that colours
+    is journalled in the burst's transaction, one that does not is
+    removed and its add retracted exactly, leaving nothing behind.  See
     :data:`BATCH_POLICIES` for the partial-commit semantics.
     """
     result = BatchResult(policy=policy)       # validates the policy name

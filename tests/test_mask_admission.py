@@ -1,13 +1,12 @@
-"""Mask-decided burst and what-if admission against a speculate-every-
-attempt oracle.
+"""Burst and what-if admission against a speculate-every-attempt oracle.
 
 :func:`repro.online.transaction.admit_batch` and
-:func:`~repro.online.transaction.admit_best` decide whether an attempt
-colours from the union of its fibres' colour masks before they touch
-anything, and open a child :class:`WhatIfTransaction` only when a Kempe
-repair may recolour.  The oracle below is the older formulation: every
-attempt is admitted inside its own child transaction, committed if it
-coloured and rolled back otherwise.  Two twin engines run one random
+:func:`~repro.online.transaction.admit_best` place each attempt on one
+path: add the dipath, colour it (Kempe repair included) and, when it is
+blocked, remove it and retract the add exactly — no child
+:class:`WhatIfTransaction`.  The oracle below is the older formulation:
+every attempt is admitted inside its own child transaction, committed if
+it coloured and rolled back otherwise.  Two twin engines run one random
 script of bursts (every batch policy), ranked candidate lists and
 departures, some steps inside an open transaction that later commits or
 rolls back, under every assigner policy with Kempe repair on and off.
@@ -203,9 +202,11 @@ def test_mask_decided_admission_matches_the_speculating_oracle(
     fast = _Twin(graph, policy, kempe, admit_batch, admit_best)
     slow = _Twin(graph, policy, kempe, oracle_admit_batch, oracle_admit_best)
     blocked = 0
+    outcomes = []
     for step, op in enumerate(script):
         got, want = _run(fast, op), _run(slow, op)
         assert got == want, (step, op[0])
+        outcomes.append((op, got))
         assert fast.state() == slow.state(), (step, op[0])
         assert fast.engine.audit() == [], step
         assert slow.engine.audit() == [], step
@@ -221,9 +222,11 @@ def test_mask_decided_admission_matches_the_speculating_oracle(
         return twin.engine.metrics.snapshot()["diagnostics"]["counters"][
             "colorindex.rollbacks"]
 
-    # the masks refuse a blocked attempt without a rollback; only Kempe
-    # repair still speculates
-    if kempe:
-        assert rollbacks(fast) <= rollbacks(slow)
-    else:
-        assert rollbacks(fast) < rollbacks(slow)
+    # a blocked attempt is retracted without a rollback, Kempe repair on
+    # or off: the only rollbacks left are failed all_or_nothing bursts and
+    # the script's own rolled-back transactions
+    outer = sum(1 for op, got in outcomes
+                if (op[0] == "burst" and not got[2])
+                or (op[0] == "close" and not op[1]))
+    assert rollbacks(fast) == outer
+    assert rollbacks(slow) > outer

@@ -356,33 +356,38 @@ class TestAdmitBestRanking:
             assert calls == {"add": 1, "rollback": 0}
             assert self._index_rollbacks(engine) == 0
 
-    @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_j_misfits_cost_nothing_without_kempe(self, monkeypatch, j):
-        """The colour masks refuse a misfit before anything is added."""
-        engine = self._work_engine(kempe=False)
-        calls = self._spy(monkeypatch)
+    def _check_j_misfits(self, monkeypatch, j, kempe):
+        """``j`` copies of the blocked route ranked before the fit: each
+        costs one add and no rollback, and the state ends as if only the
+        fit had been admitted."""
+        engine, twin = self._work_engine(kempe), self._work_engine(kempe)
         fits, blocked = Dipath(["b", "c", "d", "e"]), Dipath(["a", "b", "c"])
-        decision = admit_best(engine.conflict, engine.assigner,
-                              [fits] + [blocked] * j)
+        with monkeypatch.context() as patch:
+            calls = self._spy(patch)
+            decision = admit_best(engine.conflict, engine.assigner,
+                                  [fits] + [blocked] * j)
         assert decision is not None
         assert decision.candidate == 0 and decision.color == 0
-        assert calls == {"add": 1, "rollback": 0}
+        assert calls == {"add": j + 1, "rollback": 0}
         assert self._index_rollbacks(engine) == 0
+        assert engine.assigner.kempe_repairs == 0
+        admit_best(twin.conflict, twin.assigner, [fits])
+        assert engine_fingerprint(engine) == engine_fingerprint(twin)
+        assert (engine.assigner.color_index._masks
+                == twin.assigner.color_index._masks)
 
     @pytest.mark.parametrize("j", [1, 2, 3])
-    def test_j_misfits_cost_j_rollbacks(self, monkeypatch, j):
-        """Under Kempe repair a misfit is still speculated: the repair
-        must place the member before it can search, and fails here."""
-        engine = self._work_engine(kempe=True)
-        calls = self._spy(monkeypatch)
-        fits, blocked = Dipath(["b", "c", "d", "e"]), Dipath(["a", "b", "c"])
-        decision = admit_best(engine.conflict, engine.assigner,
-                              [fits] + [blocked] * j)
-        assert decision is not None
-        assert decision.candidate == 0 and decision.color == 0
-        assert calls == {"add": j + 1, "rollback": j}
-        assert self._index_rollbacks(engine) == j
-        assert engine.assigner.kempe_repairs == 0
+    def test_j_misfits_cost_nothing_without_kempe(self, monkeypatch, j):
+        """A misfit is added, found blocked, removed and its add
+        retracted: nothing is left behind and nothing rolls back."""
+        self._check_j_misfits(monkeypatch, j, kempe=False)
+
+    @pytest.mark.parametrize("j", [1, 2, 3])
+    def test_j_misfits_cost_no_rollback_under_kempe(self, monkeypatch, j):
+        """Under Kempe repair a misfit costs the same: the repair search
+        fails here and a failed search recolours nothing, so the exact
+        retract undoes the attempt without a transaction."""
+        self._check_j_misfits(monkeypatch, j, kempe=True)
 
     def test_no_fit_returns_none_and_leaves_state(self, monkeypatch):
         for kempe in (False, True):
@@ -394,7 +399,7 @@ class TestAdmitBestRanking:
                 calls = self._spy(patch)
                 assert admit_best(engine.conflict, engine.assigner,
                                   [blocked, blocked]) is None
-            assert calls == ({"add": 2, "rollback": 2} if kempe
-                             else {"add": 0, "rollback": 0})
+            assert calls == {"add": 2, "rollback": 0}
+            assert self._index_rollbacks(engine) == 0
             assert engine_fingerprint(engine) == before
             assert engine.assigner.color_index._masks == masks

@@ -167,21 +167,31 @@ def test_stale_join_stamp_cannot_suppress_a_real_split():
 
 
 def test_admit_batch_inside_open_transaction_rolls_back():
+    """The engine's transitions are refused inside an open what-if
+    transaction, before any change: its request map and a lone arrival's
+    add are not journalled, so the rollback could not undo them."""
     engine = _three_region_engine(events=40)
+    from repro.exceptions import TransactionError
     from repro.online.events import ARRIVAL, Event
     from repro.online.transaction import WhatIfTransaction
 
     path = engine.family[engine.family.active_indices()[0]]
     events = [Event(0.0, ARRIVAL, 9000, dipath=path),
               Event(0.0, ARRIVAL, 9001, dipath=path)]
-    with WhatIfTransaction(engine.conflict, engine.assigner):
-        # the burst nests inside the open transaction: leaving the block
-        # rolls everything back without stranding coloured members
-        before = len(engine.family)
-        engine.admit_batch(events, policy="greedy")
-    assert len(engine.family) == before
-    for idx in engine.family.active_indices():
-        engine.assigner.color_of(idx)          # everyone still coloured
+    held = min(engine.vertex_of)
+    before = engine_fingerprint(engine)
+    ops = {"admit_batch": lambda: engine.admit_batch(events,
+                                                     policy="greedy"),
+           "admit": lambda: engine.admit(9000, dipath=path),
+           "depart": lambda: engine.depart(held)}
+    for name, op in ops.items():
+        with WhatIfTransaction(engine.conflict, engine.assigner):
+            with pytest.raises(TransactionError, match=name):
+                op()
+        assert engine.audit() == [], name
+        assert engine_fingerprint(engine) == before, name
+    engine.admit_batch(events, policy="greedy")   # resolved: allowed
+    assert engine.audit() == []
 
 
 def test_arc_ownership_survives_departure():
