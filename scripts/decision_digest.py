@@ -3,11 +3,16 @@
 Each line: workload, trace seed, then sha256 digests (16 hex digits) of the
 ``simulate_online`` decisions, its ``engine_fingerprint`` and the journal
 bytes of a durable ``serve_trace`` run (``-`` for in-memory workloads),
-then the simulation's shard-tracker and colour-index counters.  Run it on
-two commits and diff the outputs to check that a change kept every
-decision (traces of ``perfbench/run.py --seed N``, default 201):
+then the simulation's colour-index record count.  Run it on two commits
+and diff the outputs to check that a change kept every decision (traces
+of ``perfbench/run.py --seed N``, default 201):
 
     python scripts/decision_digest.py [run seed ...]
+
+``tests/data/decision_digest_201.txt`` holds the output for run seed 201;
+``tests/test_decision_digest.py`` compares against it.  A change that
+moves decisions on purpose re-records that file and names each changed
+line.
 """
 
 import hashlib
@@ -15,15 +20,9 @@ import json
 import os
 import sys
 import tempfile
+from typing import Iterator, List
 
 ROOT = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
-sys.path.insert(0, os.path.join(ROOT, "perfbench"))
-sys.path.insert(0, os.path.join(ROOT, "src"))
-
-import workloads as W  # noqa: E402
-from repro.online import engine_fingerprint, simulate_online  # noqa: E402
-from repro.online.faults import fault_surface  # noqa: E402
-from repro.service import serve_trace  # noqa: E402
 
 
 def sha(value) -> str:
@@ -33,6 +32,9 @@ def sha(value) -> str:
 
 
 def journal_digest(wl, graph, events) -> str:
+    from repro.online.faults import fault_surface
+    from repro.service import serve_trace
+
     with tempfile.TemporaryDirectory() as tmp:
         path = os.path.join(tmp, "journal.jsonl")
         serve_trace(fault_surface(graph, events), events, wl.wavelengths,
@@ -41,9 +43,14 @@ def journal_digest(wl, graph, events) -> str:
             return sha(stream.read())
 
 
-def main(seeds) -> None:
-    for name, wl in W.WORKLOADS.items():
-        traces = [t for s in seeds for t in W.trace_seeds(s, wl.traces)]
+def digest_lines(workloads, seeds: List[int]) -> Iterator[str]:
+    """The digest lines of the traces of ``seeds`` (``workloads`` is the
+    ``perfbench/workloads.py`` module)."""
+    from repro.online import engine_fingerprint, simulate_online
+
+    for name, wl in workloads.WORKLOADS.items():
+        traces = [t for s in seeds for t in workloads.trace_seeds(
+            s, wl.traces)]
         for trace_seed in traces:
             graph, events = wl.inputs(trace_seed)
             result = simulate_online(graph, events, wl.wavelengths,
@@ -51,11 +58,18 @@ def main(seeds) -> None:
             records = result.engine.metrics.snapshot()["diagnostics"][
                 "counters"]["colorindex.records"]
             journal = journal_digest(wl, graph, events) if wl.durable else "-"
-            print(name, trace_seed, sha(W.decisions(result)),
-                  sha(engine_fingerprint(result.engine)), journal,
-                  f"shards={result.component_merges}/"
-                  f"{result.component_splits}/{result.shard_rebuilds}",
-                  f"records={records}", flush=True)
+            yield " ".join((name, str(trace_seed), sha(
+                workloads.decisions(result)), sha(engine_fingerprint(
+                    result.engine)), journal, f"records={records}"))
+
+
+def main(seeds: List[int]) -> None:
+    sys.path.insert(0, os.path.join(ROOT, "perfbench"))
+    sys.path.insert(0, os.path.join(ROOT, "src"))
+    import workloads
+
+    for line in digest_lines(workloads, seeds):
+        print(line, flush=True)
 
 
 if __name__ == "__main__":
