@@ -7,7 +7,9 @@ engine (:class:`~repro.conflict.ShardedConflictGraph` structure +
 oracle, :meth:`~repro.online.OnlineEngine.audit`, which checks the
 conflict adjacency against the raw routes' shared-fibre relation and the
 colour index against a replay of the colouring — the only two inputs a
-decision reads besides the colouring itself:
+decision reads besides the colouring itself — and the on-demand conflict
+components (:meth:`~repro.online.OnlineEngine.shard_map`) against a flood
+fill over the routes' shared-fibre relation:
 
 * **Throughput** (``kind == "throughput"``) — on a multi-region topology
   holding 800+ concurrent lightpaths, time the admission churn and
@@ -15,12 +17,16 @@ decision reads besides the colouring itself:
   :data:`THROUGHPUT_AUDIT_EVERY` events outside the timed region.  At
   this scale one audit costs over a hundred events, so the throughput
   replays audit at a stride; the differential ones audit every event.
+  ``components`` is the number of conflict components at the end, a
+  function of the decisions alone, which the closing audit found equal
+  to the routes' shared-fibre components.
 
 * **Differential** (``kind == "differential"``) — full
   :func:`~repro.online.simulator.simulate_online` runs (speculative
   routing, defrag triggers, timestamp batching) with ``audit_every=1``,
-  on traces whose inter-region lightpaths force component merges and
-  whose departures force splits.
+  on traces whose inter-region lightpaths join components and whose
+  departures split them again; each event's audit checks the components
+  (a trace's last departure leaves none to report at its end).
 
 An audit violation raises :class:`~repro.exceptions.AuditError` naming
 every broken invariant, so a run that returns records has passed the
@@ -60,7 +66,7 @@ THROUGHPUT_AUDIT_EVERY = 25
 #: are multi-arc random walks (3+ fibres each), so members genuinely
 #: conflict — short shortest-path routes would leave the conflict graph
 #: too sparse to stress the engine.  Walks cross the bridge fibres
-#: whenever they wander onto one, which is what exercises the merges.
+#: whenever they wander onto one, which joins the regions' components.
 THROUGHPUT_SCENARIOS: Dict[str, Tuple[int, int, int, int, int, int, int]] = {
     "shard-4regions-860": (4, 48, 2, 128, 900, 3000, 1500),
     "shard-6regions-850": (6, 36, 2, 128, 900, 3000, 1500),
@@ -123,8 +129,6 @@ def measure_throughput_scenario(name: str) -> Dict[str, object]:
     total += time.perf_counter() - start
     _audit(engine, name, "at the end")
     audits += 1
-    # settle the lazy split-checks before reading the component counters
-    shards = len(engine.shard_map())
     return {
         "scenario": name,
         "kind": "throughput",
@@ -137,10 +141,7 @@ def measure_throughput_scenario(name: str) -> Dict[str, object]:
         "total_s": total,
         "event_us": total / events * 1e6,
         "audits": audits,
-        "component_merges": engine.conflict.component_merges,
-        "component_splits": engine.conflict.component_splits,
-        "shard_rebuilds": engine.conflict.shard_rebuilds,
-        "shards": shards,
+        "components": len(engine.shard_map()),
     }
 
 
@@ -177,11 +178,6 @@ def measure_differential_scenario(name: str) -> Dict[str, object]:
         "wavelengths": wavelengths,
         "arrivals": arrivals,
         "blocking": result.blocking_rate,
-        "component_merges": result.component_merges,
-        "component_splits": result.component_splits,
-        "shard_rebuilds": result.shard_rebuilds,
-        "merges_exercised": result.component_merges > 0,
-        "splits_exercised": result.component_splits > 0,
     }
 
 

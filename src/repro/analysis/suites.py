@@ -200,13 +200,6 @@ def print_records(suite: Suite, records: List[Record]) -> None:
 # ---------------------------------------------------------------------- #
 # cross-record claims
 # ---------------------------------------------------------------------- #
-def _splits_exercised(records: List[Record]) -> List[str]:
-    if any(int(r.get("component_splits", 0)) > 0 for r in records):
-        return []
-    return ["no scenario ever split a component — the lazy split-check "
-            "machinery went unexercised"]
-
-
 def _snapshots_pay(records: List[Record]) -> List[str]:
     """Snapshotted recovery must out-replay replay-from-genesis in-run."""
     crash = [r for r in records if r.get("kind") == "crash_recovery"]
@@ -342,21 +335,17 @@ SUITES: Dict[str, Suite] = {suite.name: suite for suite in (
         # one audited replay per scenario: repeating adds nothing
         run=lambda repeats: run_sharding_benchmark(),
         benchmark="sharded_online_engine",
-        cross=_splits_exercised,
         kinds={
             "throughput": Kind(
                 columns=("scenario", "concurrent", "wavelengths", "total_s",
-                         "event_us", "audits", "shards", "component_merges",
-                         "component_splits", "shard_rebuilds"),
+                         "event_us", "audits", "components"),
                 floors={"concurrent": 800},
-                # pre-routed replays: the moves are a function of the
-                # decisions alone
-                exact=("concurrent", "defrag_moves"), min_records=2),
+                # pre-routed replays: the moves and the final components
+                # are a function of the decisions alone
+                exact=("concurrent", "defrag_moves", "components"),
+                min_records=2),
             "differential": Kind(
-                columns=("scenario", "arrivals", "blocking",
-                         "component_merges", "component_splits"),
-                flags={"merges_exercised": "the trace never merged "
-                                           "components"},
+                columns=("scenario", "arrivals", "blocking"),
                 drift={"blocking": BLOCKING_DRIFT}, min_records=2)}),
     Suite(
         name="recovery", gate="E17",

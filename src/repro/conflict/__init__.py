@@ -15,7 +15,6 @@ from .cliques import (
 )
 from .conflict_graph import ConflictGraph, build_conflict_graph
 from .dynamic import ShardedConflictGraph
-from .sharding import Shard, ShardTracker, ShardView
 from .covering import (
     blowup_chromatic_number,
     independent_set_cover,
@@ -32,9 +31,6 @@ from .independent_sets import (
 
 __all__ = [
     "ConflictGraph",
-    "Shard",
-    "ShardTracker",
-    "ShardView",
     "ShardedConflictGraph",
     "blowup_chromatic_number",
     "build_conflict_graph",

@@ -8,10 +8,9 @@ it unchanged), but it stores no adjacency at all:
 
 * :meth:`~ShardedConflictGraph.add_dipath` inserts the member into the
   family (which sets the member's bit in each of its arcs' member
-  bitmasks) and files it with the shard tracker — O(arcs), however
-  conflicted the arriving lightpath is;
-* :meth:`~ShardedConflictGraph.remove_dipath` clears those bits and
-  detaches the member from its shard — again O(arcs);
+  bitmasks) — O(arcs), however conflicted the arriving lightpath is;
+* :meth:`~ShardedConflictGraph.remove_dipath` clears those bits — again
+  O(arcs);
 * adjacency masks are derived **on demand** as the union of the member's
   arc bitmasks (O(arcs) per queried vertex).  Every inherited read-only
   query reads through a lazy mapping; the structural mutators of the base
@@ -29,14 +28,13 @@ built from scratch — the invariant the equivalence tests assert.  The
 family's own conflict-mask cache plays no part: mutations drop it, and
 only offline queries build it.
 
-The graph also tracks the **connected components** of the live graph
-through a :class:`~repro.conflict.sharding.ShardTracker` (O(arcs) per
-event: arrivals merge the shards owning their arcs, departures mark their
-shard for a lazy split-check), exposing
-:meth:`~ShardedConflictGraph.shard_map`,
-:meth:`~ShardedConflictGraph.shard_view` and the ``component_merges`` /
-``component_splits`` / ``shard_rebuilds`` counters — see
-:mod:`repro.conflict.sharding`.
+The **connected components** of the live graph are computed on demand:
+:meth:`~ShardedConflictGraph.shard_map` runs the inherited
+:meth:`~repro.conflict.ConflictGraph.connected_components` flood fill over
+the lazy adjacency and labels each component by its smallest member (its
+*anchor*).  Nothing is maintained per event, so a read never mutates the
+graph; :meth:`~repro.conflict.ConflictGraph.subgraph` gives one
+component's conflict graph for the mask algorithms.
 
 ``DynamicConflictGraph`` is a plain alias of :class:`ShardedConflictGraph`,
 kept only because ``perfbench/spans.py`` still imports that name.
@@ -51,7 +49,6 @@ from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..graphs.digraph import DiGraph
 from .conflict_graph import ConflictGraph
-from .sharding import Shard, ShardTracker, ShardView
 
 __all__ = ["ShardedConflictGraph"]
 
@@ -103,19 +100,17 @@ class ShardedConflictGraph(ConflictGraph):
 
     The hot-path contract of the online engine: arrivals and
     departures never walk their neighbourhood — the family updates its
-    per-arc member bitmasks (O(arcs)), the shard tracker re-files the
-    member (O(arcs)), and that is all.  Adjacency queries
+    per-arc member bitmasks (O(arcs)), and that is all.  Adjacency queries
     (:meth:`neighbor_mask`, :meth:`degree`, and every inherited
     :class:`~repro.conflict.ConflictGraph` algorithm) derive masks on
     demand as the union of the member's arc bitmasks, which costs O(arcs)
     big-int words per queried vertex.
     """
 
-    __slots__ = ("_family", "_tx_stack", "_shards")
+    __slots__ = ("_family", "_tx_stack")
 
     def __init__(self, family: Optional[DipathFamily] = None,
-                 graph: Optional[DiGraph] = None,
-                 metrics: Optional["MetricsRegistry"] = None) -> None:
+                 graph: Optional[DiGraph] = None) -> None:
         if family is None:
             family = DipathFamily(graph=graph)
         self._family = family
@@ -124,11 +119,8 @@ class ShardedConflictGraph(ConflictGraph):
         self._tx_stack: list = []
         self._nbr = _LazyAdjacency(self)
         self._vmask = 0
-        self._shards = ShardTracker(self.neighbor_mask, family.member_arc_ids,
-                                    metrics=metrics)
         for i in family.active_indices():
             self._vmask |= 1 << i
-            self._shards.on_add(i, family.member_arc_ids(i))
 
     @property
     def family(self) -> DipathFamily:
@@ -161,7 +153,6 @@ class ShardedConflictGraph(ConflictGraph):
         """Add a dipath; O(arcs) — no neighbourhood walk.  Returns its index."""
         idx = self._family.add(dipath)
         self._vmask |= 1 << idx
-        self._shards.on_add(idx, self._family.member_arc_ids(idx))
         return idx
 
     def remove_dipath(self, idx: int) -> Dipath:
@@ -169,12 +160,8 @@ class ShardedConflictGraph(ConflictGraph):
 
         Returns its dipath; raises ``IndexError`` if ``idx`` is not active.
         """
-        arc_ids = self._family.member_arc_ids(idx)
         path = self._family.remove(idx)
         self._vmask &= ~(1 << idx)
-        arc_members = self._family._arc_members
-        self._shards.on_remove(
-            idx, dead_arcs=tuple(a for a in arc_ids if not arc_members[a]))
         return path
 
     def add_vertex(self, v: int) -> None:
@@ -189,78 +176,33 @@ class ShardedConflictGraph(ConflictGraph):
             f"{type(self).__name__} derives its edges from shared arcs; "
             "mutate it through add_dipath/remove_dipath")
 
-    def _retract_add(self, idx: int,
-                     state: Tuple[bool, int, Optional[int]]) -> None:
-        """Family-level retract of an undone add, shard-coherently.
-
-        The transaction layer routes ``DipathFamily._retract_add`` through
-        the graph (on a rollback, and after a blocked placement) so arc ids
-        the add interned (and the retract now un-interns) also lose their
-        shard ownership — the same ids may be recycled for *different*
-        arcs later.
-        """
-        before = len(self._family._arcs)
-        self._family._retract_add(idx, state)
-        after = len(self._family._arcs)
-        if after < before:
-            self._shards.on_retract(after, before)
-
     # ------------------------------------------------------------------ #
-    # components / shards
+    # components
     # ------------------------------------------------------------------ #
-    @property
-    def component_merges(self) -> int:
-        """Shards folded together by arrivals spanning several of them."""
-        return self._shards.merges
+    def shard_map(self) -> Dict[int, List[int]]:
+        """``anchor -> sorted member indices`` of every conflict component.
 
-    @property
-    def component_splits(self) -> int:
-        """Extra components discovered by lazy split-check rebuilds."""
-        return self._shards.splits
-
-    @property
-    def shard_rebuilds(self) -> int:
-        """Per-shard flood-fill rebuilds run by the lazy split-checks."""
-        return self._shards.rebuilds
-
-    def refresh_shards(self) -> int:
-        """Run the pending lazy split-checks; return new shards found."""
-        return self._shards.refresh()
-
-    def shards(self, refresh: bool = True) -> List[Shard]:
-        """The live shards in anchor order (exact components if ``refresh``)."""
-        if refresh:
-            self._shards.refresh()
-        return self._shards.shards()
-
-    def shard_of_member(self, idx: int, refresh: bool = False) -> Shard:
-        """The shard currently holding member ``idx``.
-
-        Without ``refresh`` the shard may conservatively overapproximate
-        the member's true component (pending split-checks).
+        The exact connected components, computed now by one mask flood
+        fill per component (O(members x arcs)); the anchor is the smallest
+        member, and the map is ordered by anchor.
         """
-        if refresh:
-            self._shards.refresh()
-        return self._shards.shard_of(idx)
-
-    def shard_map(self, refresh: bool = True) -> Dict[int, List[int]]:
-        """``anchor -> sorted member indices`` of every live shard."""
-        if refresh:
-            self._shards.refresh()
-        return self._shards.shard_map()
-
-    def shard_view(self, shard: Shard) -> ShardView:
-        """Compact remapped view of ``shard`` (see :class:`ShardView`)."""
-        return self._shards.view(shard)
+        return {min(comp): sorted(comp)
+                for comp in self.connected_components()}
 
     def audit(self) -> List[str]:
-        """Check the component tracker's invariants; return the violations.
+        """Check the graph's own bookkeeping; return the violations.
 
-        Delegates to :meth:`repro.conflict.sharding.ShardTracker.audit`
-        (the origin of the ``audit() -> list[str]`` protocol); composed,
-        with the colour-level checks, by ``OnlineEngine.audit()``.
+        The graph keeps one redundant structure, its vertex mask, which
+        must equal the family's active members; composed, with the
+        colour-level checks, by ``OnlineEngine.audit()``.
         """
-        return self._shards.audit()
+        expected = 0
+        for i in self._family.active_indices():
+            expected |= 1 << i
+        if self._vmask == expected:
+            return []
+        return [f"vertex mask {self._vmask:#x} disagrees with the family's "
+                f"active members {expected:#x}"]
 
 
 DynamicConflictGraph = ShardedConflictGraph

@@ -71,7 +71,7 @@ DETERMINISTIC_NAMESPACES: Tuple[str, ...] = (
 #: Structure-dependent namespaces; every metric here must be registered
 #: with ``diagnostic=True`` so it stays out of the fingerprint.
 DIAGNOSTIC_NAMESPACES: Tuple[str, ...] = (
-    "shards.", "colorindex.", "journal.")
+    "colorindex.", "journal.")
 
 _WALL_CLOCK_CALLS: Set[str] = {
     "time.time", "time.time_ns",

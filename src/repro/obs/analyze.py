@@ -264,8 +264,8 @@ class TraceAnalyzer:
             bar = " " * lo + "#" * (hi - lo) + " " * (width - hi)
             tags = span.get("tags", {})
             brief = ",".join(f"{k}={tags[k]}" for k in sorted(tags)
-                             if k in ("rid", "outcome", "arc", "shard",
-                                      "policy", "moves", "restored"))
+                             if k in ("rid", "outcome", "arc", "policy",
+                                      "moves", "restored"))
             label = "  " * depth(span) + span["name"]
             lines.append(f"{label:<24.24} |{bar}| t=[{span['t0']:g},"
                          f"{span['t1']:g}] {brief}")

@@ -2,7 +2,7 @@
 
 The registry holds three metric kinds — counters, gauges and fixed-bucket
 histograms — keyed by dotted names (``engine.admitted``,
-``shards.merges`` ...).  Two properties make it safe to wire into the
+``colorindex.records`` ...).  Two properties make it safe to wire into the
 bit-identity contract of the online engine:
 
 * **No wall-clock values.**  Every recorded value is derived from the
@@ -21,11 +21,10 @@ code path (traced vs untraced, ``simulate_online`` vs the service).
 Metrics registered with ``diagnostic=True`` land in a separate
 ``diagnostics`` section instead: they are still deterministic for a fixed
 code path (same seed + same configuration ⇒ same values) but are allowed
-to differ between equivalent code paths — e.g. `ShardTracker` merge
-counts and ``colorindex.*`` record counts differ between a live engine
-and one recovered from a snapshot even when every decision is
-identical.  Differential tests compare the deterministic section across
-paths and the full snapshot within a path.
+to differ between equivalent code paths — e.g. ``colorindex.*`` record
+counts differ between a live engine and one recovered from a snapshot
+even when every decision is identical.  Differential tests compare the
+deterministic section across paths and the full snapshot within a path.
 
 Hot-path cost: metric objects are plain ``__slots__`` holders handed out
 once; incrementing is a cached-attribute ``.inc()`` with no dict lookup,
@@ -232,8 +231,8 @@ class Instrumented:
     Subclasses call ``self._obs_init("prefix", registry)`` during their
     ``__init__``; ``registry=None`` creates a private registry so every
     component stays usable standalone.  The mixin declares empty
-    ``__slots__`` so slotted subclasses (``ShardTracker``,
-    ``ArcColorIndex``) only need to add the two storage slots below.
+    ``__slots__`` so slotted subclasses (``ArcColorIndex``) only need to
+    add the two storage slots below.
     """
 
     __slots__ = ()

@@ -6,7 +6,7 @@ profiling runs.  Each record is a plain dict:
 
 ``{"kind": "span", "id": 7, "parent": 3, "name": "admit",
    "t0": 12.5, "t1": 12.5, "tags": {"rid": 41, "outcome": "admitted",
-   "color": 2, "arcs": [0, 4], "shard": 0}}``
+   "color": 2, "arcs": [0, 4]}}``
 
 plus ``"wall": <seconds>`` when the tracer was built with
 ``wall_clock=True``.  Point events use ``kind="event"`` with a single
@@ -14,7 +14,9 @@ plus ``"wall": <seconds>`` when the tracer was built with
 trace records interleave cleanly with the ``DurableEngine`` decision
 journal (one record per line, disjoint ``kind`` values from the
 journal's ``type`` field; :func:`read_jsonl` skips journal lines, bare
-v1 objects and CRC-framed v2 lines alike).
+v1 objects and CRC-framed v2 lines alike).  The in-memory sinks keep the
+flat spans of :meth:`Tracer.emit_span` as tuples and build their dicts
+in ``records()``, so every sink returns the one record shape.
 
 Determinism contract: constructing spans must never read engine state
 beyond what the caller tags explicitly, and nothing recorded here feeds
@@ -28,7 +30,7 @@ from __future__ import annotations
 import json
 import time as _time
 from collections import deque
-from typing import Dict, Iterable, List, Optional, Union
+from typing import Dict, Iterable, List, Optional, Tuple, Union
 
 __all__ = [
     "Span",
@@ -46,12 +48,31 @@ def dumps_record(record: Dict[str, object]) -> str:
     return json.dumps(record, sort_keys=True, separators=(",", ":"))
 
 
+#: A flat span as :meth:`Tracer.emit_span` hands it to a sink:
+#: ``(id, parent, name, t0, t1, tags)``.
+FlatSpan = Tuple[int, Optional[int], str, float, float, Dict[str, object]]
+
+
+def span_record(span: FlatSpan) -> Dict[str, object]:
+    """The record dict of a flat span (the shape every sink returns)."""
+    nid, parent, name, t0, t1, tags = span
+    return {"kind": "span", "id": nid, "parent": parent, "name": name,
+            "t0": t0, "t1": t1, "tags": tags}
+
+
+def _as_record(item) -> Dict[str, object]:
+    return span_record(item) if type(item) is tuple else item
+
+
 class NullSink:
     """Discards records; used when only profiling hooks are wanted."""
 
     __slots__ = ()
 
     def emit(self, record: Dict[str, object]) -> None:
+        pass
+
+    def emit_span(self, span: FlatSpan) -> None:
         pass
 
     def records(self) -> List[Dict[str, object]]:
@@ -64,13 +85,15 @@ class ListSink:
     __slots__ = ("_records",)
 
     def __init__(self) -> None:
-        self._records: List[Dict[str, object]] = []
+        self._records: list = []        # record dicts and flat spans
 
     def emit(self, record: Dict[str, object]) -> None:
         self._records.append(record)
 
+    emit_span = emit
+
     def records(self) -> List[Dict[str, object]]:
-        return list(self._records)
+        return list(map(_as_record, self._records))
 
 
 class RingBufferSink:
@@ -94,8 +117,10 @@ class RingBufferSink:
             self.dropped += 1
         ring.append(record)
 
+    emit_span = emit
+
     def records(self) -> List[Dict[str, object]]:
-        return list(self._ring)
+        return list(map(_as_record, self._ring))
 
 
 class JsonlSink:
@@ -124,6 +149,9 @@ class JsonlSink:
         self._fh.write(dumps_record(record))
         self._fh.write("\n")
         self.emitted += 1
+
+    def emit_span(self, span: FlatSpan) -> None:
+        self.emit(span_record(span))
 
     def flush(self) -> None:
         """Push buffered records to the handle (and through it, the OS)."""
@@ -215,7 +243,9 @@ class Tracer:
     fault/recovery paths.  ``wall_clock=True`` additionally stamps each
     span with its wall duration (for profiling; never fed back into the
     metrics registry).  A :class:`repro.obs.profiling.SpanProfiler` can
-    be attached to receive enter/exit callbacks per span category.
+    be attached to receive enter/exit callbacks per span category.  A
+    sink offers ``emit(record)``, ``emit_span(flat span)`` and
+    ``records()``.
     """
 
     __slots__ = ("sink", "wall_clock", "now", "profiler", "_stack",
@@ -240,8 +270,10 @@ class Tracer:
                   tags: Dict[str, object]) -> None:
         """Emit an already-closed flat span record (hot-path helper).
 
-        Identical record shape to an immediately-exited :meth:`span`
-        with no children, minus the context-manager machinery.  The
+        The sink gets a :data:`FlatSpan` tuple; its ``records()`` turns
+        it into the record of an immediately-exited :meth:`span` with no
+        children, so the span costs no dict and no context-manager
+        machinery here.  The
         engine's per-request paths use it when no profiler and no wall
         clock are attached; anything emitted *during* the spanned work
         is parented under the enclosing open span, not this one.
@@ -249,15 +281,8 @@ class Tracer:
         nid = self._next_id
         self._next_id = nid + 1
         stack = self._stack
-        self.sink.emit({
-            "kind": "span",
-            "id": nid,
-            "parent": stack[-1].id if stack else None,
-            "name": name,
-            "t0": t0,
-            "t1": self.now,
-            "tags": tags,
-        })
+        self.sink.emit_span((nid, stack[-1].id if stack else None, name,
+                             t0, self.now, tags))
 
     def event(self, name: str, **tags) -> None:
         """Emit a point event at the current event time."""

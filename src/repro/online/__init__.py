@@ -8,8 +8,8 @@ shows up as avoidable blocking.  The moving parts:
 
 * :mod:`repro.online.events`     — seeded Poisson / replay / churn traces;
 * :class:`repro.conflict.ShardedConflictGraph` (re-exported here) — the
-  conflict graph, O(arcs) per event with adjacency derived on demand and
-  its connected components tracked as shards;
+  conflict graph, O(arcs) per event, with adjacency and connected
+  components derived on demand;
 * :mod:`repro.online.routing`    — static (shortest / unique) and adaptive
   (least-loaded / k-shortest / widest) online routers consulting the live
   per-arc load;
@@ -44,7 +44,6 @@ rollback contracts and per-event complexity.
 """
 
 from ..conflict.dynamic import ShardedConflictGraph
-from ..conflict.sharding import Shard, ShardTracker, ShardView
 from .assigner import POLICIES, AssignerCheckpoint, OnlineWavelengthAssigner
 from .sharding import ArcColorIndex
 from .defrag import (
@@ -121,9 +120,6 @@ __all__ = [
     "POLICIES",
     "REPAIR",
     "SHED",
-    "Shard",
-    "ShardTracker",
-    "ShardView",
     "ShardedConflictGraph",
     "WhatIfTransaction",
     "admit_batch",

@@ -56,8 +56,7 @@ colour, and the only step that recolours other lightpaths — makes the
 bound answer "may improve".  A pruned move is one that would have rolled
 back bit-identically, so pruning changes no decision; only the
 path-dependent diagnostic counters of the skipped speculation
-(``shards.merges``/``splits``/``rebuilds``, ``colorindex.*``) read
-lower.
+(``colorindex.*``) read lower.
 
 The pass never disconnects a lightpath for good: a move is an atomic
 remove + re-admit, and the remove is only committed together with a

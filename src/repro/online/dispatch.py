@@ -415,16 +415,13 @@ class Dispatcher:
         OnlineResult` (no timeline), with the live engine attached as
         ``result.engine``.
 
-        Runs the closing audit under ``audit_every``, settles the lazy
-        shard split-checks so the component counters describe the final
-        decomposition, and publishes the closing ``result.*`` metrics
-        before taking the snapshot.
+        Runs the closing audit under ``audit_every`` and publishes the
+        closing ``result.*`` metrics before taking the snapshot.
         """
         if self._audit_every is not None:
             self._audit("at the end of the trace")
         engine, config = self.engine, self.config
-        assigner, conflict = engine.assigner, engine.conflict
-        conflict.refresh_shards()
+        assigner = engine.assigner
         result = OnlineResult(
             accepted=list(self.accepted), blocked=list(self.blocked),
             rejections=dict(self.rejections),
@@ -439,10 +436,7 @@ class Dispatcher:
             wavelengths_reclaimed=engine.wavelengths_reclaimed,
             fibre_cuts=self.cuts, fibre_repairs=self.repairs,
             lightpaths_stranded=self.stranded,
-            lightpaths_restored=self.restored,
-            component_merges=conflict.component_merges,
-            component_splits=conflict.component_splits,
-            shard_rebuilds=conflict.shard_rebuilds)
+            lightpaths_restored=self.restored)
         registry = self._registry
         registry.counter("result.kempe_repairs").set(result.kempe_repairs)
         registry.gauge("result.wavelengths_used").set(result.wavelengths_used)

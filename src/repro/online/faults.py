@@ -11,9 +11,9 @@ OnlineEngine`:
   topology.  Every provisioned lightpath routed over it is *stranded*:
   torn down through the ordinary :meth:`~repro.online.simulator.
   OnlineEngine.depart` path (wavelength released first, then the dipath
-  leaves the conflict graph), so the :class:`~repro.conflict.sharding.
-  ShardTracker` and :class:`~repro.online.sharding.ArcColorIndex` stay
-  coherent through the removal — a cut is indistinguishable from a burst
+  leaves the conflict graph), so the family's arc tables and the
+  :class:`~repro.online.sharding.ArcColorIndex` stay coherent through the
+  removal — a cut is indistinguishable from a burst
   of departures as far as the incremental state is concerned.  Removing
   the arc bumps the graph version, so every online router drops its
   route caches automatically.
@@ -232,7 +232,7 @@ class FaultInjector(Instrumented):
         else:
             victims = []
         # tear down first (wavelength released, dipath out of the conflict
-        # graph — shard tracker and colour index see an ordinary removal),
+        # graph — the family and colour index see an ordinary removal),
         # then take the arc out of the topology
         for rid in victims:
             self._stranded[rid] = family[engine.vertex_of[rid]]

@@ -352,10 +352,8 @@ def engine_fingerprint(engine: OnlineEngine) -> Dict[str, Any]:
     engines with equal fingerprints make identical decisions on any
     subsequent trace.
 
-    Deliberately excluded: shard-tracker heuristic internals (join
-    stamps, dirty flags, merge/split counters) — they never influence a
-    decision and are canonicalized at snapshot boundaries via
-    ``refresh_shards`` — and lazy-cache warmness counters.
+    Deliberately excluded: lazy-cache warmness counters.  The components
+    are computed when the fingerprint is taken, from the adjacency alone.
     """
     family, assigner = engine.family, engine.assigner
     rng = assigner._rng.getstate() if assigner.policy == "random" else None
@@ -761,12 +759,8 @@ class DurableEngine(Instrumented):
                                                 self._vertex(obj[1]))
 
     def _capture(self) -> Dict[str, Any]:
-        """The engine state as a JSON-clean dict (canonicalizes shards)."""
+        """The engine state as a JSON-clean dict."""
         engine = self._engine
-        # settle the lazy split-checks: snapshot restore rebuilds the
-        # tracker by flood fill, so the live engine must pass through the
-        # same canonical component state at this journal offset
-        engine.conflict.refresh_shards()
         family, assigner = engine.family, engine.assigner
         # AssignerCheckpoint is the one sanctioned capture of the
         # assigner's monotone counters + RNG; committing it immediately

@@ -84,7 +84,7 @@ class ArcColorIndex(Instrumented):
     def audit(self) -> List[str]:
         """Check the index's internal invariants; return the violations.
 
-        Same protocol as :meth:`repro.conflict.sharding.ShardTracker.audit`
+        Same protocol as :meth:`repro.conflict.ShardedConflictGraph.audit`
         (and composed by ``OnlineEngine.audit()``): an empty list means
         no colour sits on an arc id the family no longer interns.
 

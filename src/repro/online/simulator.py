@@ -206,13 +206,13 @@ class EngineConfig:
                    ) -> Tuple[ShardedConflictGraph, OnlineWavelengthAssigner]:
         """The conflict graph and assigner these knobs wire over ``family``.
 
-        A component-sharded conflict graph (O(arcs) structural events)
-        and an assigner, which reads forbidden colours from its per-fibre
-        :class:`~repro.online.sharding.ArcColorIndex` (O(arcs) masks);
-        both publish into ``metrics``.  :class:`OnlineEngine` and
+        A conflict graph with O(arcs) structural events and an assigner,
+        which reads forbidden colours from its per-fibre
+        :class:`~repro.online.sharding.ArcColorIndex` (O(arcs) masks) and
+        publishes into ``metrics``.  :class:`OnlineEngine` and
         snapshot recovery wire their components here and nowhere else.
         """
-        return (ShardedConflictGraph(family, metrics=metrics),
+        return (ShardedConflictGraph(family),
                 OnlineWavelengthAssigner(
                     family, wavelengths, policy=self.policy,
                     kempe_repair=self.kempe_repair, seed=self.seed,
@@ -425,7 +425,11 @@ class OnlineResult:
         Successful re-admissions of stranded lightpaths (at cut time,
         on later retries, or at repair time).
     component_merges, component_splits, shard_rebuilds:
-        Shard-tracker counters at the end of the run.
+        Always 0.  They counted the work of an incremental shard tracker;
+        conflict components are now computed on demand
+        (:meth:`OnlineEngine.shard_map`), so there is no such work.  Kept
+        only because ``perfbench/run.py`` reads them; the benchmark
+        change that settles perfbench's debts (ROADMAP) drops them.
     timeline:
         One sample per processed event: ``time``, ``active`` (concurrent
         lightpaths), ``wavelengths_active`` (colours currently in use),
@@ -548,8 +552,8 @@ class OnlineEngine(Instrumented):
 
     Observability: the engine owns (or shares, via ``metrics=``) a
     :class:`~repro.obs.registry.MetricsRegistry` that every attached
-    component — conflict graph shard tracker, per-fibre colour index and
-    the engine's own admission/defrag counters — publishes into.  An
+    component — the assigner's per-fibre colour index and the engine's
+    own admission/defrag counters — publishes into.  An
     optional :class:`~repro.obs.trace.Tracer` wraps the state transitions
     in structured spans (``admit`` / ``admit_batch`` / ``depart`` /
     ``defrag``); ``profile=`` attaches a
@@ -646,8 +650,9 @@ class OnlineEngine(Instrumented):
     def shard_map(self) -> Dict[int, List[int]]:
         """``anchor -> member indices`` of the live conflict components.
 
-        Runs the pending lazy split-checks first, so the returned shards
-        are the exact connected components of the conflict graph.
+        The exact connected components of the conflict graph, computed
+        when asked (see :meth:`~repro.conflict.ShardedConflictGraph.
+        shard_map`); reading them changes no state.
         """
         return self.conflict.shard_map()
 
@@ -655,9 +660,9 @@ class OnlineEngine(Instrumented):
         """Cross-check every redundant structure; return the violations.
 
         The composing end of the ``audit() -> list[str]`` protocol
-        (:meth:`~repro.conflict.sharding.ShardTracker.audit`,
+        (:meth:`~repro.conflict.ShardedConflictGraph.audit`,
         :meth:`~repro.online.sharding.ArcColorIndex.audit`): runs the
-        component tracker's and colour index's own audits, then verifies
+        conflict graph's and colour index's own audits, then verifies
         the invariants only the engine can see against each active
         member's raw route (``Dipath.arcs()``), never against the tables
         under audit:
@@ -667,6 +672,8 @@ class OnlineEngine(Instrumented):
         * the family's per-member arc ids and per-fibre member tables,
           and the conflict adjacency, equal the routes' fibres and
           shared-fibre relation;
+        * the conflict components (:meth:`shard_map`) equal a flood fill
+          over that relation, each anchored by its smallest member;
         * the colouring is total on active members, within the
           wavelength budget, and proper on every fibre;
         * the assigner's per-wavelength usage counters and used-mask
@@ -680,7 +687,7 @@ class OnlineEngine(Instrumented):
         ``audit_every=`` hook of :func:`simulate_online`, not the
         admission hot path.  An empty list means the state is coherent.
         """
-        problems = [f"tracker: {p}" for p in self.conflict.audit()]
+        problems = [f"conflict: {p}" for p in self.conflict.audit()]
         family, assigner, conflict = self.family, self.assigner, self.conflict
         index = assigner.color_index
         problems.extend(f"colorindex: {p}" for p in index.audit())
@@ -738,6 +745,24 @@ class OnlineEngine(Instrumented):
                 problems.append(f"conflict: member {idx} adjacency "
                                 f"disagrees with its route's shared-fibre "
                                 f"members")
+        # components: a flood fill over the routes' shared-fibre relation
+        expected_components: Dict[int, List[int]] = {}
+        remaining = sum(1 << idx for idx in active)
+        while remaining:
+            component = frontier = remaining & -remaining
+            while frontier:
+                reached = 0
+                for idx in bit_list(frontier):
+                    for arc in routes[idx]:
+                        reached |= users[arc]
+                frontier = reached & ~component
+                component |= frontier
+            members = bit_list(component)
+            expected_components[members[0]] = members
+            remaining &= ~component
+        if conflict.shard_map() != expected_components:
+            problems.append("components: the conflict components disagree "
+                            "with the routes' shared-fibre components")
         # properness per fibre, and the colour index's expected masks
         expected_masks: Dict[int, int] = {}
         for arc, mask in users.items():
@@ -788,9 +813,8 @@ class OnlineEngine(Instrumented):
 
         With a tracer attached, the decision is wrapped in an ``admit``
         span tagged with the request id, the outcome, and — on success —
-        the colour, the route's arc ids and the conflict-component
-        anchor.  Refused while a what-if transaction is open (see
-        :meth:`_refuse_in_transaction`).
+        the colour and the route's arc ids.  Refused while a what-if
+        transaction is open (see :meth:`_refuse_in_transaction`).
         """
         if self.conflict._tx_stack:
             self._refuse_in_transaction("admit")
@@ -823,7 +847,6 @@ class OnlineEngine(Instrumented):
             # the interned-arc-id tuple serializes as a JSON array;
             # no copy on the hot path
             "arcs": self.family.member_arc_ids(idx),
-            "shard": self.conflict.shard_of_member(idx).anchor(),
         }
 
     def _admit(self, request_id: int, request: Optional[Request],
@@ -1074,9 +1097,6 @@ class OnlineEngine(Instrumented):
     def _defrag(self, order: str, max_moves: Optional[int],
                 time_budget: Optional[float],
                 shard: Optional[int]) -> DefragReport:
-        # a pass is the natural maintenance point: settle the pending
-        # lazy split-checks so per-shard scheduling sees true components
-        self.conflict.refresh_shards()
         members = None
         if shard is not None:
             members = self.shard_map().get(shard)

@@ -203,9 +203,7 @@ class WhatIfTransaction:
             if entry[0] is _ADD:
                 _, idx, state = entry
                 conflict.remove_dipath(idx)
-                # the graph-level retract keeps shard arc-ownership in
-                # step with the arcs the family un-interns
-                conflict._retract_add(idx, state)
+                family._retract_add(idx, state)
             else:
                 _, idx, path, load_cache = entry
                 readded = conflict.add_dipath(path)
@@ -273,19 +271,16 @@ def _place(conflict: ShardedConflictGraph,
     changed no colour — a failed Kempe search recolours nothing — so it
     is undone exactly by removing the member and retracting the add to
     the family state captured before it: the freed slot, the arcs it
-    interned first and the load cache.  (Only the shard tracker may keep
-    a merge the add made: a superset of the true components, which
-    ``engine_fingerprint`` and the next refresh see exactly, as after a
-    rollback.)  A coloured member's add is journalled in the innermost
-    open transaction (for a parent's rollback); its colour changes are
-    journalled by the assigner.
+    interned first and the load cache.  A coloured member's add is
+    journalled in the innermost open transaction (for a parent's
+    rollback); its colour changes are journalled by the assigner.
     """
     state = conflict.family._spec_state()
     idx = conflict.add_dipath(dipath)
     color = assigner.assign(conflict, idx)
     if color is None:
         conflict.remove_dipath(idx)
-        conflict._retract_add(idx, state)
+        conflict.family._retract_add(idx, state)
         return None, None
     stack = conflict._tx_stack
     if stack:

@@ -75,6 +75,7 @@ from __future__ import annotations
 
 import asyncio
 import bisect
+import gc
 import time as _time
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -658,13 +659,34 @@ class RwaService:
         Returns ``[]`` only once the service is stopping and the inbox
         is empty.  Taking the inbox sets the room the awaitable calls
         wait for under ``max_pending``.
+
+        An idle inbox is also where a due generation-1 collection costs
+        no op any latency: when the collector would run one within the
+        next gen-0 collection or two, it is scheduled behind the
+        callbacks the last batch's resolved futures queued, and runs only
+        if the inbox is still empty by then (see :meth:`_collect_idle`).
         """
         while not self._inbox and not self._stopped:
+            if gc.isenabled() and \
+                    gc.get_count()[1] >= gc.get_threshold()[1]:
+                asyncio.get_running_loop().call_soon(self._collect_idle)
             self._filled.clear()
             await self._filled.wait()
         ops, self._inbox = self._inbox, []
         self._room.set()
         return ops
+
+    def _collect_idle(self) -> None:
+        """Run the due generation-1 collection while no op waits.
+
+        Each collection scans the young objects, mostly the in-flight
+        futures; left to the allocator it lands wherever the threshold
+        trips, often inside an arrival burst, whose ops then all wait
+        for it.  An op queued since the collection was scheduled keeps
+        it for later.
+        """
+        if not self._inbox and gc.isenabled():
+            gc.collect(1)
 
     async def _drain(self) -> None:
         try:

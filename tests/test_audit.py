@@ -69,13 +69,13 @@ def test_component_audits_clean_on_live_engine():
 # --------------------------------------------------------------------------- #
 # corrupted components are named
 # --------------------------------------------------------------------------- #
-def test_corrupted_shard_tracker_is_detected():
+def test_corrupted_vertex_mask_is_detected():
+    """A member dropped from the conflict graph's vertex mask is named."""
     engine = loaded_engine()
-    shard = engine.conflict.shard_of_member(engine.vertex_of[0])
-    shard.member_mask = 0                       # zombie shard
-    problems = engine.conflict.audit()
-    assert problems and any("member_mask" in p for p in problems)
-    assert any(p.startswith("tracker:") for p in engine.audit())
+    engine.conflict._vmask &= ~(1 << engine.vertex_of[0])
+    assert engine.conflict.audit()
+    assert any(p.startswith("conflict: vertex mask")
+               for p in engine.audit())
 
 
 def _coloured_arc(index) -> int:

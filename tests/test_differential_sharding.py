@@ -14,23 +14,39 @@ defines:
 * a 50-seed sweep of random multi-region churn traces under a rotating
   mix of routing/policy/defrag/batch configurations, fully traced
   (instrumentation must not perturb the audit);
-* hand-built traces engineered to force component **merges** (a bridge
-  lightpath arriving across two warm regions) and **splits** (the bridge
-  departing mid-run, with a defrag trigger forcing the split-check while
-  the system is loaded), asserting the audit stays clean *and* that the
-  counters prove the machinery actually fired.
+* hand-built traces engineered to join two components (a bridge
+  lightpath arriving across two warm regions) and split them again (the
+  bridge departing mid-run, with a defrag trigger while the system is
+  loaded), asserting the audit stays clean *and* that the trace really
+  joins and splits components;
+* a Hypothesis differential: after every arrival, departure, blocked
+  placement, rolled-back what-if and fibre cut or repair,
+  :meth:`~repro.online.OnlineEngine.shard_map` equals a breadth-first
+  search over the routes' shared-fibre relation, the relation the audit
+  checks the adjacency against.
 """
 
 from __future__ import annotations
 
-import pytest
+import random
+from collections import deque
 
+import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
+
+from repro.conflict import ShardedConflictGraph
+from repro.dipaths.family import DipathFamily
+from repro.generators.families import random_walk_family
 from repro.generators.regions import multi_region_topology, multi_region_traffic
 from repro.obs.trace import RingBufferSink, Tracer
 from repro.online import (
     ARRIVAL,
     DEPARTURE,
     Event,
+    FaultInjector,
+    OnlineEngine,
+    WhatIfTransaction,
     poisson_trace,
     simulate_online,
     sort_events,
@@ -85,14 +101,35 @@ def _two_region_graph():
                          ("a3", "b0")])
 
 
+def _component_counts(trace):
+    """The number of conflict components after each event of ``trace``,
+    every arrival admitted (the engineered traces block nothing)."""
+    conflict = ShardedConflictGraph(DipathFamily())
+    vertex_of, counts = {}, []
+    for event in trace:
+        if event.kind == ARRIVAL:
+            vertex_of[event.request_id] = conflict.add_dipath(event.dipath)
+        else:
+            conflict.remove_dipath(vertex_of.pop(event.request_id))
+        counts.append(len(conflict.shard_map()))
+    return counts
+
+
+def _joins_and_splits(counts):
+    """Whether some event lowers the component count and a later one
+    raises it again."""
+    steps = list(zip(counts, counts[1:]))
+    joins = [i for i, (a, b) in enumerate(steps) if b < a]
+    return bool(joins) and any(b > a for a, b in steps[joins[0]:])
+
+
 def test_engineered_merge_and_split_trace():
     """A bridge lightpath merges two regions mid-run, then splits them.
 
     The bridge dipath overlaps a warm member's fibres in *both* regions,
-    so its arrival must fold the two components into one shard; its
-    departure leaves the merged shard dirty, and the defrag trigger's
-    split-check — running while both regions are still loaded — must
-    find the two components again.
+    so its arrival joins the two components into one; its departure,
+    while both regions are still loaded and a defrag pass is due, splits
+    them again.  The audit after every event checks the components.
     """
     graph = _two_region_graph()
     events = [
@@ -107,8 +144,8 @@ def test_engineered_merge_and_split_trace():
     ]
     trace = sort_events(events)
     result = _audited(graph, trace, 4, routing="shortest", defrag_every=6)
-    assert result.component_merges >= 1
-    assert result.component_splits >= 1
+    assert not result.blocked
+    assert _joins_and_splits(_component_counts(trace))
 
 
 def test_engineered_merge_split_under_batching_and_speculation():
@@ -129,5 +166,111 @@ def test_engineered_merge_split_under_batching_and_speculation():
     trace = sort_events(events)
     result = _audited(graph, trace, 4, routing="shortest",
                       batch_policy="greedy", defrag_every=7)
-    assert result.component_merges >= 1
-    assert result.component_splits >= 1
+    assert not result.blocked
+    assert _joins_and_splits(_component_counts(trace))
+
+
+# ---------------------------------------------------------------------- #
+# on-demand components against a breadth-first search, op by op
+# ---------------------------------------------------------------------- #
+def _shared_fibre_components(engine):
+    """``anchor -> members`` by breadth-first search over the active
+    members' raw routes (``Dipath.arcs()``), two members adjacent when
+    they share a fibre."""
+    family = engine.family
+    users = {}
+    for idx in family.active_indices():
+        for arc in family[idx].arcs():
+            users.setdefault(arc, []).append(idx)
+    components, seen = {}, set()
+    for start in family.active_indices():
+        if start in seen:
+            continue
+        seen.add(start)
+        members, queue = [], deque([start])
+        while queue:
+            idx = queue.popleft()
+            members.append(idx)
+            for arc in family[idx].arcs():
+                for other in users[arc]:
+                    if other not in seen:
+                        seen.add(other)
+                        queue.append(other)
+        components[start] = sorted(members)
+    return components
+
+
+def _differential_engine():
+    """A two-region network, two wavelengths (so placements block), a
+    walk pool and a fault injector over the engine."""
+    graph = multi_region_topology(regions=2, region_size=8, coupling=1,
+                                  seed=4)
+    pool = list(random_walk_family(graph, 40, seed=5, min_length=2))
+    engine = OnlineEngine(graph, 2, routing="shortest")
+    return engine, pool, FaultInjector(engine), sorted(graph.arcs())
+
+
+def _apply(op, engine, pool, injector, arcs, rid, seen):
+    """Apply one op; check the components after it (and, for a what-if,
+    also inside it); tally in ``seen`` which kinds of change happened."""
+    kind, a, b = op
+    if kind == "arrive":
+        before = len(engine.family.active_indices())
+        reason = engine.admit(rid, dipath=pool[a % len(pool)])
+        seen[kind if reason is None else "blocked"] += 1
+        assert reason is not None or \
+            len(engine.family.active_indices()) == before + 1
+    elif kind == "depart" and engine.vertex_of:
+        engine.depart(sorted(engine.vertex_of)[a % len(engine.vertex_of)])
+        seen[kind] += 1
+    elif kind == "what_if":
+        before = engine.shard_map()
+        with WhatIfTransaction(engine.conflict, engine.assigner) as tx:
+            tx.admit(pool[a % len(pool)])
+            tx.admit(pool[b % len(pool)])
+            assert engine.shard_map() == _shared_fibre_components(engine)
+        assert engine.shard_map() == before
+        seen["rollback"] += 1
+    elif kind == "fault":
+        arc = arcs[a % len(arcs)]
+        if arc in injector.cut_arcs():
+            injector.repair(arc)
+            seen["repair"] += 1
+        else:
+            seen["stranded"] += len(injector.cut(arc).stranded)
+    assert engine.shard_map() == _shared_fibre_components(engine)
+
+
+_OPS = st.lists(st.tuples(
+    st.sampled_from(("arrive", "arrive", "arrive", "depart", "what_if",
+                     "fault")),
+    st.integers(0, 10 ** 4), st.integers(0, 10 ** 4)),
+    min_size=1, max_size=60)
+
+
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(ops=_OPS)
+def test_components_equal_a_shared_fibre_search_after_every_op(ops):
+    engine, pool, injector, arcs = _differential_engine()
+    seen = dict.fromkeys(("arrive", "blocked", "depart", "rollback",
+                          "stranded", "repair"), 0)
+    for rid, op in enumerate(ops):
+        _apply(op, engine, pool, injector, arcs, rid, seen)
+    assert engine.audit() == []
+
+
+def test_the_op_mix_reaches_every_kind_of_change():
+    """The differential's op alphabet really produces admissions,
+    blocked placements, departures, rollbacks, stranding cuts and
+    repairs (a seeded run of the same ops)."""
+    rng = random.Random(7)
+    engine, pool, injector, arcs = _differential_engine()
+    seen = dict.fromkeys(("arrive", "blocked", "depart", "rollback",
+                          "stranded", "repair"), 0)
+    kinds = ("arrive", "arrive", "arrive", "depart", "what_if", "fault")
+    for rid in range(300):
+        op = (rng.choice(kinds), rng.randrange(10 ** 4),
+              rng.randrange(10 ** 4))
+        _apply(op, engine, pool, injector, arcs, rid, seen)
+    assert all(seen.values()), seen

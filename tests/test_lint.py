@@ -268,10 +268,10 @@ class TestMetricNamespace:
 
     def test_diagnostic_namespace_requires_diagnostic_true(self):
         source = (
-            "class Tracker:\n"
+            "class Index:\n"
             "    def __init__(self, metrics):\n"
-            "        self._obs_init('shards', metrics)\n"
-            "        self._m = self._obs_counter('merges'%s)\n")
+            "        self._obs_init('colorindex', metrics)\n"
+            "        self._m = self._obs_counter('records'%s)\n")
         findings = check_source(source % "", rel="conflict/foo.py")
         assert rules_of(findings) == ["M1"]
         assert "diagnostic=True" in findings[0].message

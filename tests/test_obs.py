@@ -226,6 +226,40 @@ class TestTracer:
         with pytest.raises(ValueError):
             RingBufferSink(capacity=0)
 
+    def test_sinks_return_one_record_shape(self):
+        """Flat spans, context-manager spans and events come back from
+        the list, ring and JSONL sinks as the same records."""
+        buffer = io.StringIO()
+        sinks = [ListSink(), RingBufferSink(capacity=8), JsonlSink(buffer)]
+        for sink in sinks:
+            tracer = Tracer(sink=sink)
+            tracer.advance(1.0)
+            with tracer.span("batch", size=2):
+                tracer.emit_span("admit", 1.0, {"rid": 4, "arcs": [0, 2]})
+                tracer.event("shed", rid=5)
+            tracer.emit_span("depart", 1.0, {"rid": 4})
+        sinks[2].close()
+        listed = sinks[0].records()
+        assert sinks[1].records() == listed
+        assert read_jsonl(buffer.getvalue().splitlines()) == listed
+        assert [(r["kind"], r["name"] if r["kind"] == "span" else None)
+                for r in listed] == [("span", "admit"), ("event", None),
+                                     ("span", "batch"), ("span", "depart")]
+        assert listed[0] == {"kind": "span", "id": 1, "parent": 0,
+                             "name": "admit", "t0": 1.0, "t1": 1.0,
+                             "tags": {"rid": 4, "arcs": [0, 2]}}
+
+    def test_ring_buffer_drops_flat_and_dict_records_alike(self):
+        sink = RingBufferSink(capacity=2)
+        tracer = Tracer(sink=sink)
+        tracer.emit_span("a", 0.0, {})
+        tracer.event("e")
+        with tracer.span("b"):
+            pass
+        tracer.emit_span("c", 0.0, {})
+        assert sink.dropped == 2
+        assert [r.get("name") for r in sink.records()] == ["b", "c"]
+
     def test_null_sink_discards(self):
         tracer = Tracer(sink=NullSink())
         with tracer.span("s"):

@@ -216,3 +216,11 @@ class TestRejectionAccounting:
         # spectrum and routing rejections tagged by reason
         assert outcomes.count(NO_WAVELENGTH) == 1
         assert outcomes.count(NO_ROUTE) == 1
+        # an admitted span carries the decision and nothing read from
+        # the conflict components
+        admitted = [r["tags"] for r in tracer.records()
+                    if r["name"] == "admit"
+                    and r["tags"].get("outcome") == "admitted"]
+        assert admitted
+        assert all(set(tags) == {"rid", "outcome", "color", "arcs"}
+                   for tags in admitted)

@@ -20,6 +20,7 @@ The headline contracts (marker ``service``):
 from __future__ import annotations
 
 import asyncio
+import gc
 import itertools
 import json
 
@@ -871,6 +872,109 @@ class TestServiceLifecycle:
     def test_rejects_burst_without_budget(self):
         with pytest.raises(ValueError, match="work_budget"):
             RwaService(_line_graph(), 2, burst=4.0)
+
+
+# --------------------------------------------------------------------------- #
+# the due generation-1 collection runs while the inbox is idle
+# --------------------------------------------------------------------------- #
+class TestIdleCollection:
+    """``RwaService._take`` schedules a due gen-1 collection behind the
+    resolved futures' callbacks, and it runs only on an empty inbox.
+
+    Each scenario lifts the gen-0 threshold out of reach, so the
+    collector runs nothing on its own, then brings the gen-1 count to
+    its threshold with explicit gen-0 collections; the gen-1 collections
+    that follow are observed through ``gc.callbacks``.
+    """
+
+    GEN1 = 3
+
+    def _run(self, scenario, enabled=True):
+        threshold = gc.get_threshold()
+        log = []
+
+        def watch(phase, info):
+            if phase == "start" and info["generation"] == 1:
+                log.append(("gen1", service_ref[0].pending()))
+
+        service_ref = [None]
+        gc.collect(1)
+        gc.set_threshold(10 ** 9, self.GEN1, threshold[2])
+        if not enabled:
+            gc.disable()
+        gc.callbacks.append(watch)
+        try:
+            asyncio.run(scenario(service_ref, log))
+        finally:
+            gc.callbacks.remove(watch)
+            gc.set_threshold(*threshold)
+            gc.enable()
+        return log
+
+    def _bring_gen1_due(self):
+        for _ in range(self.GEN1 - gc.get_count()[1]):
+            gc.collect(0)
+        assert gc.get_count()[1] >= self.GEN1
+
+    def test_one_collection_after_the_resolved_futures_callbacks(self):
+        async def scenario(service_ref, log):
+            async with RwaService(_line_graph(), 2) as service:
+                service_ref[0] = service
+                await asyncio.sleep(0)          # the drain idles
+                self._bring_gen1_due()
+                future = service.submit_nowait(0, request=Request(0, 3),
+                                               time=0.0)
+                future.add_done_callback(lambda f: log.append("decided"))
+                assert await future is None
+                for _ in range(5):
+                    await asyncio.sleep(0)
+
+        assert self._run(scenario) == ["decided", ("gen1", 0)]
+
+    def test_none_while_ops_are_queued(self):
+        """The first op's callback queues a second op before the
+        scheduled collection runs: the collection keeps it for the next
+        idle inbox, after the second op is decided."""
+        async def scenario(service_ref, log):
+            async with RwaService(_line_graph(), 2) as service:
+                service_ref[0] = service
+                await asyncio.sleep(0)
+                self._bring_gen1_due()
+                second = []
+
+                def chain(future):
+                    log.append("first decided")
+                    second.append(service.submit_nowait(
+                        1, request=Request(0, 3), time=1.0))
+                    second[0].add_done_callback(
+                        lambda f: log.append("second decided"))
+
+                first = service.submit_nowait(0, request=Request(0, 3),
+                                              time=0.0)
+                first.add_done_callback(chain)
+                await first
+                await asyncio.sleep(0)
+                await second[0]
+                for _ in range(5):
+                    await asyncio.sleep(0)
+
+        assert self._run(scenario) == ["first decided", "second decided",
+                                       ("gen1", 0)]
+
+    def test_none_with_the_collector_disabled(self):
+        async def scenario(service_ref, log):
+            async with RwaService(_line_graph(), 2) as service:
+                service_ref[0] = service
+                await asyncio.sleep(0)
+                self._bring_gen1_due()
+                for rid in range(3):
+                    await service.submit(rid, request=Request(0, 3),
+                                         time=float(rid))
+                for _ in range(5):
+                    await asyncio.sleep(0)
+            log.append("stopped")
+
+        assert self._run(scenario, enabled=False) == ["stopped"]
 
 
 # --------------------------------------------------------------------------- #

@@ -1,7 +1,7 @@
 """Unit coverage for the component-sharded engine.
 
-Covers the shard tracker (merge on arrival, lazy split-check on
-departure, rebuild fallback, counters), the compact shard views, the
+Covers the on-demand conflict components (joined by arrivals, split by
+departures, restored by rollbacks) and component subgraphs, the
 lazy-adjacency :class:`~repro.conflict.ShardedConflictGraph`, the
 per-fibre :class:`~repro.online.ArcColorIndex`, the shard-scoped defrag
 and in-transaction batch paths, the multi-region generators and the
@@ -39,7 +39,7 @@ from repro.online.routing import KShortestRouter, StaticRouter
 
 
 # ---------------------------------------------------------------------- #
-# component tracking
+# conflict components, computed on demand
 # ---------------------------------------------------------------------- #
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_disjoint_dipaths_form_separate_shards(cls):
@@ -48,7 +48,6 @@ def test_disjoint_dipaths_form_separate_shards(cls):
     g.add_dipath(["b", "c", "d"])
     g.add_dipath(["x", "y", "z"])
     assert g.shard_map() == {0: [0, 1], 2: [2]}
-    assert g.component_merges == 0
 
 
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
@@ -56,66 +55,83 @@ def test_bridging_arrival_merges_shards(cls):
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
     g.add_dipath(["x", "y", "z"])
-    bridge = g.add_dipath(["b", "c", "x", "y"])
-    assert g.component_merges == 1
+    assert g.shard_map() == {0: [0], 1: [1]}
+    g.add_dipath(["b", "c", "x", "y"])
     assert g.shard_map() == {0: [0, 1, 2]}
-    assert g.shard_of_member(bridge) is g.shard_of_member(0)
 
 
 @pytest.mark.parametrize("touched", [0, 1, 2, 3])
 def test_arrival_joins_the_largest_touched_shard(touched):
-    """Shards A (one member), B and C (two each); an arrival touching the
-    first ``touched`` of A, B, C in route order joins B, the first of the
-    largest, counts one merge per extra shard, and its undo leaves the
-    shard clean only if the join merged nothing."""
+    """Components A (one member), B and C (two each); an arrival touching
+    the first ``touched`` of A, B, C in route order lands in one
+    component with every one of them (so with B, the largest, whenever
+    it touches any), anchored by its smallest member, and its departure
+    restores the three."""
     g = ShardedConflictGraph(DipathFamily())
     g.add_dipath(["a", "b"])
     g.add_dipath(["c", "d"])
     g.add_dipath(["c", "d"])
     g.add_dipath(["e", "f"])
     g.add_dipath(["e", "f"])
-    shard_b = g.shard_of_member(1)
+    before = g.shard_map()
+    assert before == {0: [0], 1: [1, 2], 3: [3, 4]}
     route = {0: ["x", "y"], 1: ["c", "d"], 2: ["a", "b", "c", "d"],
              3: ["a", "b", "c", "d", "e", "f"]}[touched]
     idx = g.add_dipath(route)
-    home = g.shard_of_member(idx)
-    assert g.component_merges == max(touched - 1, 0)
-    assert (home is shard_b) == (touched > 0)
-    assert home.size == {0: 1, 1: 3, 2: 4, 3: 6}[touched]
+    joined = {0: [idx], 1: [1, 2, idx], 2: [0, 1, 2, idx],
+              3: [0, 1, 2, 3, 4, idx]}[touched]
+    home = [m for m in g.shard_map().values() if idx in m]
+    assert home == [joined]
+    assert len(g.shard_map()) == {0: 4, 1: 3, 2: 2, 3: 1}[touched]
     g.remove_dipath(idx)
-    assert home.dirty == (touched > 1)
+    assert g.shard_map() == before
     assert g.audit() == []
 
 
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_departure_splits_lazily_with_rebuild(cls):
+    """The split shows at the next read: the components are rebuilt from
+    the adjacency whenever they are asked for."""
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
     g.add_dipath(["x", "y", "z"])
     bridge = g.add_dipath(["b", "c", "x", "y"])
+    assert g.shard_map() == {0: [0, 1, 2]}
     g.remove_dipath(bridge)
-    # before the refresh the shard conservatively overapproximates
-    assert g.shard_map(refresh=False) == {0: [0, 1]}
-    assert g.component_splits == 0
     assert g.shard_map() == {0: [0], 1: [1]}
-    assert g.component_splits == 1
-    assert g.shard_rebuilds == 1
+
+
+def test_reading_the_components_changes_nothing():
+    """``shard_map`` is a pure read: same answer twice, no graph state
+    touched, and the family's conflict-mask cache is not built."""
+    g = ShardedConflictGraph(DipathFamily())
+    g.add_dipath(["a", "b", "c"])
+    g.add_dipath(["b", "c", "d"])
+    g.add_dipath(["x", "y"])
+    state = (g._vmask, g.family.mask_rebuilds, len(g._tx_stack))
+    first = g.shard_map()
+    assert g.shard_map() == first == {0: [0, 1], 2: [2]}
+    assert (g._vmask, g.family.mask_rebuilds, len(g._tx_stack)) == state
 
 
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_speculative_rollback_does_not_trigger_rebuilds(cls):
+    """Reading the components inside and after a rolled-back what-if
+    sees the speculative join and then the old components, and never
+    builds the family's conflict-mask cache."""
     g = cls(DipathFamily())
     g.add_dipath(["a", "b", "c"])
-    g.shard_map()
-    rebuilds = g.shard_rebuilds
+    g.add_dipath(["x", "y"])
+    before = g.shard_map()
+    rebuilds = g.family.mask_rebuilds
     assigner = OnlineWavelengthAssigner(g.family, 2)
     for _ in range(5):
         with WhatIfTransaction(g, assigner) as tx:
-            tx.add_dipath(["b", "c", "d"])
-        # rollback removed the member it added: the join-undo heuristic
-        # must keep the shard clean, so no rebuild is pending
-    g.shard_map()
-    assert g.shard_rebuilds == rebuilds
+            tx.add_dipath(["b", "c", "x", "y"])
+            assert g.shard_map() == {0: [0, 1, 2]}
+        assert g.shard_map() == before
+    assert g.family.mask_rebuilds == rebuilds
+    assert g.audit() == []
 
 
 def test_empty_shard_is_released():
@@ -129,41 +145,49 @@ def test_empty_shard_is_released():
 
 @pytest.mark.parametrize("cls", [ShardedConflictGraph])
 def test_dead_fibre_ownership_is_dropped_on_clean_removal(cls):
-    # Y=[2,3]; X=[1,2,3] joins Y's shard without merging; X's clean
-    # removal (undoes the join, shard never dirty) must drop ownership
-    # of the now-unused fibre (1,2) — otherwise Z=[1,2], which conflicts
-    # with nobody, would be welded into Y's shard with no split-check
-    # ever scheduled to undo it.
+    # Y=[2,3]; X=[1,2,3] joins Y's component; once X departs, fibre (1,2)
+    # carries nobody, so Z=[1,2] conflicts with nobody and must form a
+    # component of its own rather than be welded to Y through X's fibre.
     g = cls(DipathFamily())
     y = g.add_dipath([2, 3])
     x = g.add_dipath([1, 2, 3])
     g.remove_dipath(x)
     z = g.add_dipath([1, 2])
     assert g.neighbor_mask(z) == 0
-    assert g.shard_of_member(z) is not g.shard_of_member(y)
     assert g.shard_map() == {y: [y], z: [z]}
 
 
 def test_stale_join_stamp_cannot_suppress_a_real_split():
-    # A member's join stamp must be tied to the shard *object* it joined:
-    # after a rebuild relocates the member to a fresh shard, a bare
-    # version number could collide with the new shard's version and
-    # wrongly skip the dirty flag when the member (now a cut vertex)
-    # departs.
+    # A regression scenario of the incremental tracker this graph once
+    # kept (a join stamp outliving a rebuild): split, regrow, then remove
+    # a member again; the components must follow every step.
     g = ShardedConflictGraph(DipathFamily())
     a = g.add_dipath(["a", "b", "c"])          # 0
     b = g.add_dipath(["b", "c", "d"])          # 1
-    bridge = g.add_dipath(["x", "y", "a", "b"])  # joins the shard
+    bridge = g.add_dipath(["x", "y", "a", "b"])  # joins the component
     g.remove_dipath(a)
-    g.shard_map()                              # rebuild relocates members
-    # grow the surviving shard so its version climbs past the old stamp
+    assert g.shard_map() == {b: [b], bridge: [bridge]}
+    # grow the surviving components (``mid`` recycles ``a``'s slot)
     mid = g.add_dipath(["c", "d", "e"])
-    g.add_dipath(["d", "e", "f"])
-    g.add_dipath(["y", "a"])
-    # now remove a cut vertex whose stamp predates the rebuild
+    tail = g.add_dipath(["d", "e", "f"])
+    spur = g.add_dipath(["y", "a"])
+    assert g.shard_map() == {mid: [mid, b, tail], bridge: [bridge, spur]}
+    # b leaves; mid and tail still share fibre (d, e)
     g.remove_dipath(b)
-    assert sorted(len(m) for m in g.shard_map().values()) == \
-        sorted(len(c) for c in g.connected_components())
+    assert g.shard_map() == {mid: [mid, tail], bridge: [bridge, spur]}
+
+
+def test_arc_ownership_survives_departure():
+    # a new arrival on a fibre whose only user departed rejoins the
+    # members on either side of it
+    g = ShardedConflictGraph(DipathFamily())
+    g.add_dipath(["a", "b", "c"])
+    middle = g.add_dipath(["b", "c", "d"])
+    g.add_dipath(["c", "d", "e"])
+    g.remove_dipath(middle)
+    assert g.shard_map() == {0: [0], 2: [2]}
+    again = g.add_dipath(["b", "c", "d"])
+    assert g.shard_map() == {0: sorted([0, again, 2])}
 
 
 def test_admit_batch_inside_open_transaction_rolls_back():
@@ -194,52 +218,23 @@ def test_admit_batch_inside_open_transaction_rolls_back():
     assert engine.audit() == []
 
 
-def test_arc_ownership_survives_departure():
-    # a new arrival on a fibre whose only user departed must land in the
-    # departed user's shard while the split-check is still pending
+def test_component_subgraph_keeps_labels_and_masks():
+    """``subgraph(members)`` is one component's conflict graph for the
+    mask algorithms: global labels, masks restricted to the members."""
     g = ShardedConflictGraph(DipathFamily())
-    g.add_dipath(["a", "b", "c"])
-    middle = g.add_dipath(["b", "c", "d"])
-    g.add_dipath(["c", "d", "e"])
-    g.remove_dipath(middle)
-    again = g.add_dipath(["b", "c", "d"])
-    assert g.shard_of_member(again) is g.shard_of_member(0)
-    assert g.shard_map() == {0: [0, 1, 2]}
-
-
-# ---------------------------------------------------------------------- #
-# shard views
-# ---------------------------------------------------------------------- #
-def test_shard_view_compact_remap_and_masks():
-    g = ShardedConflictGraph(DipathFamily())
-    g.add_dipath(["p", "q"])                   # index 0: a separate shard
+    g.add_dipath(["p", "q"])                   # index 0: a separate component
     a = g.add_dipath(["a", "b", "c"])          # 1
     b = g.add_dipath(["b", "c", "d"])          # 2
     c = g.add_dipath(["c", "d", "e"])          # 3
-    view = g.shard_view(g.shard_of_member(a))
-    assert view.size == 3
-    assert view.globals() == [a, b, c]
-    assert view.to_local(b) == 1 and view.to_global(1) == b
-    # masks are shard-width: 1 conflicts 2, 2 conflicts 1 and 3
-    assert view.neighbor_mask(0) == 0b010
-    assert view.neighbor_mask(1) == 0b101
-    assert view.degree(1) == 2
-    local = view.as_conflict_graph()
+    members = g.shard_map()[a]
+    assert members == [a, b, c]
+    local = g.subgraph(members)
+    assert local.vertices() == [a, b, c]
+    assert local.neighbor_mask(a) == 1 << b
+    assert local.neighbor_mask(b) == 1 << a | 1 << c
+    assert local.degree(b) == 2
     assert local.num_edges == 2
-    assert local.vertices() == [0, 1, 2]
-
-
-def test_shard_view_invalidated_on_structural_change():
-    g = ShardedConflictGraph(DipathFamily())
-    a = g.add_dipath(["a", "b", "c"])
-    view = g.shard_view(g.shard_of_member(a))
-    assert view.is_current()
-    g.add_dipath(["b", "c", "d"])              # member added to the shard
-    assert not view.is_current()
-    fresh = g.shard_view(g.shard_of_member(a))
-    assert fresh.is_current()
-    g.add_dipath(["x", "y"])                   # a different shard
-    assert fresh.is_current()
+    assert local.connected_components() == [{a, b, c}]
 
 
 # ---------------------------------------------------------------------- #

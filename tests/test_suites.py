@@ -23,8 +23,6 @@ TOLERANCE = 0.20
 #: suite -> records with its cross-record claim broken, and a word the
 #: problem must contain
 CROSS_BREAKS = {
-    "sharding": (lambda records: [dict(r, component_splits=0)
-                                  for r in records], "split"),
     "recovery": (lambda records: [
         dict(r, records_per_second=1.0)
         if r.get("kind") == "crash_recovery" else r
