@@ -126,6 +126,43 @@ for _policy in POLICIES:
     assert _kempe.kempe_repairs > 0, _policy
 print("AUDIT SMOKE OK")
 
+# Faulted k-shortest routing: speculation, defrag on block and
+# maintenance cuts, audited after every event; the last window is never
+# repaired.  The router keeps its cached candidates across the cuts and
+# repairs it judges harmless, so at the end each answer must equal a
+# cold recompute on a copy of the final graph (every cached pair is a
+# pool pair).
+from repro.dipaths.requests import Request
+from repro.generators.regions import (multi_region_topology,
+                                      multi_region_traffic)
+from repro.graphs.traversal import k_shortest_dipaths
+from repro.online.events import CUT, maintenance_events, sort_events
+
+_g = multi_region_topology(regions=2, region_size=14, arc_probability=0.18,
+                           coupling=3, seed=3)
+_pool = multi_region_traffic(_g, 60, inter_fraction=0.3, seed=4)
+_trace = poisson_trace(_pool, 150, arrival_rate=2.0, mean_holding=10.0,
+                       seed=5)
+_arcs = sorted(_g.arcs())
+_events = list(_trace)
+_starts = range(10, int(_trace[-1].time) - 20, 25)
+for _i, _start in enumerate(_starts):
+    _window = maintenance_events(
+        [_arcs[(7 * _i) % len(_arcs)], _arcs[(7 * _i + 3) % len(_arcs)]],
+        float(_start), 10.0, fault_id=2 * _i)
+    _events.extend(e for e in _window
+                   if _i < len(_starts) - 1 or e.kind == CUT)
+_faulted = simulate_online(_g, sort_events(_events), 6, routing="k_shortest",
+                           speculative=True, defrag_on_block=True,
+                           audit_every=1)
+assert _faulted.lightpaths_stranded > 0      # the cuts hit live traffic
+_final = _faulted.engine.graph.copy()
+for _s, _t in _pool.pairs():
+    assert [d.vertices for d in
+            _faulted.engine.router.candidates(Request(_s, _t))] == \
+        [tuple(p) for p in k_shortest_dipaths(_final, _s, _t, 4)], (_s, _t)
+print("FAULTED K-SHORTEST SMOKE OK")
+
 # Backpressure: one flash-crowd burst submitted through a service whose
 # inbox holds 4 ops, so most submits await room.  Greedy batches decide
 # what one-by-one admission decides, however the drain task splits the
@@ -133,8 +170,6 @@ print("AUDIT SMOKE OK")
 import asyncio
 
 from repro.analysis.bench_service import flash_crowd_trace
-from repro.generators.regions import (multi_region_topology,
-                                      multi_region_traffic)
 from repro.service import RwaService
 
 _g = multi_region_topology(regions=2, region_size=16, arc_probability=0.18,

@@ -158,12 +158,12 @@ class DiGraph:
         it — an isolated vertex cannot create or destroy a dipath.
 
         The topology index of :mod:`repro.graphs.traversal` (a topological
-        order, vertex ranks, rank-sorted predecessor lists and per-target
-        ancestor maps) is the second cache that follows graph mutations.
-        On its next read it replays the arc changes since its own version,
-        dropping only the entries each arc can affect; an added arc that
-        might close a cycle rebuilds it, and every vertex change resets
-        it at once, because a vertex change moves the ranks.
+        order, vertex ranks, rank-sorted predecessor lists and per-vertex
+        reachability bitmasks) is the second cache that follows graph
+        mutations.  On its next read it replays the arc changes since its
+        own version, patching only the entries each arc can affect; an
+        added arc that might close a cycle rebuilds it, and every vertex
+        change resets it at once, because a vertex change moves the ranks.
         """
         return self._version
 

@@ -9,8 +9,7 @@ enumeration/counting.  All functions accept any :class:`~repro.graphs.digraph.Di
 from __future__ import annotations
 
 from collections import deque
-from itertools import islice
-from typing import Dict, Iterable, List, Optional, Set
+from typing import Dict, Iterable, Iterator, List, Optional, Set, Tuple
 
 from ..exceptions import NotADAGError, VertexNotFoundError
 from .._typing import Vertex
@@ -24,6 +23,7 @@ __all__ = [
     "ancestors",
     "reachable_from",
     "co_reachable_to",
+    "reach_masks",
     "transitive_closure_sets",
     "count_dipaths_matrix",
     "count_dipaths",
@@ -40,9 +40,9 @@ class _TopoIndex:
     It lives in the graph's ``_topo_index`` slot and only ever exists for
     an acyclic graph.  It holds:
 
-    * ``pos`` — each vertex's position in a topological order: Kahn's
-      order when the index was built, which stays *a* topological order
-      across the arc changes the index absorbs;
+    * ``at`` / ``pos`` — a topological order (Kahn's order when the index
+      was built) and each vertex's position in it; it stays *a*
+      topological order across the arc changes the index absorbs;
     * ``kahn`` — Kahn's order of the current arc set (what
       :func:`topological_order` returns), ``None`` after an arc change
       until it is asked for again;
@@ -50,48 +50,90 @@ class _TopoIndex:
       insertion order that breaks :func:`k_shortest_dipaths` ties;
     * ``preds`` — per vertex, filled on demand, its predecessors sorted
       by rank;
-    * ``ancestors`` — per target, filled on demand, the vertices that
-      reach it, target included, each mapped to its position in a
-      topological order of them; the map iterates in that order (target
-      last).  Every vertex of a cached ancestor map has its ``preds``
-      entry;
+    * ``anc`` / ``desc`` — per vertex, a bitmask over positions of the
+      vertices that reach it / that it reaches (itself included), built
+      by one forward and one backward sweep the first time a query needs
+      them (:func:`_masks`), ``None`` until then;
     * ``version`` — the graph version the index describes.
 
     When the graph's version has moved, :func:`_topo_index` replays the
     arc changes since ``version`` (:meth:`DiGraph.arc_changes_since`)
-    through :meth:`arc_changed`, which drops only what each arc can
-    affect.  Vertex changes reset the slot.
+    through :meth:`absorb`, which patches only what each arc can affect
+    and keeps the masks exact.  Vertex changes reset the slot.
     """
 
-    __slots__ = ("pos", "kahn", "rank", "preds", "ancestors", "version")
+    __slots__ = ("at", "pos", "kahn", "rank", "preds", "anc", "desc",
+                 "version")
 
     def __init__(self, graph: DiGraph, order: List[Vertex]) -> None:
         self.version = graph.version
+        self.at: List[Vertex] = order
         self.pos: Dict[Vertex, int] = {v: i for i, v in enumerate(order)}
         self.kahn: Optional[List[Vertex]] = order
         self.rank: Dict[Vertex, int] = {
             v: i for i, v in enumerate(graph.vertices())}
         self.preds: Dict[Vertex, List[Vertex]] = {}
-        self.ancestors: Dict[Vertex, Dict[Vertex, int]] = {}
+        self.anc: Optional[Dict[Vertex, int]] = None
+        self.desc: Optional[Dict[Vertex, int]] = None
 
-    def arc_changed(self, added: bool, u: Vertex, v: Vertex) -> bool:
-        """Absorb the arc ``(u, v)`` added or removed since ``version``
-        (arguments as in a :meth:`DiGraph.arc_changes_since` entry).
+    def absorb(self, graph: DiGraph,
+               changes: List[Tuple[bool, Vertex, Vertex]]) -> bool:
+        """Absorb the arc changes since ``version`` (as returned by
+        :meth:`DiGraph.arc_changes_since`) into the index of ``graph``.
 
         Returns ``False`` when the index must be reset instead: an added
-        arc against ``pos`` might close a cycle.  Otherwise ``v``'s
-        predecessor list and the ancestor maps of the targets ``v``
-        reaches (exactly the maps holding ``v``) are dropped; nothing
-        else can change.
+        arc against ``pos`` might close a cycle.  Otherwise each head's
+        predecessor list and Kahn's order are dropped and the masks are
+        brought up to date.  An added arc ``(u, v)`` ORs ``anc[u]`` into
+        the ``anc`` of every vertex of ``desc[v]`` and ``desc[v]`` into
+        the ``desc`` of every vertex of ``anc[u]`` (nothing when ``u``
+        already reached ``v``).  Removed arcs are handled after the adds:
+        the masks then describe every arc the graph held during the
+        changes, so ``anc`` is recomputed over the union of the removed
+        heads' ``desc`` in position order and ``desc`` over the union of
+        the removed tails' ``anc`` in reverse order, from the current
+        adjacency.  No other mask can change, and none is touched.
         """
-        if added and self.pos[u] > self.pos[v]:
-            return False
+        at, pos, anc, desc = self.at, self.pos, self.anc, self.desc
+        for added, u, v in changes:
+            if added and pos[u] > pos[v]:
+                return False
+            self.preds.pop(v, None)
+            if (added and anc is not None and desc is not None
+                    and not anc[v] >> pos[u] & 1):
+                gained = anc[u]
+                for i in _bits(desc[v]):
+                    anc[at[i]] |= gained
+                gained = desc[v]
+                for i in _bits(anc[u]):
+                    desc[at[i]] |= gained
         self.kahn = None
-        self.preds.pop(v, None)
-        ancestors = self.ancestors
-        for target in [t for t, anc in ancestors.items() if v in anc]:
-            del ancestors[target]
+        if anc is None or desc is None:
+            return True
+        to_heads = from_tails = 0
+        for added, u, v in changes:
+            if not added:
+                to_heads |= desc[v]
+                from_tails |= anc[u]
+        for i in _bits(to_heads):
+            w, mask = at[i], 1 << i
+            for p in graph.predecessors(w):
+                mask |= anc[p]
+            anc[w] = mask
+        for i in reversed(list(_bits(from_tails))):
+            w, mask = at[i], 1 << i
+            for s in graph.successors(w):
+                mask |= desc[s]
+            desc[w] = mask
         return True
+
+
+def _bits(mask: int) -> Iterator[int]:
+    """The positions of the set bits of ``mask``, ascending."""
+    while mask:
+        low = mask & -mask
+        mask ^= low
+        yield low.bit_length() - 1
 
 
 def _kahn(graph: DiGraph) -> Optional[List[Vertex]]:
@@ -120,8 +162,7 @@ def _topo_index(graph: DiGraph) -> _TopoIndex:
         if index.version == graph.version:
             return index
         changes = graph.arc_changes_since(index.version)
-        if changes is not None and all(index.arc_changed(*change)
-                                       for change in changes):
+        if changes is not None and index.absorb(graph, changes):
             index.version = graph.version
             return index
         graph._topo_index = None
@@ -141,33 +182,49 @@ def _preds(graph: DiGraph, index: _TopoIndex, v: Vertex) -> List[Vertex]:
     return preds
 
 
-def _ancestors(graph: DiGraph, index: _TopoIndex, target: Vertex
-               ) -> Dict[Vertex, int]:
-    """The vertices reaching ``target`` (itself included), each mapped to
-    its position in a topological order ending at ``target``; memoised on
-    the index.
+def _masks(graph: DiGraph, index: _TopoIndex
+           ) -> Tuple[Dict[Vertex, int], Dict[Vertex, int]]:
+    """The index's ``anc`` and ``desc`` masks, built on first use by one
+    sweep in position order and one in reverse."""
+    anc, desc = index.anc, index.desc
+    if anc is None or desc is None:
+        at = index.at
+        anc, desc = {}, {}
+        for i, v in enumerate(at):
+            mask = 1 << i
+            for p in graph.predecessors(v):
+                mask |= anc[p]
+            anc[v] = mask
+        for i in range(len(at) - 1, -1, -1):
+            v = at[i]
+            mask = 1 << i
+            for s in graph.successors(v):
+                mask |= desc[s]
+            desc[v] = mask
+        index.anc, index.desc = anc, desc
+    return anc, desc
 
-    A DFS over predecessors emits each vertex after all of its own
-    ancestors (post-order), which is a topological order of the ancestors.
+
+def reach_masks(graph: DiGraph) -> Tuple[Dict[Vertex, int],
+                                         Dict[Vertex, int],
+                                         Dict[Vertex, int]]:
+    """``(pos, anc, desc)``: reachability of a DAG as bitmasks.
+
+    ``pos`` maps each vertex to its position in a topological order;
+    bit ``pos[x]`` of ``anc[v]`` is set iff ``x`` reaches ``v`` and of
+    ``desc[v]`` iff ``v`` reaches ``x`` (``v`` itself included in both).
+    The masks live in the topology index memoised on the graph and are
+    patched, exactly, across the arc changes it absorbs; treat them as
+    read-only and do not hold them across a mutation.
+
+    Raises
+    ------
+    NotADAGError
+        If the digraph contains a directed cycle.
     """
-    anc = index.ancestors.get(target)
-    if anc is not None:
-        return anc
-    anc = {}
-    seen = {target}
-    stack = [(target, iter(_preds(graph, index, target)))]
-    while stack:
-        v, preds = stack[-1]
-        for p in preds:
-            if p not in seen:
-                seen.add(p)
-                stack.append((p, iter(_preds(graph, index, p))))
-                break
-        else:
-            stack.pop()
-            anc[v] = len(anc)
-    index.ancestors[target] = anc
-    return anc
+    index = _topo_index(graph)
+    anc, desc = _masks(graph, index)
+    return index.pos, anc, desc
 
 
 def topological_order(graph: DiGraph) -> List[Vertex]:
@@ -340,20 +397,27 @@ def count_dipaths_matrix(graph: DiGraph, cap: Optional[int] = None
 
 
 def count_dipaths(graph: DiGraph, source: Vertex, target: Vertex) -> int:
-    """Number of distinct dipaths from ``source`` to ``target`` in a DAG."""
+    """Number of distinct dipaths from ``source`` to ``target`` in a DAG.
+
+    Summed over predecessors in a topological order of the vertices that
+    lie on some ``source`` → ``target`` dipath: the set bits of
+    ``anc[target] & desc[source]`` in the graph's memoised reachability
+    masks (:func:`reach_masks`).
+    """
     _check_vertex(graph, source)
     _check_vertex(graph, target)
     if source == target:
         return 0
     index = _topo_index(graph)
-    anc = _ancestors(graph, index, target)
-    start = anc.get(source)
-    if start is None:
+    anc, desc = _masks(graph, index)
+    pos = index.pos
+    if not anc[target] >> pos[source] & 1:
         return 0
-    preds = index.preds
+    at = index.at
     count: Dict[Vertex, int] = {source: 1}
-    for v in islice(anc, start + 1, None):
-        count[v] = sum(count.get(p, 0) for p in preds[v])
+    for i in _bits(anc[target] & desc[source] ^ 1 << pos[source]):
+        v = at[i]
+        count[v] = sum(count.get(p, 0) for p in _preds(graph, index, v))
     return count[target]
 
 
@@ -436,12 +500,14 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
     successor-set layout, on ``PYTHONHASHSEED`` or on the mutation
     history that produced the graph.
 
-    Computed by a pull dynamic program over the ancestors of ``target`` in
-    a topological order: each vertex takes its predecessors in rank order,
-    extends their (up to) ``k`` best partial dipaths from ``source`` by
-    itself and stable-sorts the result by length.  The rank-sorted
-    predecessor lists and the ancestor lists are memoised on the graph and
-    survive the arc changes that cannot affect them.  Returns fewer than
+    Computed by a pull dynamic program over the vertices that lie on some
+    ``source`` → ``target`` dipath, in a topological order: the set bits
+    of ``anc[target] & desc[source]`` in the reachability masks memoised
+    on the graph (:func:`reach_masks`).  Each vertex takes its
+    predecessors in rank order, extends their (up to) ``k`` best partial
+    dipaths from ``source`` by itself and stable-sorts the result by
+    length.  The masks and the rank-sorted predecessor lists survive,
+    patched, the arc changes the index absorbs.  Returns fewer than
     ``k`` paths when the DAG has fewer; the empty list when ``target`` is
     unreachable.
 
@@ -465,29 +531,36 @@ def k_shortest_dipaths(graph: DiGraph, source: Vertex, target: Vertex,
         if source not in co_reachable_to(graph, target):
             return []
         raise
-    anc = _ancestors(graph, index, target)
-    start = anc.get(source)
-    if start is None:
+    anc, desc = _masks(graph, index)
+    pos = index.pos
+    if not anc[target] >> pos[source] & 1:
         return []
-    preds = index.preds
+    at, preds = index.at, index.preds
     buckets: Dict[Vertex, List[List[Vertex]]] = {source: [[source]]}
-    for v in islice(anc, start + 1, None):
-        bucket: Optional[List[List[Vertex]]] = None
+    # every vertex after source on a source -> target dipath, in order
+    between = anc[target] & desc[source] ^ 1 << pos[source]
+    while between:
+        low = between & -between
+        between ^= low
+        v = at[low.bit_length() - 1]
+        plist = preds.get(v)
+        if plist is None:
+            plist = _preds(graph, index, v)
+        bucket: List[List[Vertex]] = []
         merged = False
-        for p in preds[v]:
+        for p in plist:
             paths = buckets.get(p)
             if paths:
-                if bucket is None:
-                    bucket = [path + [v] for path in paths]
-                else:
+                if bucket:
                     bucket.extend(path + [v] for path in paths)
                     merged = True
-        if bucket is not None:
-            if merged:
-                bucket.sort(key=len)    # stable: predecessor rank breaks ties
-                del bucket[k:]
-            buckets[v] = bucket
-    return buckets.get(target, [])
+                else:
+                    bucket = [path + [v] for path in paths]
+        if merged:
+            bucket.sort(key=len)    # stable: predecessor rank breaks ties
+            del bucket[k:]
+        buckets[v] = bucket
+    return buckets[target]
 
 
 def longest_path_length(graph: DiGraph) -> int:

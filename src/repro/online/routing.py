@@ -38,13 +38,12 @@ from ..dipaths.dipath import Dipath
 from ..dipaths.family import DipathFamily
 from ..dipaths.requests import Request
 from ..dipaths.routing import min_load_dipath
-from ..exceptions import RoutingError
+from ..exceptions import NotADAGError, RoutingError
 from ..graphs.digraph import DiGraph
 from ..graphs.traversal import (
-    co_reachable_to,
     enumerate_dipaths,
     k_shortest_dipaths,
-    reachable_from,
+    reach_masks,
     shortest_dipath,
 )
 
@@ -208,15 +207,15 @@ class KShortestRouter(OnlineRouter):
     (:func:`~repro.graphs.traversal.k_shortest_dipaths`, shortest first)
     and cached.  When the graph's arc-structure version moves, the router
     reads the arcs that changed (:meth:`DiGraph.arc_changes_since`) and
-    drops only the pairs a change can affect: for a removed arc, the pairs
-    whose cached list uses it (looked up in an arc → pairs index built on
-    the first removal, so a fault-free run never pays for it); for an
-    added arc ``(u, v)``, the pairs ``(s, t)`` with ``s`` reaching ``u``
-    and ``v`` reaching ``t``.  When the log cannot cover the gap the whole
-    cache is dropped.  Every answer equals a fresh
-    :func:`k_shortest_dipaths` on the current graph.  Only the *choice*
-    among the candidates consults the live load.  The cached list is
-    also what speculative what-if admission iterates over.
+    drops only the pairs a change can affect, judged with the graph's
+    reachability masks (:func:`~repro.graphs.traversal.reach_masks`):
+    for an added arc ``(u, v)``, the pairs ``(s, t)`` with ``s`` reaching
+    ``u`` and ``v`` reaching ``t``; for a removed arc, the pairs whose
+    cached list uses it.  When the log cannot cover the gap, or the graph
+    has a directed cycle, the whole cache is dropped.  Every answer
+    equals a fresh :func:`k_shortest_dipaths` on the current graph.
+    Only the *choice* among the candidates consults the live load.  The
+    cached list is also what speculative what-if admission iterates over.
     """
 
     name = "k_shortest"
@@ -228,10 +227,9 @@ class KShortestRouter(OnlineRouter):
         self._graph = graph
         self._family = family
         self._k = k
-        self._cache: Dict[Tuple[Vertex, Vertex], List[Dipath]] = {}
+        # source -> target -> candidates
+        self._cache: Dict[Vertex, Dict[Vertex, List[Dipath]]] = {}
         self._cache_version = graph.version
-        # arc -> cached pairs whose list uses it; None until first needed
-        self._by_arc: Optional[Dict[Arc, Set[Tuple[Vertex, Vertex]]]] = None
 
     @property
     def k(self) -> int:
@@ -241,48 +239,59 @@ class KShortestRouter(OnlineRouter):
     def candidates(self, request: Request) -> List[Dipath]:
         if self._graph.version != self._cache_version:
             self._sync()
-        key = (request.source, request.target)
-        cands = self._cache.get(key)
+        source, target = request.source, request.target
+        row = self._cache.get(source)
+        if row is None:
+            row = self._cache[source] = {}
+        cands = row.get(target)
         if cands is None:
-            paths = k_shortest_dipaths(self._graph, key[0], key[1], self._k)
-            cands = [Dipath(p) for p in paths if len(p) >= 2]
-            self._cache[key] = cands
-            if self._by_arc is not None:
-                _index_pair(self._by_arc, key, cands)
+            paths = k_shortest_dipaths(self._graph, source, target, self._k)
+            cands = row[target] = [Dipath(p) for p in paths if len(p) >= 2]
         return cands
 
     def _sync(self) -> None:
         """Drop the cached pairs the arc changes since the cache's version
-        can affect (everything when the graph's log cannot tell)."""
+        can affect (everything on a log gap, a directed cycle or a cached
+        source no longer in the graph).
+
+        Each change is judged against the current graph's masks.  An
+        added arc ``(u, v)`` can alter the list of ``(s, t)`` only if
+        ``s`` reaches ``u`` and ``v`` reaches ``t``.  A removed arc
+        alters only the lists that use it, and a list that uses removed
+        arcs still reaches the tail of the first one from ``s``, so one
+        bit test per source screens the lists that are searched.
+        """
         graph, cache = self._graph, self._cache
         changes = graph.arc_changes_since(self._cache_version)
         self._cache_version = graph.version
         if changes is None:
             cache.clear()
-            self._by_arc = None
             return
-        # Each change is judged against the current graph, which can only
-        # over-drop: a pair is kept only if no change can alter its list.
+        try:
+            pos, anc, desc = reach_masks(graph)
+        except NotADAGError:
+            cache.clear()
+            return
         stale: Set[Tuple[Vertex, Vertex]] = set()
-        for added, u, v in changes:
-            if added:
-                reach_tail = co_reachable_to(graph, u)
-                from_head = reachable_from(graph, v)
-                stale.update(key for key in cache if key[0] in reach_tail
-                             and key[1] in from_head)
-                continue
-            if self._by_arc is None:
-                self._by_arc = {}
-                for key, cands in cache.items():
-                    _index_pair(self._by_arc, key, cands)
-            stale.update(self._by_arc.get((u, v), ()))
-        by_arc = self._by_arc
-        for key in stale:
-            cands = cache.pop(key)
-            if by_arc is not None:
-                for dipath in cands:
-                    for arc in dipath.arc_set:
-                        by_arc[arc].discard(key)
+        try:
+            for added, u, v in changes:
+                to_u, from_v, arc = anc[u], desc[v], (u, v)
+                for s, row in cache.items():
+                    if not to_u >> pos[s] & 1:
+                        continue
+                    if added:
+                        stale.update((s, t) for t in row
+                                     if from_v >> pos[t] & 1)
+                    else:
+                        stale.update((s, t) for t, cands in row.items()
+                                     if any(arc in d.arc_set for d in cands))
+        except KeyError:
+            # a cached source left the graph (an isolated vertex's
+            # removal does not move the version)
+            cache.clear()
+            return
+        for s, t in stale:
+            del cache[s][t]
 
     def route(self, request: Request) -> Optional[Dipath]:
         cands = self.candidates(request)
@@ -290,18 +299,6 @@ class KShortestRouter(OnlineRouter):
             return None
         return min(cands,
                    key=lambda dipath: live_load_cost(self._family, dipath))
-
-
-def _index_pair(by_arc: Dict[Arc, Set[Tuple[Vertex, Vertex]]],
-                key: Tuple[Vertex, Vertex], cands: List[Dipath]) -> None:
-    """File the pair ``key`` under every arc its candidates use."""
-    for dipath in cands:
-        for arc in dipath.arc_set:
-            pairs = by_arc.get(arc)
-            if pairs is None:
-                by_arc[arc] = {key}
-            else:
-                pairs.add(key)
 
 
 class WidestRouter(OnlineRouter):

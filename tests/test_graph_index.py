@@ -1,12 +1,14 @@
 """The topology index memoised on a graph (``DiGraph._topo_index``).
 
-:func:`~repro.graphs.traversal.topological_order` and
-:func:`~repro.graphs.traversal.k_shortest_dipaths` reuse one topological
-order, vertex ranks, rank-sorted predecessor lists and per-target
-ancestor maps.  These tests pin the index's lifecycle: its next read
-replays the arc changes since its version (dropping only what each arc
-can affect) unless an added arc might close a cycle, every vertex change
-resets it, a cycle caches nothing,
+:func:`~repro.graphs.traversal.topological_order`,
+:func:`~repro.graphs.traversal.k_shortest_dipaths` and
+:func:`~repro.graphs.traversal.reach_masks` reuse one topological order,
+vertex ranks, rank-sorted predecessor lists and per-vertex reachability
+bitmasks (``anc``/``desc``).  These tests pin the index's lifecycle: the
+masks are built on the first query that needs them, its next read
+replays the arc changes since its version (patching the masks exactly
+and touching only those an arc can affect) unless an added arc might
+close a cycle, every vertex change resets it, a cycle caches nothing,
 copies and pickles start cold, and no module outside
 ``graphs/digraph.py`` writes adjacency behind the mutators' back.  The
 oracle comparison under random mutation sequences lives in
@@ -25,9 +27,11 @@ from repro.generators.random_dags import random_dag
 from repro.graphs.dag import DAG
 from repro.graphs.digraph import ARC_LOG_SIZE, DiGraph
 from repro.graphs.traversal import (
+    co_reachable_to,
     count_dipaths,
     is_acyclic,
     k_shortest_dipaths,
+    reach_masks,
     reachable_from,
     topological_order,
 )
@@ -42,6 +46,19 @@ def warm(graph):
     return graph._topo_index
 
 
+def members(mask, index):
+    """The vertices at the set bits of ``mask``."""
+    return {v for i, v in enumerate(index.at) if mask >> i & 1}
+
+
+def assert_masks_exact(graph, index):
+    """``anc``/``desc`` equal BFS reachability, as bitsets."""
+    assert set(index.anc) == set(graph.vertices()) == set(index.desc)
+    for v in graph.vertices():
+        assert members(index.anc[v], index) == co_reachable_to(graph, v)
+        assert members(index.desc[v], index) == reachable_from(graph, v)
+
+
 def all_k_shortest(graph, k=3):
     return {(s, t): k_shortest_dipaths(graph, s, t, k)
             for s in graph.vertices() for t in graph.vertices()}
@@ -50,16 +67,21 @@ def all_k_shortest(graph, k=3):
 class TestLifecycle:
     def test_queries_share_one_index_per_state(self):
         g = random_dag(15, 0.3, seed=4)
-        index = warm(g)
+        topological_order(g)
+        index = g._topo_index
+        assert index.anc is None and index.desc is None  # built lazily
+        assert warm(g) is index
         order = topological_order(g)
         order.reverse()                 # callers get a fresh list
         assert topological_order(g) == index.kahn
         assert topological_order(g) is not index.kahn
+        anc, desc = index.anc, index.desc
         k_shortest_dipaths(g, 0, 14, 2)
+        count_dipaths(g, 0, 14)
+        pos, anc_read, desc_read = reach_masks(g)
         assert g._topo_index is index
-        assert list(index.ancestors[14])[-1] == 14
-        assert set(index.ancestors[14]) == {
-            v for v in g.vertices() if 14 in reachable_from(g, v)}
+        assert pos is index.pos and anc_read is anc and desc_read is desc
+        assert_masks_exact(g, index)
 
     @pytest.mark.parametrize("mutate", [
         lambda g: g.add_vertex("fresh"),
@@ -74,32 +96,56 @@ class TestLifecycle:
 
     @pytest.mark.parametrize("change", ["add_arc", "remove_arc"])
     def test_arc_changes_patch_the_index(self, change):
-        # The next read keeps the index and drops exactly the head's
-        # predecessor list and the ancestor maps of the targets the head
-        # reaches; every answer then equals a cold copy's.
+        # The next read keeps the index, drops the head's predecessor
+        # list and Kahn's order, and patches the masks exactly: only the
+        # anc masks of the head's descendants and the desc masks of the
+        # tail's ancestors may change, every other mask is left as it
+        # was; every answer then equals a cold copy's.
         g = random_dag(10, 0.3, seed=1)
-        if g.has_arc(0, 9):
-            g.remove_arc(0, 9)
-        arc = (0, 9) if change == "add_arc" else sorted(g.arcs())[0]
+        arc = (1, 4) if change == "add_arc" else sorted(g.arcs())[0]
         index = warm(g)
         all_k_shortest(g)
-        before = dict(index.ancestors)
-        assert arc[1] in index.preds and index.kahn is not None
+        u, v = arc
+        anc, desc = dict(index.anc), dict(index.desc)
+        may_gain = members(desc[v], index)      # anc may change here
+        may_lose = members(anc[u], index)       # desc may change here
+        assert v in index.preds and index.kahn is not None
         if change == "add_arc":
+            assert u not in co_reachable_to(g, v)   # the arc adds reach
             g.add_arc(*arc)
         else:
             g.remove_arc(*arc)
         assert g._topo_index is index and index.version != g.version
         assert is_acyclic(g)                # a read syncs the index
         assert g._topo_index is index and index.version == g.version
-        assert arc[1] not in index.preds and index.kahn is None
-        assert {t: anc for t, anc in before.items()
-                if arc[1] not in anc} == index.ancestors
+        assert v not in index.preds and index.kahn is None
+        assert_masks_exact(g, index)
+        assert index.anc != anc and index.desc != desc
+        assert all(index.anc[w] is anc[w] for w in g.vertices()
+                   if w not in may_gain)
+        assert all(index.desc[w] is desc[w] for w in g.vertices()
+                   if w not in may_lose)
         cold = g.copy()
         assert all_k_shortest(g) == all_k_shortest(cold)
         assert topological_order(g) == topological_order(g.copy())
         assert all(count_dipaths(g, s, t) == count_dipaths(cold, s, t)
                    for s in g.vertices() for t in g.vertices())
+
+    def test_a_batch_of_changes_patches_the_masks_exactly(self):
+        # Several changes replayed at one read, against the adjacency as
+        # it stands after all of them: a removal's recompute must cover
+        # the reach a later add extends, and a repaired arc must count.
+        g = DiGraph(arcs=[("a", "b"), ("b", "c"), ("c", "d"), ("x", "y")])
+        index = warm(g)
+        g.remove_arc("a", "b")
+        g.add_arc("b", "y")                 # b's reach grows after the cut
+        g.remove_arc("c", "d")
+        g.add_arc("c", "d")                 # cut and repaired
+        assert is_acyclic(g)
+        assert g._topo_index is index
+        assert_masks_exact(g, index)
+        assert k_shortest_dipaths(g, "a", "y", 2) == []
+        assert k_shortest_dipaths(g, "b", "y", 2) == [["b", "y"]]
 
     def test_an_arc_against_the_order_rebuilds_the_index(self):
         g = DiGraph(arcs=[("a", "b"), ("b", "c"), ("d", "c")])

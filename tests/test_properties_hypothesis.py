@@ -14,6 +14,8 @@ generated structures:
   interleaving of mutations, copies, pickles and queries, and
   ``k_shortest_dipaths`` equals its specification: every dipath, sorted
   by hops and then by vertex rank read back from the target, first ``k``.
+* The index's reachability bitmasks equal BFS reachability after any
+  batch of arc adds, arc removals and vertex changes.
 """
 
 from __future__ import annotations
@@ -53,6 +55,7 @@ from repro.graphs.traversal import (
     find_directed_cycle,
     is_acyclic,
     k_shortest_dipaths,
+    reach_masks,
     topological_order,
 )
 
@@ -256,6 +259,18 @@ def _oracle_co_reachable(graph, target):
     return seen
 
 
+def _oracle_reachable(graph, source):
+    seen = {source}
+    queue = deque([source])
+    while queue:
+        v = queue.popleft()
+        for w in graph.successors(v):
+            if w not in seen:
+                seen.add(w)
+                queue.append(w)
+    return seen
+
+
 def _spec_k_shortest(graph, source, target, k):
     """``k_shortest_dipaths`` as documented, by brute force: every dipath,
     sorted by hops, then by the ranks (positions in ``graph.vertices()``)
@@ -372,3 +387,70 @@ def test_memoised_index_on_cyclic_graph(seed, n, p, pick):
     assert is_acyclic(graph)
     for source in graph.vertices():
         _assert_matches_oracle(graph, source)
+
+
+def _assert_masks_match_bfs(graph):
+    """``reach_masks`` equals BFS reachability, as bitsets, or raises
+    :class:`NotADAGError` exactly when the graph has a directed cycle.
+    Returns the masks' vertex positions (empty on a cycle)."""
+    try:
+        pos, anc, desc = reach_masks(graph)
+    except NotADAGError:
+        assert find_directed_cycle(graph) is not None
+        return {}
+    assert set(pos) == set(graph.vertices())
+    assert all(pos[u] < pos[v] for u, v in graph.arcs())
+    for v in pos:
+        assert {x for x in pos if anc[v] >> pos[x] & 1} == \
+            _oracle_co_reachable(graph, v)
+        assert {x for x in pos if desc[v] >> pos[x] & 1} == \
+            _oracle_reachable(graph, v)
+    return dict(pos)
+
+
+_MASK_OPS = st.lists(
+    st.tuples(st.sampled_from(["add_arc", "add_arc", "add_arc_any",
+                               "remove_arc", "cut_and_extend", "add_vertex",
+                               "remove_vertex", "sync"]),
+              st.integers(min_value=0, max_value=10 ** 6),
+              st.integers(min_value=0, max_value=10 ** 6)),
+    max_size=25)
+
+
+@settings(**dict(SETTINGS, max_examples=200))    # ~1 ms an example
+@given(st.integers(min_value=0, max_value=10_000),
+       st.integers(min_value=2, max_value=12),
+       st.floats(min_value=0.05, max_value=0.35), _MASK_OPS)
+def test_reach_masks_equal_bfs_reachability(seed, n, p, ops):
+    # The masks are read only at ``sync``, so the ops between two syncs
+    # reach the index as one batch of changes.  ``add_arc`` follows the
+    # positions of the last read, so the index can absorb it;
+    # ``add_arc_any`` keeps the drawn direction, so it may go against
+    # them or close a cycle; ``cut_and_extend`` removes an arc and then
+    # grows its head's reach in the same batch.
+    graph = random_dag(n, p, seed=seed)
+    next_label = n
+    pos = _assert_masks_match_bfs(graph)
+    for op, a, b in ops:
+        vertices = list(graph.vertices())
+        if op in ("add_arc", "add_arc_any") and len(vertices) >= 2:
+            u, v = vertices[a % len(vertices)], vertices[b % len(vertices)]
+            if op == "add_arc" and (pos.get(u, u), u) > (pos.get(v, v), v):
+                u, v = v, u
+            if u != v:
+                graph.add_arc(u, v)
+        elif op in ("remove_arc", "cut_and_extend") and graph.num_arcs:
+            arcs = sorted(graph.arcs())
+            u, v = arcs[a % len(arcs)]
+            graph.remove_arc(u, v)
+            later = [w for w in pos if pos[w] > pos.get(v, len(pos))]
+            if op == "cut_and_extend" and later:
+                graph.add_arc(v, later[b % len(later)])
+        elif op == "add_vertex":
+            graph.add_vertex(next_label)
+            next_label += 1
+        elif op == "remove_vertex" and len(vertices) > 1:
+            graph.remove_vertex(vertices[a % len(vertices)])
+        elif op == "sync":
+            pos = _assert_masks_match_bfs(graph)
+    _assert_masks_match_bfs(graph)

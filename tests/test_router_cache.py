@@ -8,7 +8,8 @@ changes from :meth:`~repro.graphs.digraph.DiGraph.arc_changes_since`.
 These tests pin the change log, compare every router answer with a cold
 recompute under random cut/repair/add sequences, check that a faulted
 simulation computes fewer routes than a per-version clear with the same
-decisions, and run the routing under two ``PYTHONHASHSEED`` values.
+decisions (and exactly as many as the pinned count), and run the
+routing under two ``PYTHONHASHSEED`` values.
 """
 
 from __future__ import annotations
@@ -92,8 +93,8 @@ def _assert_router_matches_cold(router, graph, k):
 
 _ROUTER_OPS = st.lists(
     st.tuples(st.sampled_from(["cut", "repair", "add", "add_vertex",
-                               "remove_vertex", "cut_repair", "flood",
-                               "query"]),
+                               "remove_vertex", "cut_repair", "cut_two",
+                               "flood", "query"]),
               st.integers(min_value=0, max_value=10 ** 6),
               st.integers(min_value=0, max_value=10 ** 6)),
     max_size=15)
@@ -131,6 +132,11 @@ def test_router_answers_equal_a_cold_recompute(seed, n, p, k, ops):
             next_label += 1
         elif op == "remove_vertex" and len(vertices) > 2:
             graph.remove_vertex(vertices[a % len(vertices)])
+        elif op == "cut_two" and len(arcs) >= 2:   # one batch of two cuts
+            for arc in (arcs[a % len(arcs)], arcs[b % len(arcs)]):
+                if graph.has_arc(*arc):
+                    graph.remove_arc(*arc)
+                    cut.append(arc)
         elif op == "cut_repair" and arcs:   # both before the next query
             arc = arcs[a % len(arcs)]
             graph.remove_arc(*arc)
@@ -148,6 +154,23 @@ def test_router_answers_equal_a_cold_recompute(seed, n, p, k, ops):
                                                           t, k)
             continue
         _assert_router_matches_cold(router, graph, k)
+
+
+def test_a_batch_of_cuts_drops_every_route_it_breaks():
+    # Both cuts reach the router at once: after them `s` no longer
+    # reaches `b` and `a` no longer reaches `t`, so no single cut's
+    # tail-and-head test against the current graph names the pair.
+    graph = DiGraph(arcs=[("s", "a"), ("a", "b"), ("b", "t"), ("s", "x")])
+    router = KShortestRouter(graph, DipathFamily(), k=2)
+    request = Request("s", "t")
+    assert [d.vertices for d in router.candidates(request)] == \
+        [("s", "a", "b", "t")]
+    graph.remove_arc("s", "a")
+    graph.remove_arc("b", "t")
+    assert router.candidates(request) == []
+    graph.add_arc("x", "t")
+    assert [d.vertices for d in router.candidates(request)] == \
+        [("s", "x", "t")]
 
 
 def _faulted_trace():
@@ -195,6 +218,10 @@ def test_faulted_run_computes_fewer_routes_with_the_same_decisions(
     assert engine_fingerprint(kept.engine) == \
         engine_fingerprint(cleared.engine)
     assert kept_calls < cleared_calls
+    # Pinned granularity: 102 is what the earlier rules (an arc -> pairs
+    # index for cuts, two reachability BFS per repair) computed on this
+    # trace, so the mask tests drop no more pairs than they did.
+    assert kept_calls == 102
 
 
 _HASH_SEED_SCRIPT = """
